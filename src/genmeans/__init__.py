@@ -40,7 +40,6 @@ from .triangle import (
     toeplitz_inverse_coeffs,
     unit_sequence,
     window_apply,
-    zero_sequence,
 )
 from .operators import (
     NormResult,

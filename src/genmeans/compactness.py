@@ -25,13 +25,14 @@ from .limits import (
     TREND_EXACT,
     LimitEstimate,
     Verdict,
+    _worse_status,
     analyze_tail,
     column_limits,
-    column_value,
     extended_rows,
     limit_of_rows,
     limsup_of_rows,
     row_abs_sum,
+    shifted_row_abs_sum,
     sup_of_rows,
 )
 from .scalars import zero_like
@@ -53,8 +54,8 @@ class AssociateMatrix:
 
 
 def associate_matrix(p, matrix) -> AssociateMatrix:
-    """Associate of a zero-tail-row matrix, built row-by-row through the
-    closed form and cross-checked against the defining sums."""
+    """Associate of a zero-tail-row matrix, built row by row from the
+    defining sums R(A_n)."""
     return AssociateMatrix(transformed_rows(p, matrix), "computed")
 
 
@@ -97,17 +98,6 @@ class ChiEstimate:
     window: tuple = ()
     trace: tuple = ()
     note: str = ""
-
-
-def shifted_row_abs_sum(row, alphas):
-    """sum_k |row_k - alpha_k| with the limit vector padded by zeros beyond
-    its computed width (the standard truncation reading: column limits past
-    the stored window are taken as zero)."""
-    total = 0
-    for k in range(max(len(row), len(alphas))):
-        a = alphas[k] if k < len(alphas) else 0
-        total += abs(column_value(row, k) - a)
-    return total
 
 
 def _shifted_limsup(window, alphas, trend_window, tolerance):
@@ -166,14 +156,9 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
     if est.value is None:
         return ChiEstimate("c", None, None, tuple(alphas), STATUS_INDET, est.trend,
                            est.window, est.trace, est.note)
-    status = est.status if cols.status == STATUS_EXACT else _join_status(est.status, cols.status)
+    status = est.status if cols.status == STATUS_EXACT else _worse_status(est.status, cols.status)
     return ChiEstimate("c", _half(est.value), est.value, tuple(alphas), status, est.trend,
                        est.window, est.trace, est.note)
-
-
-def _join_status(a, b):
-    rank = {STATUS_EXACT: 0, STATUS_TREND: 1, STATUS_INDET: 2}
-    return a if rank[a] >= rank[b] else b
 
 
 def compactness_verdict(p, matrix_or_associate, target, *,

@@ -24,11 +24,11 @@ from .limits import (
     Verdict,
     analyze_tail,
     column_limits,
-    column_value,
     extended_rows,
     limit_of_rows,
     row_abs_sum,
     row_sum,
+    shifted_row_abs_sum,
     subset_column_sup,
     sup_of_rows,
 )
@@ -169,18 +169,11 @@ def _shifted_abs_limit(window, trend_window, tolerance):
     if cols.status == STATUS_INDET or cols.value is None:
         return LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                              note="column limits unresolved")
-    alphas = cols.value
     pairs = extended_rows(window, minimum=len(window.rows))
-    trace = []
-    for _, row in pairs:
-        total = 0
-        for k in range(max(len(row), len(alphas))):
-            a = alphas[k] if k < len(alphas) else 0
-            total += abs(column_value(row, k) - a)
-        trace.append(total)
+    trace = tuple(shifted_row_abs_sum(row, cols.value) for _, row in pairs)
     ns = tuple(n for n, _ in pairs)
-    status, trend, value = analyze_tail(ns, tuple(trace), trend_window, tolerance)
-    return LimitEstimate("lim", value, status, trend, ns, tuple(trace))
+    status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
+    return LimitEstimate("lim", value, status, trend, ns, trace)
 
 
 def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
@@ -194,21 +187,15 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
         return LimitEstimate("lim" if cond != "4.15" else "sup", None, STATUS_INDET,
                              TREND_SHORT,
                              note="row tail undeclared; per-row conditions not certifiable")
-    family = tail_sum_family(p, window)
-    per_row_values = []
-    for W in family.per_row:
-        if cond == "4.15":
-            per_row_values.append(max((sum(abs(v) for v in row) for row in W.rows), default=0))
-        elif cond == "4.16":
-            per_row_values.append(0)   # exact columnwise limit past the support
-        elif cond == "4.19":
-            per_row_values.append(0)   # exact absolute-row limit past the support
-        elif cond == "4.21":
-            per_row_values.append(0)   # columnwise limits exist (eventually zero)
-        else:  # 4.22: total tail sums converge
-            per_row_values.append(0)
-    kind = "sup" if cond == "4.15" else ("exists" if cond in ("4.21", "4.22") else "lim")
-    value = max(per_row_values, default=0) if cond == "4.15" else 0
+    if cond == "4.15":
+        per_row_values = [max((row_abs_sum(row) for row in W.rows), default=0)
+                          for W in tail_sum_family(p, window).per_row]
+        kind, value = "sup", max(per_row_values, default=0)
+    else:
+        # past the support the tail sums vanish columnwise, in absolute row
+        # sums and in total, so 4.16/4.19/4.21/4.22 hold with exact limit 0
+        per_row_values = [0] * len(window.rows)
+        kind, value = ("exists" if cond in ("4.21", "4.22") else "lim"), 0
     return LimitEstimate(kind, value, STATUS_EXACT, TREND_EXACT,
                          tuple(range(len(per_row_values))), tuple(per_row_values),
                          note="per-row quantities are finite computations on zero-tail rows")
@@ -220,11 +207,8 @@ def _shifted_membership(p, window, cond, trend_window, tolerance):
         return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT,
                              note="row tail undeclared; " + SHIFTED_MEMBERSHIP_NOTE)
     assoc = transformed_rows(p, window)
-    family = tail_sum_family(p, window)
-    sigma = []
-    for i, row in enumerate(assoc.rows):
-        gamma = family.gammas[i].value
-        sigma.append(row_sum(row) - gamma)
+    # gamma_n = 0 exactly on the finite supports of zero-tail source rows
+    sigma = [row_sum(row) for row in assoc.rows]
     ns = tuple(range(len(sigma)))
     if window.row_tail == ZERO_TAIL:
         # past the stored rows everything is zero: sigma is eventually zero

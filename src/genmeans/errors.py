@@ -44,4 +44,4 @@ class SchemaError(GenmeansError):
 
 
 class InconsistencyError(GenmeansError):
-    """Two supposedly-equivalent computation routes disagreed."""
+    """An internal consistency check failed: selftest, or the autocompact check."""

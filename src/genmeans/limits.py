@@ -146,6 +146,17 @@ def column_value(row, k):
     return row[k] if k < len(row) else 0
 
 
+def shifted_row_abs_sum(row, alphas):
+    """sum_k |row_k - alpha_k| with the limit vector padded by zeros beyond
+    its computed width (the standard truncation reading: column limits past
+    the stored window are taken as zero)."""
+    total = 0
+    for k in range(max(len(row), len(alphas))):
+        a = alphas[k] if k < len(alphas) else 0
+        total += abs(column_value(row, k) - a)
+    return total
+
+
 def sup_of_rows(window, rowstat, kind="sup",
                 trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """sup_n rowstat(row_n) over the infinite row index."""

@@ -30,9 +30,6 @@ class Backend:
             return value if isinstance(value, Fraction) else Fraction(value)
         return float(value)
 
-    def convert_seq(self, values):
-        return tuple(self.convert(v) for v in values)
-
     def eq(self, a, b):
         if self.mode == RATIONAL_MODE:
             return a == b

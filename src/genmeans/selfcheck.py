@@ -2,6 +2,8 @@
 
 The generators here produce small random rationals so products stay cheap
 while still exercising sign mixes and zero entries wherever zeros are legal.
+The closed forms of the associate rows, tail sums and partial-sum entries
+live here as oracles for the defining sums that ``duality`` computes.
 ``run_selftest`` drives the cross-module identities end to end and is what
 the CLI selftest command executes.
 """
@@ -15,7 +17,7 @@ from .scalars import RATIONAL
 from .triangle import (
     MatrixWindow,
     SequenceWindow,
-    TriangleMatrix,
+    binom,
     compose,
     identity,
     invert_triangle,
@@ -33,7 +35,13 @@ from .operators import (
     weighted_mean_inverse,
     weighted_mean_matrix,
 )
-from .duality import alpha_dual_matrix, associate_row, basis_vector, gamma_dual_matrix
+from .duality import (
+    alpha_dual_matrix,
+    associate_row,
+    basis_vector,
+    gamma_dual_matrix,
+    tail_sum_matrix,
+)
 from .triangle import apply, unit_sequence
 from .compactness import associate_matrix, chi_norm, compactness_verdict, supplied_associate
 from .conditions import CONDITION_IDS, condition_verdict, eval_condition
@@ -77,6 +85,92 @@ def random_zero_tail_rows(rng, rows, width, density=0.6) -> MatrixWindow:
         out.append(tuple(any_fraction(rng) if rng.random() < density else Fraction(0)
                          for _ in range(width)))
     return MatrixWindow(tuple(out), "zero")
+
+
+def associate_row_closed(p, a, order):
+    """The three-group closed form of R_k(a), truncated at the support of a."""
+    D = toeplitz_inverse_coeffs(p.s, max(a.support, 1))
+    m = p.m
+    jmax = a.support - 1
+    out = []
+    for k in range(order):
+        if k > jmax:
+            out.append(0)
+            continue
+        total = a[k] / (p.s[0] * p.t[k])
+        for i in (k, k + 1):
+            inner = 0
+            for j in range(k + 1, jmax + 1):
+                inner += binom(m + j - i - 1, j - i) * a[j]
+            if inner != 0:
+                sign = -1 if (i - k) % 2 else 1
+                total += sign * D[i - k] / p.t[i] * inner
+        for l in range(2, jmax - k + 1):
+            inner = 0
+            for j in range(k + l, jmax + 1):
+                inner += binom(m + j - k - l - 1, j - k - l) * a[j]
+            if inner != 0:
+                sign = -1 if l % 2 else 1
+                total += sign * D[l] / p.t[l + k] * inner
+        out.append(total * p.r[k])
+    return out
+
+
+def tail_sum_closed(p, a, order):
+    """Two-group closed form of w_pk, truncated at the support of a."""
+    D = toeplitz_inverse_coeffs(p.s, max(a.support, 1))
+    m = p.m
+    jmax = a.support - 1
+    rows = []
+    for cut in range(order):
+        row = []
+        for k in range(cut + 1):
+            total = 0
+            for i in range(k, min(cut, jmax) + 1):
+                inner = 0
+                for j in range(max(cut, i), jmax + 1):
+                    inner += binom(m + j - i - 1, j - i) * a[j]
+                if inner != 0:
+                    sign = -1 if (i - k) % 2 else 1
+                    total += sign * D[i - k] / p.t[i] * inner
+            for i in range(cut + 1, jmax + 1):
+                inner = 0
+                for j in range(i, jmax + 1):
+                    inner += binom(m + j - i - 1, j - i) * a[j]
+                if inner != 0:
+                    sign = -1 if (i - k) % 2 else 1
+                    total += sign * D[i - k] / p.t[i] * inner
+            row.append(total * p.r[k])
+        rows.append(tuple(row))
+    return rows
+
+
+def _gamma_entry_closed(p, a, D, l, n):
+    m = p.m
+    total = a[n] / (p.s[0] * p.t[n])
+    for k in (n, n + 1):
+        inner = 0
+        for j in range(n + 1, l + 1):
+            inner += binom(m + j - k - 1, j - k) * a[j]
+        if inner != 0:
+            sign = -1 if (k - n) % 2 else 1
+            total += sign * D[k - n] / p.t[k] * inner
+    for k in range(n + 2, l + 1):
+        inner = 0
+        for j in range(k, l + 1):
+            inner += binom(m + j - k - 1, j - k) * a[j]
+        if inner != 0:
+            sign = -1 if (k - n) % 2 else 1
+            total += sign * D[k - n] / p.t[k] * inner
+    return total * p.r[n]
+
+
+def gamma_dual_closed(p, a, partial_order):
+    """Rows of the partial-sum triangle, entry (l, n) = sum_{j=n}^{l} a_j s_jn,
+    by the bracketed closed form."""
+    D = toeplitz_inverse_coeffs(p.s, partial_order)
+    return [tuple(_gamma_entry_closed(p, a, D, l, n) for n in range(l + 1))
+            for l in range(partial_order)]
 
 
 def run_selftest(seed=20240601, emit=print) -> bool:
@@ -136,11 +230,14 @@ def run_selftest(seed=20240601, emit=print) -> bool:
         y = transform(p, x)
         R = associate_row(p, a)
         passed &= sum(a[k] * x[k] for k in range(order)) == sum(R[k] * y[k] for k in range(order))
+        passed &= list(R.values) == associate_row_closed(p, a, order)
+        passed &= list(tail_sum_matrix(p, a).rows) == tail_sum_closed(p, a, order)
         C = alpha_dual_matrix(p, a)
         passed &= all(apply(C, y)[n] == a[n] * x[n] for n in range(order))
         E = gamma_dual_matrix(p, a)
         Ey = apply(E, y)
         passed &= all(Ey[l] == sum(a[n] * x[n] for n in range(l + 1)) for l in range(order))
+        passed &= list(E.rows) == gamma_dual_closed(p, a, order)
     check("duality, coordinatewise and partial-sum identities", passed)
 
     passed = True

@@ -209,10 +209,6 @@ def _plain(value):
     raise SchemaError("report", f"cannot serialize {type(value).__name__}")
 
 
-def to_jsonable(value):
-    return _plain(value)
-
-
 def canonical_dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -239,15 +235,5 @@ def sequence_to_csv(report, seq):
     out.write(f"# backend={report['backend']}\n")
     out.write("index,value\n")
     for i, v in enumerate(seq.values):
-        out.write(f"{i},{canonical_number(v)}\n")
-    return out.getvalue()
-
-
-def trace_to_csv(report, indices, values):
-    out = io.StringIO()
-    out.write(f"# job_hash={report['job_hash']}\n")
-    out.write(f"# backend={report['backend']}\n")
-    out.write("index,value\n")
-    for i, v in zip(indices, values):
         out.write(f"{i},{canonical_number(v)}\n")
     return out.getvalue()

@@ -87,10 +87,6 @@ class SequenceWindow:
             raise TailError(f"{what} must have a declared zero tail, got {self.tail!r}")
 
 
-def zero_sequence(order, backend):
-    return SequenceWindow((backend.zero,) * order, ZERO_TAIL)
-
-
 def unit_sequence(order, j, backend):
     """e_j as a zero-tail window."""
     if not 0 <= j < order:

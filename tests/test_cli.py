@@ -203,3 +203,21 @@ def test_float_backend_flag(capsys, tmp_path):
     report = json.loads(out)
     assert report["backend"] == "float"
     assert isinstance(report["result"]["sequence"]["values"][0], str)
+
+
+@pytest.mark.parametrize("argv", [
+    # rational: the identity preset at n = 2 reaches 8 parameter terms
+    ["matclass", "--n", "2", "--source", "c0", "--target", "c0"],
+    ["chi", "--n", "2", "--target", "c"],
+    # f64: constructions run on the exact lift, which keeps only the n-term window
+    ["matclass", "--n", "6", "--scalar", "f64", "--source", "c", "--target", "c"],
+    ["chi", "--n", "6", "--scalar", "f64", "--target", "c0"],
+])
+def test_row_wider_than_parameter_window_exit_code(tmp_path, capsys, argv):
+    A = MatrixWindow(((F(1),) * 12, (F(0),) * 11 + (F(2),)), "zero")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(matrix_to_json(A)))
+    assert main(argv + ["--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "support 12" in err
+    assert "Traceback" not in err

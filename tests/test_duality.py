@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from genmeans import (
     transform,
     unit_sequence,
 )
+from genmeans.selfcheck import associate_row_closed, gamma_dual_closed, tail_sum_closed
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
 
@@ -153,6 +155,20 @@ def test_associate_row_equals_inverse_columns(p, a):
     R = associate_row(p, a)
     for k in range(8):
         assert R[k] == sum(a[j] * S.entry(j, k) for j in range(k, 8))
+
+
+@pytest.mark.parametrize("m", range(4))
+@given(p=parameter_triples(order=3), length=st.integers(min_value=1, max_value=12),
+       data=st.data())
+def test_defining_sums_equal_closed_form_oracles(m, p, length, data):
+    # rows longer than the order reach into the capacity window, as the rows
+    # that structural extension generates do
+    p = replace(p, m=m)
+    a = data.draw(zero_tail_windows(order=length))
+    assert list(associate_row(p, a).values) == associate_row_closed(p, a, length)
+    assert list(tail_sum_matrix(p, a).rows) == tail_sum_closed(p, a, length)
+    L = min(length, p.order)
+    assert list(gamma_dual_matrix(p, a, L).rows) == gamma_dual_closed(p, a, L)
 
 
 @given(parameter_triples(order=8), zero_tail_windows(order=8), st.data())
