@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .compactness import (
+    associate_matrix,
     chi_norm,
     compactness_verdict,
     operator_norm,
@@ -195,12 +196,11 @@ def _cmd_chi(args, backend):
     p, job_params = _resolve_params(args, backend)
     if args.atilde:
         matrix, raw = _load_matrix(args.atilde, backend)
-        operand = supplied_associate(matrix if not hasattr(matrix, "to_window")
-                                     else matrix.to_window())
+        operand = supplied_associate(matrix)
         source_doc = {"atilde": raw}
     elif args.matrix:
         matrix, raw = _load_matrix(args.matrix, backend)
-        operand = matrix
+        operand = associate_matrix(p, matrix)
         source_doc = {"matrix": raw}
     else:
         raise ParameterError(["chi requires --matrix or --atilde"])

@@ -20,15 +20,11 @@ from .limits import (
     DEFAULT_TREND_WINDOW,
     STATUS_EXACT,
     STATUS_INDET,
-    STATUS_TREND,
     TREND_DECAYING,
-    TREND_EXACT,
     LimitEstimate,
     Verdict,
     _worse_status,
-    analyze_tail,
     column_limits,
-    extended_rows,
     limit_of_rows,
     limsup_of_rows,
     row_abs_sum,
@@ -36,7 +32,7 @@ from .limits import (
     sup_of_rows,
 )
 from .scalars import zero_like
-from .triangle import ZERO_TAIL, MatrixWindow, as_window
+from .triangle import MatrixWindow, as_window
 from .conditions import SPACES, classify_map, transformed_rows
 from .operators import check_params
 
@@ -100,24 +96,6 @@ class ChiEstimate:
     note: str = ""
 
 
-def _shifted_limsup(window, alphas, trend_window, tolerance):
-    """limsup_n sum_k |a_nk - alpha_k| for a fixed column-limit vector."""
-    pairs = extended_rows(window, minimum=len(window.rows))
-    ns = tuple(n for n, _ in pairs)
-    trace = tuple(shifted_row_abs_sum(row, alphas) for _, row in pairs)
-    if window.row_tail == ZERO_TAIL:
-        tailval = sum((abs(a) for a in alphas), 0)
-        return LimitEstimate("limsup", tailval, STATUS_EXACT, TREND_EXACT, ns, trace)
-    status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
-    w = min(max(trend_window, 3), len(trace)) if trace else 0
-    windowed_max = max(trace[-w:]) if trace else None
-    if status == STATUS_TREND:
-        estimate = value if trend == TREND_DECAYING else windowed_max
-        return LimitEstimate("limsup", estimate, STATUS_TREND, trend, ns, trace)
-    return LimitEstimate("limsup", windowed_max, STATUS_INDET, trend, ns, trace,
-                         note="tail trace unresolved; windowed max reported")
-
-
 def _half(value):
     if isinstance(value, float):
         return value / 2
@@ -152,7 +130,8 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
     alphas = cols.value
-    est = _shifted_limsup(assoc, alphas, trend_window, tolerance)
+    est = limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, alphas),
+                         trend_window=trend_window, tolerance=tolerance)
     if est.value is None:
         return ChiEstimate("c", None, None, tuple(alphas), STATUS_INDET, est.trend,
                            est.window, est.trace, est.note)
@@ -176,7 +155,8 @@ def compactness_verdict(p, matrix_or_associate, target, *,
         cols = column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
         if cols.status == STATUS_INDET or cols.value is None:
             return Verdict("indeterminate", "per-column limits unresolved", evidence=cols)
-        est = _shifted_limsup(assoc, cols.value, trend_window, tolerance)
+        est = limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, cols.value),
+                             trend_window=trend_window, tolerance=tolerance)
     else:
         est = limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
                             tolerance=tolerance)

@@ -136,25 +136,15 @@ def transformed_rows(p, matrix) -> MatrixWindow:
 
 @dataclass(frozen=True)
 class TailSumFamily:
-    """Per-source-row tail-sum triangles plus their stable total tail sums."""
+    """Per-source-row tail-sum triangles."""
 
     per_row: tuple
-    gammas: tuple   # one LimitEstimate per source row
 
 
 def tail_sum_family(p, matrix) -> TailSumFamily:
     check_params(p)
-    window = as_window(matrix)
-    mats = []
-    gammas = []
-    for seq in _window_rows_as_sequences(window):
-        W = tail_sum_matrix(p, seq)
-        mats.append(W)
-        trace = tuple(sum(W.rows[cut]) for cut in range(W.order))
-        # zero-tail source rows force every tail sum to vanish past the support
-        gammas.append(LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT,
-                                    tuple(range(W.order)), trace))
-    return TailSumFamily(tuple(mats), tuple(gammas))
+    return TailSumFamily(tuple(tail_sum_matrix(p, seq)
+                               for seq in _window_rows_as_sequences(as_window(matrix))))
 
 
 def _shifted_abs_limit(window, trend_window, tolerance):
@@ -225,6 +215,12 @@ def _shifted_membership(p, window, cond, trend_window, tolerance):
     pairs = extended_rows(assoc, minimum=len(assoc.rows))
     values = tuple(row_sum(row) for _, row in pairs)   # gamma_n = 0 on finite supports
     ns = tuple(n for n, _ in pairs)
+    if len(pairs) <= len(assoc.rows):
+        # the tail adds no rows past the stored ones, so their trace decides nothing
+        kind = {"4.23": "lim", "4.24": "sup"}.get(cond, "exists")
+        return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, values,
+                             note="structural tail not extendable past the stored rows; "
+                                  + SHIFTED_MEMBERSHIP_NOTE)
     if cond == "4.24":
         trace = tuple(abs(v) for v in values)
         status, trend, _ = analyze_tail(ns, trace, trend_window, tolerance)

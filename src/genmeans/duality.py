@@ -20,14 +20,15 @@ from .triangle import (
     ZERO_TAIL,
     SequenceWindow,
     TriangleMatrix,
+    ones_sequence,
     seq_sub,
+    unit_sequence,
 )
 from .operators import (
     NormResult,
     check_params,
-    exact_lift,
-    lift_window,
-    lower_window,
+    exact_twin,
+    inverse_transform,
     mean_difference_inverse,
     space_norm,
     transform,
@@ -47,15 +48,8 @@ def basis_vector(p, j) -> BasisVector:
     check_params(p)
     if j >= p.order or j < -1:
         raise DimensionError(f"basis index {j} outside [-1, {p.order})")
-    if p.backend.mode == "float":
-        exact = basis_vector(exact_lift(p), j)
-        return BasisVector(j, lower_window(exact.values))
-    S = mean_difference_inverse(p)
-    if j >= 0:
-        vals = tuple(S.entry(n, j) for n in range(p.order))
-    else:
-        vals = tuple(sum(S.rows[n]) for n in range(p.order))
-    return BasisVector(j, SequenceWindow(vals, UNKNOWN_TAIL))
+    e = ones_sequence(p.order, p.backend) if j == -1 else unit_sequence(p.order, j, p.backend)
+    return BasisVector(j, inverse_transform(p, e))
 
 
 @dataclass(frozen=True)
@@ -79,34 +73,18 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
         raise DimensionError(f"partial-sum order {partial_order} must be below {p.order}")
     if space not in ("c0", "c"):
         raise DimensionError(f"reconstruction space must be c0 or c, got {space!r}")
-    if p.backend.mode == "float":
-        exact = reconstruct(exact_lift(p), lift_window(x), partial_order, space)
-        residual = NormResult(float(exact.residual.value), exact.residual.arg_index,
-                              exact.residual.exact)
-        proxy = None if exact.limit_proxy is None else float(exact.limit_proxy)
-        return Reconstruction(lower_window(exact.partial), residual,
-                              tuple(float(c) for c in exact.coefficients),
-                              proxy, exact.limit_is_proxy)
-    y = transform(p, x)
-    S = mean_difference_inverse(p)
-    if space == "c0":
-        coeffs = tuple(y[j] for j in range(partial_order + 1))
-        vals = [sum(S.entry(n, j) * coeffs[j] for j in range(partial_order + 1))
-                for n in range(p.order)]
-        partial = SequenceWindow(vals, UNKNOWN_TAIL)
-        residual = space_norm(p, seq_sub(x, partial))
-        return Reconstruction(partial, residual, coeffs)
-    ell = y[p.order - 1]
-    coeffs = tuple(y[j] - ell for j in range(partial_order + 1))
-    vals = []
-    for n in range(p.order):
-        acc = ell * sum(S.rows[n])
-        for j in range(partial_order + 1):
-            acc += S.entry(n, j) * coeffs[j]
-        vals.append(acc)
-    partial = SequenceWindow(vals, UNKNOWN_TAIL)
-    residual = space_norm(p, seq_sub(x, partial))
-    return Reconstruction(partial, residual, coeffs, limit_proxy=ell, limit_is_proxy=True)
+    q, (x,), out = exact_twin(p, x)
+    y = transform(q, x)
+    # the partial sum is the preimage of y cut after partial_order, padded
+    # with 0 (c0) or with the limit proxy ell (c): sum_j c_j b^(j) + ell b^(-1)
+    ell = y[p.order - 1] if space == "c" else 0
+    cut = y.values[:partial_order + 1] + (ell,) * (p.order - partial_order - 1)
+    partial = inverse_transform(q, SequenceWindow(cut))
+    residual = space_norm(q, seq_sub(x, partial))
+    return Reconstruction(SequenceWindow(map(out, partial), partial.tail),
+                          NormResult(out(residual.value), residual.arg_index, residual.exact),
+                          tuple(out(v - ell) for v in cut[:partial_order + 1]),
+                          out(ell) if space == "c" else None, space == "c")
 
 
 @dataclass(frozen=True)
@@ -158,10 +136,8 @@ def associate_row(p, a, order=None) -> AssociateRow:
     check_params(p)
     a.require_zero_tail("dual/associate input")
     order = len(a) if order is None else order
-    if p.backend.mode == "float":
-        exact = associate_row(exact_lift(p), lift_window(a), order)
-        return AssociateRow(a, tuple(float(v) for v in exact.values))
-    return AssociateRow(a, tuple(_associate_direct(p, a, order)))
+    q, (b,), out = exact_twin(p, a)
+    return AssociateRow(a, tuple(map(out, _associate_direct(q, b, order))))
 
 
 @dataclass(frozen=True)
@@ -204,10 +180,8 @@ def tail_sum_matrix(p, a, order=None) -> TailSumMatrix:
     check_params(p)
     a.require_zero_tail("dual/associate input")
     order = len(a) if order is None else order
-    if p.backend.mode == "float":
-        exact = tail_sum_matrix(exact_lift(p), lift_window(a), order)
-        return TailSumMatrix(a, tuple(tuple(float(v) for v in row) for row in exact.rows))
-    return TailSumMatrix(a, tuple(_tail_sum_direct(p, a, order)))
+    q, (b,), out = exact_twin(p, a)
+    return TailSumMatrix(a, tuple(tuple(map(out, row)) for row in _tail_sum_direct(q, b, order)))
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -218,12 +192,10 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    if p.backend.mode == "float":
-        exact = alpha_dual_matrix(exact_lift(p), lift_window(a))
-        return TriangleMatrix(p.order, tuple(tuple(float(v) for v in row)
-                                             for row in exact.rows), tail)
-    S = mean_difference_inverse(p)
-    rows = tuple(tuple(S.entry(n, j) * a[n] for j in range(n + 1)) for n in range(p.order))
+    q, (b,), out = exact_twin(p, a)
+    S = mean_difference_inverse(q)
+    rows = tuple(tuple(out(S.entry(n, j) * b[n]) for j in range(n + 1))
+                 for n in range(p.order))
     return TriangleMatrix(p.order, rows, tail)
 
 
@@ -239,12 +211,9 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
         raise DimensionError(f"partial-sum order {L} exceeds truncation order {p.order}")
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
-    if p.backend.mode == "float":
-        exact = gamma_dual_matrix(exact_lift(p), lift_window(a), L)
-        return TriangleMatrix(L, tuple(tuple(float(v) for v in row) for row in exact.rows),
-                              exact.tail)
-    S = mean_difference_inverse(p)
-    rows = tuple(tuple(sum(a[j] * S.entry(j, n) for j in range(n, l + 1))
+    q, (b,), out = exact_twin(p, a)
+    S = mean_difference_inverse(q)
+    rows = tuple(tuple(out(sum(b[j] * S.entry(j, n) for j in range(n, l + 1)))
                        for n in range(l + 1))
                  for l in range(L))
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL

@@ -89,20 +89,22 @@ def _coeffs(s: tuple, count: int):
     return toeplitz_inverse_coeffs(s, count)
 
 
-@lru_cache(maxsize=128)
 def exact_lift(p) -> ParameterTriple:
-    """Exact-rational twin of a float parameter set.
+    """Exact-rational twin of a float parameter set; rational sets pass through.
 
     Binary floats are dyadic rationals, so the lift is exact.  The closed
     forms below are alternating binomial sums whose terms can dwarf the
     result by many orders of magnitude; evaluating them directly in doubles
     loses everything to cancellation, so float-backend constructions run on
-    the lift and convert results at the boundary.  The lift keeps only the
-    truncation-order window: structural extension beyond it stays a
-    rational-backend facility.
+    the lift and round once at the boundary (see ``exact_twin``).  The lift
+    keeps only the truncation-order window: structural extension beyond it
+    stays a rational-backend facility.
     """
-    if p.backend.mode != FLOAT_MODE:
-        return p
+    return _dyadic_lift(p) if p.backend.mode == FLOAT_MODE else p
+
+
+@lru_cache(maxsize=128)
+def _dyadic_lift(p) -> ParameterTriple:
     n = p.order
     return ParameterTriple(tuple(Fraction(v) for v in p.r[:n]),
                            tuple(Fraction(v) for v in p.s[:n]),
@@ -110,31 +112,30 @@ def exact_lift(p) -> ParameterTriple:
                            p.m, n, RATIONAL)
 
 
-def lift_window(x) -> SequenceWindow:
-    return SequenceWindow(tuple(Fraction(v) for v in x.values), x.tail, x.space_label)
+def _same(value):
+    return value
 
 
-def lower_window(y) -> SequenceWindow:
-    return SequenceWindow(tuple(float(v) for v in y.values), y.tail, y.space_label)
+def exact_twin(p, *windows):
+    """The one float boundary: (exact_lift(p), the windows lifted alike, out).
 
-
-def _lower_triangle(exact) -> TriangleMatrix:
-    row_fn = None
-    if exact.row_fn is not None:
-        def row_fn(n):
-            return tuple(float(v) for v in exact.row_fn(n))
-    return TriangleMatrix(exact.order,
-                          tuple(tuple(float(v) for v in row) for row in exact.rows),
-                          exact.tail, row_fn=row_fn, capacity=exact.capacity)
+    Value functions compute on the exact twin and pass every scalar they
+    return through ``out``: ``float`` for the float backend, so each result
+    is rounded exactly once, and the identity for the rational backend.
+    """
+    if p.backend.mode != FLOAT_MODE:
+        return p, windows, _same
+    lifted = tuple(SequenceWindow(tuple(Fraction(v) for v in x.values), x.tail, x.space_label)
+                   for x in windows)
+    return _dyadic_lift(p), lifted, float
 
 
 @lru_cache(maxsize=256)
 def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
     """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
     check_params(p)
+    p = exact_lift(p)
     order = p.order if order is None else order
-    if p.backend.mode == FLOAT_MODE:
-        return _lower_triangle(weighted_mean_matrix(exact_lift(p), order))
     if order > p.capacity:
         raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
 
@@ -181,9 +182,8 @@ def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
     coefficients of s.
     """
     check_params(p)
+    p = exact_lift(p)
     order = p.order if order is None else order
-    if p.backend.mode == FLOAT_MODE:
-        return _lower_triangle(weighted_mean_inverse(exact_lift(p), order))
     if order > p.capacity:
         raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
     D = _coeffs(p.s, p.capacity)
@@ -199,9 +199,8 @@ def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
 def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     """The composite operator: weighted-mean triangle times the order-m difference."""
     check_params(p)
+    p = exact_lift(p)
     order = p.order if order is None else order
-    if p.backend.mode == FLOAT_MODE:
-        return _lower_triangle(mean_difference_matrix(exact_lift(p), order))
     return compose(weighted_mean_matrix(p, order), difference_matrix(p.m, order, p.backend))
 
 
@@ -223,9 +222,8 @@ def mean_difference_inverse(p, order=None) -> TriangleMatrix:
     i.e. the difference inverse composed with the weighted-mean inverse.
     """
     check_params(p)
+    p = exact_lift(p)
     order = p.order if order is None else order
-    if p.backend.mode == FLOAT_MODE:
-        return _lower_triangle(mean_difference_inverse(exact_lift(p), order))
     if order > p.capacity:
         raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
     D = _coeffs(p.s, p.capacity)
@@ -249,9 +247,9 @@ def transform(p, x) -> SequenceWindow:
     check_params(p)
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
-    if p.backend.mode == FLOAT_MODE:
-        return lower_window(apply(mean_difference_matrix(exact_lift(p)), lift_window(x)))
-    return apply(mean_difference_matrix(p), x)
+    q, (x,), out = exact_twin(p, x)
+    y = apply(mean_difference_matrix(q), x)
+    return SequenceWindow(map(out, y), y.tail)
 
 
 def inverse_transform(p, y) -> SequenceWindow:
@@ -259,9 +257,9 @@ def inverse_transform(p, y) -> SequenceWindow:
     check_params(p)
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
-    if p.backend.mode == FLOAT_MODE:
-        return lower_window(apply(mean_difference_inverse(exact_lift(p)), lift_window(y)))
-    return apply(mean_difference_inverse(p), y)
+    q, (y,), out = exact_twin(p, y)
+    x = apply(mean_difference_inverse(q), y)
+    return SequenceWindow(map(out, x), x.tail)
 
 
 @dataclass(frozen=True)

@@ -55,3 +55,23 @@ def zero_tail_windows(draw, order=8):
     vals = [draw(small_fractions) for _ in range(support)]
     vals += [Fraction(0)] * (order - support)
     return SequenceWindow(vals, "zero")
+
+
+# dyadic doubles: every f64 input below has an exact, short rational twin
+dyadic_floats = st.integers(min_value=-4096, max_value=4096).filter(bool).map(lambda k: k / 1024)
+
+
+@st.composite
+def f64_triples(draw, max_order=6):
+    """Float-backend presets: uv with dyadic windows, euler and aydin."""
+    from genmeans import FLOAT64, PresetSpec, preset
+
+    order = draw(st.integers(min_value=2, max_value=max_order))
+    m = draw(st.integers(min_value=0, max_value=3))
+    name = draw(st.sampled_from(("uv", "euler", "aydin")))
+    if name == "uv":
+        spec = PresetSpec("uv", u=tuple(draw(dyadic_floats) for _ in range(order)),
+                          v=tuple(draw(dyadic_floats) for _ in range(order)))
+    else:
+        spec = PresetSpec(name, alpha=draw(st.integers(min_value=1, max_value=15)) / 16)
+    return preset(spec, order, m=m, backend=FLOAT64)

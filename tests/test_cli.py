@@ -96,6 +96,19 @@ def test_chi_command_with_supplied_associate(tmp_path, capsys):
                  "--strict"]) == 3
 
 
+def test_matclass_structural_file_without_generator_is_indeterminate(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(matrix_to_json(MatrixWindow(((F(1),),) * 8, "structural"))))
+    argv = ["matclass", "--preset", "identity", "--m", "0", "--n", "4",
+            "--matrix", str(path), "--source", "c", "--target", "c0"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["conditions"]["4.23"]["verdict"]["status"] == "indeterminate"
+    assert result["overall"]["status"] == "indeterminate"
+    assert main(argv + ["--strict"]) == 3
+
+
 def test_chi_command_zero_tail_matrix(tmp_path, capsys):
     A = MatrixWindow(((F(1), F(2), F(0), F(0)), (F(0), F(1), F(0), F(0))), "zero")
     path = tmp_path / "A.json"

@@ -19,6 +19,7 @@ from genmeans import (
     dual_membership,
     gamma_dual_matrix,
     identity_triple,
+    inverse_transform,
     mean_difference_inverse,
     preset,
     reconstruct,
@@ -26,9 +27,16 @@ from genmeans import (
     transform,
     unit_sequence,
 )
+from genmeans.operators import exact_lift
 from genmeans.selfcheck import associate_row_closed, gamma_dual_closed, tail_sum_closed
 
-from conftest import parameter_triples, small_fractions, zero_tail_windows
+from conftest import (
+    dyadic_floats,
+    f64_triples,
+    parameter_triples,
+    small_fractions,
+    zero_tail_windows,
+)
 
 
 def euler_triple(order=6, m=1, alpha=F(1, 2)):
@@ -283,3 +291,44 @@ def test_membership_indeterminate_without_zero_tail():
     p = euler_triple(5)
     verdict = dual_membership(p, SequenceWindow((F(1),) * 5), "beta", "c0")
     assert verdict.status == "indeterminate"
+
+
+# --- float boundary ---------------------------------------------------------
+
+def _rows(matrix):
+    return tuple(v for row in matrix.rows for v in row)
+
+
+def _reconstruction(rec):
+    proxy = () if rec.limit_proxy is None else (rec.limit_proxy,)
+    return rec.partial.values + (rec.residual.value,) + rec.coefficients + proxy
+
+
+@given(f64_triples(), st.data())
+def test_float_results_are_the_exact_twin_rounded_once(p, data):
+    n = p.order
+    x = SequenceWindow(tuple(data.draw(dyadic_floats) for _ in range(n)))
+    support = data.draw(st.integers(min_value=1, max_value=n))
+    a = SequenceWindow(tuple(data.draw(dyadic_floats) for _ in range(support))
+                       + (0.0,) * (n - support), "zero")
+    calls = [(transform, (x,), lambda y: y.values),
+             (inverse_transform, (x,), lambda y: y.values),
+             (associate_row, (a,), lambda R: R.values),
+             (tail_sum_matrix, (a,), _rows),
+             (alpha_dual_matrix, (a,), _rows),
+             (gamma_dual_matrix, (a,), _rows)]
+    calls += [(basis_vector, (j,), lambda b: b.values.values) for j in range(-1, n)]
+    calls += [(reconstruct, (x, order, space), _reconstruction)
+              for order in range(n) for space in ("c0", "c")]
+
+    def lift(arg):
+        if isinstance(arg, SequenceWindow):
+            return SequenceWindow(tuple(F(v) for v in arg.values), arg.tail)
+        return arg
+
+    q = exact_lift(p)
+    for fn, args, scalars in calls:
+        got = scalars(fn(p, *args))
+        exact = scalars(fn(q, *map(lift, args)))
+        assert all(isinstance(v, float) for v in got), fn.__name__
+        assert got == tuple(float(v) for v in exact), fn.__name__

@@ -30,7 +30,9 @@ from genmeans import (
     weighted_mean_matrix,
 )
 
-from conftest import parameter_triples, small_fractions, zero_tail_windows
+from genmeans.operators import exact_lift
+
+from conftest import f64_triples, parameter_triples, small_fractions, zero_tail_windows
 from hypothesis import strategies as st
 
 
@@ -329,3 +331,13 @@ def test_float_backend_euler_round_trip():
     x = SequenceWindow(tuple((-1.0) ** i / (i + 1) for i in range(16)))
     back = inverse_transform(p, transform(p, x))
     assert max(abs(a - b) for a, b in zip(back.values, x.values)) <= 1e-10
+
+
+@given(f64_triples())
+def test_constructors_given_float_params_return_exact_triangles(p):
+    q = exact_lift(p)
+    for build in (weighted_mean_matrix, weighted_mean_inverse,
+                  mean_difference_matrix, mean_difference_inverse):
+        T = build(p)
+        assert all(isinstance(v, F) for row in T.rows for v in row)
+        assert T.rows == build(q).rows
