@@ -1,8 +1,9 @@
 """Finite-truncation operator algebra for mean-difference sequence spaces.
 
 Triangular matrix algebra over exact-rational and float backends, the
-weighted-mean / difference operator constructions with closed-form inverses,
-Schauder basis and dual machinery, a matrix-class condition catalog, and
+weighted-mean / difference operator constructions with transforms and
+associate rows computed by triangular substitution, Schauder basis and dual
+machinery, a matrix-class condition catalog, and
 Hausdorff-noncompactness gauges — everything computed on finite windows with
 declared tail behavior.
 """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -44,12 +45,6 @@ from .serialize import (
 )
 
 
-def _parse_scalar(text, backend):
-    if backend.mode == "rational":
-        return Fraction(text)
-    return float(text)
-
-
 def _parse_sequence_arg(text, length, backend, what):
     """Sequence-valued flags accept 'ones', a comma list, or @file.json."""
     if text == "ones":
@@ -60,8 +55,8 @@ def _parse_sequence_arg(text, length, backend, what):
         seq = sequence_from_json(doc, path=what, backend=backend)
         return seq.values
     try:
-        return tuple(_parse_scalar(part.strip(), backend) for part in text.split(","))
-    except ValueError as exc:
+        return tuple(backend.convert(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError([f"{what}: cannot parse {text!r} ({exc})"]) from None
 
 
@@ -262,7 +257,7 @@ def build_parser():
         sp.add_argument("--tolerance", type=float, default=None,
                         help="absolute tolerance for float equality and trend checks")
         sp.add_argument("--window", type=int, default=8,
-                        help="trend-classification window (default 8)")
+                        help="trend-classification window, at least 3 (default 8)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 when the verdict is indeterminate")
         sp.add_argument("--output", help="write the report here instead of stdout")
@@ -273,7 +268,8 @@ def build_parser():
     sp.add_argument("--input", required=True, help="sequence JSON file")
     add_common(sp)
 
-    sp = sub.add_parser("inverse-transform", help="apply the closed-form inverse")
+    sp = sub.add_parser("inverse-transform",
+                        help="apply the inverse of the composite operator to a sequence")
     sp.add_argument("--input", required=True, help="sequence JSON file")
     add_common(sp)
 
@@ -328,6 +324,10 @@ def _emit(report, payload_seq, args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (args.tolerance is None or math.isfinite(args.tolerance) and args.tolerance >= 0):
+        parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
+    if args.window < 3:
+        parser.error(f"argument --window: must be at least 3, got {args.window}")
     backend = backend_for(getattr(args, "scalar", "rational"),
                           getattr(args, "tolerance", None))
     try:

@@ -26,10 +26,11 @@ from .triangle import (
 )
 from .operators import (
     NormResult,
+    _mean_transpose_solve,
+    _running_sums,
     check_params,
     exact_twin,
     inverse_transform,
-    mean_difference_inverse,
     space_norm,
     transform,
 )
@@ -101,43 +102,31 @@ class AssociateRow:
         return self.values[i]
 
 
-def _inverse_entries(p, order, support):
-    """Inverse triangle covering at least ``order`` rows and the support of a.
+def _associate(p, a, order):
+    """R_0 .. R_{order-1} of the values a, on the exact twin p.
 
-    Triangular inversion is local, so rows of the capacity-sized build agree
-    with any smaller build; one cached matrix serves every window size.
+    R^T = a^T Delta^{-m} W^{-1}, so R solves W^T R = b, where b is the m-fold
+    reverse running sum of a over its support; R vanishes past the support.
     """
+    support = SequenceWindow(a).support
     if support > p.capacity:
         raise DimensionError(
             f"source row support {support} exceeds parameter capacity {p.capacity}")
-    if max(order, support) <= p.order:
-        return mean_difference_inverse(p)
-    return mean_difference_inverse(p, p.capacity)
-
-
-def _associate_direct(p, a, order):
-    S = _inverse_entries(p, order, a.support)
-    jmax = a.support - 1
-    out = []
-    for k in range(order):
-        acc = 0
-        for j in range(k, jmax + 1):
-            if a[j] != 0:
-                acc += a[j] * S.entry(j, k)
-        out.append(acc)
-    return out
+    b = _running_sums(reversed(a[:support]), p.m)[::-1]
+    return _mean_transpose_solve(p, b)[:order] + [0] * (order - support)
 
 
 def associate_row(p, a, order=None) -> AssociateRow:
-    """R_k(a) by the defining sum over the inverse columns.
+    """R_k(a) by one back substitution on W^T.
 
-    The closed form lives in ``selfcheck`` as an oracle for this route.
+    The defining sum over the dense inverse and the closed form are oracles
+    for this route in the tests and in ``selfcheck``.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
     order = len(a) if order is None else order
     q, (b,), out = exact_twin(p, a)
-    return AssociateRow(a, tuple(map(out, _associate_direct(q, b, order))))
+    return AssociateRow(a, tuple(map(out, _associate(q, b.values, order))))
 
 
 @dataclass(frozen=True)
@@ -159,42 +148,34 @@ class TailSumMatrix:
         return len(self.rows)
 
 
-def _tail_sum_direct(p, a, order):
-    S = _inverse_entries(p, order, a.support)
-    jmax = a.support - 1
-    rows = []
-    for cut in range(order):
-        row = []
-        for k in range(cut + 1):
-            acc = 0
-            for j in range(max(cut, k), jmax + 1):
-                if a[j] != 0:
-                    acc += a[j] * S.entry(j, k)
-            row.append(acc)
-        rows.append(tuple(row))
-    return rows
-
-
 def tail_sum_matrix(p, a, order=None) -> TailSumMatrix:
-    """w_pk by the defining tail sum; ``selfcheck`` holds the closed-form oracle."""
+    """Row p is R(a with the entries below p zeroed), cut after entry p.
+
+    R is linear, so the rows are built from the support down: row p is row
+    p + 1 plus a_p R(e_p).  ``selfcheck`` holds the closed-form oracle.
+    """
     check_params(p)
     a.require_zero_tail("dual/associate input")
     order = len(a) if order is None else order
     q, (b,), out = exact_twin(p, a)
-    return TailSumMatrix(a, tuple(tuple(map(out, row)) for row in _tail_sum_direct(q, b, order)))
+    w, rows = [0] * order, []
+    for cut in reversed(range(max(order, b.support))):
+        if cut < b.support and b[cut] != 0:
+            w = [v + b[cut] * e for v, e in zip(w, _associate(q, (0,) * cut + (1,), order))]
+        rows.append(tuple(map(out, w[:cut + 1])))
+    return TailSumMatrix(a, tuple(reversed(rows))[:order])
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
     """Row-scaled inverse: entry (n, j) = s_nj a_n, so that the coordinatewise
     products a_n x_n appear as the rows of this matrix applied to the
-    transformed sequence."""
+    transformed sequence.  Row n of the inverse is R(e_n)."""
     check_params(p)
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
     q, (b,), out = exact_twin(p, a)
-    S = mean_difference_inverse(q)
-    rows = tuple(tuple(out(S.entry(n, j) * b[n]) for j in range(n + 1))
+    rows = tuple(tuple(out(b[n] * v) for v in _associate(q, (0,) * n + (1,), n + 1))
                  for n in range(p.order))
     return TriangleMatrix(p.order, rows, tail)
 
@@ -202,8 +183,9 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     """Triangle E with (Ey)_l = sum_{n<=l} a_n x_n for linked x, y.
 
-    Row l, column n holds the partial associate sum sum_{j=n}^{l} a_j s_jn;
-    its bracketed closed form is an oracle in ``selfcheck``.
+    Row l, column n holds the partial associate sum sum_{j=n}^{l} a_j s_jn,
+    i.e. row l is R(a cut after entry l); its bracketed closed form is an
+    oracle in ``selfcheck``.
     """
     check_params(p)
     L = p.order if partial_order is None else partial_order
@@ -212,10 +194,7 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
     q, (b,), out = exact_twin(p, a)
-    S = mean_difference_inverse(q)
-    rows = tuple(tuple(out(sum(b[j] * S.entry(j, n) for j in range(n, l + 1)))
-                       for n in range(l + 1))
-                 for l in range(L))
+    rows = tuple(tuple(map(out, _associate(q, b.values[:l + 1], l + 1))) for l in range(L))
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
     return TriangleMatrix(L, rows, tail)
 

@@ -60,9 +60,10 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
     """Classify the tail of a finite trace.
 
     Returns (status, trend, value).  The ladder: settled window -> converged;
-    stable second-difference acceleration -> converged to the accelerated
-    value; positive monotone decay with a power-law log-log fit -> limit zero;
-    otherwise drifting / diverging / oscillating at indeterminate status.
+    stable second-difference acceleration over contracting differences ->
+    converged to the accelerated value; positive monotone decay with a
+    power-law log-log fit -> limit zero; otherwise drifting / diverging /
+    oscillating at indeterminate status.
     """
     values = list(values)
     if len(values) < 3:
@@ -73,14 +74,17 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
     if max(floats) - min(floats) <= tolerance:
         return STATUS_TREND, TREND_CONVERGED, values[-1]
 
-    # second-difference (Aitken) acceleration over the trailing window
+    # second-difference (Aitken) acceleration, trusted only while the trailing
+    # differences contract: a diverging trace accelerates to an anti-limit
+    steps = [abs(b - a) for a, b in zip(floats, floats[1:])]
+    contracting = all(later < earlier for earlier, later in zip(steps, steps[1:]))
     accelerated = []
     for i in range(len(floats) - 2):
         a, b, c = floats[i], floats[i + 1], floats[i + 2]
         denom = (c - b) - (b - a)
         if abs(denom) > 1e-300:
             accelerated.append(c - (c - b) ** 2 / denom)
-    if len(accelerated) >= 2:
+    if contracting and len(accelerated) >= 2:
         scale = max(1.0, max(abs(v) for v in floats))
         if abs(accelerated[-1] - accelerated[-2]) <= max(tolerance, 1e-9 * scale):
             return STATUS_TREND, TREND_CONVERGED, accelerated[-1]

@@ -1,11 +1,13 @@
 """Weighted-mean and difference operators: construction, transforms, presets.
 
-The central objects are the weighted-mean triangle with entries
+The central objects are the weighted-mean triangle W with entries
 s_{n-k} t_k / r_n, the order-m difference triangle with entries
-(-1)^{n-k} binom(m, n-k), their closed-form inverses, and the composite
-mean-difference operator obtained by multiplying the two.  Parameter windows
-may be longer than the truncation order; the surplus feeds the structural
-row generators used by tail-trend diagnostics.
+(-1)^{n-k} binom(m, n-k), and the composite mean-difference operator
+T = W Delta^m.  Transforms never build T or its inverse: they run m
+differences or running sums and one convolution or triangular substitution
+on W, while the dense triangles remain public objects and test oracles.
+Parameter windows may be longer than the truncation order; the surplus feeds
+the structural row generators used by tail-trend diagnostics.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
@@ -22,7 +25,6 @@ from .triangle import (
     STRUCTURAL_TAIL,
     SequenceWindow,
     TriangleMatrix,
-    apply,
     binom,
     compose,
     identity,
@@ -84,19 +86,14 @@ def check_params(p) -> ParameterTriple:
     return p
 
 
-@lru_cache(maxsize=256)
-def _coeffs(s: tuple, count: int):
-    return toeplitz_inverse_coeffs(s, count)
-
-
 def exact_lift(p) -> ParameterTriple:
     """Exact-rational twin of a float parameter set; rational sets pass through.
 
-    Binary floats are dyadic rationals, so the lift is exact.  The closed
-    forms below are alternating binomial sums whose terms can dwarf the
-    result by many orders of magnitude; evaluating them directly in doubles
-    loses everything to cancellation, so float-backend constructions run on
-    the lift and round once at the boundary (see ``exact_twin``).  The lift
+    Binary floats are dyadic rationals, so the lift is exact.  The inverse
+    entries are alternating binomial sums whose terms can dwarf the result
+    by many orders of magnitude; evaluating them directly in doubles loses
+    everything to cancellation, so float-backend constructions run on the
+    lift and round once at the boundary (see ``exact_twin``).  The lift
     keeps only the truncation-order window: structural extension beyond it
     stays a rational-backend facility.
     """
@@ -130,20 +127,30 @@ def exact_twin(p, *windows):
     return _dyadic_lift(p), lifted, float
 
 
-@lru_cache(maxsize=256)
-def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
-    """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
+def _lifted(p, order):
+    """The exact twin of p and the requested order, checked against its capacity."""
     check_params(p)
     p = exact_lift(p)
     order = p.order if order is None else order
     if order > p.capacity:
         raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
+    return p, order
+
+
+def _structural(order, row, capacity=None):
+    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
+                          STRUCTURAL_TAIL, row_fn=row, capacity=capacity)
+
+
+@lru_cache(maxsize=256)
+def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
+    """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
+    p, order = _lifted(p, order)
 
     def row(n):
         return tuple(p.s[n - k] * p.t[k] / p.r[n] for k in range(n + 1))
 
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row, capacity=p.capacity)
+    return _structural(order, row, p.capacity)
 
 
 @lru_cache(maxsize=256)
@@ -156,8 +163,7 @@ def difference_matrix(m, order, backend=RATIONAL) -> TriangleMatrix:
     def row(n):
         return tuple((-1) ** ((n - k) % 2) * binom(m, n - k) * one for k in range(n + 1))
 
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row)
+    return _structural(order, row)
 
 
 @lru_cache(maxsize=256)
@@ -170,8 +176,7 @@ def difference_inverse(m, order, backend=RATIONAL) -> TriangleMatrix:
     def row(n):
         return tuple(binom(m + n - k - 1, n - k) * one for k in range(n + 1))
 
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row)
+    return _structural(order, row)
 
 
 @lru_cache(maxsize=256)
@@ -181,26 +186,19 @@ def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
     Entry (n, k) is (-1)^{n-k} D_{n-k} r_k / t_n with D the Toeplitz inverse
     coefficients of s.
     """
-    check_params(p)
-    p = exact_lift(p)
-    order = p.order if order is None else order
-    if order > p.capacity:
-        raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
-    D = _coeffs(p.s, p.capacity)
+    p, order = _lifted(p, order)
+    D = toeplitz_inverse_coeffs(p.s, p.capacity)
 
     def row(n):
         return tuple((-1) ** ((n - k) % 2) * D[n - k] * p.r[k] / p.t[n] for k in range(n + 1))
 
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row, capacity=p.capacity)
+    return _structural(order, row, p.capacity)
 
 
 @lru_cache(maxsize=256)
 def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     """The composite operator: weighted-mean triangle times the order-m difference."""
-    check_params(p)
-    p = exact_lift(p)
-    order = p.order if order is None else order
+    p, order = _lifted(p, order)
     return compose(weighted_mean_matrix(p, order), difference_matrix(p.m, order, p.backend))
 
 
@@ -216,50 +214,70 @@ def composite_entry(p, n, j):
 
 @lru_cache(maxsize=256)
 def mean_difference_inverse(p, order=None) -> TriangleMatrix:
-    """Closed-form inverse of the composite operator.
+    """Inverse of the composite operator: the difference inverse times the weighted-mean inverse."""
+    p, order = _lifted(p, order)
+    return compose(difference_inverse(p.m, order, p.backend), weighted_mean_inverse(p, order))
 
-    Entry (j, k) is sum_{i=k}^{j} (-1)^{i-k} binom(m+j-i-1, j-i) (D_{i-k}/t_i) r_k,
-    i.e. the difference inverse composed with the weighted-mean inverse.
-    """
-    check_params(p)
-    p = exact_lift(p)
-    order = p.order if order is None else order
-    if order > p.capacity:
-        raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
-    D = _coeffs(p.s, p.capacity)
-    m = p.m
 
-    def row(j):
-        out = []
-        for k in range(j + 1):
-            acc = 0
-            for i in range(k, j + 1):
-                acc += (-1) ** ((i - k) % 2) * binom(m + j - i - 1, j - i) * D[i - k] / p.t[i]
-            out.append(acc * p.r[k])
-        return tuple(out)
+# Substitution kernels.  They take the exact twin and plain value lists, and
+# touch only the two triangular factors of T = W Delta^m.
 
-    return TriangleMatrix(order, tuple(row(j) for j in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row, capacity=p.capacity)
+def _differences(x, m):
+    """Delta^m x: m first differences x_n - x_{n-1}, with x_{-1} = 0."""
+    for _ in range(m):
+        x = [x[0]] + [x[n] - x[n - 1] for n in range(1, len(x))]
+    return list(x)
+
+
+def _running_sums(x, m):
+    """Delta^{-m} x: m running sums."""
+    for _ in range(m):
+        x = accumulate(x)
+    return list(x)
+
+
+def _mean_apply(p, d):
+    """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n."""
+    s = p.s
+    td = [t * v for t, v in zip(p.t, d)]
+    return [sum(s[n - k] * td[k] for k in range(n + 1)) / p.r[n] for n in range(len(td))]
+
+
+def _mean_solve(p, y):
+    """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
+    s = p.s
+    tz = []
+    for n, v in enumerate(y):
+        tz.append((p.r[n] * v - sum(s[n - k] * tz[k] for k in range(n))) / s[0])
+    return [v / t for v, t in zip(tz, p.t)]
+
+
+def _mean_transpose_solve(p, b):
+    """(W^T)^{-1} b by back substitution: with u_n = R_n / r_n,
+    s_0 u_i = b_i / t_i - sum_{n>i} s_{n-i} u_n."""
+    s = p.s
+    u = [0] * len(b)
+    for i in reversed(range(len(b))):
+        u[i] = (b[i] / p.t[i] - sum(s[n - i] * u[n] for n in range(i + 1, len(b)))) / s[0]
+    return [r * v for r, v in zip(p.r, u)]
 
 
 def transform(p, x) -> SequenceWindow:
-    """Image of a window under the composite operator."""
+    """Image of a window under the composite operator: W applied to Delta^m x."""
     check_params(p)
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
     q, (x,), out = exact_twin(p, x)
-    y = apply(mean_difference_matrix(q), x)
-    return SequenceWindow(map(out, y), y.tail)
+    return SequenceWindow(map(out, _mean_apply(q, _differences(x.values, q.m))))
 
 
 def inverse_transform(p, y) -> SequenceWindow:
-    """Preimage of a window under the composite operator (closed-form inverse)."""
+    """Preimage of a window under the composite operator: m running sums of W^{-1} y."""
     check_params(p)
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
     q, (y,), out = exact_twin(p, y)
-    x = apply(mean_difference_inverse(q), y)
-    return SequenceWindow(map(out, x), x.tail)
+    return SequenceWindow(map(out, _running_sums(_mean_solve(q, y.values), q.m)))
 
 
 @dataclass(frozen=True)

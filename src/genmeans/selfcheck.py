@@ -210,6 +210,7 @@ def run_selftest(seed=20240601, emit=print) -> bool:
         p = random_params(rng, order)
         x = random_window(rng, order)
         y = transform(p, x)
+        passed &= y.values == apply(mean_difference_matrix(p), x).values
         passed &= inverse_transform(p, y).values == x.values
         norm = space_norm(p, x)
         passed &= norm.value == max(abs(v) for v in y.values)

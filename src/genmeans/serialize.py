@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -50,9 +51,12 @@ def scalar_from_json(doc, path="scalar"):
             raise SchemaError(path, f"bad rational: {exc}") from None
     if isinstance(doc, str):
         try:
-            return float(doc)
+            value = float(doc)
         except ValueError:
             raise SchemaError(path, f"bad float string {doc!r}") from None
+        if not math.isfinite(value):
+            raise SchemaError(path, f"non-finite number {doc!r}")
+        return value
     raise SchemaError(path, f"expected rational object or decimal string, got {type(doc).__name__}")
 
 
@@ -73,6 +77,12 @@ def canonical_number_from_json(doc, path="scalar"):
     return doc
 
 
+def _json_list(doc, path):
+    if not isinstance(doc, list):
+        raise SchemaError(path, f"expected a list, got {type(doc).__name__}")
+    return doc
+
+
 def sequence_to_json(seq):
     doc = {"values": [scalar_to_json(v) for v in seq.values], "tail": seq.tail}
     if seq.space_label is not None:
@@ -89,33 +99,18 @@ def sequence_from_json(doc, path="sequence", backend=None):
         raise SchemaError(f"{path}.tail", "missing field 'tail'")
     if doc["tail"] not in SEQUENCE_TAILS:
         raise SchemaError(f"{path}.tail", f"tail must be one of {SEQUENCE_TAILS}")
-    values = [scalar_from_json(v, f"{path}.values[{i}]") for i, v in enumerate(doc["values"])]
+    values = [scalar_from_json(v, f"{path}.values[{i}]")
+              for i, v in enumerate(_json_list(doc["values"], f"{path}.values"))]
     if backend is not None:
         values = [backend.convert(v) for v in values]
     return SequenceWindow(values, doc["tail"], doc.get("space"))
 
 
-def triangle_to_json(matrix):
-    return {
-        "kind": "triangle",
-        "order": matrix.order,
-        "rows": [[scalar_to_json(v) for v in row] for row in matrix.rows],
-        "tail": matrix.tail,
-    }
-
-
-def window_to_json(window):
-    return {
-        "kind": "window",
-        "rows": [[scalar_to_json(v) for v in row] for row in window.rows],
-        "tail": window.row_tail,
-    }
-
-
 def matrix_to_json(matrix):
+    rows = [[scalar_to_json(v) for v in row] for row in matrix.rows]
     if isinstance(matrix, TriangleMatrix):
-        return triangle_to_json(matrix)
-    return window_to_json(matrix)
+        return {"kind": "triangle", "order": matrix.order, "rows": rows, "tail": matrix.tail}
+    return {"kind": "window", "rows": rows, "tail": matrix.row_tail}
 
 
 def matrix_from_json(doc, path="matrix", backend=None):
@@ -128,8 +123,9 @@ def matrix_from_json(doc, path="matrix", backend=None):
     if doc["tail"] not in MATRIX_TAILS:
         raise SchemaError(f"{path}.tail", f"tail must be one of {MATRIX_TAILS}")
     rows = []
-    for i, row in enumerate(doc["rows"]):
-        vals = [scalar_from_json(v, f"{path}.rows[{i}][{j}]") for j, v in enumerate(row)]
+    for i, row in enumerate(_json_list(doc["rows"], f"{path}.rows")):
+        vals = [scalar_from_json(v, f"{path}.rows[{i}][{j}]")
+                for j, v in enumerate(_json_list(row, f"{path}.rows[{i}]"))]
         if backend is not None:
             vals = [backend.convert(v) for v in vals]
         rows.append(tuple(vals))
@@ -169,7 +165,7 @@ def params_from_json(doc, path="params"):
     for field in ("r", "s", "t"):
         windows[field] = tuple(
             backend.convert(scalar_from_json(v, f"{path}.{field}[{i}]"))
-            for i, v in enumerate(doc[field]))
+            for i, v in enumerate(_json_list(doc[field], f"{path}.{field}")))
     return ParameterTriple(windows["r"], windows["s"], windows["t"],
                            int(doc["m"]), int(doc["order"]), backend)
 

@@ -234,3 +234,43 @@ def test_row_wider_than_parameter_window_exit_code(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "support 12" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scalar", ["rational", "f64"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_non_finite_scalar_exit_code(tmp_path, capsys, value, scalar):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"values": [value, "1"], "tail": "zero"}))
+    assert main(["transform", "--n", "2", "--scalar", scalar, "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: input.values[0]: non-finite")
+
+
+@pytest.mark.parametrize("command, doc, where", [
+    # a string is iterable, so "12" used to be read as the list [1, 2]
+    (["transform", "--n", "2", "--input"], {"values": "12", "tail": "zero"}, "input.values"),
+    (["matclass", "--n", "2", "--source", "c", "--target", "c", "--matrix"],
+     {"rows": "12", "tail": "zero"}, "matrix.rows"),
+    (["matclass", "--n", "2", "--source", "c", "--target", "c", "--matrix"],
+     {"rows": ["12"], "tail": "zero"}, "matrix.rows[0]"),
+])
+def test_string_where_a_list_is_required_exit_code(tmp_path, capsys, command, doc, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: expected a list, got str")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-0.5"),
+    ("--window", "0"), ("--window", "2"),
+])
+def test_bad_trend_flags_exit_code(capsys, ones_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--n", "16", "--input", ones_file, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_trend_flags_accept_their_bounds(capsys, ones_file):
+    assert main(["norm", "--n", "16", "--input", ones_file,
+                 "--tolerance", "0", "--window", "3"]) == 0

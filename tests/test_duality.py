@@ -21,6 +21,7 @@ from genmeans import (
     identity_triple,
     inverse_transform,
     mean_difference_inverse,
+    mean_difference_matrix,
     preset,
     reconstruct,
     tail_sum_matrix,
@@ -33,6 +34,7 @@ from genmeans.selfcheck import associate_row_closed, gamma_dual_closed, tail_sum
 from conftest import (
     dyadic_floats,
     f64_triples,
+    no_shrink,
     parameter_triples,
     small_fractions,
     zero_tail_windows,
@@ -166,6 +168,7 @@ def test_associate_row_equals_inverse_columns(p, a):
 
 
 @pytest.mark.parametrize("m", range(4))
+@no_shrink
 @given(p=parameter_triples(order=3), length=st.integers(min_value=1, max_value=12),
        data=st.data())
 def test_defining_sums_equal_closed_form_oracles(m, p, length, data):
@@ -177,6 +180,21 @@ def test_defining_sums_equal_closed_form_oracles(m, p, length, data):
     assert list(tail_sum_matrix(p, a).rows) == tail_sum_closed(p, a, length)
     L = min(length, p.order)
     assert list(gamma_dual_matrix(p, a, L).rows) == gamma_dual_closed(p, a, L)
+
+
+@pytest.mark.parametrize("m", range(4))
+@no_shrink
+@given(p=parameter_triples(order=4), data=st.data())
+def test_substitution_kernels_match_dense_triangles(m, p, data):
+    # the dense triangles are the oracles; sources reach the whole capacity
+    p = replace(p, m=m)
+    x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(4)))
+    assert transform(p, x).values == apply(mean_difference_matrix(p), x).values
+    assert inverse_transform(p, x).values == apply(mean_difference_inverse(p), x).values
+    a = data.draw(zero_tail_windows(order=p.capacity))
+    S = mean_difference_inverse(p, p.capacity)
+    assert associate_row(p, a).values == tuple(
+        sum(a[j] * S.entry(j, k) for j in range(k, len(a))) for k in range(len(a)))
 
 
 @given(parameter_triples(order=8), zero_tail_windows(order=8), st.data())

@@ -229,12 +229,11 @@ def test_inverse_transform_of_zero_is_zero():
 
 def test_inverse_transform_matches_double_sum():
     # independent oracle: the explicit double-sum reconstruction
-    from genmeans import binom
-    from genmeans.operators import _coeffs
+    from genmeans import binom, toeplitz_inverse_coeffs
 
     p = preset(PresetSpec("euler", alpha=F(2, 5)), 6, m=2)
     y = SequenceWindow((F(1), F(-2), F(1, 3), F(0), F(2), F(-1)))
-    D = _coeffs(p.s, p.capacity)
+    D = toeplitz_inverse_coeffs(p.s, 6)
     expected = []
     for n in range(6):
         acc = F(0)
