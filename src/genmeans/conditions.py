@@ -172,7 +172,9 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
     Each source row is a finite support, so its tail-sum triangle vanishes
     past the support: per-row limits are exact.  The universal quantifier
     over rows is certified by the row-tail declaration (zero and structural
-    tails generate finitely supported rows; unknown tails cannot certify)."""
+    tails generate finitely supported rows; unknown tails cannot certify).
+    4.15 bounds each row's tail sums separately; the largest of those bounds
+    is a value over every row only when the row tail is zero."""
     if window.row_tail == UNKNOWN_TAIL:
         return LimitEstimate("lim" if cond != "4.15" else "sup", None, STATUS_INDET,
                              TREND_SHORT,
@@ -180,6 +182,12 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
     if cond == "4.15":
         per_row_values = [max((row_abs_sum(row) for row in W.rows), default=0)
                           for W in tail_sum_family(p, window).per_row]
+        if window.row_tail != ZERO_TAIL:
+            return LimitEstimate("sup", None, STATUS_EXACT, TREND_EXACT,
+                                 tuple(range(len(per_row_values))), tuple(per_row_values),
+                                 note="each row's tail sums are bounded (trace: stored rows); "
+                                      "the structural row tail leaves their sup over all "
+                                      "rows uncomputed")
         kind, value = "sup", max(per_row_values, default=0)
     else:
         # past the support the tail sums vanish columnwise, in absolute row

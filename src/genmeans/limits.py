@@ -203,23 +203,21 @@ def limit_of_rows(window, rowstat, kind="lim",
 
 def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
                    tolerance=DEFAULT_TOLERANCE):
-    """limsup_n rowstat(row_n): exact 0 past a zero tail, else the windowed
-    maximum of the extended trace with a trend classification."""
+    """limsup_n rowstat(row_n): exact 0 past a zero tail, the ladder's limit
+    when the extended trace resolves (a convergent trace's limsup is its
+    limit), else the windowed maximum at indeterminate status."""
     pairs = extended_rows(window, minimum=len(window.rows))
     trace = tuple(rowstat(row) for _, row in pairs)
     ns = tuple(n for n, _ in pairs)
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("limsup", rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
+    w = min(max(trend_window, 3), len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
         status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
-        w = min(max(trend_window, 3), len(trace))
-        windowed_max = max(trace[-w:])
         if status == STATUS_TREND:
-            estimate = value if trend == TREND_DECAYING else windowed_max
-            return LimitEstimate("limsup", estimate, STATUS_TREND, trend, ns, trace)
-        return LimitEstimate("limsup", windowed_max, STATUS_INDET, trend, ns, trace,
+            return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
+        return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
                              note="tail trace unresolved; windowed max reported")
-    w = min(max(trend_window, 3), len(trace))
     return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window))
 

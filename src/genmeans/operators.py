@@ -6,6 +6,9 @@ s_{n-k} t_k / r_n, the order-m difference triangle with entries
 T = W Delta^m.  Transforms never build T or its inverse: they run m
 differences or running sums and one convolution or triangular substitution
 on W, while the dense triangles remain public objects and test oracles.
+These kernels bring their inputs over one common denominator and compute
+on integers (fraction-free, as in Bareiss elimination), so an inner product
+costs no gcd; each result becomes one Fraction.
 Parameter windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics.
 """
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
@@ -219,47 +223,78 @@ def mean_difference_inverse(p, order=None) -> TriangleMatrix:
     return compose(difference_inverse(p.m, order, p.backend), weighted_mean_inverse(p, order))
 
 
-# Substitution kernels.  They take the exact twin and plain value lists, and
-# touch only the two triangular factors of T = W Delta^m.
+# Substitution kernels.  They take the exact twin and iterables of Fractions
+# or ints, touch only the two triangular factors of T = W Delta^m, and
+# return lists of Fractions.
+
+def _common(values):
+    """(ints, den): the values as integers over den, the lcm of their denominators."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
 
 def _differences(x, m):
     """Delta^m x: m first differences x_n - x_{n-1}, with x_{-1} = 0."""
+    x, den = _common(x)
     for _ in range(m):
-        x = [x[0]] + [x[n] - x[n - 1] for n in range(1, len(x))]
-    return list(x)
+        x = [b - a for a, b in zip([0] + x, x)]
+    return [Fraction(v, den) for v in x]
 
 
 def _running_sums(x, m):
     """Delta^{-m} x: m running sums."""
+    x, den = _common(x)
     for _ in range(m):
         x = accumulate(x)
-    return list(x)
+    return [Fraction(v, den) for v in x]
 
 
 def _mean_apply(p, d):
     """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n."""
-    s = p.s
-    td = [t * v for t, v in zip(p.t, d)]
-    return [sum(s[n - k] * td[k] for k in range(n + 1)) / p.r[n] for n in range(len(td))]
+    d, dd = _common(d)
+    s, ds = _common(p.s[:len(d)])
+    t, dt = _common(p.t[:len(d)])
+    td, den = list(map(mul, t, d)), ds * dt * dd
+    return [Fraction(sum(map(mul, s[n::-1], td)) * r.denominator, den * r.numerator)
+            for n, r in enumerate(p.r[:len(td)])]
+
+
+def _toeplitz_solve(s, c):
+    """w with sum_{k<=n} s_{n-k} w_k = c_n, by forward substitution.
+
+    The solved prefix is kept as integers over one running denominator q,
+    the lcm of the denominators seen so far, and rescaled only when q grows.
+    """
+    c = list(c)
+    s, ds = _common(s[:len(c)])
+    tail, w, q, out = s[1:], [], 1, []
+    for v in c:
+        # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with s = S / ds, w = W / q
+        dot = sum(map(mul, tail, reversed(w)))
+        x = Fraction(v.numerator * ds * q - dot * v.denominator, v.denominator * q * s[0])
+        g = x.denominator
+        if q % g:
+            f = g // math.gcd(q, g)
+            q *= f
+            w = [u * f for u in w]
+        w.append(x.numerator * (q // g))
+        out.append(x)
+    return out
 
 
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
-    s = p.s
-    tz = []
-    for n, v in enumerate(y):
-        tz.append((p.r[n] * v - sum(s[n - k] * tz[k] for k in range(n))) / s[0])
+    tz = _toeplitz_solve(p.s, [r * v for r, v in zip(p.r, y)])
     return [v / t for v, t in zip(tz, p.t)]
 
 
 def _mean_transpose_solve(p, b):
     """(W^T)^{-1} b by back substitution: with u_n = R_n / r_n,
-    s_0 u_i = b_i / t_i - sum_{n>i} s_{n-i} u_n."""
-    s = p.s
-    u = [0] * len(b)
-    for i in reversed(range(len(b))):
-        u[i] = (b[i] / p.t[i] - sum(s[n - i] * u[n] for n in range(i + 1, len(b)))) / s[0]
-    return [r * v for r, v in zip(p.r, u)]
+    s_0 u_i = b_i / t_i - sum_{n>i} s_{n-i} u_n, a forward substitution on reversed b."""
+    b = list(b)
+    u = _toeplitz_solve(p.s, [v / t for v, t in zip(reversed(b), reversed(p.t[:len(b)]))])
+    return [r * v for r, v in zip(p.r, reversed(u))]
 
 
 def transform(p, x) -> SequenceWindow:

@@ -160,14 +160,32 @@ def params_from_json(doc, path="params"):
     mode = doc.get("scalar", RATIONAL_MODE)
     if mode not in (RATIONAL_MODE, FLOAT_MODE):
         raise SchemaError(f"{path}.scalar", f"scalar must be 'rational' or 'float', got {mode!r}")
-    backend = Backend(mode, float(doc.get("tolerance", "1e-10")))
+    backend = Backend(mode, _tolerance(doc.get("tolerance", "1e-10"), f"{path}.tolerance"))
     windows = {}
     for field in ("r", "s", "t"):
         windows[field] = tuple(
             backend.convert(scalar_from_json(v, f"{path}.{field}[{i}]"))
             for i, v in enumerate(_json_list(doc[field], f"{path}.{field}")))
     return ParameterTriple(windows["r"], windows["s"], windows["t"],
-                           int(doc["m"]), int(doc["order"]), backend)
+                           _integer(doc["m"], f"{path}.m", 0),
+                           _integer(doc["order"], f"{path}.order", 1), backend)
+
+
+def _integer(doc, path, least):
+    if isinstance(doc, bool) or not isinstance(doc, int) or doc < least:
+        raise SchemaError(path, f"expected an integer >= {least}, got {doc!r}")
+    return doc
+
+
+def _tolerance(doc, path):
+    """A number or decimal string, finite and >= 0, as the --tolerance flag requires."""
+    try:
+        value = float(doc) if isinstance(doc, (str, int, float)) else math.nan
+    except (ValueError, OverflowError):
+        value = math.nan
+    if isinstance(doc, bool) or not (math.isfinite(value) and value >= 0):
+        raise SchemaError(path, f"tolerance must be finite and >= 0, got {doc!r}")
+    return value
 
 
 def _plain(value):

@@ -145,6 +145,42 @@ def test_params_file_input(tmp_path, capsys, ones_file):
     assert json.loads(out)["result"]["norm"]["value"] == {"num": "1", "den": "1"}
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("m", "x", "expected an integer >= 0"),
+    ("m", -1, "expected an integer >= 0"),
+    ("m", 1.5, "expected an integer >= 0"),
+    ("order", "16", "expected an integer >= 1"),
+    ("order", 0, "expected an integer >= 1"),
+    ("order", True, "expected an integer >= 1"),
+    ("tolerance", "nan", "tolerance must be finite and >= 0"),
+    ("tolerance", "inf", "tolerance must be finite and >= 0"),
+    ("tolerance", "abc", "tolerance must be finite and >= 0"),
+    ("tolerance", "-1e-3", "tolerance must be finite and >= 0"),
+    ("tolerance", [0], "tolerance must be finite and >= 0"),
+    ("tolerance", 10 ** 400, "tolerance must be finite and >= 0"),
+])
+def test_bad_params_file_field_exit_code(tmp_path, capsys, ones_file, field, value, message):
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    doc = dict(params_to_json(identity_triple(16, m=1)), **{field: value})
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(doc))
+    assert main(["norm", "--params", str(params_path), "--input", ones_file]) == 2
+    assert capsys.readouterr().err.startswith(f"error: params.{field}: {message}")
+
+
+def test_params_file_tolerance_accepts_its_bounds(tmp_path, capsys, ones_file):
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    for value in ("0", 0, 1e-6):
+        doc = dict(params_to_json(identity_triple(16, m=1)), tolerance=value)
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(doc))
+        assert main(["norm", "--params", str(params_path), "--input", ones_file]) == 0
+
+
 def test_matclass_command(tmp_path, capsys):
     A = MatrixWindow(((F(1), F(0), F(2), F(0)),), "zero")
     path = tmp_path / "A.json"

@@ -161,6 +161,20 @@ def test_decaying_rows_are_compact():
     assert est.status == "trend-converged" and est.trend == "decaying"
 
 
+@pytest.mark.parametrize("rows", [6, 8, 10, 12, 16])
+@pytest.mark.parametrize("target", ["c0", "c", "l_inf"])
+def test_geometric_rows_are_never_decisively_non_compact(target, rows):
+    # rows (2^-n,) define a compact operator: a converged trace's limsup is
+    # the ladder's limit, not the windowed maximum of the trace
+    def row(n):
+        return (F(1, 2 ** n),)
+    A = supplied_associate(MatrixWindow(tuple(row(n) for n in range(rows)), "structural", row))
+    p = euler_triple(4)
+    assert compactness_verdict(p, A, target).status != "violated"
+    est = chi_norm(p, A, target)
+    assert est.status == "trend-converged" and abs(float(est.upper)) <= 1e-10
+
+
 def test_euler_structural_instances_give_trend_estimates():
     p = euler_triple(16, m=1)
     # composite operator: associate rows are coordinate vectors, trace constant 1

@@ -142,6 +142,20 @@ def test_shifted_membership_without_generator_is_indeterminate(cond):
     assert condition_verdict(cond, est).status == "indeterminate"
 
 
+def test_tail_sum_bound_over_structural_rows_claims_no_sup():
+    # 4.15 bounds each source row's tail sums separately, and every row is
+    # finitely supported, so it holds exactly; but the stored rows give no
+    # sup over all rows (4.13, a sup over all rows, is indeterminate here)
+    A = MatrixWindow(((F(1),),) * 8, "structural")
+    p = identity_triple(4, m=0)
+    est = eval_condition("4.15", A, p)
+    assert est.status == "exact" and est.value is None and est.trace == (1,) * 8
+    assert condition_verdict("4.15", est).status == "satisfied"
+    assert eval_condition("4.13", A, p).status == "indeterminate"
+    zero = eval_condition("4.15", MatrixWindow(((F(1),),) * 8, "zero"), p)
+    assert zero.status == "exact" and zero.value == 1
+
+
 # --- condition table totality -----------------------------------------------------
 
 def test_condition_table_is_total():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,9 +31,23 @@ from genmeans import (
     weighted_mean_matrix,
 )
 
-from genmeans.operators import exact_lift
+from genmeans.operators import (
+    _differences,
+    _mean_apply,
+    _mean_solve,
+    _mean_transpose_solve,
+    _running_sums,
+    exact_lift,
+)
+from genmeans.triangle import apply
 
-from conftest import f64_triples, parameter_triples, small_fractions, zero_tail_windows
+from conftest import (
+    f64_triples,
+    no_shrink,
+    parameter_triples,
+    small_fractions,
+    zero_tail_windows,
+)
 from hypothesis import strategies as st
 
 
@@ -340,3 +355,73 @@ def test_constructors_given_float_params_return_exact_triangles(p):
         T = build(p)
         assert all(isinstance(v, F) for row in T.rows for v in row)
         assert T.rows == build(q).rows
+
+
+# --- integer substitution kernels ---------------------------------------------
+
+@st.composite
+def kernel_twins(draw):
+    """Exact twins with large common denominators: rational euler presets
+    (factorials) and float presets lifted to their dyadic twins (powers of two)."""
+    if draw(st.booleans()):
+        alpha = F(draw(st.integers(min_value=1, max_value=8)), 9)
+        return preset(PresetSpec("euler", alpha=alpha), draw(st.integers(min_value=1, max_value=8)))
+    return exact_lift(draw(f64_triples()))
+
+
+@pytest.mark.parametrize("m", range(4))
+@no_shrink
+@given(q=kernel_twins(), data=st.data())
+def test_integer_kernels_match_dense_triangles(m, q, data):
+    n = q.order
+    x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(n)))
+    b = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
+    S = weighted_mean_inverse(q, q.capacity)
+    cases = [
+        (_differences(x, m), apply(difference_matrix(m, n), x)),
+        (_running_sums(x, m), apply(difference_inverse(m, n), x)),
+        (_mean_apply(q, x), apply(weighted_mean_matrix(q), x)),
+        (_mean_solve(q, x), apply(weighted_mean_inverse(q), x)),
+        (_mean_transpose_solve(q, b),
+         [sum(b[j] * S.entry(j, k) for j in range(k, len(b))) for k in range(len(b))]),
+    ]
+    for got, want in cases:
+        assert got == list(want)
+        assert all(type(v) is F for v in got)
+
+
+def test_integer_kernels_take_iterators_plain_ints_and_empty_input():
+    q = preset(PresetSpec("euler", alpha=F(1, 3)), 4, m=2)
+    x = (F(1, 2), F(-2, 3), F(5), F(0))
+    kernels = (lambda v: _differences(v, 2), lambda v: _running_sums(v, 2),
+               lambda v: _mean_apply(q, v), lambda v: _mean_solve(q, v),
+               lambda v: _mean_transpose_solve(q, v))
+    for kernel in kernels:
+        assert kernel(iter(x)) == kernel(x)
+        assert kernel(reversed(x)) == kernel(x[::-1])
+        assert kernel([]) == []
+        for zero in ((0,) * 4, (F(0),) * 4):
+            got = kernel(zero)
+            assert got == [0] * 4 and all(type(v) is F for v in got)
+        unit = kernel((0, 0, 1))      # a plain-int unit row
+        assert unit == kernel((F(0), F(0), F(1))) and all(type(v) is F for v in unit)
+    assert _running_sums(reversed((0, 0, 1)), 2) == [F(1), F(2), F(3)]
+
+
+def test_rational_round_trip_at_order_64_matches_dense_composite():
+    rng = random.Random(64)
+
+    def frac(nonzero=False):
+        while True:
+            v = F(rng.randint(-9, 9), rng.randint(1, 9))
+            if v or not nonzero:
+                return v
+
+    n = 64
+    p = ParameterTriple(tuple(frac(True) for _ in range(n)),
+                        (frac(True),) + tuple(frac() for _ in range(n - 1)),
+                        tuple(frac(True) for _ in range(n)), 2, n, RATIONAL)
+    x = SequenceWindow(tuple(frac() for _ in range(n)))
+    y = transform(p, x)
+    assert y.values == apply(mean_difference_matrix(p), x).values
+    assert inverse_transform(p, y).values == x.values
