@@ -41,22 +41,22 @@ TARGETS = SPACES
 
 @dataclass(frozen=True)
 class AssociateMatrix:
-    """Rows R(A_n) with provenance: computed through the coordinate change or
-    supplied directly by the caller (so the gauge formulas can be exercised
-    independently of the transform pipeline)."""
+    """Rows R(A_n), computed through the coordinate change or supplied
+    directly by the caller (so the gauge formulas can be exercised
+    independently of the transform pipeline).  The gauges below read one
+    window, so its structural extension is generated once for all of them."""
 
     window: MatrixWindow
-    provenance: str   # "computed" | "supplied"
 
 
 def associate_matrix(p, matrix) -> AssociateMatrix:
     """Associate of a zero-tail-row matrix, built row by row from the
     defining sums R(A_n)."""
-    return AssociateMatrix(transformed_rows(p, matrix), "computed")
+    return AssociateMatrix(transformed_rows(p, matrix))
 
 
 def supplied_associate(matrix) -> AssociateMatrix:
-    return AssociateMatrix(as_window(matrix), "supplied")
+    return AssociateMatrix(as_window(matrix))
 
 
 def _resolve_associate(p, matrix_or_associate) -> AssociateMatrix:
@@ -111,27 +111,20 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
     tolerance = p.backend.tolerance if tolerance is None else tolerance
     assoc = _resolve_associate(p, matrix_or_associate).window
 
-    if target == "c0":
-        est = limsup_of_rows(assoc, row_abs_sum, trend_window=trend_window,
-                             tolerance=tolerance)
-        return ChiEstimate("c0", est.value, est.value, None, est.status, est.trend,
-                           est.window, est.trace, est.note)
-
-    if target == "l_inf":
+    if target != "c":
+        # null target: the gauge is the limsup; bounded target: [0, limsup]
         est = limsup_of_rows(assoc, row_abs_sum, trend_window=trend_window,
                              tolerance=tolerance)
         zero = zero_like(est.value) if est.value is not None else 0
-        return ChiEstimate("l_inf", zero, est.value, None, est.status, est.trend,
-                           est.window, est.trace, est.note)
+        return ChiEstimate(target, est.value if target == "c0" else zero, est.value, None,
+                           est.status, est.trend, est.window, est.trace, est.note)
 
     # convergent target: sandwich around the column-shifted limsup
-    cols = column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
-    if cols.status == STATUS_INDET or cols.value is None:
+    cols, est = _column_shifted_limsup(assoc, trend_window, tolerance)
+    if est is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
     alphas = cols.value
-    est = limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, alphas),
-                         trend_window=trend_window, tolerance=tolerance)
     if est.value is None:
         return ChiEstimate("c", None, None, tuple(alphas), STATUS_INDET, est.trend,
                            est.window, est.trace, est.note)
@@ -140,10 +133,23 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
                        est.window, est.trace, est.note)
 
 
+def _column_shifted_limsup(assoc, trend_window, tolerance):
+    """(column limits alpha, limsup_n sum_k |a_nk - alpha_k|), the quantity
+    that drives the convergent-target gauge; the limsup is None when the
+    column limits are unresolved."""
+    cols = column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
+    if cols.status == STATUS_INDET or cols.value is None:
+        return cols, None
+    return cols, limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, cols.value),
+                                trend_window=trend_window, tolerance=tolerance)
+
+
 def compactness_verdict(p, matrix_or_associate, target, *,
                         trend_window=DEFAULT_TREND_WINDOW, tolerance=None) -> Verdict:
     """Compact iff the gauge-driving limit vanishes: the rows' absolute sums
     for null/bounded targets, the column-shifted sums for convergent targets.
+    For a bounded target a vanishing limit is only sufficient (the gauge is
+    bracketed by [0, L]), so a nonzero limit there stays indeterminate.
     Decisive only under decisive tails; never a guess."""
     check_params(p)
     if target not in TARGETS:
@@ -152,11 +158,9 @@ def compactness_verdict(p, matrix_or_associate, target, *,
     assoc = _resolve_associate(p, matrix_or_associate).window
 
     if target == "c":
-        cols = column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
-        if cols.status == STATUS_INDET or cols.value is None:
+        cols, est = _column_shifted_limsup(assoc, trend_window, tolerance)
+        if est is None:
             return Verdict("indeterminate", "per-column limits unresolved", evidence=cols)
-        est = limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, cols.value),
-                             trend_window=trend_window, tolerance=tolerance)
     else:
         est = limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
                             tolerance=tolerance)
@@ -171,6 +175,10 @@ def compactness_verdict(p, matrix_or_associate, target, *,
         is_zero = est.trend == TREND_DECAYING or abs(float(value)) <= tolerance
     if is_zero:
         return Verdict("satisfied", f"compact ({est.status}): limit vanishes", evidence=est)
+    if target == "l_inf":
+        return Verdict("indeterminate",
+                       f"chi bracket [0, {value}] ({est.status}): a nonzero limit does not "
+                       "decide compactness into l_inf", evidence=est)
     return Verdict("violated", f"not compact ({est.status}): limit {value} is nonzero",
                    evidence=est)
 

@@ -24,7 +24,6 @@ from .limits import (
     Verdict,
     analyze_tail,
     column_limits,
-    extended_rows,
     limit_of_rows,
     row_abs_sum,
     row_sum,
@@ -50,6 +49,9 @@ RAW_CONDITION_IDS = ("4.4", "4.5", "4.6", "4.7", "4.8", "4.9", "4.10", "4.11")
 TRANSFORMED_CONDITION_IDS = ("4.13", "4.14", "4.15", "4.16", "4.17", "4.18",
                              "4.19", "4.20", "4.21", "4.22", "4.23", "4.24", "4.25")
 CONDITION_IDS = RAW_CONDITION_IDS + TRANSFORMED_CONDITION_IDS
+# the transformed conditions read off the associate rows R(A_n); the others
+# (4.15, 4.16, 4.19, 4.21, 4.22) read the per-row tail sums
+_ASSOCIATE_IDS = ("4.13", "4.14", "4.17", "4.18", "4.20", "4.23", "4.24", "4.25")
 
 CONDITION_SUMMARY = {
     "4.4": "sup over finite column sets of the column-group absolute row totals is finite",
@@ -151,17 +153,15 @@ def _shifted_abs_limit(window, trend_window, tolerance):
     """lim_n sum_k |a_nk - alpha_k| with alpha the column limits (padded by
     zeros beyond their computed width)."""
     if window.row_tail == ZERO_TAIL:
-        pairs = extended_rows(window, minimum=len(window.rows))
-        trace = tuple(row_abs_sum(row) for _, row in pairs)
-        return LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT,
-                             tuple(n for n, _ in pairs), trace)
+        trace = tuple(row_abs_sum(row) for row in window.extended)
+        return LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT, tuple(range(len(trace))),
+                             trace)
     cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
     if cols.status == STATUS_INDET or cols.value is None:
         return LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                              note="column limits unresolved")
-    pairs = extended_rows(window, minimum=len(window.rows))
-    trace = tuple(shifted_row_abs_sum(row, cols.value) for _, row in pairs)
-    ns = tuple(n for n, _ in pairs)
+    trace = tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended)
+    ns = tuple(range(len(trace)))
     status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
     return LimitEstimate("lim", value, status, trend, ns, trace)
 
@@ -199,16 +199,16 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
                          note="per-row quantities are finite computations on zero-tail rows")
 
 
-def _shifted_membership(p, window, cond, trend_window, tolerance):
-    """Conditions 4.23-4.25 on sigma_n = (sum_k R_k(A_n)) - gamma_n."""
-    if window.row_tail == UNKNOWN_TAIL:
+def _shifted_membership(assoc, cond, trend_window, tolerance):
+    """Conditions 4.23-4.25 on sigma_n = (sum_k R_k(A_n)) - gamma_n, read off
+    the associate rows (their row tail is the source matrix's)."""
+    if assoc.row_tail == UNKNOWN_TAIL:
         return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT,
                              note="row tail undeclared; " + SHIFTED_MEMBERSHIP_NOTE)
-    assoc = transformed_rows(p, window)
     # gamma_n = 0 exactly on the finite supports of zero-tail source rows
     sigma = [row_sum(row) for row in assoc.rows]
     ns = tuple(range(len(sigma)))
-    if window.row_tail == ZERO_TAIL:
+    if assoc.row_tail == ZERO_TAIL:
         # past the stored rows everything is zero: sigma is eventually zero
         if cond == "4.23":
             return LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT, ns, tuple(sigma),
@@ -220,10 +220,9 @@ def _shifted_membership(p, window, cond, trend_window, tolerance):
         return LimitEstimate("exists", 0, STATUS_EXACT, TREND_EXACT, ns, tuple(sigma),
                              note=SHIFTED_MEMBERSHIP_NOTE)
     # structural: extend sigma through the generators and classify
-    pairs = extended_rows(assoc, minimum=len(assoc.rows))
-    values = tuple(row_sum(row) for _, row in pairs)   # gamma_n = 0 on finite supports
-    ns = tuple(n for n, _ in pairs)
-    if len(pairs) <= len(assoc.rows):
+    values = tuple(row_sum(row) for row in assoc.extended)   # gamma_n = 0 on finite supports
+    ns = tuple(range(len(values)))
+    if len(values) <= len(assoc.rows):
         # the tail adds no rows past the stored ones, so their trace decides nothing
         kind = {"4.23": "lim", "4.24": "sup"}.get(cond, "exists")
         return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, values,
@@ -278,26 +277,28 @@ def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WIND
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
     check_params(params)
+    assoc = transformed_rows(params, window) if cond in _ASSOCIATE_IDS else None
+    return _transformed_condition(cond, params, window, assoc, trend_window, tolerance)
 
-    if cond in ("4.13", "4.14", "4.17", "4.18", "4.20"):
-        assoc = transformed_rows(params, window)
-        if cond == "4.13":
-            return sup_of_rows(assoc, row_abs_sum, trend_window=trend_window,
-                               tolerance=tolerance)
-        if cond == "4.14":
-            return column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
-        if cond == "4.17":
-            return column_limits(assoc, kind="exists", trend_window=trend_window,
-                                 tolerance=tolerance)
-        if cond == "4.18":
-            return limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
-                                 tolerance=tolerance)
+
+def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
+    """Condition cond in 4.13-4.25 on a source window, reading the associate
+    rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
+    if cond == "4.13":
+        return sup_of_rows(assoc, row_abs_sum, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.14":
+        return column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.17":
+        return column_limits(assoc, kind="exists", trend_window=trend_window,
+                             tolerance=tolerance)
+    if cond == "4.18":
+        return limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
+                             tolerance=tolerance)
+    if cond == "4.20":
         return _shifted_abs_limit(assoc, trend_window, tolerance)
-
-    if cond in ("4.15", "4.16", "4.19", "4.21", "4.22"):
-        return _per_row_tail_condition(params, window, cond, trend_window, tolerance)
-
-    return _shifted_membership(params, window, cond, trend_window, tolerance)
+    if cond in ("4.23", "4.24", "4.25"):
+        return _shifted_membership(assoc, cond, trend_window, tolerance)
+    return _per_row_tail_condition(p, window, cond, trend_window, tolerance)
 
 
 def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
@@ -360,11 +361,13 @@ def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW
     tolerance = p.backend.tolerance if tolerance is None else tolerance
     required = REQUIRED_CONDITIONS[(source, target)]
     window = as_window(matrix)
+    # every pair needs 4.13 or 4.18: build the associate rows once for all of them
+    assoc = transformed_rows(p, window)
     estimates = {}
     verdicts = {}
     notes = []
     for cond in required:
-        est = eval_condition(cond, window, p, trend_window=trend_window, tolerance=tolerance)
+        est = _transformed_condition(cond, p, window, assoc, trend_window, tolerance)
         estimates[cond] = est
         verdicts[cond] = condition_verdict(cond, est, tolerance)
         if cond in ("4.23", "4.24", "4.25"):

@@ -5,7 +5,8 @@ declared tail turns it into a finite computation (status "exact").  A
 structural tail lets us extend the window by the generating formula and
 classify the observed trace (status "trend-converged" when the trace
 resolves, "indeterminate" otherwise).  Unknown tails never produce a
-decisive status.
+decisive status.  Every estimator reads the extension a window computes
+once, ``MatrixWindow.extended``; trace indices are its row numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .scalars import DEFAULT_TOLERANCE, zero_like
-from .triangle import STRUCTURAL_TAIL, UNKNOWN_TAIL, ZERO_TAIL, MatrixWindow
+from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
 
 STATUS_EXACT = "exact"
 STATUS_TREND = "trend-converged"
@@ -31,7 +32,6 @@ TREND_OSCILLATING = "oscillating"
 TREND_SHORT = "short"
 
 DEFAULT_TREND_WINDOW = 8
-EXTENSION_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -116,28 +116,6 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
     return STATUS_INDET, TREND_OSCILLATING, None
 
 
-def extended_rows(window: MatrixWindow, factor=EXTENSION_FACTOR, minimum=0):
-    """(index, row) pairs over the stored block plus whatever the tail declaration
-    allows: zero rows extend freely, structural rows consult the generator up
-    to ``factor`` times the stored count (bounded by capacity)."""
-    stored = len(window.rows)
-    target = max(minimum, factor * max(stored, 1))
-    if window.row_tail == UNKNOWN_TAIL:
-        target = stored
-    elif window.row_tail == STRUCTURAL_TAIL:
-        if window.row_fn is None:
-            target = stored
-        elif window.capacity is not None:
-            target = min(target, window.capacity)
-    out = []
-    for n in range(target):
-        row = window.row(n)
-        if row is None:
-            break
-        out.append((n, row))
-    return out
-
-
 def row_abs_sum(row):
     return sum((abs(v) for v in row), 0)
 
@@ -164,9 +142,8 @@ def shifted_row_abs_sum(row, alphas):
 def sup_of_rows(window, rowstat, kind="sup",
                 trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """sup_n rowstat(row_n) over the infinite row index."""
-    pairs = extended_rows(window, minimum=len(window.rows))
-    trace = tuple(rowstat(row) for _, row in pairs)
-    ns = tuple(n for n, _ in pairs)
+    trace = tuple(rowstat(row) for row in window.extended)
+    ns = tuple(range(len(trace)))
     if not trace:
         if window.row_tail == ZERO_TAIL:
             return LimitEstimate(kind, 0, STATUS_EXACT)
@@ -176,29 +153,31 @@ def sup_of_rows(window, rowstat, kind="sup",
         value = max(observed, rowstat(()))
         return LimitEstimate(kind, value, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, _limit = analyze_tail(ns, trace, trend_window, tolerance)
+        status, trend, limit = analyze_tail(ns, trace, trend_window, tolerance)
+        if trend == TREND_CONVERGED:
+            # a trace rising to its limit never attains it: the sup is the limit
+            return LimitEstimate(kind, max(observed, limit), STATUS_TREND, trend, ns, trace)
         if status != STATUS_INDET or trend == TREND_DRIFTING:
-            # bounded tail: the observed max dominates
+            # decaying or drifting down: the observed max dominates
             return LimitEstimate(kind, observed, STATUS_TREND, trend, ns, trace)
         return LimitEstimate(kind, observed, STATUS_INDET, trend, ns, trace,
                              note="tail trace unresolved; observed max is a lower bound")
     return LimitEstimate(kind, observed, STATUS_INDET, TREND_SHORT, ns, trace,
-                         note="tail undeclared; observed max is a lower bound")
+                         note=_no_extension_note(window, "observed max is a lower bound"))
 
 
 def limit_of_rows(window, rowstat, kind="lim",
                   trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """lim_n rowstat(row_n); exact for zero tails (value at the empty row)."""
-    pairs = extended_rows(window, minimum=len(window.rows))
-    trace = tuple(rowstat(row) for _, row in pairs)
-    ns = tuple(n for n, _ in pairs)
+    trace = tuple(rowstat(row) for row in window.extended)
+    ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
         status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
         return LimitEstimate(kind, value, status, trend, ns, trace)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
-                         note="tail undeclared; limit not computable from the window")
+                         note=_no_extension_note(window, "limit not computable from the window"))
 
 
 def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
@@ -206,9 +185,8 @@ def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
     """limsup_n rowstat(row_n): exact 0 past a zero tail, the ladder's limit
     when the extended trace resolves (a convergent trace's limsup is its
     limit), else the windowed maximum at indeterminate status."""
-    pairs = extended_rows(window, minimum=len(window.rows))
-    trace = tuple(rowstat(row) for _, row in pairs)
-    ns = tuple(n for n, _ in pairs)
+    trace = tuple(rowstat(row) for row in window.extended)
+    ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("limsup", rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
     w = min(max(trend_window, 3), len(trace))
@@ -222,27 +200,29 @@ def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
                          note=_no_extension_note(window))
 
 
-def _no_extension_note(window):
+def _no_extension_note(window, undeclared="stored window only bounds the quantity"):
+    """Why a window was not extended: a structural tail without a generator,
+    or an undeclared tail (with what the stored window still says)."""
     if window.row_tail == STRUCTURAL_TAIL:
         return "structural tail has no generator available; stored window only"
-    return "tail undeclared; stored window only bounds the quantity"
+    return f"tail undeclared; {undeclared}"
 
 
 def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
                   tolerance=DEFAULT_TOLERANCE):
     """Per-column limits lim_n a_nk, aggregated over k < width."""
-    pairs = extended_rows(window, minimum=len(window.rows))
+    rows = window.extended
     width = window.width
-    ns = tuple(n for n, _ in pairs)
+    ns = tuple(range(len(rows)))
     if window.row_tail == ZERO_TAIL:
         values = tuple(0 for _ in range(width))
         return LimitEstimate(kind, values, STATUS_EXACT, TREND_EXACT, ns)
-    if window.row_tail == STRUCTURAL_TAIL and len(pairs) > len(window.rows):
+    if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
         values = []
         worst = STATUS_EXACT
         trends = []
         for k in range(width):
-            trace = tuple(column_value(row, k) for _, row in pairs)
+            trace = tuple(column_value(row, k) for row in rows)
             status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
             values.append(value)
             trends.append(trend)
@@ -251,7 +231,7 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
         return LimitEstimate(kind, tuple(values), overall,
                              trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns,
-                         note="tail undeclared; column limits not computable")
+                         note=_no_extension_note(window, "column limits not computable"))
 
 
 def _worse_status(a, b):
@@ -269,9 +249,8 @@ def subset_column_sup(window, max_exact_columns=12,
     Exact only for zero row tails: with any other tail the inner series over
     n is not a finite computation.
     """
-    pairs = extended_rows(window, minimum=len(window.rows))
-    rows = [row for _, row in pairs]
-    ns = tuple(n for n, _ in pairs)
+    rows = window.extended
+    ns = tuple(range(len(rows)))
     width = max((len(r) for r in rows), default=0)
     nonzero_cols = [k for k in range(width) if any(column_value(r, k) != 0 for r in rows)]
     exact_tail = window.row_tail == ZERO_TAIL

@@ -10,7 +10,8 @@ These kernels bring their inputs over one common denominator and compute
 on integers (fraction-free, as in Bareiss elimination), so an inner product
 costs no gcd; each result becomes one Fraction.
 Parameter windows may be longer than the truncation order; the surplus feeds
-the structural row generators used by tail-trend diagnostics.
+the structural row generators used by tail-trend diagnostics; row n of T
+is m reverse differences of row n of W, never a product through ``compose``.
 """
 
 from __future__ import annotations
@@ -201,9 +202,18 @@ def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
 
 @lru_cache(maxsize=256)
 def mean_difference_matrix(p, order=None) -> TriangleMatrix:
-    """The composite operator: weighted-mean triangle times the order-m difference."""
+    """The composite operator T = W Delta^m; structural tail.
+
+    Row n of T is row n of W times Delta^m, that is m reverse differences
+    w_k - w_{k+1} (with w_{n+1} = 0) of the weighted-mean row: O(mn) per row.
+    """
     p, order = _lifted(p, order)
-    return compose(weighted_mean_matrix(p, order), difference_matrix(p.m, order, p.backend))
+    mean_row = weighted_mean_matrix(p, order).row_fn
+
+    def row(n):
+        return tuple(reversed(_differences(reversed(mean_row(n)), p.m)))
+
+    return _structural(order, row, p.capacity)
 
 
 def composite_entry(p, n, j):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import DimensionError, GuardError, ParameterError, SingularTriangleError, TailError
@@ -29,6 +30,9 @@ MATRIX_TAILS = (ZERO_TAIL, STRUCTURAL_TAIL, UNKNOWN_TAIL)
 SPACE_LABELS = ("c0", "c", "l_inf")
 
 DET_ORACLE_MAX = 8
+
+# structural extension reaches this many times the stored row count
+EXTENSION_FACTOR = 4
 
 
 def binom(n: int, k: int) -> int:
@@ -157,17 +161,6 @@ class TriangleMatrix:
     def row(self, n):
         return self.rows[n]
 
-    def generated_row(self, n):
-        """Row n of the underlying infinite matrix, or None when undeclared."""
-        if n < self.order:
-            return self.rows[n]
-        if self.tail == ZERO_TAIL:
-            return (0,) * (n + 1)
-        if self.tail == STRUCTURAL_TAIL and self.row_fn is not None:
-            if self.capacity is None or n < self.capacity:
-                return tuple(self.row_fn(n))
-        return None
-
     def diagonal(self):
         return tuple(self.rows[n][n] for n in range(self.order))
 
@@ -198,6 +191,20 @@ class MatrixWindow:
     @property
     def width(self):
         return max((len(row) for row in self.rows), default=0)
+
+    @cached_property
+    def extended(self):
+        """The stored rows plus whatever the tail declaration allows, computed
+        once per window: zero rows extend freely and structural rows come from
+        the generator, up to EXTENSION_FACTOR times the stored count (bounded
+        by the capacity); an unknown tail or a missing generator adds none."""
+        if self.row_tail == UNKNOWN_TAIL or (self.row_tail == STRUCTURAL_TAIL
+                                             and self.row_fn is None):
+            return self.rows
+        stop = EXTENSION_FACTOR * max(len(self.rows), 1)
+        if self.row_tail == STRUCTURAL_TAIL and self.capacity is not None:
+            stop = min(stop, self.capacity)
+        return tuple(self.row(n) for n in range(stop))
 
     def entry(self, n, k):
         row = self.rows[n]
@@ -246,8 +253,9 @@ def compose(left, right):
     """Matrix product of two triangles of equal order.
 
     The tail combines pessimistically: zero with zero stays zero, structural
-    with structural stays structural (carrying a derived generator when both
-    factors can generate rows), anything else is unknown.
+    with structural stays structural, anything else is unknown.  The product
+    carries no row generator: a structural operator that needs one gets it
+    from its own formula.
     """
     if left.order != right.order:
         raise DimensionError(f"order mismatch: {left.order} vs {right.order}")
@@ -262,24 +270,7 @@ def compose(left, right):
                 acc += lrow[i] * right.rows[i][k]
             row.append(acc)
         rows.append(tuple(row))
-
-    tail = _combined_tail(left.tail, right.tail)
-    row_fn = None
-    capacity = None
-    if tail == STRUCTURAL_TAIL:
-        caps = [c for c in (left.capacity, right.capacity) if c is not None]
-        capacity = min(caps) if caps else None
-        if left.row_fn is not None and right.row_fn is not None:
-            def row_fn(n):
-                lrow = left.generated_row(n)
-                rrows = [right.generated_row(i) for i in range(n + 1)]
-                if lrow is None or any(r is None for r in rrows):
-                    raise DimensionError(f"cannot generate row {n} beyond declared capacity")
-                return tuple(
-                    sum(lrow[i] * rrows[i][k] for i in range(k, n + 1)) for k in range(n + 1)
-                )
-
-    return TriangleMatrix(order, rows, tail, row_fn=row_fn, capacity=capacity)
+    return TriangleMatrix(order, rows, _combined_tail(left.tail, right.tail))
 
 
 def apply(matrix, x):
@@ -333,8 +324,10 @@ def invert_triangle(matrix):
     rows = tuple(tuple(row) for row in inv)
 
     if matrix.tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
+        source = matrix.to_window()
+
         def row_fn(n):
-            ext_rows = [matrix.generated_row(i) for i in range(n + 1)]
+            ext_rows = [source.row(i) for i in range(n + 1)]
             if any(r is None for r in ext_rows):
                 raise DimensionError(f"cannot generate row {n} beyond declared capacity")
             extended = TriangleMatrix(n + 1, ext_rows, UNKNOWN_TAIL)

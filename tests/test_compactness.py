@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -173,6 +174,44 @@ def test_geometric_rows_are_never_decisively_non_compact(target, rows):
     assert compactness_verdict(p, A, target).status != "violated"
     est = chi_norm(p, A, target)
     assert est.status == "trend-converged" and abs(float(est.upper)) <= 1e-10
+
+
+def test_bounded_target_nonzero_limit_is_not_decisive():
+    # the gauge into l_inf is only bracketed by [0, L]: rank-one rows (1,) are
+    # compact although lim |R_n| = 1, so a nonzero limit cannot give "violated"
+    def row(n):
+        return (F(1),)
+    rank_one = supplied_associate(MatrixWindow(tuple(row(n) for n in range(16)),
+                                               "structural", row))
+    p = euler_triple(4)
+    verdict = compactness_verdict(p, rank_one, "l_inf")
+    assert verdict.status == "indeterminate" and "[0, 1]" in verdict.detail
+    assert compactness_verdict(p, rank_one, "c").status == "satisfied"
+    assert compactness_verdict(p, rank_one, "c0").status == "violated"
+    # null and convergent targets keep their decisive "not compact"
+    eye = identity_associate(16)
+    assert compactness_verdict(p, eye, "c0").status == "violated"
+    assert compactness_verdict(p, eye, "c").status == "violated"
+    assert compactness_verdict(p, eye, "l_inf").status == "indeterminate"
+    assert compactness_verdict(p, finite_rank(6), "l_inf").status == "satisfied"
+
+
+def test_gauges_on_one_associate_generate_each_row_once():
+    generated = Counter()
+
+    def row(n):
+        generated[n] += 1
+        return (F(1, n + 1), F(n, n + 1))
+
+    A = supplied_associate(MatrixWindow(tuple(row(n) for n in range(8)), "structural", row))
+    generated.clear()
+    p = euler_triple(4)
+    for target in ("c0", "c", "l_inf"):
+        chi_norm(p, A, target)
+        compactness_verdict(p, A, target)
+    operator_norm(p, A)
+    assert sorted(generated) == list(range(8, 32))
+    assert set(generated.values()) == {1}
 
 
 def test_euler_structural_instances_give_trend_estimates():

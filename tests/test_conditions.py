@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from genmeans import (
     transformed_rows,
     unit_sequence,
 )
+from genmeans import conditions
 from genmeans.conditions import REQUIRED_CONDITIONS
 
 from conftest import parameter_triples, zero_tail_windows
@@ -200,6 +202,32 @@ def test_composite_rows_give_unit_row_sums():
     est = report.estimates["4.13"]
     assert est.value == 1
     assert report.overall.status == "satisfied"
+
+
+@pytest.mark.parametrize("source,target", sorted(REQUIRED_CONDITIONS))
+def test_classification_builds_the_associate_once_and_each_row_once(source, target,
+                                                                     monkeypatch):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    generated = Counter()
+
+    def row_fn(n):
+        generated[n] += 1
+        return T.row_fn(n)
+
+    built = []
+
+    def counting_transformed_rows(*args):
+        built.append(args)
+        return transformed_rows(*args)
+
+    monkeypatch.setattr(conditions, "transformed_rows", counting_transformed_rows)
+    window = MatrixWindow(T.rows, "structural", row_fn, T.capacity)
+    report = classify_map(p, window, source, target)
+    assert len(built) == 1
+    assert sorted(generated) == list(range(6, 24))
+    assert set(generated.values()) == {1}
+    assert report == classify_map(p, T, source, target)
 
 
 def test_structural_identity_violates_null_target():

@@ -3,9 +3,18 @@ from fractions import Fraction as F
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genmeans import MatrixWindow, identity_triple
+from genmeans import MatrixWindow, eval_condition, identity_triple
 from genmeans.compactness import compactness_verdict, operator_norm, supplied_associate
-from genmeans.limits import STATUS_INDET, STATUS_TREND, analyze_tail
+from genmeans.limits import (
+    STATUS_INDET,
+    STATUS_TREND,
+    analyze_tail,
+    column_limits,
+    limit_of_rows,
+    limsup_of_rows,
+    row_abs_sum,
+    sup_of_rows,
+)
 
 # q -> lim q^n, or None when the powers have no limit
 GEOMETRIC_LIMITS = {F(1, 2): 0, F(-1, 2): 0, F(1): 1, F(-1): None, F(2): None, F(-2): None}
@@ -35,3 +44,33 @@ def test_diverging_structural_associate_is_not_decided():
                                                 "structural", row_fn))
         assert operator_norm(p, assoc).status == STATUS_INDET
         assert compactness_verdict(p, assoc, "c0").status == "indeterminate"
+
+
+def test_rising_trace_reports_its_limit_as_the_sup():
+    # rows (1 - (9/10)^n,) never reach 1, and 1 is their sup: the 32 rows of
+    # the extension only reach 0.9618
+    def row_fn(n):
+        return (1 - F(9, 10) ** n,)
+
+    rows = MatrixWindow(tuple(row_fn(n) for n in range(8)), "structural", row_fn)
+    p = identity_triple(8, m=0)    # T = I, so the associate rows are the rows
+    for est in (operator_norm(p, supplied_associate(rows)), eval_condition("4.13", rows, p)):
+        assert est.status == STATUS_TREND
+        assert abs(float(est.value) - 1) <= 1e-9
+
+
+def test_structural_tail_without_generator_is_named_by_every_estimator():
+    note = "structural tail has no generator available; stored window only"
+    rows = MatrixWindow(((F(1),),) * 8, "structural")
+    for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
+        est = estimate(rows, row_abs_sum)
+        assert est.status == STATUS_INDET and est.note == note
+    est = column_limits(rows)
+    assert est.status == STATUS_INDET and est.note == note
+    # an undeclared tail keeps each estimator's own reading
+    unknown = MatrixWindow(rows.rows, "unknown")
+    assert sup_of_rows(unknown, row_abs_sum).note == (
+        "tail undeclared; observed max is a lower bound")
+    assert limit_of_rows(unknown, row_abs_sum).note == (
+        "tail undeclared; limit not computable from the window")
+    assert column_limits(unknown).note == "tail undeclared; column limits not computable"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -178,6 +179,26 @@ def test_composite_matches_direct_kernel():
     for n in range(6):
         for j in range(n + 1):
             assert T.entry(n, j) == composite_entry(p, n, j)
+
+
+def _generated_rows_match_direct_kernel(p):
+    # rows past the stored order come from the structural generator alone
+    T = mean_difference_matrix(p).to_window()
+    for n in range(p.order, p.capacity):
+        assert T.row(n) == tuple(composite_entry(p, n, j) for j in range(n + 1))
+    assert T.row(p.capacity) is None
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1, 3)])
+def test_generated_euler_composite_rows_match_direct_kernel(alpha, m):
+    _generated_rows_match_direct_kernel(preset(PresetSpec("euler", alpha=alpha), 4, m=m))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@given(parameter_triples(order=4))
+def test_generated_random_composite_rows_match_direct_kernel(m, p):
+    _generated_rows_match_direct_kernel(dataclasses.replace(p, m=m))
 
 
 def test_composite_uv_matches_independent_construction():

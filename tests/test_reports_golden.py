@@ -59,7 +59,7 @@ JOBS = {
     "chi-matrix-c0-f64": (["chi", *EULER6, *F64, "--matrix", "{A}", "--target", "c0"],
                           "c6bce5ce02d753dc402602d0acccf01a3eff847872374f5ad70cbc4ec22bfa94"),
     "chi-atilde": (["chi", *EULER6, "--atilde", "{atilde}", "--target", "c0"],
-                   "a478ce221cb3e6b788e68f489beb55514559fb4d2b6e7f284aff4f789f5bdf2f"),
+                   "845c291682227c87cd56726f9ea25934f3d23786972e61f3ad777bffbe386113"),
     "basis-minus-one": (["basis", *EULER6, "--j", "-1"],
                         "af4518ab82d09193b02150066669955c77634c20dfcfc9d52d6a9433ac284645"),
     "selftest": (["selftest"],

@@ -102,7 +102,7 @@ def test_invert_structural_generator_extends():
     d1 = difference_matrix(1, 4)
     inv = invert_triangle(d1)
     assert inv.tail == "structural"
-    assert inv.generated_row(6) == (F(1),) * 7
+    assert inv.to_window().row(6) == (F(1),) * 7
 
 
 def test_toeplitz_coeffs_ones():
