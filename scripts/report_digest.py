@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print sha256 digests of the reports a change must leave byte-identical.
+"""Check the sha256 digests of the reports a change must leave byte-identical.
 
 Usage: python scripts/report_digest.py
 
@@ -11,7 +11,12 @@ process and prints one digest line per group:
   roundtrip-cold      ``repr`` of every job result of one cycle
   roundtrip-warm      the same for the warm workload
 
-Run it on two checkouts and compare the output: equal lines mean equal bytes.
+It then compares the lines with the committed ``scripts/report_digests.txt``
+and exits 1, naming each group that differs.  A change that alters reports on
+purpose says so and commits the new lines:
+
+  python scripts/report_digest.py > digests.new; mv digests.new scripts/report_digests.txt
+
 The sources come from this checkout (``src/`` and ``perfbench/``), whatever
 ``PYTHONPATH`` says.
 """
@@ -30,6 +35,7 @@ from genmeans.serialize import _plain  # noqa: E402
 from worker import in_process  # noqa: E402
 
 SEEDS = (1, 2)
+EXPECTED = os.path.join(ROOT, "scripts", "report_digests.txt")
 
 
 def _run(job, caches):
@@ -47,14 +53,14 @@ def digest(texts):
     return h.hexdigest()
 
 
-def main():
+def digest_lines():
     caches = workloads.program_caches()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             load = workloads.Analysis(seed, "full", os.path.join(tmp, f"a{seed}"))
             texts = [json.dumps(_plain(_run(job, caches)), sort_keys=True)
                      for job in load.cycle()]
-            print(f"analysis seed {seed}: {len(texts)} jobs {digest(texts)}")
+            yield f"analysis seed {seed}: {len(texts)} jobs {digest(texts)}"
         for seed in SEEDS:
             load = workloads.Cli(seed, "full", os.path.join(tmp, f"c{seed}"))
             texts = []
@@ -62,12 +68,32 @@ def main():
                 code, out, _err = _run(in_process(load._job(*spec)), caches)
                 texts.append(f"{code}\n{out}")
             load.close()
-            print(f"cli seed {seed}: {len(texts)} jobs {digest(texts)}")
+            yield f"cli seed {seed}: {len(texts)} jobs {digest(texts)}"
         for name in ("roundtrip-cold", "roundtrip-warm"):
             load = workloads.WORKLOADS[name](SEEDS[0], "full", os.path.join(tmp, name))
             texts = [repr(_run(job, caches)) for job in load.cycle()]
-            print(f"{name} seed {SEEDS[0]}: {len(texts)} jobs {digest(texts)}")
+            yield f"{name} seed {SEEDS[0]}: {len(texts)} jobs {digest(texts)}"
+
+
+def _group(line):
+    return line.split(":", 1)[0]
+
+
+def main():
+    with open(EXPECTED, encoding="utf-8") as fh:
+        expected = {_group(line): line for line in fh.read().splitlines() if line}
+    differ = []
+    for line in digest_lines():
+        print(line, flush=True)
+        if expected.pop(_group(line), None) != line:
+            differ.append(_group(line))
+    differ += expected    # groups the file lists but this run did not produce
+    if differ:
+        print(f"differs from {os.path.relpath(EXPECTED, ROOT)}: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -85,10 +85,9 @@ def _resolve_params(args, backend):
         if args.alpha is None:
             raise ParameterError([f"preset {name!r} requires --alpha"])
         try:
-            parsed = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError) as exc:
+            kwargs["alpha"] = backend.convert(Fraction(args.alpha))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParameterError([f"--alpha: cannot parse {args.alpha!r} ({exc})"]) from None
-        kwargs["alpha"] = parsed if backend.mode == "rational" else float(parsed)
     if name == "uv":
         if args.u is None or args.v is None:
             raise ParameterError(["preset 'uv' requires --u and --v"])

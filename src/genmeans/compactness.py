@@ -20,20 +20,18 @@ from .limits import (
     DEFAULT_TREND_WINDOW,
     STATUS_EXACT,
     STATUS_INDET,
-    TREND_DECAYING,
     LimitEstimate,
     Verdict,
     _worse_status,
-    column_limits,
+    column_shifted,
     limit_of_rows,
     limsup_of_rows,
     row_abs_sum,
-    shifted_row_abs_sum,
     sup_of_rows,
 )
 from .scalars import zero_like
 from .triangle import MatrixWindow, as_window
-from .conditions import SPACES, classify_map, transformed_rows
+from .conditions import SPACES, _near_zero, classify_map, transformed_rows
 from .operators import check_params
 
 TARGETS = SPACES
@@ -120,7 +118,7 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
                            est.status, est.trend, est.window, est.trace, est.note)
 
     # convergent target: sandwich around the column-shifted limsup
-    cols, est = _column_shifted_limsup(assoc, trend_window, tolerance)
+    cols, est = column_shifted(assoc, limsup_of_rows, trend_window, tolerance)
     if est is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
@@ -131,17 +129,6 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
     status = est.status if cols.status == STATUS_EXACT else _worse_status(est.status, cols.status)
     return ChiEstimate("c", _half(est.value), est.value, tuple(alphas), status, est.trend,
                        est.window, est.trace, est.note)
-
-
-def _column_shifted_limsup(assoc, trend_window, tolerance):
-    """(column limits alpha, limsup_n sum_k |a_nk - alpha_k|), the quantity
-    that drives the convergent-target gauge; the limsup is None when the
-    column limits are unresolved."""
-    cols = column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
-    if cols.status == STATUS_INDET or cols.value is None:
-        return cols, None
-    return cols, limsup_of_rows(assoc, lambda row: shifted_row_abs_sum(row, cols.value),
-                                trend_window=trend_window, tolerance=tolerance)
 
 
 def compactness_verdict(p, matrix_or_associate, target, *,
@@ -158,7 +145,7 @@ def compactness_verdict(p, matrix_or_associate, target, *,
     assoc = _resolve_associate(p, matrix_or_associate).window
 
     if target == "c":
-        cols, est = _column_shifted_limsup(assoc, trend_window, tolerance)
+        cols, est = column_shifted(assoc, limsup_of_rows, trend_window, tolerance)
         if est is None:
             return Verdict("indeterminate", "per-column limits unresolved", evidence=cols)
     else:
@@ -169,11 +156,7 @@ def compactness_verdict(p, matrix_or_associate, target, *,
         return Verdict("indeterminate",
                        est.note or "tail trace does not decide the limit", evidence=est)
     value = est.value
-    if est.status == STATUS_EXACT:
-        is_zero = value == 0
-    else:
-        is_zero = est.trend == TREND_DECAYING or abs(float(value)) <= tolerance
-    if is_zero:
+    if _near_zero(value, est.status, tolerance):
         return Verdict("satisfied", f"compact ({est.status}): limit vanishes", evidence=est)
     if target == "l_inf":
         return Verdict("indeterminate",

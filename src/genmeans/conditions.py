@@ -3,31 +3,31 @@
 The catalog holds two families.  Ids 4.4-4.11 are the classical conditions
 on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
-transported through the mean-difference coordinate change: they constrain
-the associate rows R_k(A_n) and the per-row tail-sum triangles.  Every id
-maps to exactly one evaluator and the table is exhaustive.
+transported through the mean-difference coordinate change.  Most are their
+raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``); 4.24 is the
+sup of the associate row totals; the rest read the per-row tail-sum
+triangles.  How a tail declaration reads a trace is decided in ``limits``
+alone.  Every id maps to exactly one evaluator and the table is exhaustive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DimensionError, ParameterError
 from .limits import (
     STATUS_EXACT,
     STATUS_INDET,
-    STATUS_TREND,
     TREND_EXACT,
     TREND_SHORT,
     DEFAULT_TREND_WINDOW,
     LimitEstimate,
     Verdict,
-    analyze_tail,
     column_limits,
+    column_shifted,
     limit_of_rows,
     row_abs_sum,
     row_sum,
-    shifted_row_abs_sum,
     subset_column_sup,
     sup_of_rows,
 )
@@ -49,9 +49,13 @@ RAW_CONDITION_IDS = ("4.4", "4.5", "4.6", "4.7", "4.8", "4.9", "4.10", "4.11")
 TRANSFORMED_CONDITION_IDS = ("4.13", "4.14", "4.15", "4.16", "4.17", "4.18",
                              "4.19", "4.20", "4.21", "4.22", "4.23", "4.24", "4.25")
 CONDITION_IDS = RAW_CONDITION_IDS + TRANSFORMED_CONDITION_IDS
-# the transformed conditions read off the associate rows R(A_n); the others
-# (4.15, 4.16, 4.19, 4.21, 4.22) read the per-row tail sums
-_ASSOCIATE_IDS = ("4.13", "4.14", "4.17", "4.18", "4.20", "4.23", "4.24", "4.25")
+# transported conditions: the raw twin run on the associate rows R(A_n).
+# 4.24 reads the associate rows as sup_n |sum_k R_k(A_n)|; the others (4.15,
+# 4.16, 4.19, 4.21, 4.22) read the per-row tail sums
+ON_ASSOCIATE = {"4.13": "4.5", "4.14": "4.7", "4.17": "4.9", "4.18": "4.6",
+                "4.20": "4.10", "4.23": "4.8", "4.25": "4.11"}
+_ASSOCIATE_IDS = (*ON_ASSOCIATE, "4.24")
+_SHIFTED_MEMBERSHIP_IDS = ("4.23", "4.24", "4.25")
 
 CONDITION_SUMMARY = {
     "4.4": "sup over finite column sets of the column-group absolute row totals is finite",
@@ -149,23 +153,6 @@ def tail_sum_family(p, matrix) -> TailSumFamily:
                                for seq in _window_rows_as_sequences(as_window(matrix))))
 
 
-def _shifted_abs_limit(window, trend_window, tolerance):
-    """lim_n sum_k |a_nk - alpha_k| with alpha the column limits (padded by
-    zeros beyond their computed width)."""
-    if window.row_tail == ZERO_TAIL:
-        trace = tuple(row_abs_sum(row) for row in window.extended)
-        return LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT, tuple(range(len(trace))),
-                             trace)
-    cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
-    if cols.status == STATUS_INDET or cols.value is None:
-        return LimitEstimate("lim", None, STATUS_INDET, cols.trend,
-                             note="column limits unresolved")
-    trace = tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended)
-    ns = tuple(range(len(trace)))
-    status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
-    return LimitEstimate("lim", value, status, trend, ns, trace)
-
-
 def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
     """Conditions quantified per source row over its tail-sum triangle.
 
@@ -199,46 +186,28 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
                          note="per-row quantities are finite computations on zero-tail rows")
 
 
-def _shifted_membership(assoc, cond, trend_window, tolerance):
-    """Conditions 4.23-4.25 on sigma_n = (sum_k R_k(A_n)) - gamma_n, read off
-    the associate rows (their row tail is the source matrix's)."""
-    if assoc.row_tail == UNKNOWN_TAIL:
-        return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT,
-                             note="row tail undeclared; " + SHIFTED_MEMBERSHIP_NOTE)
-    # gamma_n = 0 exactly on the finite supports of zero-tail source rows
-    sigma = [row_sum(row) for row in assoc.rows]
-    ns = tuple(range(len(sigma)))
-    if assoc.row_tail == ZERO_TAIL:
-        # past the stored rows everything is zero: sigma is eventually zero
-        if cond == "4.23":
-            return LimitEstimate("lim", 0, STATUS_EXACT, TREND_EXACT, ns, tuple(sigma),
-                                 note=SHIFTED_MEMBERSHIP_NOTE)
-        if cond == "4.24":
-            value = max((abs(v) for v in sigma), default=0)
-            return LimitEstimate("sup", value, STATUS_EXACT, TREND_EXACT, ns, tuple(sigma),
-                                 note=SHIFTED_MEMBERSHIP_NOTE)
-        return LimitEstimate("exists", 0, STATUS_EXACT, TREND_EXACT, ns, tuple(sigma),
-                             note=SHIFTED_MEMBERSHIP_NOTE)
-    # structural: extend sigma through the generators and classify
-    values = tuple(row_sum(row) for row in assoc.extended)   # gamma_n = 0 on finite supports
-    ns = tuple(range(len(values)))
-    if len(values) <= len(assoc.rows):
-        # the tail adds no rows past the stored ones, so their trace decides nothing
-        kind = {"4.23": "lim", "4.24": "sup"}.get(cond, "exists")
-        return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, values,
-                             note="structural tail not extendable past the stored rows; "
-                                  + SHIFTED_MEMBERSHIP_NOTE)
-    if cond == "4.24":
-        trace = tuple(abs(v) for v in values)
-        status, trend, _ = analyze_tail(ns, trace, trend_window, tolerance)
-        value = max(trace, default=0)
-        bounded = status == STATUS_TREND
-        return LimitEstimate("sup", value, STATUS_TREND if bounded else STATUS_INDET,
-                             trend, ns, trace, note=SHIFTED_MEMBERSHIP_NOTE)
-    status, trend, value = analyze_tail(ns, values, trend_window, tolerance)
-    kind = "lim" if cond == "4.23" else "exists"
-    return LimitEstimate(kind, value, status, trend, ns, values,
-                         note=SHIFTED_MEMBERSHIP_NOTE)
+def _raw_condition(cond, window, trend_window, tolerance):
+    """Raw condition cond in 4.4-4.11 on a matrix window."""
+    if cond == "4.4":
+        return subset_column_sup(window, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.5":
+        return sup_of_rows(window, row_abs_sum, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.6":
+        return limit_of_rows(window, row_abs_sum, trend_window=trend_window,
+                             tolerance=tolerance)
+    if cond == "4.7":
+        return column_limits(window, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.8":
+        return limit_of_rows(window, row_sum, trend_window=trend_window, tolerance=tolerance)
+    if cond == "4.9":
+        return column_limits(window, kind="exists", trend_window=trend_window,
+                             tolerance=tolerance)
+    if cond == "4.10":
+        cols, est = column_shifted(window, limit_of_rows, trend_window, tolerance)
+        return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
+                                    note="column limits unresolved")
+    return limit_of_rows(window, row_sum, kind="exists", trend_window=trend_window,
+                         tolerance=tolerance)
 
 
 def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WINDOW,
@@ -251,29 +220,8 @@ def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WIND
     if cond not in CONDITION_IDS:
         raise DimensionError(f"unknown condition id {cond!r}")
     window = as_window(matrix)
-
     if cond in RAW_CONDITION_IDS:
-        if cond == "4.4":
-            return subset_column_sup(window, trend_window=trend_window, tolerance=tolerance)
-        if cond == "4.5":
-            return sup_of_rows(window, row_abs_sum, trend_window=trend_window,
-                               tolerance=tolerance)
-        if cond == "4.6":
-            return limit_of_rows(window, row_abs_sum, trend_window=trend_window,
-                                 tolerance=tolerance)
-        if cond == "4.7":
-            return column_limits(window, trend_window=trend_window, tolerance=tolerance)
-        if cond == "4.8":
-            return limit_of_rows(window, row_sum, trend_window=trend_window,
-                                 tolerance=tolerance)
-        if cond == "4.9":
-            return column_limits(window, kind="exists", trend_window=trend_window,
-                                 tolerance=tolerance)
-        if cond == "4.10":
-            return _shifted_abs_limit(window, trend_window, tolerance)
-        return limit_of_rows(window, row_sum, kind="exists", trend_window=trend_window,
-                             tolerance=tolerance)
-
+        return _raw_condition(cond, window, trend_window, tolerance)
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
     check_params(params)
@@ -284,21 +232,17 @@ def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WIND
 def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
-    if cond == "4.13":
-        return sup_of_rows(assoc, row_abs_sum, trend_window=trend_window, tolerance=tolerance)
-    if cond == "4.14":
-        return column_limits(assoc, trend_window=trend_window, tolerance=tolerance)
-    if cond == "4.17":
-        return column_limits(assoc, kind="exists", trend_window=trend_window,
-                             tolerance=tolerance)
-    if cond == "4.18":
-        return limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
-                             tolerance=tolerance)
-    if cond == "4.20":
-        return _shifted_abs_limit(assoc, trend_window, tolerance)
-    if cond in ("4.23", "4.24", "4.25"):
-        return _shifted_membership(assoc, cond, trend_window, tolerance)
-    return _per_row_tail_condition(p, window, cond, trend_window, tolerance)
+    if cond == "4.24":
+        est = sup_of_rows(assoc, lambda row: abs(row_sum(row)), trend_window=trend_window,
+                          tolerance=tolerance)
+    elif cond in ON_ASSOCIATE:
+        est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
+    else:
+        return _per_row_tail_condition(p, window, cond, trend_window, tolerance)
+    if cond in _SHIFTED_MEMBERSHIP_IDS:
+        # gamma_n = 0 on the finite supports of the source rows
+        est = replace(est, note="; ".join(filter(None, (est.note, SHIFTED_MEMBERSHIP_NOTE))))
+    return est
 
 
 def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
@@ -363,15 +307,10 @@ def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW
     window = as_window(matrix)
     # every pair needs 4.13 or 4.18: build the associate rows once for all of them
     assoc = transformed_rows(p, window)
-    estimates = {}
-    verdicts = {}
-    notes = []
-    for cond in required:
-        est = _transformed_condition(cond, p, window, assoc, trend_window, tolerance)
-        estimates[cond] = est
-        verdicts[cond] = condition_verdict(cond, est, tolerance)
-        if cond in ("4.23", "4.24", "4.25"):
-            notes.append(SHIFTED_MEMBERSHIP_NOTE)
+    estimates = {cond: _transformed_condition(cond, p, window, assoc, trend_window, tolerance)
+                 for cond in required}
+    verdicts = {cond: condition_verdict(cond, est, tolerance) for cond, est in estimates.items()}
+    notes = (SHIFTED_MEMBERSHIP_NOTE,) if set(required) & set(_SHIFTED_MEMBERSHIP_IDS) else ()
     summary = {cond: verdicts[cond].status for cond in required}
     if any(v.status == "violated" for v in verdicts.values()):
         overall = Verdict("violated",
@@ -386,13 +325,13 @@ def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW
     else:
         overall = Verdict("satisfied", f"all of {', '.join(required)} hold",
                           evidence=summary)
-    return ClassReport(source, target, estimates, verdicts, overall, tuple(dict.fromkeys(notes)))
+    return ClassReport(source, target, estimates, verdicts, overall, notes)
 
 
 __all__ = [
     "CONDITION_IDS", "RAW_CONDITION_IDS", "TRANSFORMED_CONDITION_IDS",
     "CONDITION_SUMMARY", "CONDITION_PREDICATE", "REQUIRED_CONDITIONS",
-    "SHIFTED_MEMBERSHIP_NOTE", "SPACES",
+    "ON_ASSOCIATE", "SHIFTED_MEMBERSHIP_NOTE", "SPACES",
     "eval_condition", "condition_verdict", "classify_map", "ClassReport",
     "transformed_rows", "tail_sum_family", "TailSumFamily",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .limits import Verdict, subset_column_sup
+from .limits import Verdict, row_abs_sum, subset_column_sup
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
@@ -246,9 +246,9 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
     if dual == "gamma":
         R = associate_row(p, a)
         E = gamma_dual_matrix(p, a)
-        row_sums = [sum(abs(v) for v in E.rows[l]) for l in range(E.order)]
+        row_sums = [row_abs_sum(E.rows[l]) for l in range(E.order)]
         # rows stabilize at the absolute associate total once l passes the support
-        stabilized = sum(abs(v) for v in R.values)
+        stabilized = row_abs_sum(R.values)
         sup_trace = max(row_sums + [stabilized])
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
@@ -260,9 +260,9 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
     R = associate_row(p, a)
     W = tail_sum_matrix(p, a)
     sets = {}
-    sets["B1"] = {"value": sum(abs(v) for v in R.values), "satisfied": True}
+    sets["B1"] = {"value": row_abs_sum(R.values), "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
-    row_abs = [sum(abs(v) for v in row) for row in W.rows]
+    row_abs = [row_abs_sum(row) for row in W.rows]
     sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}
     sets["B4"] = {"vanish_from": jmax + 1, "satisfied": True}
     sets["B5"] = {"limits": tuple(0 for _ in range(len(a))), "satisfied": True}

@@ -12,7 +12,9 @@ once, ``MatrixWindow.extended``; trace indices are its row numbers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .scalars import DEFAULT_TOLERANCE, zero_like
 from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
@@ -68,9 +70,13 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
     values = list(values)
     if len(values) < 3:
         return STATUS_INDET, TREND_SHORT, None
+    try:
+        full = [float(v) for v in values]
+    except OverflowError:
+        # past the double range no rung of the ladder can read the trace
+        return STATUS_INDET, TREND_DIVERGING, None
     w = min(max(trend_window, 3), len(values))
-    last = values[-w:]
-    floats = [float(v) for v in last]
+    floats = full[-w:]
     if max(floats) - min(floats) <= tolerance:
         return STATUS_TREND, TREND_CONVERGED, values[-1]
 
@@ -89,7 +95,6 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
         if abs(accelerated[-1] - accelerated[-2]) <= max(tolerance, 1e-9 * scale):
             return STATUS_TREND, TREND_CONVERGED, accelerated[-1]
 
-    full = [float(v) for v in values]
     nonincreasing = all(full[i + 1] <= full[i] for i in range(len(full) - 1))
     nondecreasing = all(full[i + 1] >= full[i] for i in range(len(full) - 1))
 
@@ -99,12 +104,12 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
         xs = [math.log(indices[i] + 1) for i in range(half, len(full))]
         ys = [math.log(full[i]) for i in range(half, len(full))]
         if len(xs) >= 4 and max(xs) > min(xs):
-            xbar = sum(xs) / len(xs)
-            ybar = sum(ys) / len(ys)
-            sxx = sum((x - xbar) ** 2 for x in xs)
-            slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+            xbar = total(xs) / len(xs)
+            ybar = total(ys) / len(ys)
+            sxx = total((x - xbar) ** 2 for x in xs)
+            slope = total((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
             resid = [y - (ybar + slope * (x - xbar)) for x, y in zip(xs, ys)]
-            rms = math.sqrt(sum(e * e for e in resid) / len(resid))
+            rms = math.sqrt(total(e * e for e in resid) / len(resid))
             spread = max(ys) - min(ys)
             if slope <= -0.25 and rms <= 0.05 * max(spread, 1e-9):
                 return STATUS_TREND, TREND_DECAYING, zero_like(values[-1])
@@ -116,12 +121,18 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
     return STATUS_INDET, TREND_OSCILLATING, None
 
 
+def total(values):
+    """Left-to-right sum.  Unlike ``sum``, which adds floats with compensated
+    summation since Python 3.12, it rounds the same on every version."""
+    return reduce(operator.add, values, 0)
+
+
 def row_abs_sum(row):
-    return sum((abs(v) for v in row), 0)
+    return total(abs(v) for v in row)
 
 
 def row_sum(row):
-    return sum(row, 0)
+    return total(row)
 
 
 def column_value(row, k):
@@ -189,6 +200,8 @@ def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("limsup", rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
+    if not trace:
+        return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     w = min(max(trend_window, 3), len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
         status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
@@ -201,8 +214,11 @@ def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
 
 
 def _no_extension_note(window, undeclared="stored window only bounds the quantity"):
-    """Why a window was not extended: a structural tail without a generator,
-    or an undeclared tail (with what the stored window still says)."""
+    """Why a window was not extended: a structural tail whose generator stops
+    at the stored rows or that has none, or an undeclared tail (with what the
+    stored window still says)."""
+    if window.row_tail == STRUCTURAL_TAIL and window.row_fn is not None:
+        return "structural tail not extendable past the stored rows"
     if window.row_tail == STRUCTURAL_TAIL:
         return "structural tail has no generator available; stored window only"
     return f"tail undeclared; {undeclared}"
@@ -232,6 +248,19 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
                              trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))
+
+
+def column_shifted(window, estimator, trend_window=DEFAULT_TREND_WINDOW,
+                   tolerance=DEFAULT_TOLERANCE):
+    """(column limits alpha, ``estimator`` over the rowstat sum_k |a_nk - alpha_k|).
+
+    ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
+    None when the column limits are unresolved."""
+    cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
+    if cols.status == STATUS_INDET or cols.value is None:
+        return cols, None
+    return cols, estimator(window, lambda row: shifted_row_abs_sum(row, cols.value),
+                           trend_window=trend_window, tolerance=tolerance)
 
 
 def _worse_status(a, b):
@@ -264,9 +293,9 @@ def subset_column_sup(window, max_exact_columns=12,
         best_set = ()
         for mask in range(1, 1 << len(nonzero_cols)):
             chosen = [nonzero_cols[i] for i in range(len(nonzero_cols)) if mask >> i & 1]
-            total = sum(abs(sum(column_value(r, k) for k in chosen)) for r in rows)
-            if best is None or total > best:
-                best, best_set = total, tuple(chosen)
+            value = total(abs(total(column_value(r, k) for k in chosen)) for r in rows)
+            if best is None or value > best:
+                best, best_set = value, tuple(chosen)
         if exact_tail:
             return LimitEstimate("sup", best, STATUS_EXACT, TREND_EXACT, ns,
                                  note=f"attained at columns {best_set}")
@@ -275,9 +304,9 @@ def subset_column_sup(window, max_exact_columns=12,
 
     # bound pair: greedy sign-aligned lower, triangle-inequality upper
     def objective(chosen):
-        return sum(abs(sum(column_value(r, k) for k in chosen)) for r in rows)
+        return total(abs(total(column_value(r, k) for k in chosen)) for r in rows)
 
-    chosen = [max(nonzero_cols, key=lambda k: sum(abs(column_value(r, k)) for r in rows))]
+    chosen = [max(nonzero_cols, key=lambda k: total(abs(column_value(r, k)) for r in rows))]
     current = objective(chosen)
     improved = True
     while improved:
@@ -290,7 +319,7 @@ def subset_column_sup(window, max_exact_columns=12,
                 chosen.append(k)
                 current = cand
                 improved = True
-    upper = sum(row_abs_sum(r) for r in rows)
+    upper = total(row_abs_sum(r) for r in rows)
     status = STATUS_EXACT if exact_tail else STATUS_INDET
     return LimitEstimate("sup", (current, upper), status,
                          TREND_EXACT if exact_tail else TREND_SHORT, ns,

@@ -60,6 +60,20 @@ def scalar_from_json(doc, path="scalar"):
     raise SchemaError(path, f"expected rational object or decimal string, got {type(doc).__name__}")
 
 
+def _scalar_list(doc, path, backend=None):
+    """The scalars of a JSON list, converted to ``backend`` when one is given."""
+    values = []
+    for i, item in enumerate(_json_list(doc, path)):
+        value = scalar_from_json(item, f"{path}[{i}]")
+        if backend is not None:
+            try:
+                value = backend.convert(value)
+            except OverflowError:
+                raise SchemaError(f"{path}[{i}]", "value is beyond the double range") from None
+        values.append(value)
+    return values
+
+
 def canonical_number(value):
     """The single canonical string form shared by CSV and comparisons."""
     if isinstance(value, Fraction):
@@ -99,10 +113,7 @@ def sequence_from_json(doc, path="sequence", backend=None):
         raise SchemaError(f"{path}.tail", "missing field 'tail'")
     if doc["tail"] not in SEQUENCE_TAILS:
         raise SchemaError(f"{path}.tail", f"tail must be one of {SEQUENCE_TAILS}")
-    values = [scalar_from_json(v, f"{path}.values[{i}]")
-              for i, v in enumerate(_json_list(doc["values"], f"{path}.values"))]
-    if backend is not None:
-        values = [backend.convert(v) for v in values]
+    values = _scalar_list(doc["values"], f"{path}.values", backend)
     return SequenceWindow(values, doc["tail"], doc.get("space"))
 
 
@@ -124,11 +135,7 @@ def matrix_from_json(doc, path="matrix", backend=None):
         raise SchemaError(f"{path}.tail", f"tail must be one of {MATRIX_TAILS}")
     rows = []
     for i, row in enumerate(_json_list(doc["rows"], f"{path}.rows")):
-        vals = [scalar_from_json(v, f"{path}.rows[{i}][{j}]")
-                for j, v in enumerate(_json_list(row, f"{path}.rows[{i}]"))]
-        if backend is not None:
-            vals = [backend.convert(v) for v in vals]
-        rows.append(tuple(vals))
+        rows.append(tuple(_scalar_list(row, f"{path}.rows[{i}]", backend)))
     kind = doc.get("kind")
     if kind is None:
         kind = "triangle" if all(len(row) == i + 1 for i, row in enumerate(rows)) else "window"
@@ -161,11 +168,8 @@ def params_from_json(doc, path="params"):
     if mode not in (RATIONAL_MODE, FLOAT_MODE):
         raise SchemaError(f"{path}.scalar", f"scalar must be 'rational' or 'float', got {mode!r}")
     backend = Backend(mode, _tolerance(doc.get("tolerance", "1e-10"), f"{path}.tolerance"))
-    windows = {}
-    for field in ("r", "s", "t"):
-        windows[field] = tuple(
-            backend.convert(scalar_from_json(v, f"{path}.{field}[{i}]"))
-            for i, v in enumerate(_json_list(doc[field], f"{path}.{field}")))
+    windows = {field: tuple(_scalar_list(doc[field], f"{path}.{field}", backend))
+               for field in ("r", "s", "t")}
     return ParameterTriple(windows["r"], windows["s"], windows["t"],
                            _integer(doc["m"], f"{path}.m", 0),
                            _integer(doc["order"], f"{path}.order", 1), backend)

@@ -281,6 +281,53 @@ def test_non_finite_scalar_exit_code(tmp_path, capsys, value, scalar):
     assert capsys.readouterr().err.startswith("error: input.values[0]: non-finite")
 
 
+_BEYOND_DOUBLE = {"num": "1" + "0" * 400, "den": "1"}
+
+
+@pytest.mark.parametrize("command, flag, doc, where", [
+    (["transform", "--n", "2"], "--input",
+     {"values": [_BEYOND_DOUBLE, "1"], "tail": "zero"}, "input.values[0]"),
+    (["matclass", "--n", "2", "--source", "c", "--target", "c"], "--matrix",
+     {"rows": [["1"], ["1", _BEYOND_DOUBLE]], "tail": "zero"}, "matrix.rows[1][1]"),
+    (["chi", "--n", "2", "--target", "c0"], "--matrix",
+     {"rows": [[_BEYOND_DOUBLE]], "tail": "zero"}, "matrix.rows[0][0]"),
+])
+def test_rational_beyond_double_range_exit_code(tmp_path, capsys, command, flag, doc, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + ["--scalar", "f64", flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: value is beyond the double range\n"
+
+
+def test_params_beyond_double_range_exit_code(tmp_path, capsys, ones_file):
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    doc = params_to_json(identity_triple(16, m=1))
+    doc.update(scalar="float", s=[_BEYOND_DOUBLE] + doc["s"][1:])
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(doc))
+    assert main(["norm", "--params", str(params_path), "--input", ones_file]) == 2
+    assert capsys.readouterr().err == "error: params.s[0]: value is beyond the double range\n"
+    assert main(["norm", "--n", "16", "--preset", "euler", "--alpha", "1e400",
+                 "--scalar", "f64", "--input", ones_file]) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha: cannot parse '1e400'")
+
+
+@pytest.mark.parametrize("tail", ["unknown", "structural"])
+@pytest.mark.parametrize("target", ["c0", "l_inf"])
+def test_chi_on_empty_associate_is_indeterminate(tmp_path, capsys, tail, target):
+    path = tmp_path / "atilde.json"
+    path.write_text(json.dumps({"kind": "window", "tail": tail, "rows": []}))
+    argv = ["chi", "--n", "4", "--atilde", str(path), "--target", target]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    chi = json.loads(out)["result"]["chi"]
+    assert chi["status"] == "indeterminate" and chi["note"] == "no rows"
+    assert main(argv + ["--strict"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, doc, where", [
     # a string is iterable, so "12" used to be read as the list [1, 2]
     (["transform", "--n", "2", "--input"], {"values": "12", "tail": "zero"}, "input.values"),

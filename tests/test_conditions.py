@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -142,6 +143,27 @@ def test_shifted_membership_without_generator_is_indeterminate(cond):
     est = eval_condition(cond, A, identity_triple(4, m=0))
     assert est.status == "indeterminate"
     assert condition_verdict(cond, est).status == "indeterminate"
+
+
+def _source_row(n):
+    return (F(1), F(-1, n + 2))
+
+
+@pytest.mark.parametrize("tail, row_fn", [
+    ("zero", None), ("structural", _source_row), ("structural", None), ("unknown", None),
+])
+def test_transported_conditions_are_their_raw_twins_on_the_associate(tail, row_fn):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    A = MatrixWindow(tuple(_source_row(n) for n in range(6)), tail, row_fn)
+    assoc = transformed_rows(p, A)
+    for cond, raw in conditions.ON_ASSOCIATE.items():
+        est = eval_condition(cond, A, p)
+        twin = eval_condition(raw, assoc)
+        if cond in ("4.23", "4.25"):
+            assert est.note == "; ".join(filter(None, (twin.note,
+                                                       conditions.SHIFTED_MEMBERSHIP_NOTE)))
+            est = replace(est, note=twin.note)
+        assert est == twin, cond
 
 
 def test_tail_sum_bound_over_structural_rows_claims_no_sup():

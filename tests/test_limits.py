@@ -13,6 +13,7 @@ from genmeans.limits import (
     limit_of_rows,
     limsup_of_rows,
     row_abs_sum,
+    row_sum,
     sup_of_rows,
 )
 
@@ -54,9 +55,26 @@ def test_rising_trace_reports_its_limit_as_the_sup():
 
     rows = MatrixWindow(tuple(row_fn(n) for n in range(8)), "structural", row_fn)
     p = identity_triple(8, m=0)    # T = I, so the associate rows are the rows
-    for est in (operator_norm(p, supplied_associate(rows)), eval_condition("4.13", rows, p)):
+    for est in (operator_norm(p, supplied_associate(rows)), eval_condition("4.13", rows, p),
+                eval_condition("4.24", rows, p)):
         assert est.status == STATUS_TREND
         assert abs(float(est.value) - 1) <= 1e-9
+
+
+def test_trace_beyond_the_double_range_is_indeterminate():
+    def row_fn(n):
+        return (2 ** (40 * n),)
+
+    rows = MatrixWindow(tuple(row_fn(n) for n in range(8)), "structural", row_fn)
+    p = identity_triple(8, m=0)
+    for est in (operator_norm(p, supplied_associate(rows)), eval_condition("4.13", rows, p)):
+        assert est.status == STATUS_INDET
+        assert est.value == 2 ** (40 * 31)    # the observed max, a lower bound
+
+
+def test_float_row_sums_add_left_to_right():
+    # compensated summation (sum() since Python 3.12) would give 1.0
+    assert row_sum((1e16, 1.0, -1e16)) == 0.0
 
 
 def test_structural_tail_without_generator_is_named_by_every_estimator():
@@ -67,6 +85,11 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
         assert est.status == STATUS_INDET and est.note == note
     est = column_limits(rows)
     assert est.status == STATUS_INDET and est.note == note
+    # a generator capped at the stored rows is not a missing one
+    capped = MatrixWindow(rows.rows, "structural", lambda n: (F(1),), 8)
+    for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
+        est = estimate(capped, row_abs_sum)
+        assert est.note == "structural tail not extendable past the stored rows"
     # an undeclared tail keeps each estimator's own reading
     unknown = MatrixWindow(rows.rows, "unknown")
     assert sup_of_rows(unknown, row_abs_sum).note == (

@@ -46,7 +46,7 @@ JOBS = {
                        "d4efb594fb5830744dd6fb59a1012fe263223ea3da06a95d7073ba877efa279e"),
     "matclass-c-c": (["matclass", *EULER6, "--matrix", "{A}", "--source", "c",
                       "--target", "c"],
-                     "d45419237e0f0b10f14b79ea361942a79885b6df90d9675b606f99d5a5b6dbe5"),
+                     "f137080384ff3462f0e44d5b0ac53a7f50315ff4f3cfd991a859448273821b18"),
     "matclass-linf-c0": (["matclass", *EULER6, "--matrix", "{A}", "--source", "l_inf",
                           "--target", "c0"],
                          "d995542ff0d62fdf552874b41379dfe1265dd85a0964e9ad229c291aa61c44d8"),
