@@ -48,7 +48,7 @@ def main():
     survey("finite rank (zero tail)", p, finite)
     survey("composite operator (euler)", p, mean_difference_matrix(p))
     survey("weighted mean only (euler)", p, weighted_mean_matrix(p))
-    survey("supplied associate: identity", p, supplied_associate(identity(order).to_window()))
+    survey("supplied associate: identity", p, supplied_associate(identity(order)))
     survey("supplied associate: 1/(n+1) e0", p, decaying)
 
 

@@ -28,7 +28,6 @@ from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
     apply,
-    as_window,
     binom,
     coeff_via_determinant,
     compose,
@@ -40,7 +39,6 @@ from .triangle import (
     seq_sub,
     toeplitz_inverse_coeffs,
     unit_sequence,
-    window_apply,
 )
 from .operators import (
     NormResult,
@@ -81,7 +79,6 @@ from .conditions import (
     CONDITION_SUMMARY,
     ClassReport,
     REQUIRED_CONDITIONS,
-    TailSumFamily,
     classify_map,
     condition_verdict,
     eval_condition,

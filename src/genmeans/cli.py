@@ -50,10 +50,7 @@ def _parse_sequence_arg(text, length, backend, what):
     if text == "ones":
         return tuple(backend.one for _ in range(length))
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        seq = sequence_from_json(doc, path=what, backend=backend)
-        return seq.values
+        return sequence_from_json(_load_json(text[1:], what), path=what, backend=backend).values
     try:
         return tuple(backend.convert(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -192,12 +189,10 @@ def _cmd_chi(args, backend):
         matrix, raw = _load_matrix(args.atilde, backend)
         operand = supplied_associate(matrix)
         source_doc = {"atilde": raw}
-    elif args.matrix:
+    else:
         matrix, raw = _load_matrix(args.matrix, backend)
         operand = associate_matrix(p, matrix)
         source_doc = {"matrix": raw}
-    else:
-        raise ParameterError(["chi requires --matrix or --atilde"])
     estimate = chi_norm(p, operand, args.target, trend_window=args.window,
                         tolerance=backend.tolerance)
     verdict = compactness_verdict(p, operand, args.target, trend_window=args.window,
@@ -293,8 +288,9 @@ def build_parser():
     add_common(sp)
 
     sp = sub.add_parser("chi", help="noncompactness gauge and compactness verdict")
-    sp.add_argument("--matrix", help="matrix JSON file (associate computed from it)")
-    sp.add_argument("--atilde", help="user-supplied associate matrix JSON file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="matrix JSON file (associate computed from it)")
+    source.add_argument("--atilde", help="user-supplied associate matrix JSON file")
     sp.add_argument("--target", choices=("c0", "c", "l_inf"), required=True)
     add_common(sp)
 

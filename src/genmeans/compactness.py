@@ -30,7 +30,7 @@ from .limits import (
     sup_of_rows,
 )
 from .scalars import zero_like
-from .triangle import MatrixWindow, as_window
+from .triangle import MatrixWindow
 from .conditions import SPACES, _near_zero, classify_map, transformed_rows
 from .operators import check_params
 
@@ -54,7 +54,7 @@ def associate_matrix(p, matrix) -> AssociateMatrix:
 
 
 def supplied_associate(matrix) -> AssociateMatrix:
-    return AssociateMatrix(as_window(matrix))
+    return AssociateMatrix(matrix)
 
 
 def _resolve_associate(p, matrix_or_associate) -> AssociateMatrix:

@@ -38,7 +38,6 @@ from .triangle import (
     ZERO_TAIL,
     MatrixWindow,
     SequenceWindow,
-    as_window,
 )
 from .duality import associate_row, tail_sum_matrix
 from .operators import check_params
@@ -122,35 +121,27 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     inverse columns.  Requires complete (zero-tail) rows; the row tail in the
     n direction propagates, with a derived generator for structural tails."""
     check_params(p)
-    window = as_window(matrix)
     rows = tuple(tuple(associate_row(p, seq).values)
-                 for seq in _window_rows_as_sequences(window))
+                 for seq in _window_rows_as_sequences(matrix))
     row_fn = None
-    capacity = window.capacity
-    if window.row_tail == STRUCTURAL_TAIL and window.row_fn is not None:
-        caps = [c for c in (window.capacity, p.capacity) if c is not None]
+    capacity = matrix.capacity
+    if matrix.row_tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
+        caps = [c for c in (matrix.capacity, p.capacity) if c is not None]
         capacity = min(caps) if caps else None
 
         def row_fn(n):
-            src = window.row(n)
+            src = matrix.row(n)
             if src is None:
                 raise DimensionError(f"cannot generate source row {n}")
             return associate_row(p, SequenceWindow(src, ZERO_TAIL)).values
 
-    return MatrixWindow(rows, window.row_tail, row_fn, capacity)
+    return MatrixWindow(rows, matrix.row_tail, row_fn, capacity)
 
 
-@dataclass(frozen=True)
-class TailSumFamily:
-    """Per-source-row tail-sum triangles."""
-
-    per_row: tuple
-
-
-def tail_sum_family(p, matrix) -> TailSumFamily:
+def tail_sum_family(p, matrix) -> tuple:
+    """The tail-sum triangle of each source row."""
     check_params(p)
-    return TailSumFamily(tuple(tail_sum_matrix(p, seq)
-                               for seq in _window_rows_as_sequences(as_window(matrix))))
+    return tuple(tail_sum_matrix(p, seq) for seq in _window_rows_as_sequences(matrix))
 
 
 def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
@@ -168,7 +159,7 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
                              note="row tail undeclared; per-row conditions not certifiable")
     if cond == "4.15":
         per_row_values = [max((row_abs_sum(row) for row in W.rows), default=0)
-                          for W in tail_sum_family(p, window).per_row]
+                          for W in tail_sum_family(p, window)]
         if window.row_tail != ZERO_TAIL:
             return LimitEstimate("sup", None, STATUS_EXACT, TREND_EXACT,
                                  tuple(range(len(per_row_values))), tuple(per_row_values),
@@ -219,14 +210,13 @@ def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WIND
     """
     if cond not in CONDITION_IDS:
         raise DimensionError(f"unknown condition id {cond!r}")
-    window = as_window(matrix)
     if cond in RAW_CONDITION_IDS:
-        return _raw_condition(cond, window, trend_window, tolerance)
+        return _raw_condition(cond, matrix, trend_window, tolerance)
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
     check_params(params)
-    assoc = transformed_rows(params, window) if cond in _ASSOCIATE_IDS else None
-    return _transformed_condition(cond, params, window, assoc, trend_window, tolerance)
+    assoc = transformed_rows(params, matrix) if cond in _ASSOCIATE_IDS else None
+    return _transformed_condition(cond, params, matrix, assoc, trend_window, tolerance)
 
 
 def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
@@ -304,10 +294,9 @@ def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW
         raise DimensionError(f"source and target must be in {SPACES}")
     tolerance = p.backend.tolerance if tolerance is None else tolerance
     required = REQUIRED_CONDITIONS[(source, target)]
-    window = as_window(matrix)
     # every pair needs 4.13 or 4.18: build the associate rows once for all of them
-    assoc = transformed_rows(p, window)
-    estimates = {cond: _transformed_condition(cond, p, window, assoc, trend_window, tolerance)
+    assoc = transformed_rows(p, matrix)
+    estimates = {cond: _transformed_condition(cond, p, matrix, assoc, trend_window, tolerance)
                  for cond in required}
     verdicts = {cond: condition_verdict(cond, est, tolerance) for cond, est in estimates.items()}
     notes = (SHIFTED_MEMBERSHIP_NOTE,) if set(required) & set(_SHIFTED_MEMBERSHIP_IDS) else ()
@@ -333,5 +322,5 @@ __all__ = [
     "CONDITION_SUMMARY", "CONDITION_PREDICATE", "REQUIRED_CONDITIONS",
     "ON_ASSOCIATE", "SHIFTED_MEMBERSHIP_NOTE", "SPACES",
     "eval_condition", "condition_verdict", "classify_map", "ClassReport",
-    "transformed_rows", "tail_sum_family", "TailSumFamily",
+    "transformed_rows", "tail_sum_family",
 ]

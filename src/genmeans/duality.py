@@ -238,7 +238,7 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 
     if dual == "alpha":
         C = alpha_dual_matrix(p, a)
-        est = subset_column_sup(C.to_window(), tolerance=p.backend.tolerance)
+        est = subset_column_sup(C, tolerance=p.backend.tolerance)
         return Verdict("satisfied",
                        "finite column-subset sup on the coordinatewise-product matrix",
                        evidence={"subset_sup": est})

@@ -23,7 +23,6 @@ from .triangle import (
     invert_triangle,
     toeplitz_inverse_coeffs,
     coeff_via_determinant,
-    window_apply,
 )
 from .operators import (
     ParameterTriple,
@@ -250,8 +249,8 @@ def run_selftest(seed=20240601, emit=print) -> bool:
                       for n in range(order) for k in range(order))
         A = random_zero_tail_rows(rng, order, order)
         x = random_window(rng, order)
-        passed &= window_apply(A, x) == window_apply(associate_matrix(p, A).window,
-                                                     transform(p, x))
+        passed &= (apply(A, x).values
+                   == apply(associate_matrix(p, A).window, transform(p, x)).values)
     check("associate matrices honor the coordinate change", passed)
 
     p = random_params(rng, order)
@@ -260,7 +259,7 @@ def run_selftest(seed=20240601, emit=print) -> bool:
                  for tgt in ("c0", "c", "l_inf"))
     passed &= all(compactness_verdict(p, A, tgt).status == "satisfied"
                   for tgt in ("c0", "c", "l_inf"))
-    eye_assoc = supplied_associate(identity(order).to_window())
+    eye_assoc = supplied_associate(identity(order))
     chi0 = chi_norm(p, eye_assoc, "c0")
     passed &= chi0.lower == 1 and chi0.upper == 1
     check("noncompactness gauges on finite-rank and identity associates", passed)

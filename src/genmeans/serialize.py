@@ -200,7 +200,7 @@ def _plain(value):
         return scalar_to_json(value)
     if isinstance(value, SequenceWindow):
         return sequence_to_json(value)
-    if isinstance(value, (TriangleMatrix, MatrixWindow)):
+    if isinstance(value, MatrixWindow):
         return matrix_to_json(value)
     if isinstance(value, LimitEstimate):
         return {

@@ -1,10 +1,14 @@
-"""Finite lower-triangular matrix algebra with declared tail behavior.
+"""Finite matrix windows and lower-triangular algebra with declared tail behavior.
 
 Every object here is a finite truncation plus a *tail tag* saying what the
 rows beyond the stored window do: vanish identically ("zero"), follow the
 generating formula that built the object ("structural"), or are unspecified
 ("unknown").  Operations propagate tags pessimistically so that no infinite
 claim is ever produced from finite data without a declaration backing it.
+
+A ``TriangleMatrix`` is a ``MatrixWindow`` of triangular shape (row n holds
+n+1 entries), so it extends past its order as any window does, and one
+``apply`` takes either.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -124,58 +128,14 @@ def seq_scale(alpha, x):
 
 
 @dataclass(frozen=True)
-class TriangleMatrix:
-    """An N x N lower-triangular window with ragged storage (row n holds n+1 entries).
-
-    The strict triangularity invariant — entry (n, k) = 0 for k > n — is
-    guaranteed by the storage shape.  A triangle in the invertible sense
-    additionally needs a nonzero diagonal; only operations that require
-    invertibility check that.
-
-    ``row_fn`` optionally generates row n (length n+1) for indices beyond the
-    stored window when the tail is structural; ``capacity`` is the exclusive
-    bound on generatable indices (None = unlimited).
-    """
-
-    order: int
-    rows: tuple
-    tail: str = UNKNOWN_TAIL
-    row_fn: Optional[Callable[[int], tuple]] = None
-    capacity: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if self.order != len(self.rows):
-            raise DimensionError(f"order {self.order} does not match {len(self.rows)} stored rows")
-        for n, row in enumerate(self.rows):
-            if len(row) != n + 1:
-                raise DimensionError(f"row {n} must hold {n + 1} entries, got {len(row)}")
-        if self.tail not in MATRIX_TAILS:
-            raise ValueError(f"matrix tail must be one of {MATRIX_TAILS}, got {self.tail!r}")
-
-    def entry(self, n, k):
-        if k > n:
-            return 0
-        return self.rows[n][k]
-
-    def row(self, n):
-        return self.rows[n]
-
-    def diagonal(self):
-        return tuple(self.rows[n][n] for n in range(self.order))
-
-    def to_window(self):
-        return MatrixWindow(self.rows, self.tail, self.row_fn, self.capacity)
-
-
-@dataclass(frozen=True)
 class MatrixWindow:
     """A general (not necessarily triangular) matrix truncation.
 
     Stored rows are complete supports: entries beyond a stored row are zero,
     so every row has a zero tail in the column direction.  ``row_tail``
-    declares the rows beyond the stored block, with the same meaning as the
-    triangle tags.
+    declares the rows beyond the stored block.  ``row_fn`` optionally
+    generates row n beyond it when the tail is structural; ``capacity`` is
+    the exclusive bound on generatable indices (None = unlimited).
     """
 
     rows: tuple
@@ -222,12 +182,30 @@ class MatrixWindow:
         return None
 
 
-def as_window(matrix):
-    if isinstance(matrix, MatrixWindow):
-        return matrix
-    if isinstance(matrix, TriangleMatrix):
-        return matrix.to_window()
-    raise TypeError(f"expected TriangleMatrix or MatrixWindow, got {type(matrix).__name__}")
+class TriangleMatrix(MatrixWindow):
+    """A matrix window of triangular shape: row n holds n+1 entries, so the
+    invariant entry (n, k) = 0 for k > n holds by storage.  Invertibility (a
+    nonzero diagonal) is checked only by the operations that need it.
+    ``order`` and ``tail`` read the row count and the row tail."""
+
+    def __init__(self, order, rows, tail=UNKNOWN_TAIL, row_fn=None, capacity=None):
+        super().__init__(rows, tail, row_fn, capacity)
+        if order != len(self.rows):
+            raise DimensionError(f"order {order} does not match {len(self.rows)} stored rows")
+        for n, row in enumerate(self.rows):
+            if len(row) != n + 1:
+                raise DimensionError(f"row {n} must hold {n + 1} entries, got {len(row)}")
+
+    @property
+    def order(self):
+        return len(self.rows)
+
+    @property
+    def tail(self):
+        return self.row_tail
+
+    def diagonal(self):
+        return tuple(self.rows[n][n] for n in range(self.order))
 
 
 def identity(order, backend=None):
@@ -274,31 +252,23 @@ def compose(left, right):
 
 
 def apply(matrix, x):
-    """The matrix transform (Mx)_n = sum_{k<=n} entries[n][k] x_k."""
-    if matrix.order != len(x):
+    """The matrix transform (Mx)_n = sum_k m_nk x_k of any matrix window.
+
+    Each sum starts from the row's first product, so float zeros keep their
+    sign; an empty row gives 0.  The result has a zero tail only when both
+    the row tail and x do."""
+    if isinstance(matrix, TriangleMatrix) and matrix.order != len(x):
         raise DimensionError(f"order {matrix.order} does not match sequence length {len(x)}")
     vals = []
-    for n in range(matrix.order):
-        row = matrix.rows[n]
-        acc = row[0] * x[0]
-        for k in range(1, n + 1):
-            acc += row[k] * x[k]
-        vals.append(acc)
-    tail = ZERO_TAIL if (matrix.tail == ZERO_TAIL and x.tail == ZERO_TAIL) else UNKNOWN_TAIL
-    return SequenceWindow(vals, tail)
-
-
-def window_apply(window, x):
-    """Apply a general matrix window row-by-row to a sequence window."""
-    vals = []
-    for row in window.rows:
+    for row in matrix.rows:
         if len(row) > len(x):
             raise DimensionError(f"row of width {len(row)} exceeds sequence length {len(x)}")
-        acc = 0
-        for k, v in enumerate(row):
-            acc += v * x[k]
+        acc = row[0] * x[0] if row else 0
+        for k in range(1, len(row)):
+            acc += row[k] * x[k]
         vals.append(acc)
-    return tuple(vals)
+    tail = ZERO_TAIL if (matrix.row_tail == ZERO_TAIL and x.tail == ZERO_TAIL) else UNKNOWN_TAIL
+    return SequenceWindow(vals, tail)
 
 
 def invert_triangle(matrix):
@@ -324,10 +294,8 @@ def invert_triangle(matrix):
     rows = tuple(tuple(row) for row in inv)
 
     if matrix.tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
-        source = matrix.to_window()
-
         def row_fn(n):
-            ext_rows = [source.row(i) for i in range(n + 1)]
+            ext_rows = [matrix.row(i) for i in range(n + 1)]
             if any(r is None for r in ext_rows):
                 raise DimensionError(f"cannot generate row {n} beyond declared capacity")
             extended = TriangleMatrix(n + 1, ext_rows, UNKNOWN_TAIL)

@@ -161,8 +161,8 @@ def test_criterion_07_associate_matrix_identity():
             p = random_params(rng, 16)
             A = random_zero_tail_rows(rng, 6, 16)
             x = random_window(rng, 16)
-            lhs = gm.window_apply(A, x)
-            rhs = gm.window_apply(gm.associate_matrix(p, A).window, gm.transform(p, x))
+            lhs = gm.apply(A, x).values
+            rhs = gm.apply(gm.associate_matrix(p, A).window, gm.transform(p, x)).values
             assert lhs == rhs
         for _ in range(25):
             p = random_params(rng, 16)
@@ -181,7 +181,7 @@ def test_criterion_08_chi_formulas():
             assert est.lower == 0 and est.upper == 0
             assert gm.compactness_verdict(p, finite, target).status == "satisfied"
 
-        eye = gm.supplied_associate(gm.identity(16).to_window())
+        eye = gm.supplied_associate(gm.identity(16))
         est = gm.chi_norm(p, eye, "c0")
         assert est.lower == 1 and est.upper == 1
         est = gm.chi_norm(p, eye, "c")

@@ -84,7 +84,7 @@ def test_chi_command_with_supplied_associate(tmp_path, capsys):
     # serialization drops row generators, so a structural file only bounds the
     # gauge from its stored window: values reported, status honest
     path = tmp_path / "atilde.json"
-    path.write_text(json.dumps(matrix_to_json(identity(8).to_window())))
+    path.write_text(json.dumps(matrix_to_json(identity(8))))
     code, out = run(capsys, "chi", "--atilde", str(path), "--target", "c0", "--n", "8")
     assert code == 0
     result = json.loads(out)["result"]
@@ -210,6 +210,25 @@ def test_malformed_json_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["transform", "--n", "4", "--input", str(path)]) == 2
+
+
+def test_malformed_sequence_flag_file_exit_code(tmp_path, capsys, ones_file):
+    path = tmp_path / "bad.json"
+    path.write_text('{"values": [1, 2')
+    assert main(["transform", "--preset", "uv", "--u", f"@{path}", "--v", "ones",
+                 "--n", "2", "--input", ones_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --u: malformed JSON at line 1, column 17")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--matrix", "A.json", "--atilde", "B.json"], []])
+def test_chi_needs_exactly_one_matrix_flag(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--n", "4", "--target", "c0"] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--atilde" in err
 
 
 def test_strict_indeterminate_exit_code(tmp_path):

@@ -10,6 +10,7 @@ from genmeans import (
     MatrixWindow,
     PresetSpec,
     SequenceWindow,
+    apply,
     associate_matrix,
     associate_row,
     chi_norm,
@@ -23,7 +24,6 @@ from genmeans import (
     preset,
     supplied_associate,
     transform,
-    window_apply,
 )
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
@@ -43,7 +43,7 @@ def finite_rank(width):
 
 
 def identity_associate(order):
-    return supplied_associate(identity(order).to_window())
+    return supplied_associate(identity(order))
 
 
 def decaying_associate(order):
@@ -83,7 +83,7 @@ def test_fundamental_identity(p, data):
     A = MatrixWindow(rows, "zero")
     x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(8)))
     y = transform(p, x)
-    assert window_apply(A, x) == window_apply(associate_matrix(p, A).window, y)
+    assert apply(A, x).values == apply(associate_matrix(p, A).window, y).values
 
 
 # --- operator norm --------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_tail_sum_family_single_coordinate_row():
     S = mean_difference_inverse(p)
     A = MatrixWindow((unit_sequence(6, 2, RATIONAL).values,), "zero")
     fam = tail_sum_family(p, A)
-    W = fam.per_row[0]
+    W = fam[0]
     for cut in range(3):
         for k in range(cut + 1):
             assert W.entry(cut, k) == S.entry(2, k)

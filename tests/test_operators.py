@@ -183,7 +183,7 @@ def test_composite_matches_direct_kernel():
 
 def _generated_rows_match_direct_kernel(p):
     # rows past the stored order come from the structural generator alone
-    T = mean_difference_matrix(p).to_window()
+    T = mean_difference_matrix(p)
     for n in range(p.order, p.capacity):
         assert T.row(n) == tuple(composite_entry(p, n, j) for j in range(n + 1))
     assert T.row(p.capacity) is None

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from genmeans import (
     DimensionError,
     GuardError,
+    MatrixWindow,
     ParameterError,
     RATIONAL,
     SequenceWindow,
@@ -23,7 +24,7 @@ from genmeans import (
     toeplitz_inverse_coeffs,
     unit_sequence,
 )
-from genmeans.operators import difference_matrix
+from genmeans.operators import difference_matrix, identity_triple, mean_difference_matrix
 
 from conftest import fraction_windows, lower_triangles, small_fractions
 
@@ -82,6 +83,24 @@ def test_apply_tail_propagation():
     assert apply(identity(2), x).tail == "unknown"
 
 
+def test_apply_general_window():
+    A = MatrixWindow(((F(1), F(2)), (), (F(0), F(0), F(3))), "zero")
+    y = apply(A, SequenceWindow((F(1), F(1), F(2)), "zero"))
+    assert y.values == (F(3), 0, F(6)) and y.tail == "zero"
+
+
+def test_apply_dimension_errors():
+    A = MatrixWindow(((F(1), F(2), F(3)),), "zero")
+    with pytest.raises(DimensionError):
+        apply(A, SequenceWindow((F(1), F(1)), "zero"))
+    with pytest.raises(DimensionError):
+        apply(identity(2), SequenceWindow((F(1), F(1), F(1)), "zero"))
+
+
+def test_triangles_are_matrix_windows():
+    assert isinstance(mean_difference_matrix(identity_triple(4)), MatrixWindow)
+
+
 def test_invert_identity():
     assert invert_triangle(identity(4)).rows == identity(4).rows
 
@@ -102,7 +121,7 @@ def test_invert_structural_generator_extends():
     d1 = difference_matrix(1, 4)
     inv = invert_triangle(d1)
     assert inv.tail == "structural"
-    assert inv.to_window().row(6) == (F(1),) * 7
+    assert inv.row(6) == (F(1),) * 7
 
 
 def test_toeplitz_coeffs_ones():
