@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from genmeans import (
     MatrixWindow,
     PresetSpec,
+    associate_matrix,
     chi_norm,
     compactness_verdict,
     identity,
@@ -45,9 +46,11 @@ def main():
 
     header = ["instance", "op norm", "chi c0", "chi c", "chi l_inf"]
     print("  ".join(f"{cell:<34}" for cell in header))
-    survey("finite rank (zero tail)", p, finite)
-    survey("composite operator (euler)", p, mean_difference_matrix(p))
-    survey("weighted mean only (euler)", p, weighted_mean_matrix(p))
+    # one associate per instance: its seven gauge calls share the extension
+    # and the row sums
+    survey("finite rank (zero tail)", p, associate_matrix(p, finite))
+    survey("composite operator (euler)", p, associate_matrix(p, mean_difference_matrix(p)))
+    survey("weighted mean only (euler)", p, associate_matrix(p, weighted_mean_matrix(p)))
     survey("supplied associate: identity", p, supplied_associate(identity(order)))
     survey("supplied associate: 1/(n+1) e0", p, decaying)
 

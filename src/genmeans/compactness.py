@@ -42,7 +42,8 @@ class AssociateMatrix:
     """Rows R(A_n), computed through the coordinate change or supplied
     directly by the caller (so the gauge formulas can be exercised
     independently of the transform pipeline).  The gauges below read one
-    window, so its structural extension is generated once for all of them."""
+    window, so its structural extension is generated, and its rows summed,
+    once for all of them."""
 
     window: MatrixWindow
 
@@ -66,7 +67,9 @@ def _resolve_associate(p, matrix_or_associate) -> AssociateMatrix:
 def operator_norm(p, matrix_or_associate, *, trend_window=DEFAULT_TREND_WINDOW,
                   tolerance=None) -> LimitEstimate:
     """sup_n of the associate rows' absolute sums; exact when rows are
-    eventually zero, windowed with trend classification otherwise."""
+    eventually zero, windowed with trend classification otherwise.  A matrix
+    gets an associate of its own per call; an ``AssociateMatrix`` shares its
+    extension and cached row sums with every gauge that reads it."""
     check_params(p)
     tolerance = p.backend.tolerance if tolerance is None else tolerance
     assoc = _resolve_associate(p, matrix_or_associate)
@@ -103,6 +106,11 @@ def _half(value):
 
 def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDOW,
              tolerance=None) -> ChiEstimate:
+    """The noncompactness gauge of the induced operator into ``target``: the
+    limsup of the associate rows' absolute sums (c0; [0, limsup] for l_inf),
+    or the sandwich around the column-shifted limsup (c).  A matrix gets an
+    associate of its own per call; an ``AssociateMatrix`` shares its extension
+    and cached row sums with every gauge that reads it."""
     check_params(p)
     if target not in TARGETS:
         raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
@@ -137,7 +145,9 @@ def compactness_verdict(p, matrix_or_associate, target, *,
     for null/bounded targets, the column-shifted sums for convergent targets.
     For a bounded target a vanishing limit is only sufficient (the gauge is
     bracketed by [0, L]), so a nonzero limit there stays indeterminate.
-    Decisive only under decisive tails; never a guess."""
+    Decisive only under decisive tails; never a guess.  A matrix gets an
+    associate of its own per call; an ``AssociateMatrix`` shares its extension
+    and cached row sums with every gauge that reads it."""
     check_params(p)
     if target not in TARGETS:
         raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")

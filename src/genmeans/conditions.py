@@ -23,6 +23,7 @@ from .limits import (
     DEFAULT_TREND_WINDOW,
     LimitEstimate,
     Verdict,
+    abs_row_sum,
     column_limits,
     column_shifted,
     limit_of_rows,
@@ -39,7 +40,7 @@ from .triangle import (
     MatrixWindow,
     SequenceWindow,
 )
-from .duality import associate_row, tail_sum_matrix
+from .duality import associate_kernel, tail_sum_matrix
 from .operators import check_params
 
 SPACES = ("c0", "c", "l_inf")
@@ -112,17 +113,14 @@ SHIFTED_MEMBERSHIP_NOTE = (
     "n -> (sum_k R_k(A_n)) - gamma_n in the stated space")
 
 
-def _window_rows_as_sequences(window):
-    return [SequenceWindow(row, ZERO_TAIL) for row in window.rows]
-
-
 def transformed_rows(p, matrix) -> MatrixWindow:
     """The matrix with rows R(A_n): each source row re-expressed against the
     inverse columns.  Requires complete (zero-tail) rows; the row tail in the
-    n direction propagates, with a derived generator for structural tails."""
+    n direction propagates, with a derived generator for structural tails.
+    The parameters are checked once here, not once per stored or generated row."""
     check_params(p)
-    rows = tuple(tuple(associate_row(p, seq).values)
-                 for seq in _window_rows_as_sequences(matrix))
+    associate = associate_kernel(p)
+    rows = tuple(map(associate, matrix.rows))
     row_fn = None
     capacity = matrix.capacity
     if matrix.row_tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
@@ -133,7 +131,7 @@ def transformed_rows(p, matrix) -> MatrixWindow:
             src = matrix.row(n)
             if src is None:
                 raise DimensionError(f"cannot generate source row {n}")
-            return associate_row(p, SequenceWindow(src, ZERO_TAIL)).values
+            return associate(src)
 
     return MatrixWindow(rows, matrix.row_tail, row_fn, capacity)
 
@@ -141,7 +139,7 @@ def transformed_rows(p, matrix) -> MatrixWindow:
 def tail_sum_family(p, matrix) -> tuple:
     """The tail-sum triangle of each source row."""
     check_params(p)
-    return tuple(tail_sum_matrix(p, seq) for seq in _window_rows_as_sequences(matrix))
+    return tuple(tail_sum_matrix(p, SequenceWindow(row, ZERO_TAIL)) for row in matrix.rows)
 
 
 def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
@@ -223,8 +221,7 @@ def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
     if cond == "4.24":
-        est = sup_of_rows(assoc, lambda row: abs(row_sum(row)), trend_window=trend_window,
-                          tolerance=tolerance)
+        est = sup_of_rows(assoc, abs_row_sum, trend_window=trend_window, tolerance=tolerance)
     elif cond in ON_ASSOCIATE:
         est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
     else:

@@ -12,9 +12,11 @@ anything else is rejected rather than extrapolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError
 from .limits import Verdict, row_abs_sum, subset_column_sup
+from .scalars import FLOAT_MODE
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
@@ -28,6 +30,7 @@ from .operators import (
     NormResult,
     _mean_transpose_solve,
     _running_sums,
+    _same,
     check_params,
     exact_twin,
     inverse_transform,
@@ -114,6 +117,15 @@ def _associate(p, a, order):
             f"source row support {support} exceeds parameter capacity {p.capacity}")
     b = _running_sums(reversed(a[:support]), p.m)[::-1]
     return _mean_transpose_solve(p, b)[:order] + [0] * (order - support)
+
+
+def associate_kernel(p):
+    """a -> R_0 .. R_{len(a)-1} for the values a of a zero-tail row, on
+    parameters the caller has checked: the exact twin is resolved once for
+    every row mapped (``conditions.transformed_rows``), not once per row."""
+    q, _, out = exact_twin(p)
+    lift = Fraction if p.backend.mode == FLOAT_MODE else _same
+    return lambda a: tuple(map(out, _associate(q, tuple(map(lift, a)), len(a))))
 
 
 def associate_row(p, a, order=None) -> AssociateRow:

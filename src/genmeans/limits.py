@@ -6,7 +6,15 @@ structural tail lets us extend the window by the generating formula and
 classify the observed trace (status "trend-converged" when the trace
 resolves, "indeterminate" otherwise).  Unknown tails never produce a
 decisive status.  Every estimator reads the extension a window computes
-once, ``MatrixWindow.extended``; trace indices are its row numbers.
+once, ``MatrixWindow.extended``; trace indices are its row numbers.  The
+signed and absolute row sums are traces the window also computes once
+(``MatrixWindow.row_sums``, ``row_abs_sums``), so the estimators and every
+gauge on one window share them.
+
+Row sums of int and Fraction entries are taken on integers: one lcm of the
+denominators, integer adds, one Fraction at the end (the fraction-free idea
+of the operator kernels), so an N-entry sum costs no gcd per term.  A row
+holding a float adds left to right through ``total``.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 
-from .scalars import DEFAULT_TOLERANCE, zero_like
+from .scalars import DEFAULT_TOLERANCE, common_denominator, zero_like
 from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
 
 STATUS_EXACT = "exact"
@@ -127,12 +137,42 @@ def total(values):
     return reduce(operator.add, values, 0)
 
 
+_EXACT_TYPES = {int, Fraction}
+
+
+def _exact_total(row, absolute=False, alphas=()):
+    """sum_k row_k, sum_k |row_k| (``absolute``), or sum_k |row_k - alpha_k|
+    (``alphas`` given, both padded with zeros) of int and Fraction entries:
+    one lcm of all denominators, row and alphas scaled together, integer adds
+    and one Fraction at the end.  An all-int input gives an int and the empty
+    row 0, as ``total`` would; None when an entry is anything else (a float),
+    so the caller adds left to right instead."""
+    values = (*row, *alphas)
+    kinds = set(map(type, values))
+    if not kinds <= _EXACT_TYPES:
+        return None
+    nums, den = common_denominator(values)
+    if alphas:
+        nums = [a - b for a, b in zip_longest(nums[:len(row)], nums[len(row):], fillvalue=0)]
+    value = sum(map(abs, nums)) if absolute else sum(nums)
+    return Fraction(value, den) if Fraction in kinds else value
+
+
 def row_abs_sum(row):
-    return total(abs(v) for v in row)
+    """sum_k |a_nk|."""
+    value = _exact_total(row, absolute=True)
+    return total(abs(v) for v in row) if value is None else value
 
 
 def row_sum(row):
-    return total(row)
+    """sum_k a_nk."""
+    value = _exact_total(row)
+    return total(row) if value is None else value
+
+
+def abs_row_sum(row):
+    """|sum_k a_nk|, the row statistic of condition 4.24."""
+    return abs(row_sum(row))
 
 
 def column_value(row, k):
@@ -143,17 +183,30 @@ def shifted_row_abs_sum(row, alphas):
     """sum_k |row_k - alpha_k| with the limit vector padded by zeros beyond
     its computed width (the standard truncation reading: column limits past
     the stored window are taken as zero)."""
-    total = 0
-    for k in range(max(len(row), len(alphas))):
-        a = alphas[k] if k < len(alphas) else 0
-        total += abs(column_value(row, k) - a)
-    return total
+    value = _exact_total(row, absolute=True, alphas=alphas)
+    if value is None:
+        value = total(abs(column_value(row, k) - column_value(alphas, k))
+                      for k in range(max(len(row), len(alphas))))
+    return value
+
+
+def _trace(window, rowstat):
+    """rowstat over the window's extension.  The signed and absolute row sums
+    are read from the traces the window computes once
+    (``MatrixWindow.row_sums``, ``MatrixWindow.row_abs_sums``)."""
+    if rowstat is row_abs_sum:
+        return window.row_abs_sums
+    if rowstat is row_sum:
+        return window.row_sums
+    if rowstat is abs_row_sum:
+        return tuple(map(abs, window.row_sums))
+    return tuple(map(rowstat, window.extended))
 
 
 def sup_of_rows(window, rowstat, kind="sup",
                 trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """sup_n rowstat(row_n) over the infinite row index."""
-    trace = tuple(rowstat(row) for row in window.extended)
+    trace = _trace(window, rowstat)
     ns = tuple(range(len(trace)))
     if not trace:
         if window.row_tail == ZERO_TAIL:
@@ -180,7 +233,7 @@ def sup_of_rows(window, rowstat, kind="sup",
 def limit_of_rows(window, rowstat, kind="lim",
                   trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """lim_n rowstat(row_n); exact for zero tails (value at the empty row)."""
-    trace = tuple(rowstat(row) for row in window.extended)
+    trace = _trace(window, rowstat)
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
@@ -196,7 +249,7 @@ def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
     """limsup_n rowstat(row_n): exact 0 past a zero tail, the ladder's limit
     when the extended trace resolves (a convergent trace's limsup is its
     limit), else the windowed maximum at indeterminate status."""
-    trace = tuple(rowstat(row) for row in window.extended)
+    trace = _trace(window, rowstat)
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("limsup", rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
@@ -319,7 +372,7 @@ def subset_column_sup(window, max_exact_columns=12,
                 chosen.append(k)
                 current = cand
                 improved = True
-    upper = total(row_abs_sum(r) for r in rows)
+    upper = total(window.row_abs_sums)
     status = STATUS_EXACT if exact_tail else STATUS_INDET
     return LimitEstimate("sup", (current, upper), status,
                          TREND_EXACT if exact_tail else TREND_SHORT, ns,

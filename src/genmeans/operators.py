@@ -25,7 +25,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
-from .scalars import Backend, FLOAT_MODE, RATIONAL
+from .scalars import FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator
 from .triangle import (
     STRUCTURAL_TAIL,
     SequenceWindow,
@@ -45,7 +45,9 @@ class ParameterTriple:
 
     r and t must be zero-free, s must have a nonzero leading entry, and every
     window must cover at least ``order`` terms.  Windows longer than ``order``
-    raise the structural-extension capacity.
+    raise the structural-extension capacity.  On the rational backend the
+    windows are stored as Fractions (``Backend.convert``), so int windows
+    cannot leak floats through division.
     """
 
     r: tuple
@@ -56,9 +58,11 @@ class ParameterTriple:
     backend: Backend = RATIONAL
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "t", tuple(self.t))
+        for name in ("r", "s", "t"):
+            window = tuple(getattr(self, name))
+            if self.backend.mode == RATIONAL_MODE and set(map(type, window)) - {Fraction}:
+                window = tuple(map(self.backend.convert, window))
+            object.__setattr__(self, name, window)
 
     @property
     def capacity(self):
@@ -153,7 +157,12 @@ def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
     p, order = _lifted(p, order)
 
     def row(n):
-        return tuple(p.s[n - k] * p.t[k] / p.r[n] for k in range(n + 1))
+        # one Fraction per entry from numerators and denominators: one gcd,
+        # not the four of a Fraction multiply and divide
+        rd, rn = p.r[n].denominator, p.r[n].numerator
+        return tuple(Fraction(p.s[n - k].numerator * p.t[k].numerator * rd,
+                              p.s[n - k].denominator * p.t[k].denominator * rn)
+                     for k in range(n + 1))
 
     return _structural(order, row, p.capacity)
 
@@ -237,16 +246,9 @@ def mean_difference_inverse(p, order=None) -> TriangleMatrix:
 # or ints, touch only the two triangular factors of T = W Delta^m, and
 # return lists of Fractions.
 
-def _common(values):
-    """(ints, den): the values as integers over den, the lcm of their denominators."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _differences(x, m):
     """Delta^m x: m first differences x_n - x_{n-1}, with x_{-1} = 0."""
-    x, den = _common(x)
+    x, den = common_denominator(x)
     for _ in range(m):
         x = [b - a for a, b in zip([0] + x, x)]
     return [Fraction(v, den) for v in x]
@@ -254,7 +256,7 @@ def _differences(x, m):
 
 def _running_sums(x, m):
     """Delta^{-m} x: m running sums."""
-    x, den = _common(x)
+    x, den = common_denominator(x)
     for _ in range(m):
         x = accumulate(x)
     return [Fraction(v, den) for v in x]
@@ -262,9 +264,9 @@ def _running_sums(x, m):
 
 def _mean_apply(p, d):
     """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n."""
-    d, dd = _common(d)
-    s, ds = _common(p.s[:len(d)])
-    t, dt = _common(p.t[:len(d)])
+    d, dd = common_denominator(d)
+    s, ds = common_denominator(p.s[:len(d)])
+    t, dt = common_denominator(p.t[:len(d)])
     td, den = list(map(mul, t, d)), ds * dt * dd
     return [Fraction(sum(map(mul, s[n::-1], td)) * r.denominator, den * r.numerator)
             for n, r in enumerate(p.r[:len(td)])]
@@ -277,7 +279,7 @@ def _toeplitz_solve(s, c):
     the lcm of the denominators seen so far, and rescaled only when q grows.
     """
     c = list(c)
-    s, ds = _common(s[:len(c)])
+    s, ds = common_denominator(s[:len(c)])
     tail, w, q, out = s[1:], [], 1, []
     for v in c:
         # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with s = S / ds, w = W / q

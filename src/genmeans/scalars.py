@@ -6,6 +6,7 @@ the float backend carries an absolute tolerance used by every equality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,3 +63,11 @@ def backend_for(mode, tolerance=None):
 def zero_like(value):
     """A zero of the same backend type as ``value``."""
     return Fraction(0) if isinstance(value, (Fraction, int)) else 0.0
+
+
+def common_denominator(values):
+    """(ints, den): int or Fraction values as integers over den, the lcm of
+    their denominators, so sums and inner products over them cost no gcd."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

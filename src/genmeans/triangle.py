@@ -166,6 +166,18 @@ class MatrixWindow:
             stop = min(stop, self.capacity)
         return tuple(self.row(n) for n in range(stop))
 
+    @cached_property
+    def row_sums(self):
+        """sum_k a_nk over the extended rows, computed once per window."""
+        from .limits import row_sum    # limits imports this module
+        return tuple(map(row_sum, self.extended))
+
+    @cached_property
+    def row_abs_sums(self):
+        """sum_k |a_nk| over the extended rows, computed once per window."""
+        from .limits import row_abs_sum
+        return tuple(map(row_abs_sum, self.extended))
+
     def entry(self, n, k):
         row = self.rows[n]
         return row[k] if k < len(row) else 0

@@ -26,6 +26,8 @@ from genmeans import (
     transform,
 )
 
+from genmeans import compactness, limits
+
 from conftest import parameter_triples, small_fractions, zero_tail_windows
 
 
@@ -212,6 +214,25 @@ def test_gauges_on_one_associate_generate_each_row_once():
     operator_norm(p, A)
     assert sorted(generated) == list(range(8, 32))
     assert set(generated.values()) == {1}
+
+
+def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
+    summed = []
+    row_abs_sum = limits.row_abs_sum
+
+    def counting_row_abs_sum(row):
+        summed.append(row)
+        return row_abs_sum(row)
+
+    # the gauges pass compactness.row_abs_sum; limits evaluates limits.row_abs_sum
+    for module in (limits, compactness):
+        monkeypatch.setattr(module, "row_abs_sum", counting_row_abs_sum)
+    A = supplied_associate(identity(8))
+    p = euler_triple(4)
+    operator_norm(p, A)
+    chi_norm(p, A, "c0")
+    compactness_verdict(p, A, "c0")
+    assert summed == list(A.window.extended) and len(summed) == 32
 
 
 def test_euler_structural_instances_give_trend_estimates():

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genmeans import MatrixWindow, eval_condition, identity_triple
@@ -10,11 +10,14 @@ from genmeans.limits import (
     STATUS_TREND,
     analyze_tail,
     column_limits,
+    column_value,
     limit_of_rows,
     limsup_of_rows,
     row_abs_sum,
     row_sum,
+    shifted_row_abs_sum,
     sup_of_rows,
+    total,
 )
 
 # q -> lim q^n, or None when the powers have no limit
@@ -75,6 +78,44 @@ def test_trace_beyond_the_double_range_is_indeterminate():
 def test_float_row_sums_add_left_to_right():
     # compensated summation (sum() since Python 3.12) would give 1.0
     assert row_sum((1e16, 1.0, -1e16)) == 0.0
+
+
+def reference_row_statistics(row, alphas):
+    """The three row statistics as left-to-right sums through ``total``."""
+    shifted = (abs(column_value(row, k) - column_value(alphas, k))
+               for k in range(max(len(row), len(alphas))))
+    return total(row), total(abs(v) for v in row), total(shifted)
+
+
+def row_statistics(row, alphas):
+    return row_sum(row), row_abs_sum(row), shifted_row_abs_sum(row, alphas)
+
+
+ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+rationals = st.one_of(ints, st.fractions(max_denominator=10 ** 4))
+exact_rows = st.one_of(st.lists(ints, max_size=10), st.lists(rationals, max_size=10))
+
+
+@given(exact_rows, exact_rows)
+@example([], [])
+@example([3, -4], [1])
+@example([F(1, 2), -2], [])
+def test_exact_row_statistics_match_left_to_right_sums(row, alphas):
+    # one common denominator must give the same value and the same type
+    # (int for all-int input, 0 for the empty row, else Fraction)
+    for got, want in zip(row_statistics(row, alphas), reference_row_statistics(row, alphas)):
+        assert got == want and type(got) is type(want)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(st.lists(st.one_of(finite_floats, rationals), max_size=10),
+       st.lists(st.one_of(finite_floats, rationals), max_size=10))
+def test_rows_with_floats_keep_left_to_right_sums(row, alphas):
+    got, want = row_statistics(row, alphas), reference_row_statistics(row, alphas)
+    assert tuple(map(repr, got)) == tuple(map(repr, want))
+    assert tuple(map(type, got)) == tuple(map(type, want))
 
 
 def test_structural_tail_without_generator_is_named_by_every_estimator():

@@ -83,6 +83,13 @@ def test_validate_reports_short_windows():
     assert any("r window" in msg for msg in validate_params(p))
 
 
+def test_rational_triple_converts_int_windows():
+    p = ParameterTriple((1, 2, 3, 4), (1, 1, 1, 1), (1, 1, 1, 1), 1, 2, RATIONAL)
+    assert weighted_mean_matrix(p).rows == ((F(1),), (F(1, 2), F(1, 2)))
+    assert all(type(v) is F for row in weighted_mean_matrix(p).rows for v in row)
+    assert mean_difference_matrix(p).rows == ((F(1),), (F(0), F(1, 2)))
+
+
 # --- matrix constructions ---------------------------------------------------
 
 def test_mean_matrix_identity_preset():
