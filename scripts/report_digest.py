@@ -4,12 +4,15 @@
 Usage: python scripts/report_digest.py
 
 Runs the benchmark's own seeded jobs (``perfbench/workloads.py``) in this
-process and prints one digest line per group:
+process and the two demo scripts as child processes, and prints one digest
+line per group:
 
   analysis seed S     ``serialize._plain`` of every job of one analysis cycle
   cli seed S          stdout and exit code of each cli spec, run in process
   roundtrip-cold      ``repr`` of every job result of one cycle
   roundtrip-warm      the same for the warm workload
+  SCRIPT ARG          sha256 of the stdout of ``scripts/compactness_survey.py 12``
+                      and of ``scripts/transform_demo.py 8``
 
 It then compares the lines with the committed ``scripts/report_digests.txt``
 and exits 1, naming each group that differs.  A change that alters reports on
@@ -24,6 +27,7 @@ The sources come from this checkout (``src/`` and ``perfbench/``), whatever
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -35,6 +39,7 @@ from genmeans.serialize import _plain  # noqa: E402
 from worker import in_process  # noqa: E402
 
 SEEDS = (1, 2)
+SCRIPTS = (("compactness_survey.py", "12"), ("transform_demo.py", "8"))
 EXPECTED = os.path.join(ROOT, "scripts", "report_digests.txt")
 
 
@@ -73,6 +78,12 @@ def digest_lines():
             load = workloads.WORKLOADS[name](SEEDS[0], "full", os.path.join(tmp, name))
             texts = [repr(_run(job, caches)) for job in load.cycle()]
             yield f"{name} seed {SEEDS[0]}: {len(texts)} jobs {digest(texts)}"
+    path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
+    for script, arg in SCRIPTS:
+        out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), arg],
+                             stdout=subprocess.PIPE, check=True,
+                             env={**os.environ, "PYTHONPATH": path}).stdout
+        yield f"{script} {arg}: stdout {hashlib.sha256(out).hexdigest()}"
 
 
 def _group(line):

@@ -20,7 +20,6 @@ from .errors import (
     TailError,
 )
 from .triangle import (
-    CoeffWindow,
     MatrixWindow,
     SequenceWindow,
     TriangleMatrix,
@@ -61,10 +60,7 @@ from .operators import (
     weighted_mean_matrix,
 )
 from .duality import (
-    AssociateRow,
-    BasisVector,
     Reconstruction,
-    TailSumMatrix,
     alpha_dual_matrix,
     associate_row,
     basis_vector,

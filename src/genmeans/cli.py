@@ -145,10 +145,10 @@ def _cmd_norm(args, backend):
 def _cmd_basis(args, backend):
     p, job_params = _resolve_params(args, backend)
     b = basis_vector(p, args.j)
-    y = transform(p, b.values)
+    y = transform(p, b)
     job = {"command": "basis", **job_params, "j": args.j}
-    result = {"index": b.index, "vector": b.values, "transformed": y}
-    return job, result, b.values, False
+    result = {"index": args.j, "vector": b, "transformed": y}
+    return job, result, b, False
 
 
 def _cmd_dual(args, backend):

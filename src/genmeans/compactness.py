@@ -26,7 +26,6 @@ from .limits import (
     column_shifted,
     limit_of_rows,
     limsup_of_rows,
-    row_abs_sum,
     sup_of_rows,
 )
 from .scalars import zero_like
@@ -72,8 +71,8 @@ def operator_norm(p, matrix_or_associate, *, trend_window=DEFAULT_TREND_WINDOW,
     extension and cached row sums with every gauge that reads it."""
     check_params(p)
     tolerance = p.backend.tolerance if tolerance is None else tolerance
-    assoc = _resolve_associate(p, matrix_or_associate)
-    return sup_of_rows(assoc.window, row_abs_sum, trend_window=trend_window,
+    assoc = _resolve_associate(p, matrix_or_associate).window
+    return sup_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
                        tolerance=tolerance)
 
 
@@ -119,7 +118,7 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
 
     if target != "c":
         # null target: the gauge is the limsup; bounded target: [0, limsup]
-        est = limsup_of_rows(assoc, row_abs_sum, trend_window=trend_window,
+        est = limsup_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
                              tolerance=tolerance)
         zero = zero_like(est.value) if est.value is not None else 0
         return ChiEstimate(target, est.value if target == "c0" else zero, est.value, None,
@@ -159,7 +158,7 @@ def compactness_verdict(p, matrix_or_associate, target, *,
         if est is None:
             return Verdict("indeterminate", "per-column limits unresolved", evidence=cols)
     else:
-        est = limit_of_rows(assoc, row_abs_sum, trend_window=trend_window,
+        est = limit_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
                             tolerance=tolerance)
 
     if est.status == STATUS_INDET:

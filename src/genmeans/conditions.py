@@ -23,12 +23,10 @@ from .limits import (
     DEFAULT_TREND_WINDOW,
     LimitEstimate,
     Verdict,
-    abs_row_sum,
     column_limits,
     column_shifted,
     limit_of_rows,
     row_abs_sum,
-    row_sum,
     subset_column_sup,
     sup_of_rows,
 )
@@ -180,14 +178,16 @@ def _raw_condition(cond, window, trend_window, tolerance):
     if cond == "4.4":
         return subset_column_sup(window, trend_window=trend_window, tolerance=tolerance)
     if cond == "4.5":
-        return sup_of_rows(window, row_abs_sum, trend_window=trend_window, tolerance=tolerance)
+        return sup_of_rows(window, window.row_abs_sums, trend_window=trend_window,
+                           tolerance=tolerance)
     if cond == "4.6":
-        return limit_of_rows(window, row_abs_sum, trend_window=trend_window,
+        return limit_of_rows(window, window.row_abs_sums, trend_window=trend_window,
                              tolerance=tolerance)
     if cond == "4.7":
         return column_limits(window, trend_window=trend_window, tolerance=tolerance)
     if cond == "4.8":
-        return limit_of_rows(window, row_sum, trend_window=trend_window, tolerance=tolerance)
+        return limit_of_rows(window, window.row_sums, trend_window=trend_window,
+                             tolerance=tolerance)
     if cond == "4.9":
         return column_limits(window, kind="exists", trend_window=trend_window,
                              tolerance=tolerance)
@@ -195,7 +195,7 @@ def _raw_condition(cond, window, trend_window, tolerance):
         cols, est = column_shifted(window, limit_of_rows, trend_window, tolerance)
         return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                                     note="column limits unresolved")
-    return limit_of_rows(window, row_sum, kind="exists", trend_window=trend_window,
+    return limit_of_rows(window, window.row_sums, kind="exists", trend_window=trend_window,
                          tolerance=tolerance)
 
 
@@ -221,7 +221,8 @@ def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
     if cond == "4.24":
-        est = sup_of_rows(assoc, abs_row_sum, trend_window=trend_window, tolerance=tolerance)
+        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)), trend_window=trend_window,
+                          tolerance=tolerance)
     elif cond in ON_ASSOCIATE:
         est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
     else:

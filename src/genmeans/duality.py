@@ -39,21 +39,14 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
-class BasisVector:
+def basis_vector(p, j) -> SequenceWindow:
     """Basis element b^(j); transform(p, b^(j)) is the j-th coordinate vector
     (or the all-ones sequence for the special index j = -1)."""
-
-    index: int
-    values: SequenceWindow
-
-
-def basis_vector(p, j) -> BasisVector:
     check_params(p)
     if j >= p.order or j < -1:
         raise DimensionError(f"basis index {j} outside [-1, {p.order})")
     e = ones_sequence(p.order, p.backend) if j == -1 else unit_sequence(p.order, j, p.backend)
-    return BasisVector(j, inverse_transform(p, e))
+    return inverse_transform(p, e)
 
 
 @dataclass(frozen=True)
@@ -91,20 +84,6 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
                           out(ell) if space == "c" else None, space == "c")
 
 
-@dataclass(frozen=True)
-class AssociateRow:
-    """R_k(a) = sum_{j>=k} a_j s_{jk}: the source row against the inverse columns."""
-
-    source: SequenceWindow
-    values: tuple
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
 def _associate(p, a, order):
     """R_0 .. R_{order-1} of the values a, on the exact twin p.
 
@@ -128,54 +107,38 @@ def associate_kernel(p):
     return lambda a: tuple(map(out, _associate(q, tuple(map(lift, a)), len(a))))
 
 
-def associate_row(p, a, order=None) -> AssociateRow:
-    """R_k(a) by one back substitution on W^T.
+def associate_row(p, a) -> SequenceWindow:
+    """R_k(a) = sum_{j>=k} a_j s_{jk}, the source row against the inverse
+    columns, by one back substitution on W^T.  R vanishes past the support of
+    a, so it has a zero tail.
 
     The defining sum over the dense inverse and the closed form are oracles
     for this route in the tests and in ``selfcheck``.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    order = len(a) if order is None else order
     q, (b,), out = exact_twin(p, a)
-    return AssociateRow(a, tuple(map(out, _associate(q, b.values, order))))
+    return SequenceWindow(map(out, _associate(q, b.values, len(a))), ZERO_TAIL)
 
 
-@dataclass(frozen=True)
-class TailSumMatrix:
-    """Triangle of tail sums w_pk = sum_{j>=p} a_j s_{jk} for 0 <= k <= p.
-
-    Rows vanish once the cut index p passes the support of a.
-    """
-
-    source: SequenceWindow
-    rows: tuple
-
-    def entry(self, row, k):
-        r = self.rows[row]
-        return r[k] if k < len(r) else 0
-
-    @property
-    def order(self):
-        return len(self.rows)
-
-
-def tail_sum_matrix(p, a, order=None) -> TailSumMatrix:
-    """Row p is R(a with the entries below p zeroed), cut after entry p.
+def tail_sum_matrix(p, a) -> TriangleMatrix:
+    """Triangle of tail sums w_pk = sum_{j>=p} a_j s_{jk} for 0 <= k <= p:
+    row p is R(a with the entries below p zeroed), cut after entry p.  Rows
+    vanish once p passes the support of a, so the triangle has a zero tail.
 
     R is linear, so the rows are built from the support down: row p is row
     p + 1 plus a_p R(e_p).  ``selfcheck`` holds the closed-form oracle.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    order = len(a) if order is None else order
+    order = len(a)
     q, (b,), out = exact_twin(p, a)
     w, rows = [0] * order, []
-    for cut in reversed(range(max(order, b.support))):
-        if cut < b.support and b[cut] != 0:
+    for cut in reversed(range(order)):
+        if b[cut] != 0:
             w = [v + b[cut] * e for v, e in zip(w, _associate(q, (0,) * cut + (1,), order))]
         rows.append(tuple(map(out, w[:cut + 1])))
-    return TailSumMatrix(a, tuple(reversed(rows))[:order])
+    return TriangleMatrix(order, rows[::-1], ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -260,19 +223,18 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
         E = gamma_dual_matrix(p, a)
         row_sums = [row_abs_sum(E.rows[l]) for l in range(E.order)]
         # rows stabilize at the absolute associate total once l passes the support
-        stabilized = row_abs_sum(R.values)
-        sup_trace = max(row_sums + [stabilized])
+        stabilized = row_abs_sum(R)
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
                        evidence={"row_sums": tuple(row_sums),
                                  "stabilized_row_sum": stabilized,
-                                 "sup": sup_trace})
+                                 "sup": max(row_sums + [stabilized])})
 
     # beta: evaluate the membership sets needed for the source space
     R = associate_row(p, a)
     W = tail_sum_matrix(p, a)
     sets = {}
-    sets["B1"] = {"value": row_abs_sum(R.values), "satisfied": True}
+    sets["B1"] = {"value": row_abs_sum(R), "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
     row_abs = [row_abs_sum(row) for row in W.rows]
     sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}
@@ -288,8 +250,7 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 
 
 __all__ = [
-    "BasisVector", "Reconstruction", "AssociateRow", "TailSumMatrix",
-    "basis_vector", "reconstruct", "associate_row", "tail_sum_matrix",
+    "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_matrix",
     "alpha_dual_matrix", "gamma_dual_matrix", "dual_membership",
     "BETA_SET_LABELS", "BETA_SETS_BY_SPACE",
 ]

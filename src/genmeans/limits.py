@@ -5,11 +5,12 @@ declared tail turns it into a finite computation (status "exact").  A
 structural tail lets us extend the window by the generating formula and
 classify the observed trace (status "trend-converged" when the trace
 resolves, "indeterminate" otherwise).  Unknown tails never produce a
-decisive status.  Every estimator reads the extension a window computes
-once, ``MatrixWindow.extended``; trace indices are its row numbers.  The
-signed and absolute row sums are traces the window also computes once
-(``MatrixWindow.row_sums``, ``row_abs_sums``), so the estimators and every
-gauge on one window share them.
+decisive status.  The row estimators take a window and one scalar trace over
+its extension, ``MatrixWindow.extended``, computed once per window; trace
+indices are its row numbers.  The window supplies the tail declaration, the
+trace the values: the signed and absolute row sums (``MatrixWindow.row_sums``,
+``row_abs_sums``, also computed once per window, so every estimate and gauge
+on one window shares them), or a trace the caller builds from them.
 
 Row sums of int and Fraction entries are taken on integers: one lcm of the
 denominators, integer adds, one Fraction at the end (the fraction-free idea
@@ -44,6 +45,8 @@ TREND_OSCILLATING = "oscillating"
 TREND_SHORT = "short"
 
 DEFAULT_TREND_WINDOW = 8
+
+EXACT_SUBSET_COLUMNS = 12
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,6 @@ def row_sum(row):
     return total(row) if value is None else value
 
 
-def abs_row_sum(row):
-    """|sum_k a_nk|, the row statistic of condition 4.24."""
-    return abs(row_sum(row))
-
-
 def column_value(row, k):
     return row[k] if k < len(row) else 0
 
@@ -190,53 +188,39 @@ def shifted_row_abs_sum(row, alphas):
     return value
 
 
-def _trace(window, rowstat):
-    """rowstat over the window's extension.  The signed and absolute row sums
-    are read from the traces the window computes once
-    (``MatrixWindow.row_sums``, ``MatrixWindow.row_abs_sums``)."""
-    if rowstat is row_abs_sum:
-        return window.row_abs_sums
-    if rowstat is row_sum:
-        return window.row_sums
-    if rowstat is abs_row_sum:
-        return tuple(map(abs, window.row_sums))
-    return tuple(map(rowstat, window.extended))
-
-
-def sup_of_rows(window, rowstat, kind="sup",
-                trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
-    """sup_n rowstat(row_n) over the infinite row index."""
-    trace = _trace(window, rowstat)
+def sup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
+                tolerance=DEFAULT_TOLERANCE):
+    """sup_n of ``trace``, a row statistic over ``window.extended``, over the
+    infinite row index.  Past a zero tail every row statistic is 0."""
     ns = tuple(range(len(trace)))
     if not trace:
         if window.row_tail == ZERO_TAIL:
-            return LimitEstimate(kind, 0, STATUS_EXACT)
-        return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, note="no rows")
+            return LimitEstimate("sup", 0, STATUS_EXACT)
+        return LimitEstimate("sup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     observed = max(trace)
     if window.row_tail == ZERO_TAIL:
-        value = max(observed, rowstat(()))
-        return LimitEstimate(kind, value, STATUS_EXACT, TREND_EXACT, ns, trace)
+        return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
         status, trend, limit = analyze_tail(ns, trace, trend_window, tolerance)
         if trend == TREND_CONVERGED:
             # a trace rising to its limit never attains it: the sup is the limit
-            return LimitEstimate(kind, max(observed, limit), STATUS_TREND, trend, ns, trace)
+            return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
         if status != STATUS_INDET or trend == TREND_DRIFTING:
             # decaying or drifting down: the observed max dominates
-            return LimitEstimate(kind, observed, STATUS_TREND, trend, ns, trace)
-        return LimitEstimate(kind, observed, STATUS_INDET, trend, ns, trace,
+            return LimitEstimate("sup", observed, STATUS_TREND, trend, ns, trace)
+        return LimitEstimate("sup", observed, STATUS_INDET, trend, ns, trace,
                              note="tail trace unresolved; observed max is a lower bound")
-    return LimitEstimate(kind, observed, STATUS_INDET, TREND_SHORT, ns, trace,
+    return LimitEstimate("sup", observed, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "observed max is a lower bound"))
 
 
-def limit_of_rows(window, rowstat, kind="lim",
+def limit_of_rows(window, trace, kind="lim",
                   trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
-    """lim_n rowstat(row_n); exact for zero tails (value at the empty row)."""
-    trace = _trace(window, rowstat)
+    """lim_n of ``trace``, a row statistic over ``window.extended``; exactly 0
+    past a zero tail."""
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
-        return LimitEstimate(kind, rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
+        return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
         status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
         return LimitEstimate(kind, value, status, trend, ns, trace)
@@ -244,15 +228,15 @@ def limit_of_rows(window, rowstat, kind="lim",
                          note=_no_extension_note(window, "limit not computable from the window"))
 
 
-def limsup_of_rows(window, rowstat, trend_window=DEFAULT_TREND_WINDOW,
+def limsup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
                    tolerance=DEFAULT_TOLERANCE):
-    """limsup_n rowstat(row_n): exact 0 past a zero tail, the ladder's limit
-    when the extended trace resolves (a convergent trace's limsup is its
-    limit), else the windowed maximum at indeterminate status."""
-    trace = _trace(window, rowstat)
+    """limsup_n of ``trace``, a row statistic over ``window.extended``: exact 0
+    past a zero tail, the ladder's limit when the extended trace resolves (a
+    convergent trace's limsup is its limit), else the windowed maximum at
+    indeterminate status."""
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
-        return LimitEstimate("limsup", rowstat(()), STATUS_EXACT, TREND_EXACT, ns, trace)
+        return LimitEstimate("limsup", 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if not trace:
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     w = min(max(trend_window, 3), len(trace))
@@ -305,15 +289,15 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
 
 def column_shifted(window, estimator, trend_window=DEFAULT_TREND_WINDOW,
                    tolerance=DEFAULT_TOLERANCE):
-    """(column limits alpha, ``estimator`` over the rowstat sum_k |a_nk - alpha_k|).
+    """(column limits alpha, ``estimator`` over the trace sum_k |a_nk - alpha_k|).
 
     ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
     None when the column limits are unresolved."""
     cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
     if cols.status == STATUS_INDET or cols.value is None:
         return cols, None
-    return cols, estimator(window, lambda row: shifted_row_abs_sum(row, cols.value),
-                           trend_window=trend_window, tolerance=tolerance)
+    trace = tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended)
+    return cols, estimator(window, trace, trend_window=trend_window, tolerance=tolerance)
 
 
 def _worse_status(a, b):
@@ -321,12 +305,11 @@ def _worse_status(a, b):
     return a if rank[a] >= rank[b] else b
 
 
-def subset_column_sup(window, max_exact_columns=12,
-                      trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
+def subset_column_sup(window, trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
     """sup over finite column sets K of sum_n |sum_{k in K} a_nk|.
 
     Brute-forced over all nonempty subsets of the nonzero columns when they
-    number at most ``max_exact_columns`` (2^12 subsets); otherwise reported as
+    number at most EXACT_SUBSET_COLUMNS (2^12 subsets); otherwise reported as
     the exact bound pair [greedy sign-aligned lower, absolute-total upper].
     Exact only for zero row tails: with any other tail the inner series over
     n is not a finite computation.
@@ -341,7 +324,7 @@ def subset_column_sup(window, max_exact_columns=12,
         status = STATUS_EXACT if exact_tail else STATUS_INDET
         return LimitEstimate("sup", 0, status, TREND_EXACT if exact_tail else TREND_SHORT, ns)
 
-    if len(nonzero_cols) <= max_exact_columns:
+    if len(nonzero_cols) <= EXACT_SUBSET_COLUMNS:
         best = None
         best_set = ()
         for mask in range(1, 1 << len(nonzero_cols)):
@@ -376,4 +359,4 @@ def subset_column_sup(window, max_exact_columns=12,
     status = STATUS_EXACT if exact_tail else STATUS_INDET
     return LimitEstimate("sup", (current, upper), status,
                          TREND_EXACT if exact_tail else TREND_SHORT, ns,
-                         note=f"bound pair; exhaustive search skipped beyond 2^{max_exact_columns} subsets")
+                         note=f"bound pair; exhaustive search skipped beyond 2^{EXACT_SUBSET_COLUMNS} subsets")

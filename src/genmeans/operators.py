@@ -370,11 +370,11 @@ class PresetSpec:
                 object.__setattr__(self, field, tuple(value))
 
 
-def preset(spec, order, m=1, backend=RATIONAL, window=None) -> ParameterTriple:
+def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
     """Instantiate a named parameter family at the given truncation order.
 
-    Window length defaults to 4x the order so structural tails can be
-    extended for trend diagnostics.  The "lambda" family forces m = 1.
+    Windows are 4x the order long so structural tails can be extended for
+    trend diagnostics.  The "lambda" family forces m = 1.
 
     Families:
       uv       r_n = 1/u_n, t_n = v_n, s = ones
@@ -385,7 +385,7 @@ def preset(spec, order, m=1, backend=RATIONAL, window=None) -> ParameterTriple:
     """
     if order < 1:
         raise ParameterError([f"truncation order must be positive, got {order}"])
-    length = max(window or 4 * order, order)
+    length = 4 * order
     one, zero = backend.one, backend.zero
     name = spec.name
 
@@ -462,8 +462,8 @@ def preset(spec, order, m=1, backend=RATIONAL, window=None) -> ParameterTriple:
     return check_params(ParameterTriple(r, s, t, m, order, backend))
 
 
-def identity_triple(order, m=1, backend=RATIONAL, window=None) -> ParameterTriple:
-    return preset(PresetSpec("identity"), order, m=m, backend=backend, window=window)
+def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
+    return preset(PresetSpec("identity"), order, m=m, backend=backend)
 
 
 __all__ = [

@@ -31,14 +31,6 @@ class Backend:
             return value if isinstance(value, Fraction) else Fraction(value)
         return float(value)
 
-    def eq(self, a, b):
-        if self.mode == RATIONAL_MODE:
-            return a == b
-        return abs(a - b) <= self.tolerance
-
-    def is_zero(self, value):
-        return self.eq(value, 0)
-
     @property
     def zero(self):
         return Fraction(0) if self.mode == RATIONAL_MODE else 0.0

@@ -57,9 +57,9 @@ def any_fraction(rng, span=3, den=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def random_params(rng, order, m=None, window=None) -> ParameterTriple:
-    """A random valid rational parameter set; windows default to 4x the order."""
-    length = window or 4 * order
+def random_params(rng, order, m=None) -> ParameterTriple:
+    """A random valid rational parameter set with windows 4x the order."""
+    length = 4 * order
     r = tuple(nonzero_fraction(rng) for _ in range(length))
     t = tuple(nonzero_fraction(rng) for _ in range(length))
     s = (nonzero_fraction(rng),) + tuple(any_fraction(rng, span=2) for _ in range(length - 1))
@@ -217,9 +217,9 @@ def run_selftest(seed=20240601, emit=print) -> bool:
 
     p = random_params(rng, order)
     passed = all(
-        transform(p, basis_vector(p, j).values).values == unit_sequence(order, j, p.backend).values
+        transform(p, basis_vector(p, j)).values == unit_sequence(order, j, p.backend).values
         for j in range(order))
-    passed &= transform(p, basis_vector(p, -1).values).values == (Fraction(1),) * order
+    passed &= transform(p, basis_vector(p, -1)).values == (Fraction(1),) * order
     check("basis vectors map to coordinate vectors", passed)
 
     passed = True

@@ -288,8 +288,8 @@ def invert_triangle(matrix):
 
     Triangular inversion is local: entry (n, k) of the inverse depends only
     on rows <= n, so the window inverse agrees with the infinite inverse.  A
-    structural input therefore yields a structural inverse whose generator
-    inverts an extended window on demand.
+    structural input therefore yields a structural inverse, without a row
+    generator (as ``compose``); any other input an unknown tail.
     """
     for n in range(matrix.order):
         if matrix.rows[n][n] == 0:
@@ -303,39 +303,8 @@ def invert_triangle(matrix):
             for i in range(k + 1, n):
                 acc += matrix.rows[n][i] * inv[i][k]
             inv[n][k] = -acc / matrix.rows[n][n]
-    rows = tuple(tuple(row) for row in inv)
-
-    if matrix.tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
-        def row_fn(n):
-            ext_rows = [matrix.row(i) for i in range(n + 1)]
-            if any(r is None for r in ext_rows):
-                raise DimensionError(f"cannot generate row {n} beyond declared capacity")
-            extended = TriangleMatrix(n + 1, ext_rows, UNKNOWN_TAIL)
-            return invert_triangle(extended).rows[n]
-
-        return TriangleMatrix(order, rows, STRUCTURAL_TAIL, row_fn=row_fn, capacity=matrix.capacity)
-    return TriangleMatrix(order, rows, UNKNOWN_TAIL)
-
-
-@dataclass(frozen=True)
-class CoeffWindow:
-    """Coefficients D_0 .. D_{N-1} of the inverse of the lower-triangular
-    Toeplitz matrix built from a window s (s_0 on the diagonal).
-
-    Invariant: the signed sequence c_n = (-1)^n D_n is the reciprocal of s as
-    a power series, i.e. sum_{j<=n} s_j c_{n-j} = [n = 0].
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+    tail = STRUCTURAL_TAIL if matrix.tail == STRUCTURAL_TAIL else UNKNOWN_TAIL
+    return TriangleMatrix(order, inv, tail)
 
 
 def _seq_values(s):
@@ -343,9 +312,12 @@ def _seq_values(s):
 
 
 def toeplitz_inverse_coeffs(s, count):
-    """D_0 .. D_{count-1} via the reciprocal-series convolution recursion.
+    """The tuple D_0 .. D_{count-1} of coefficients of the inverse of the
+    lower-triangular Toeplitz matrix built from a window s (s_0 on the
+    diagonal), via the reciprocal-series convolution recursion.
 
-    c_0 = 1/s_0, c_n = -(1/s_0) sum_{j=1}^{n} s_j c_{n-j}, D_n = (-1)^n c_n.
+    c_0 = 1/s_0, c_n = -(1/s_0) sum_{j=1}^{n} s_j c_{n-j}, D_n = (-1)^n c_n,
+    so c is the reciprocal of s as a power series: sum_{j<=n} s_j c_{n-j} = [n = 0].
     Quadratic cost; the determinant route survives in coeff_via_determinant
     as a small-order oracle.
     """
@@ -363,7 +335,7 @@ def toeplitz_inverse_coeffs(s, count):
         for j in range(2, n + 1):
             acc += vals[j] * c[n - j]
         c[n] = -acc / vals[0]
-    return CoeffWindow(tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count)))
+    return tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count))
 
 
 def _laplace_det(mat):

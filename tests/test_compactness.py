@@ -26,7 +26,7 @@ from genmeans import (
     transform,
 )
 
-from genmeans import compactness, limits
+from genmeans import limits
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
 
@@ -224,9 +224,8 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
         summed.append(row)
         return row_abs_sum(row)
 
-    # the gauges pass compactness.row_abs_sum; limits evaluates limits.row_abs_sum
-    for module in (limits, compactness):
-        monkeypatch.setattr(module, "row_abs_sum", counting_row_abs_sum)
+    # the window sums its rows through limits.row_abs_sum
+    monkeypatch.setattr(limits, "row_abs_sum", counting_row_abs_sum)
     A = supplied_associate(identity(8))
     p = euler_triple(4)
     operator_norm(p, A)

@@ -11,6 +11,7 @@ from genmeans import (
     RATIONAL,
     SequenceWindow,
     TailError,
+    TriangleMatrix,
     alpha_dual_matrix,
     apply,
     associate_row,
@@ -50,19 +51,19 @@ def euler_triple(order=6, m=1, alpha=F(1, 2)):
 def test_basis_identity_preset_gives_coordinates():
     p = identity_triple(4, m=0)
     for j in range(4):
-        assert basis_vector(p, j).values.values == unit_sequence(4, j, RATIONAL).values
+        assert basis_vector(p, j).values == unit_sequence(4, j, RATIONAL).values
 
 
 @given(parameter_triples(order=6))
 def test_basis_vectors_transform_to_coordinates(p):
     for j in range(6):
-        y = transform(p, basis_vector(p, j).values)
+        y = transform(p, basis_vector(p, j))
         assert y.values == unit_sequence(6, j, RATIONAL).values
 
 
 @given(parameter_triples(order=6))
 def test_basis_minus_one_transforms_to_ones(p):
-    y = transform(p, basis_vector(p, -1).values)
+    y = transform(p, basis_vector(p, -1))
     assert y.values == (F(1),) * 6
 
 
@@ -103,7 +104,7 @@ def test_full_reconstruction_is_exact(p, data):
 
 def test_reconstruct_single_basis_vector():
     p = euler_triple(8)
-    b5 = basis_vector(p, 5).values
+    b5 = basis_vector(p, 5)
     rec = reconstruct(p, b5, 5, "c0")
     assert rec.residual.value == 0
 
@@ -229,6 +230,22 @@ def test_tail_sum_matrix_of_zero():
     assert all(all(v == 0 for v in row) for row in W.rows)
 
 
+def test_duality_results_are_core_windows():
+    p = euler_triple(6)
+    a = SequenceWindow((F(1), F(-2), F(1, 3), F(0), F(0), F(0)), "zero")
+    R = associate_row(p, a)
+    assert type(R) is SequenceWindow and R.tail == "zero" and len(R) == 6
+    b = basis_vector(p, 2)
+    assert type(b) is SequenceWindow
+    assert b == inverse_transform(p, unit_sequence(6, 2, RATIONAL))
+    W = tail_sum_matrix(p, a)
+    assert type(W) is TriangleMatrix and W.tail == "zero" and W.order == 6
+    # rows past the order vanish, and apply takes the triangle as any other
+    assert W.row(6) == () and len(W.extended) > 6
+    assert apply(W, a).tail == "zero"
+    assert apply(W, a).values == tuple(sum(w * v for w, v in zip(row, a)) for row in W.rows)
+
+
 # --- dual matrices -------------------------------------------------------------
 
 def test_alpha_dual_identity_preset_is_diagonal():
@@ -335,7 +352,7 @@ def test_float_results_are_the_exact_twin_rounded_once(p, data):
              (tail_sum_matrix, (a,), _rows),
              (alpha_dual_matrix, (a,), _rows),
              (gamma_dual_matrix, (a,), _rows)]
-    calls += [(basis_vector, (j,), lambda b: b.values.values) for j in range(-1, n)]
+    calls += [(basis_vector, (j,), lambda b: b.values) for j in range(-1, n)]
     calls += [(reconstruct, (x, order, space), _reconstruction)
               for order in range(n) for space in ("c0", "c")]
 

@@ -122,19 +122,19 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
     note = "structural tail has no generator available; stored window only"
     rows = MatrixWindow(((F(1),),) * 8, "structural")
     for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
-        est = estimate(rows, row_abs_sum)
+        est = estimate(rows, rows.row_abs_sums)
         assert est.status == STATUS_INDET and est.note == note
     est = column_limits(rows)
     assert est.status == STATUS_INDET and est.note == note
     # a generator capped at the stored rows is not a missing one
     capped = MatrixWindow(rows.rows, "structural", lambda n: (F(1),), 8)
     for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
-        est = estimate(capped, row_abs_sum)
+        est = estimate(capped, capped.row_abs_sums)
         assert est.note == "structural tail not extendable past the stored rows"
     # an undeclared tail keeps each estimator's own reading
     unknown = MatrixWindow(rows.rows, "unknown")
-    assert sup_of_rows(unknown, row_abs_sum).note == (
+    assert sup_of_rows(unknown, unknown.row_abs_sums).note == (
         "tail undeclared; observed max is a lower bound")
-    assert limit_of_rows(unknown, row_abs_sum).note == (
+    assert limit_of_rows(unknown, unknown.row_abs_sums).note == (
         "tail undeclared; limit not computable from the window")
     assert column_limits(unknown).note == "tail undeclared; column limits not computable"
