@@ -1,9 +1,9 @@
 """Finite-truncation operator algebra for mean-difference sequence spaces.
 
 Triangular matrix algebra over exact-rational and float backends, the
-weighted-mean / difference operator constructions with transforms and
-associate rows computed by triangular substitution, Schauder basis and dual
-machinery, a matrix-class condition catalog, and
+weighted-mean / difference operator constructions with transforms by
+triangular substitution and associate rows from the reciprocal series of s,
+Schauder basis and dual machinery, a matrix-class condition catalog, and
 Hausdorff-noncompactness gauges — everything computed on finite windows with
 declared tail behavior.
 """
@@ -28,13 +28,10 @@ from .triangle import (
     ZERO_TAIL,
     apply,
     binom,
-    coeff_via_determinant,
     compose,
     identity,
     invert_triangle,
     ones_sequence,
-    seq_add,
-    seq_scale,
     seq_sub,
     toeplitz_inverse_coeffs,
     unit_sequence,
@@ -45,7 +42,6 @@ from .operators import (
     PresetSpec,
     PRESET_NAMES,
     check_params,
-    composite_entry,
     difference_inverse,
     difference_matrix,
     identity_triple,

@@ -39,7 +39,7 @@ from .triangle import (
     SequenceWindow,
 )
 from .duality import associate_kernel, tail_sum_matrix
-from .operators import check_params
+from .operators import _InverseKernel, check_params, exact_lift
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -135,12 +135,16 @@ def transformed_rows(p, matrix) -> MatrixWindow:
 
 
 def tail_sum_family(p, matrix) -> tuple:
-    """The tail-sum triangle of each source row."""
+    """The tail-sum triangle of each source row, all read off the rows of
+    T^{-1} made once, up to the longest source support."""
     check_params(p)
-    return tuple(tail_sum_matrix(p, SequenceWindow(row, ZERO_TAIL)) for row in matrix.rows)
+    rows = [SequenceWindow(row, ZERO_TAIL) for row in matrix.rows]
+    support = max((a.support for a in rows), default=0)
+    inverse = _InverseKernel(exact_lift(p)).inverse_rows(support)
+    return tuple(tail_sum_matrix(p, a, inverse) for a in rows)
 
 
-def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
+def _per_row_tail_condition(p, window, cond):
     """Conditions quantified per source row over its tail-sum triangle.
 
     Each source row is a finite support, so its tail-sum triangle vanishes
@@ -175,28 +179,24 @@ def _per_row_tail_condition(p, window, cond, trend_window, tolerance):
 
 def _raw_condition(cond, window, trend_window, tolerance):
     """Raw condition cond in 4.4-4.11 on a matrix window."""
+    kw = {"trend_window": trend_window, "tolerance": tolerance}
     if cond == "4.4":
-        return subset_column_sup(window, trend_window=trend_window, tolerance=tolerance)
+        return subset_column_sup(window)
     if cond == "4.5":
-        return sup_of_rows(window, window.row_abs_sums, trend_window=trend_window,
-                           tolerance=tolerance)
+        return sup_of_rows(window, window.row_abs_sums, **kw)
     if cond == "4.6":
-        return limit_of_rows(window, window.row_abs_sums, trend_window=trend_window,
-                             tolerance=tolerance)
+        return limit_of_rows(window, window.row_abs_sums, **kw)
     if cond == "4.7":
-        return column_limits(window, trend_window=trend_window, tolerance=tolerance)
+        return column_limits(window, **kw)
     if cond == "4.8":
-        return limit_of_rows(window, window.row_sums, trend_window=trend_window,
-                             tolerance=tolerance)
+        return limit_of_rows(window, window.row_sums, **kw)
     if cond == "4.9":
-        return column_limits(window, kind="exists", trend_window=trend_window,
-                             tolerance=tolerance)
+        return column_limits(window, kind="exists", **kw)
     if cond == "4.10":
         cols, est = column_shifted(window, limit_of_rows, trend_window, tolerance)
         return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                                     note="column limits unresolved")
-    return limit_of_rows(window, window.row_sums, kind="exists", trend_window=trend_window,
-                         tolerance=tolerance)
+    return limit_of_rows(window, window.row_sums, kind="exists", **kw)
 
 
 def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WINDOW,
@@ -226,7 +226,7 @@ def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
     elif cond in ON_ASSOCIATE:
         est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
     else:
-        return _per_row_tail_condition(p, window, cond, trend_window, tolerance)
+        return _per_row_tail_condition(p, window, cond)
     if cond in _SHIFTED_MEMBERSHIP_IDS:
         # gamma_n = 0 on the finite supports of the source rows
         est = replace(est, note="; ".join(filter(None, (est.note, SHIFTED_MEMBERSHIP_NOTE))))

@@ -4,19 +4,24 @@ The coordinate basis of the transformed space pulls back through the inverse
 of the composite operator: basis vector j is column j of that inverse, and
 the extra vector indexed -1 (for the convergent-sequence space) is its row
 sums.  The dual machinery revolves around the associate row R_k(a): the
-source row re-expressed against the inverse columns.  Every dual/associate
-input must declare a zero tail so each series collapses to a finite sum;
-anything else is rejected rather than extrapolated.
+source row re-expressed against the inverse columns, one integer product
+with the reciprocal series c = 1/s per row (``operators._InverseKernel``).
+The tail-sum and alpha/gamma dual triangles are running sums of the rows
+a_j T^{-1}_j, made once per call.  Every dual/associate input must declare
+a zero tail so each series collapses to a finite sum; anything else is
+rejected rather than extrapolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 from .errors import DimensionError
 from .limits import Verdict, row_abs_sum, subset_column_sup
-from .scalars import FLOAT_MODE
+from .scalars import FLOAT_MODE, common_denominator
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
@@ -28,8 +33,8 @@ from .triangle import (
 )
 from .operators import (
     NormResult,
-    _mean_transpose_solve,
-    _running_sums,
+    _InverseKernel,
+    _add_rows,
     _same,
     check_params,
     exact_twin,
@@ -84,83 +89,77 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
                           out(ell) if space == "c" else None, space == "c")
 
 
-def _associate(p, a, order):
-    """R_0 .. R_{order-1} of the values a, on the exact twin p.
-
-    R^T = a^T Delta^{-m} W^{-1}, so R solves W^T R = b, where b is the m-fold
-    reverse running sum of a over its support; R vanishes past the support.
-    """
-    support = SequenceWindow(a).support
-    if support > p.capacity:
-        raise DimensionError(
-            f"source row support {support} exceeds parameter capacity {p.capacity}")
-    b = _running_sums(reversed(a[:support]), p.m)[::-1]
-    return _mean_transpose_solve(p, b)[:order] + [0] * (order - support)
-
-
 def associate_kernel(p):
     """a -> R_0 .. R_{len(a)-1} for the values a of a zero-tail row, on
-    parameters the caller has checked: the exact twin is resolved once for
-    every row mapped (``conditions.transformed_rows``), not once per row."""
+    parameters the caller has checked: the exact twin and one kernel serve
+    every row mapped (``conditions.transformed_rows``), not one per row."""
     q, _, out = exact_twin(p)
     lift = Fraction if p.backend.mode == FLOAT_MODE else _same
-    return lambda a: tuple(map(out, _associate(q, tuple(map(lift, a)), len(a))))
+    kernel = _InverseKernel(q)
+    return lambda a: tuple(map(out, kernel.associate(tuple(map(lift, a)))))
 
 
 def associate_row(p, a) -> SequenceWindow:
     """R_k(a) = sum_{j>=k} a_j s_{jk}, the source row against the inverse
-    columns, by one back substitution on W^T.  R vanishes past the support of
-    a, so it has a zero tail.
+    columns: with b the m reverse running sums of a, R_k = r_k sum_{j>=k}
+    b_j c_{j-k} / t_j for the reciprocal series c = 1/s, one integer product
+    per entry.  R vanishes past the support of a, so it has a zero tail.
 
     The defining sum over the dense inverse and the closed form are oracles
     for this route in the tests and in ``selfcheck``.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    q, (b,), out = exact_twin(p, a)
-    return SequenceWindow(map(out, _associate(q, b.values, len(a))), ZERO_TAIL)
+    return SequenceWindow(associate_kernel(p)(a.values), ZERO_TAIL)
 
 
-def tail_sum_matrix(p, a) -> TriangleMatrix:
+def _weighted_rows(q, a, inverse=None):
+    """(the rows a_j T^{-1}_j for j < len(a) as integer lists, their denominator),
+    from ``inverse`` (rows made for at least the support of a) or a new kernel."""
+    nums, da = common_denominator(a)
+    rows, den = inverse or _InverseKernel(q).inverse_rows(SequenceWindow(a).support)
+    return ([[x * v for v in row] for x, row in zip(nums, rows)]
+            + [[0] * (j + 1) for j in range(len(rows), len(a))]), den * da
+
+
+def _fractions(rows, den, out):
+    return tuple(tuple(out(Fraction(v, den)) for v in row) for row in rows)
+
+
+def tail_sum_matrix(p, a, inverse=None) -> TriangleMatrix:
     """Triangle of tail sums w_pk = sum_{j>=p} a_j s_{jk} for 0 <= k <= p:
-    row p is R(a with the entries below p zeroed), cut after entry p.  Rows
-    vanish once p passes the support of a, so the triangle has a zero tail.
-
-    R is linear, so the rows are built from the support down: row p is row
-    p + 1 plus a_p R(e_p).  ``selfcheck`` holds the closed-form oracle.
+    row p is the suffix sum of the rows a_j T^{-1}_j for j >= p, cut after
+    entry p.  Rows vanish once p passes the support of a, so the triangle has
+    a zero tail.  ``conditions.tail_sum_family`` passes one ``inverse``, from
+    ``_InverseKernel.inverse_rows``, to all its rows.  ``selfcheck`` holds the
+    closed-form oracle.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    order = len(a)
     q, (b,), out = exact_twin(p, a)
-    w, rows = [0] * order, []
-    for cut in reversed(range(order)):
-        if b[cut] != 0:
-            w = [v + b[cut] * e for v, e in zip(w, _associate(q, (0,) * cut + (1,), order))]
-        rows.append(tuple(map(out, w[:cut + 1])))
-    return TriangleMatrix(order, rows[::-1], ZERO_TAIL)
+    rows, den = _weighted_rows(q, b.values, inverse)
+    sums = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
+    return TriangleMatrix(len(a), _fractions(sums, den, out), ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
     """Row-scaled inverse: entry (n, j) = s_nj a_n, so that the coordinatewise
     products a_n x_n appear as the rows of this matrix applied to the
-    transformed sequence.  Row n of the inverse is R(e_n)."""
+    transformed sequence.  Row n is a_n T^{-1}_n."""
     check_params(p)
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
     q, (b,), out = exact_twin(p, a)
-    rows = tuple(tuple(out(b[n] * v) for v in _associate(q, (0,) * n + (1,), n + 1))
-                 for n in range(p.order))
-    return TriangleMatrix(p.order, rows, tail)
+    return TriangleMatrix(p.order, _fractions(*_weighted_rows(q, b.values), out), tail)
 
 
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     """Triangle E with (Ey)_l = sum_{n<=l} a_n x_n for linked x, y.
 
-    Row l, column n holds the partial associate sum sum_{j=n}^{l} a_j s_jn,
-    i.e. row l is R(a cut after entry l); its bracketed closed form is an
-    oracle in ``selfcheck``.
+    Row l, column n holds the partial associate sum sum_{j=n}^{l} a_j s_jn:
+    row l is the prefix sum of the rows a_j T^{-1}_j for j <= l.  Its
+    bracketed closed form is an oracle in ``selfcheck``.
     """
     check_params(p)
     L = p.order if partial_order is None else partial_order
@@ -169,9 +168,9 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
     q, (b,), out = exact_twin(p, a)
-    rows = tuple(tuple(map(out, _associate(q, b.values[:l + 1], l + 1))) for l in range(L))
+    rows, den = _weighted_rows(q, b.values[:L])
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(L, rows, tail)
+    return TriangleMatrix(L, _fractions(accumulate(rows, _add_rows), den, out), tail)
 
 
 # descriptive labels for the beta-dual membership conditions
@@ -213,7 +212,7 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 
     if dual == "alpha":
         C = alpha_dual_matrix(p, a)
-        est = subset_column_sup(C, tolerance=p.backend.tolerance)
+        est = subset_column_sup(C)
         return Verdict("satisfied",
                        "finite column-subset sup on the coordinatewise-product matrix",
                        evidence={"subset_sup": est})

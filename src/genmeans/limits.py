@@ -292,12 +292,17 @@ def column_shifted(window, estimator, trend_window=DEFAULT_TREND_WINDOW,
     """(column limits alpha, ``estimator`` over the trace sum_k |a_nk - alpha_k|).
 
     ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
-    None when the column limits are unresolved."""
-    cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
-    if cols.status == STATUS_INDET or cols.value is None:
-        return cols, None
-    trace = tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended)
-    return cols, estimator(window, trace, trend_window=trend_window, tolerance=tolerance)
+    None when the column limits are unresolved.  The limits and the trace are
+    computed once per window and key, in ``MatrixWindow.shifted``."""
+    key = (trend_window, tolerance)
+    if key not in window.shifted:
+        cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
+        window.shifted[key] = cols, (
+            None if cols.status == STATUS_INDET or cols.value is None
+            else tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended))
+    cols, trace = window.shifted[key]
+    return cols, None if trace is None else estimator(window, trace, trend_window=trend_window,
+                                                      tolerance=tolerance)
 
 
 def _worse_status(a, b):
@@ -305,7 +310,7 @@ def _worse_status(a, b):
     return a if rank[a] >= rank[b] else b
 
 
-def subset_column_sup(window, trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
+def subset_column_sup(window):
     """sup over finite column sets K of sum_n |sum_{k in K} a_nk|.
 
     Brute-forced over all nonempty subsets of the nonzero columns when they
@@ -324,14 +329,14 @@ def subset_column_sup(window, trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAU
         status = STATUS_EXACT if exact_tail else STATUS_INDET
         return LimitEstimate("sup", 0, status, TREND_EXACT if exact_tail else TREND_SHORT, ns)
 
+    def objective(chosen):
+        return total(abs(total(column_value(r, k) for k in chosen)) for r in rows)
+
     if len(nonzero_cols) <= EXACT_SUBSET_COLUMNS:
-        best = None
-        best_set = ()
-        for mask in range(1, 1 << len(nonzero_cols)):
-            chosen = [nonzero_cols[i] for i in range(len(nonzero_cols)) if mask >> i & 1]
-            value = total(abs(total(column_value(r, k) for k in chosen)) for r in rows)
-            if best is None or value > best:
-                best, best_set = value, tuple(chosen)
+        subsets = (tuple(k for i, k in enumerate(nonzero_cols) if mask >> i & 1)
+                   for mask in range(1, 1 << len(nonzero_cols)))
+        # the first subset attaining the max, as the search order gives it
+        best, best_set = max(((objective(K), K) for K in subsets), key=lambda pair: pair[0])
         if exact_tail:
             return LimitEstimate("sup", best, STATUS_EXACT, TREND_EXACT, ns,
                                  note=f"attained at columns {best_set}")
@@ -339,9 +344,6 @@ def subset_column_sup(window, trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAU
                              note="finite-window value; series over rows not certified by tail")
 
     # bound pair: greedy sign-aligned lower, triangle-inequality upper
-    def objective(chosen):
-        return total(abs(total(column_value(r, k) for k in chosen)) for r in rows)
-
     chosen = [max(nonzero_cols, key=lambda k: total(abs(column_value(r, k)) for r in rows))]
     current = objective(chosen)
     improved = True

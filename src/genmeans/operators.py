@@ -4,11 +4,13 @@ The central objects are the weighted-mean triangle W with entries
 s_{n-k} t_k / r_n, the order-m difference triangle with entries
 (-1)^{n-k} binom(m, n-k), and the composite mean-difference operator
 T = W Delta^m.  Transforms never build T or its inverse: they run m
-differences or running sums and one convolution or triangular substitution
-on W, while the dense triangles remain public objects and test oracles.
-These kernels bring their inputs over one common denominator and compute
-on integers (fraction-free, as in Bareiss elimination), so an inner product
-costs no gcd; each result becomes one Fraction.
+differences or running sums and one convolution or forward substitution
+on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
+built on the reciprocal series c = 1/s; the dense triangles remain public
+objects and test oracles.  These kernels bring their inputs over one common
+denominator and compute on integers (fraction-free, as in Bareiss
+elimination), so an inner product costs no gcd; each result becomes one
+Fraction.
 Parameter windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
 is m reverse differences of row n of W, never a product through ``compose``.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
@@ -225,16 +227,6 @@ def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     return _structural(order, row, p.capacity)
 
 
-def composite_entry(p, n, j):
-    """Row-n, column-j weight of the composite operator, from its direct kernel:
-    (1/r_n) sum_{i=j}^{n} (-1)^{i-j} binom(m, i-j) s_{n-i} t_i.
-    """
-    acc = 0
-    for i in range(j, n + 1):
-        acc += (-1) ** ((i - j) % 2) * binom(p.m, i - j) * p.s[n - i] * p.t[i]
-    return acc / p.r[n]
-
-
 @lru_cache(maxsize=256)
 def mean_difference_inverse(p, order=None) -> TriangleMatrix:
     """Inverse of the composite operator: the difference inverse times the weighted-mean inverse."""
@@ -272,41 +264,91 @@ def _mean_apply(p, d):
             for n, r in enumerate(p.r[:len(td)])]
 
 
-def _toeplitz_solve(s, c):
-    """w with sum_{k<=n} s_{n-k} w_k = c_n, by forward substitution.
-
-    The solved prefix is kept as integers over one running denominator q,
-    the lcm of the denominators seen so far, and rescaled only when q grows.
-    """
-    c = list(c)
+def _toeplitz_solve(s, c, w=(), q=1):
+    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n as integers W over one
+    running denominator q, the lcm of the denominators seen so far, by forward
+    substitution; a solved prefix W over q continues from entry len(W) of c."""
     s, ds = common_denominator(s[:len(c)])
-    tail, w, q, out = s[1:], [], 1, []
-    for v in c:
+    tail, w = s[1:], list(w)
+    for v in c[len(w):]:
         # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with s = S / ds, w = W / q
-        dot = sum(map(mul, tail, reversed(w)))
-        x = Fraction(v.numerator * ds * q - dot * v.denominator, v.denominator * q * s[0])
-        g = x.denominator
-        if q % g:
-            f = g // math.gcd(q, g)
+        num = v.numerator * ds * q - sum(map(mul, tail, reversed(w))) * v.denominator
+        den = v.denominator * q * s[0]
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // g, den // g
+        if q % den:
+            f = den // math.gcd(q, den)
             q *= f
             w = [u * f for u in w]
-        w.append(x.numerator * (q // g))
-        out.append(x)
-    return out
+        w.append(num * (q // den))
+    return w, q
 
 
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
-    tz = _toeplitz_solve(p.s, [r * v for r, v in zip(p.r, y)])
-    return [v / t for v, t in zip(tz, p.t)]
+    tz, q = _toeplitz_solve(p.s, [r * v for r, v in zip(p.r, y)])
+    return [Fraction(v * t.denominator, q * t.numerator) for v, t in zip(tz, p.t)]
 
 
-def _mean_transpose_solve(p, b):
-    """(W^T)^{-1} b by back substitution: with u_n = R_n / r_n,
-    s_0 u_i = b_i / t_i - sum_{n>i} s_{n-i} u_n, a forward substitution on reversed b."""
-    b = list(b)
-    u = _toeplitz_solve(p.s, [v / t for v, t in zip(reversed(b), reversed(p.t[:len(b)]))])
-    return [r * v for r, v in zip(p.r, reversed(u))]
+def _extend(ints, den, values):
+    """ints over den followed by values, all over one common denominator."""
+    new, d = common_denominator(values)
+    lcm = math.lcm(den, d)
+    return [v * (lcm // den) for v in ints] + [v * (lcm // d) for v in new], lcm
+
+
+def _add_rows(g, row):
+    """g + row for integer rows, row one entry longer: a running-sum step."""
+    return [*map(add, g, row), row[-1]]
+
+
+class _InverseKernel:
+    """Associate rows and rows of T^{-1} = Delta^{-m} W^{-1} on the exact twin p.
+
+    (W^{-1})_{jk} = c_{j-k} r_k / t_j, with c = 1/s the reciprocal series from
+    one ``_toeplitz_solve`` of e_0.  c, 1/t and r are held as integers, each
+    over one denominator, grown only to the longest support asked for: the
+    denominators of c_n grow geometrically on general (r, s, t).  A kernel
+    lives for one call or one window; nothing caches it on p.
+    """
+
+    def __init__(self, p):
+        self.p, self.size, self.den = p, 0, 1
+        self.c, self.dc, self.tinv, self.dt, self.r, self.dr = [], 1, [], 1, [], 1
+
+    def grow(self, n):
+        """c, 1/t and r over n terms; n past the capacity raises DimensionError."""
+        p = self.p
+        if n > p.capacity:
+            raise DimensionError(f"source row support {n} exceeds parameter capacity {p.capacity}")
+        if n > self.size:
+            self.c, self.dc = _toeplitz_solve(p.s, (1,) + (0,) * (n - 1), self.c, self.dc)
+            self.tinv, self.dt = _extend(self.tinv, self.dt, (1 / t for t in p.t[self.size:n]))
+            self.r, self.dr = _extend(self.r, self.dr, p.r[self.size:n])
+            self.size, self.den = n, self.dr * self.dt * self.dc
+
+    def associate(self, a):
+        """R_0 .. R_{len(a)-1} of the values a: with b the m reverse running
+        sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer product
+        and one Fraction per entry.  R vanishes past the support of a."""
+        support = SequenceWindow(a).support
+        self.grow(support)
+        b, db = common_denominator(reversed(a[:support]))
+        for _ in range(self.p.m):
+            b = accumulate(b)
+        u, den = list(map(mul, list(b)[::-1], self.tinv)), self.den * db
+        return ([Fraction(r * sum(map(mul, u[k:], self.c)), den)
+                 for k, r in enumerate(self.r[:support])] + [0] * (len(a) - support))
+
+    def inverse_rows(self, n):
+        """(rows 0 .. n-1 of T^{-1} as integer lists, their denominator): the
+        rows of W^{-1}, then m running sums down the rows."""
+        self.grow(n)
+        rows = [[r * tj * c for r, c in zip(self.r, self.c[j::-1])]
+                for j, tj in enumerate(self.tinv[:n])]
+        for _ in range(self.p.m):
+            rows = list(accumulate(rows, _add_rows))
+        return rows, self.den
 
 
 def transform(p, x) -> SequenceWindow:
@@ -471,7 +513,7 @@ __all__ = [
     "validate_params", "check_params",
     "weighted_mean_matrix", "weighted_mean_inverse",
     "difference_matrix", "difference_inverse",
-    "mean_difference_matrix", "mean_difference_inverse", "composite_entry",
+    "mean_difference_matrix", "mean_difference_inverse",
     "transform", "inverse_transform", "space_norm",
     "preset", "identity_triple", "identity",
 ]

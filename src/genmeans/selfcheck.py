@@ -3,7 +3,10 @@
 The generators here produce small random rationals so products stay cheap
 while still exercising sign mixes and zero entries wherever zeros are legal.
 The closed forms of the associate rows, tail sums and partial-sum entries
-live here as oracles for the defining sums that ``duality`` computes.
+live here as oracles for the defining sums that ``duality`` computes, with
+the determinant oracle for the Toeplitz inverse coefficients, the direct
+kernel of the composite operator's entries and the window sums and scalings
+the linearity checks use.
 ``run_selftest`` drives the cross-module identities end to end and is what
 the CLI selftest command executes.
 """
@@ -13,16 +16,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import DimensionError, GuardError, ParameterError
 from .scalars import RATIONAL
 from .triangle import (
+    UNKNOWN_TAIL,
+    ZERO_TAIL,
     MatrixWindow,
     SequenceWindow,
+    _seq_values,
     binom,
     compose,
     identity,
     invert_triangle,
     toeplitz_inverse_coeffs,
-    coeff_via_determinant,
 )
 from .operators import (
     ParameterTriple,
@@ -84,6 +90,66 @@ def random_zero_tail_rows(rng, rows, width, density=0.6) -> MatrixWindow:
         out.append(tuple(any_fraction(rng) if rng.random() < density else Fraction(0)
                          for _ in range(width)))
     return MatrixWindow(tuple(out), "zero")
+
+
+DET_ORACLE_MAX = 8
+
+
+def seq_add(x, y):
+    if len(x) != len(y):
+        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
+    tail = ZERO_TAIL if (x.tail == ZERO_TAIL and y.tail == ZERO_TAIL) else UNKNOWN_TAIL
+    return SequenceWindow(tuple(a + b for a, b in zip(x, y)), tail)
+
+
+def seq_scale(alpha, x):
+    return SequenceWindow(tuple(alpha * v for v in x), x.tail)
+
+
+def _laplace_det(mat):
+    size = len(mat)
+    if size == 1:
+        return mat[0][0]
+    total = 0
+    for i in range(size):
+        lead = mat[i][0]
+        if lead == 0:
+            continue
+        minor = [row[1:] for j, row in enumerate(mat) if j != i]
+        term = lead * _laplace_det(minor)
+        total += term if i % 2 == 0 else -term
+    return total
+
+
+def coeff_via_determinant(s, n):
+    """D_n evaluated directly from its n x n banded-Hessenberg determinant.
+
+    Exponential-cost Laplace expansion, guarded to n <= 8; used only as an
+    independent oracle against toeplitz_inverse_coeffs.
+    """
+    if n > DET_ORACLE_MAX:
+        raise GuardError(f"determinant oracle limited to n <= {DET_ORACLE_MAX}, got {n}")
+    if n < 0:
+        raise DimensionError("coefficient index must be nonnegative")
+    vals = _seq_values(s)
+    if not vals or vals[0] == 0:
+        raise ParameterError(["s[0] must be nonzero (leading Toeplitz diagonal)"])
+    if n == 0:
+        return 1 / vals[0]
+    if len(vals) < n + 1:
+        raise DimensionError(f"window of length {len(vals)} too short for index {n}")
+    mat = [[vals[i + 1 - j] if 0 <= i + 1 - j else 0 for j in range(n)] for i in range(n)]
+    return _laplace_det(mat) / vals[0] ** (n + 1)
+
+
+def composite_entry(p, n, j):
+    """Row-n, column-j weight of the composite operator, from its direct kernel:
+    (1/r_n) sum_{i=j}^{n} (-1)^{i-j} binom(m, i-j) s_{n-i} t_i.
+    """
+    acc = 0
+    for i in range(j, n + 1):
+        acc += (-1) ** ((i - j) % 2) * binom(p.m, i - j) * p.s[n - i] * p.t[i]
+    return acc / p.r[n]
 
 
 def associate_row_closed(p, a, order):

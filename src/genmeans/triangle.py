@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import DimensionError, GuardError, ParameterError, SingularTriangleError, TailError
+from .errors import DimensionError, ParameterError, SingularTriangleError, TailError
 from .scalars import RATIONAL as _RATIONAL_BACKEND
 
 ZERO_TAIL = "zero"
@@ -32,8 +32,6 @@ SEQUENCE_TAILS = (ZERO_TAIL, UNKNOWN_TAIL)
 MATRIX_TAILS = (ZERO_TAIL, STRUCTURAL_TAIL, UNKNOWN_TAIL)
 
 SPACE_LABELS = ("c0", "c", "l_inf")
-
-DET_ORACLE_MAX = 8
 
 # structural extension reaches this many times the stored row count
 EXTENSION_FACTOR = 4
@@ -109,22 +107,11 @@ def ones_sequence(order, backend):
     return SequenceWindow((backend.one,) * order, UNKNOWN_TAIL)
 
 
-def seq_add(x, y):
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
-    tail = ZERO_TAIL if (x.tail == ZERO_TAIL and y.tail == ZERO_TAIL) else UNKNOWN_TAIL
-    return SequenceWindow(tuple(a + b for a, b in zip(x, y)), tail)
-
-
 def seq_sub(x, y):
     if len(x) != len(y):
         raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
     tail = ZERO_TAIL if (x.tail == ZERO_TAIL and y.tail == ZERO_TAIL) else UNKNOWN_TAIL
     return SequenceWindow(tuple(a - b for a, b in zip(x, y)), tail)
-
-
-def seq_scale(alpha, x):
-    return SequenceWindow(tuple(alpha * v for v in x), x.tail)
 
 
 @dataclass(frozen=True)
@@ -177,6 +164,11 @@ class MatrixWindow:
         """sum_k |a_nk| over the extended rows, computed once per window."""
         from .limits import row_abs_sum
         return tuple(map(row_abs_sum, self.extended))
+
+    @cached_property
+    def shifted(self):
+        """Column limits and shifted traces per key, from ``limits.column_shifted``."""
+        return {}
 
     def entry(self, n, k):
         row = self.rows[n]
@@ -318,8 +310,9 @@ def toeplitz_inverse_coeffs(s, count):
 
     c_0 = 1/s_0, c_n = -(1/s_0) sum_{j=1}^{n} s_j c_{n-j}, D_n = (-1)^n c_n,
     so c is the reciprocal of s as a power series: sum_{j<=n} s_j c_{n-j} = [n = 0].
-    Quadratic cost; the determinant route survives in coeff_via_determinant
-    as a small-order oracle.
+    Quadratic cost; ``selfcheck.coeff_via_determinant`` is its small-order
+    determinant oracle.  The operators run the same recursion on integers
+    (``operators._InverseKernel``), and this Fraction loop is their oracle.
     """
     vals = _seq_values(s)
     if count < 1:
@@ -336,39 +329,3 @@ def toeplitz_inverse_coeffs(s, count):
             acc += vals[j] * c[n - j]
         c[n] = -acc / vals[0]
     return tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count))
-
-
-def _laplace_det(mat):
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    total = 0
-    for i in range(size):
-        lead = mat[i][0]
-        if lead == 0:
-            continue
-        minor = [row[1:] for j, row in enumerate(mat) if j != i]
-        term = lead * _laplace_det(minor)
-        total += term if i % 2 == 0 else -term
-    return total
-
-
-def coeff_via_determinant(s, n):
-    """D_n evaluated directly from its n x n banded-Hessenberg determinant.
-
-    Exponential-cost Laplace expansion, guarded to n <= 8; used only as an
-    independent oracle against toeplitz_inverse_coeffs.
-    """
-    if n > DET_ORACLE_MAX:
-        raise GuardError(f"determinant oracle limited to n <= {DET_ORACLE_MAX}, got {n}")
-    if n < 0:
-        raise DimensionError("coefficient index must be nonnegative")
-    vals = _seq_values(s)
-    if not vals or vals[0] == 0:
-        raise ParameterError(["s[0] must be nonzero (leading Toeplitz diagonal)"])
-    if n == 0:
-        return 1 / vals[0]
-    if len(vals) < n + 1:
-        raise DimensionError(f"window of length {len(vals)} too short for index {n}")
-    mat = [[vals[i + 1 - j] if 0 <= i + 1 - j else 0 for j in range(n)] for i in range(n)]
-    return _laplace_det(mat) / vals[0] ** (n + 1)

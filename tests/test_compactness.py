@@ -217,21 +217,35 @@ def test_gauges_on_one_associate_generate_each_row_once():
 
 
 def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
-    summed = []
-    row_abs_sum = limits.row_abs_sum
+    summed, shifted = [], []
+    row_abs_sum, shifted_row_abs_sum = limits.row_abs_sum, limits.shifted_row_abs_sum
 
     def counting_row_abs_sum(row):
         summed.append(row)
         return row_abs_sum(row)
 
-    # the window sums its rows through limits.row_abs_sum
+    def counting_shifted_row_abs_sum(row, alphas):
+        shifted.append(row)
+        return shifted_row_abs_sum(row, alphas)
+
+    # the window sums its rows through limits.row_abs_sum, and the
+    # column-shifted trace through limits.shifted_row_abs_sum
     monkeypatch.setattr(limits, "row_abs_sum", counting_row_abs_sum)
+    monkeypatch.setattr(limits, "shifted_row_abs_sum", counting_shifted_row_abs_sum)
     A = supplied_associate(identity(8))
     p = euler_triple(4)
     operator_norm(p, A)
     chi_norm(p, A, "c0")
     compactness_verdict(p, A, "c0")
     assert summed == list(A.window.extended) and len(summed) == 32
+    chi = chi_norm(p, A, "c")
+    verdict = compactness_verdict(p, A, "c")
+    assert shifted == list(A.window.extended) and len(shifted) == 32
+    assert chi.status == verdict.evidence.status == "trend-converged"
+    assert chi.upper == verdict.evidence.value
+    # another trend window or tolerance is another key: its trace is its own
+    chi_norm(p, A, "c", trend_window=5)
+    assert len(shifted) == 64
 
 
 def test_euler_structural_instances_give_trend_estimates():

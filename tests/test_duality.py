@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genmeans import (
+    FLOAT64,
     DimensionError,
+    MatrixWindow,
     PresetSpec,
     RATIONAL,
     SequenceWindow,
@@ -21,6 +23,7 @@ from genmeans import (
     gamma_dual_matrix,
     identity_triple,
     inverse_transform,
+    invert_triangle,
     mean_difference_inverse,
     mean_difference_matrix,
     preset,
@@ -29,7 +32,10 @@ from genmeans import (
     transform,
     unit_sequence,
 )
-from genmeans.operators import exact_lift
+from genmeans import operators
+from genmeans.conditions import tail_sum_family
+from genmeans.duality import associate_kernel
+from genmeans.operators import _InverseKernel, exact_lift
 from genmeans.selfcheck import associate_row_closed, gamma_dual_closed, tail_sum_closed
 
 from conftest import (
@@ -244,6 +250,104 @@ def test_duality_results_are_core_windows():
     assert W.row(6) == () and len(W.extended) > 6
     assert apply(W, a).tail == "zero"
     assert apply(W, a).values == tuple(sum(w * v for w, v in zip(row, a)) for row in W.rows)
+
+
+# --- the reciprocal-series kernel -------------------------------------------------
+
+def check_kernel_against_dense_inverse(q, a):
+    """The kernel's rows of T^{-1} and its associate row of a, on the exact
+    twin q up to its capacity, against the dense inverse and against the
+    inverse of the dense composite (which does not use c = 1/s)."""
+    n = q.capacity
+    S = mean_difference_inverse(q, n)
+    assert S.rows == invert_triangle(mean_difference_matrix(q, n)).rows
+    rows, den = _InverseKernel(q).inverse_rows(n)
+    assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
+    # grown in steps (a resumed solve) as when grown at once
+    kernel = _InverseKernel(q)
+    for size in (1, n // 2, n):
+        part, part_den = kernel.inverse_rows(size)
+        assert [[F(v, part_den) for v in row] for row in part] == [
+            list(row) for row in S.rows[:size]]
+    assert len(a) == n
+    assert kernel.associate(a) == [sum(a[j] * S.entry(j, k) for j in range(k, n))
+                                   for k in range(n)]
+
+
+PRESET_SPECS = (
+    PresetSpec("uv", u=(F(2), F(-3), F(1, 2), F(5)) * 4, v=(F(1), F(3, 2), F(-2), F(1, 3)) * 4),
+    PresetSpec("euler", alpha=F(1, 3)),
+    PresetSpec("aydin", alpha=F(2, 5)),
+    PresetSpec("lambda", lam=tuple(F(k * k + 1) for k in range(16))),
+    PresetSpec("identity"),
+)
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("spec", PRESET_SPECS, ids=lambda spec: spec.name)
+def test_kernel_matches_dense_inverse_on_presets(spec, m):
+    p = preset(spec, 4, m=m)
+    a = tuple(F((-1) ** k * (k + 1), k % 3 + 1) for k in range(p.capacity))
+    check_kernel_against_dense_inverse(p, a)
+
+
+@pytest.mark.parametrize("m", range(4))
+@no_shrink
+@given(p=parameter_triples(order=3), data=st.data())
+def test_kernel_matches_dense_inverse_on_rational_triples(m, p, data):
+    p = replace(p, m=m)
+    a = tuple(data.draw(small_fractions) for _ in range(p.capacity - 1)) + (F(1),)
+    check_kernel_against_dense_inverse(p, a)
+
+
+@given(f64_triples(), st.data())
+def test_kernel_runs_f64_through_the_exact_twin(p, data):
+    q = exact_lift(p)
+    a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
+    check_kernel_against_dense_inverse(q, tuple(map(F, a)))
+    assert associate_kernel(p)(a) == tuple(map(float, _InverseKernel(q).associate(
+        tuple(map(F, a)))))
+
+
+def test_kernel_support_at_and_past_the_capacity():
+    p = euler_triple(3, m=2)
+    n = p.capacity
+    full = SequenceWindow((F(1),) * n, "zero")
+    S = mean_difference_inverse(p, n)
+    assert associate_row(p, full).values == tuple(
+        sum(S.entry(j, k) for j in range(k, n)) for k in range(n))
+    assert tail_sum_matrix(p, full).order == n
+    # zeros past the capacity are no support; a nonzero entry there is
+    padded = SequenceWindow(full.values + (F(0),), "zero")
+    assert associate_row(p, padded).values == associate_row(p, full).values + (0,)
+    past = SequenceWindow(full.values + (F(1),), "zero")
+    for fn in (associate_row, tail_sum_matrix):
+        with pytest.raises(DimensionError):
+            fn(p, past)
+    with pytest.raises(DimensionError):
+        associate_kernel(p)(past.values)
+    with pytest.raises(DimensionError):
+        _InverseKernel(p).inverse_rows(n + 1)
+
+
+def test_tail_sum_family_makes_one_toeplitz_solve(monkeypatch):
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    p = euler_triple(8)
+    for rows in (1, 4, 16):
+        A = MatrixWindow(tuple(tuple(F(n + k + 1, k + 1) for k in range(n % 8 + 1))
+                               for n in range(rows)), "zero")
+        solves.clear()
+        family = tail_sum_family(p, A)
+        assert solves == [min(rows, 8)]
+        assert family == tuple(tail_sum_matrix(p, SequenceWindow(row, "zero"))
+                               for row in A.rows)
 
 
 # --- dual matrices -------------------------------------------------------------

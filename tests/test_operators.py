@@ -14,7 +14,6 @@ from genmeans import (
     SequenceWindow,
     TriangleMatrix,
     compose,
-    composite_entry,
     difference_inverse,
     difference_matrix,
     identity,
@@ -33,13 +32,14 @@ from genmeans import (
 )
 
 from genmeans.operators import (
+    _InverseKernel,
     _differences,
     _mean_apply,
     _mean_solve,
-    _mean_transpose_solve,
     _running_sums,
     exact_lift,
 )
+from genmeans.selfcheck import composite_entry
 from genmeans.triangle import apply
 
 from conftest import (
@@ -403,27 +403,28 @@ def kernel_twins(draw):
 def test_integer_kernels_match_dense_triangles(m, q, data):
     n = q.order
     x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(n)))
-    b = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
-    S = weighted_mean_inverse(q, q.capacity)
     cases = [
         (_differences(x, m), apply(difference_matrix(m, n), x)),
         (_running_sums(x, m), apply(difference_inverse(m, n), x)),
         (_mean_apply(q, x), apply(weighted_mean_matrix(q), x)),
         (_mean_solve(q, x), apply(weighted_mean_inverse(q), x)),
-        (_mean_transpose_solve(q, b),
-         [sum(b[j] * S.entry(j, k) for j in range(k, len(b))) for k in range(len(b))]),
     ]
     for got, want in cases:
         assert got == list(want)
         assert all(type(v) is F for v in got)
+    # the associate product: a against the columns of the dense T^{-1}
+    q = dataclasses.replace(q, m=m)
+    a = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
+    S = mean_difference_inverse(q, q.capacity)
+    assert _InverseKernel(q).associate(a) == [
+        sum(a[j] * S.entry(j, k) for j in range(k, len(a))) for k in range(len(a))]
 
 
 def test_integer_kernels_take_iterators_plain_ints_and_empty_input():
     q = preset(PresetSpec("euler", alpha=F(1, 3)), 4, m=2)
     x = (F(1, 2), F(-2, 3), F(5), F(0))
     kernels = (lambda v: _differences(v, 2), lambda v: _running_sums(v, 2),
-               lambda v: _mean_apply(q, v), lambda v: _mean_solve(q, v),
-               lambda v: _mean_transpose_solve(q, v))
+               lambda v: _mean_apply(q, v), lambda v: _mean_solve(q, v))
     for kernel in kernels:
         assert kernel(iter(x)) == kernel(x)
         assert kernel(reversed(x)) == kernel(x[::-1])

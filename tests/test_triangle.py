@@ -15,16 +15,14 @@ from genmeans import (
     TriangleMatrix,
     apply,
     binom,
-    coeff_via_determinant,
     compose,
     identity,
     invert_triangle,
-    seq_add,
-    seq_scale,
     toeplitz_inverse_coeffs,
     unit_sequence,
 )
 from genmeans.operators import difference_matrix, identity_triple, mean_difference_matrix
+from genmeans.selfcheck import coeff_via_determinant, seq_add, seq_scale
 
 from conftest import fraction_windows, lower_triangles, small_fractions
 
