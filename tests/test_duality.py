@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genmeans import (
-    FLOAT64,
     DimensionError,
     MatrixWindow,
     PresetSpec,
