@@ -1,11 +1,12 @@
 """Finite-truncation operator algebra for mean-difference sequence spaces.
 
-Triangular matrix algebra over exact-rational and float backends, the
-weighted-mean / difference operator constructions with transforms by
+Finite sequence and matrix windows over exact-rational and float backends,
+the weighted-mean / difference operator constructions with transforms by
 triangular substitution and associate rows from the reciprocal series of s,
 Schauder basis and dual machinery, a matrix-class condition catalog, and
 Hausdorff-noncompactness gauges — everything computed on finite windows with
-declared tail behavior.
+declared tail behavior.  The dense triangle algebra and the closed-form
+inverses are oracles in ``genmeans.selfcheck``, not exported here.
 """
 
 from .scalars import Backend, DEFAULT_TOLERANCE, FLOAT64, RATIONAL, backend_for
@@ -27,13 +28,9 @@ from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
     apply,
-    binom,
-    compose,
     identity,
-    invert_triangle,
     ones_sequence,
     seq_sub,
-    toeplitz_inverse_coeffs,
     unit_sequence,
 )
 from .operators import (
@@ -42,17 +39,13 @@ from .operators import (
     PresetSpec,
     PRESET_NAMES,
     check_params,
-    difference_inverse,
-    difference_matrix,
     identity_triple,
     inverse_transform,
-    mean_difference_inverse,
     mean_difference_matrix,
     preset,
     space_norm,
     transform,
     validate_params,
-    weighted_mean_inverse,
     weighted_mean_matrix,
 )
 from .duality import (

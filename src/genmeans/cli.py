@@ -33,8 +33,7 @@ from .errors import (
     TailError,
 )
 from .operators import PresetSpec, preset, inverse_transform, space_norm, transform
-from .scalars import backend_for
-from .selfcheck import run_selftest
+from .scalars import FLOAT_MODE, backend_for
 from .serialize import (
     make_report,
     matrix_from_json,
@@ -73,6 +72,9 @@ def _resolve_params(args, backend):
     if getattr(args, "params", None):
         doc = _load_json(args.params, "params")
         p = params_from_json(doc)
+        if backend.mode == FLOAT_MODE and p.backend.mode != FLOAT_MODE:
+            # the float boundary is the parameters': rational ones take rational inputs
+            raise ParameterError(["params: rational parameters cannot take --scalar f64"])
         return p, {"params_file": args.params, "params": params_to_json(p)}
     name = args.preset or "identity"
     order = args.n
@@ -205,6 +207,8 @@ def _cmd_chi(args, backend):
 
 
 def _cmd_selftest(args, backend):
+    from .selfcheck import run_selftest    # the oracles load only for selftest
+
     lines = []
     ok = run_selftest(seed=args.seed, emit=lines.append)
     for line in lines:

@@ -195,7 +195,9 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 
     Zero tails make every limit eventually constant, so each verdict is
     exact; any other tail yields an indeterminate verdict with an
-    explanation rather than a guess.
+    explanation rather than a guess.  A zero-tail sequence must have length
+    ``p.order``.  Each call builds one inverse kernel: the associate row is
+    read off the dual triangle.
     """
     check_params(p)
     if dual not in ("alpha", "beta", "gamma"):
@@ -207,6 +209,8 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
             "indeterminate",
             "input tail is undeclared; infinite-support membership is out of scope",
             evidence={"tail": a.tail})
+    if len(a) != p.order:
+        raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
 
     jmax = a.support - 1
 
@@ -218,22 +222,22 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
                        evidence={"subset_sup": est})
 
     if dual == "gamma":
-        R = associate_row(p, a)
         E = gamma_dual_matrix(p, a)
-        row_sums = [row_abs_sum(E.rows[l]) for l in range(E.order)]
-        # rows stabilize at the absolute associate total once l passes the support
-        stabilized = row_abs_sum(R)
+        row_sums = [row_abs_sum(row) for row in E.rows]
+        # rows stabilize at the absolute associate total once l passes the
+        # support; the last row is the associate row R(a) itself
+        stabilized = row_sums[-1]
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
                        evidence={"row_sums": tuple(row_sums),
                                  "stabilized_row_sum": stabilized,
-                                 "sup": max(row_sums + [stabilized])})
+                                 "sup": max(row_sums)})
 
-    # beta: evaluate the membership sets needed for the source space
-    R = associate_row(p, a)
+    # beta: evaluate the membership sets needed for the source space; the
+    # tail-sum diagonal w_kk is the associate row R_k(a)
     W = tail_sum_matrix(p, a)
     sets = {}
-    sets["B1"] = {"value": row_abs_sum(R), "satisfied": True}
+    sets["B1"] = {"value": row_abs_sum(W.diagonal()), "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
     row_abs = [row_abs_sum(row) for row in W.rows]
     sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}

@@ -6,14 +6,16 @@ s_{n-k} t_k / r_n, the order-m difference triangle with entries
 T = W Delta^m.  Transforms never build T or its inverse: they run m
 differences or running sums and one convolution or forward substitution
 on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
-built on the reciprocal series c = 1/s; the dense triangles remain public
-objects and test oracles.  These kernels bring their inputs over one common
-denominator and compute on integers (fraction-free, as in Bareiss
-elimination), so an inner product costs no gcd; each result becomes one
-Fraction.
+built on the reciprocal series c = 1/s.  These kernels bring their inputs
+over one common denominator and compute on integers (fraction-free, as in
+Bareiss elimination), so an inner product costs no gcd; each result becomes
+one Fraction.  W and T are the only dense triangles built here, for callers
+that hold an operator as a matrix; the dense inverses and the difference
+triangle are oracles in ``selfcheck``.  Nothing is cached on a parameter set
+except its exact twin.
 Parameter windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
-is m reverse differences of row n of W, never a product through ``compose``.
+is m reverse differences of row n of W, never a matrix product.
 """
 
 from __future__ import annotations
@@ -28,15 +30,7 @@ from typing import Optional
 
 from .errors import DimensionError, ParameterError
 from .scalars import FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator
-from .triangle import (
-    STRUCTURAL_TAIL,
-    SequenceWindow,
-    TriangleMatrix,
-    binom,
-    compose,
-    identity,
-    toeplitz_inverse_coeffs,
-)
+from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix
 
 PRESET_NAMES = ("uv", "euler", "aydin", "lambda", "identity")
 
@@ -153,10 +147,8 @@ def _structural(order, row, capacity=None):
                           STRUCTURAL_TAIL, row_fn=row, capacity=capacity)
 
 
-@lru_cache(maxsize=256)
-def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
-    """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
-    p, order = _lifted(p, order)
+def _mean_row(p):
+    """Row n of W on the exact twin p: entries s_{n-k} t_k / r_n for k <= n."""
 
     def row(n):
         # one Fraction per entry from numerators and denominators: one gcd,
@@ -166,52 +158,15 @@ def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
                               p.s[n - k].denominator * p.t[k].denominator * rn)
                      for k in range(n + 1))
 
-    return _structural(order, row, p.capacity)
+    return row
 
 
-@lru_cache(maxsize=256)
-def difference_matrix(m, order, backend=RATIONAL) -> TriangleMatrix:
-    """Order-m difference triangle: entries (-1)^{n-k} binom(m, n-k); m = 0 is the identity."""
-    if m < 0:
-        raise ParameterError([f"difference order must be nonnegative, got {m}"])
-    one = backend.one
-
-    def row(n):
-        return tuple((-1) ** ((n - k) % 2) * binom(m, n - k) * one for k in range(n + 1))
-
-    return _structural(order, row)
-
-
-@lru_cache(maxsize=256)
-def difference_inverse(m, order, backend=RATIONAL) -> TriangleMatrix:
-    """Inverse of the order-m difference triangle: entries binom(m+n-k-1, n-k)."""
-    if m < 0:
-        raise ParameterError([f"difference order must be nonnegative, got {m}"])
-    one = backend.one
-
-    def row(n):
-        return tuple(binom(m + n - k - 1, n - k) * one for k in range(n + 1))
-
-    return _structural(order, row)
-
-
-@lru_cache(maxsize=256)
-def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
-    """Closed-form inverse of the weighted-mean triangle.
-
-    Entry (n, k) is (-1)^{n-k} D_{n-k} r_k / t_n with D the Toeplitz inverse
-    coefficients of s.
-    """
+def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
+    """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
     p, order = _lifted(p, order)
-    D = toeplitz_inverse_coeffs(p.s, p.capacity)
-
-    def row(n):
-        return tuple((-1) ** ((n - k) % 2) * D[n - k] * p.r[k] / p.t[n] for k in range(n + 1))
-
-    return _structural(order, row, p.capacity)
+    return _structural(order, _mean_row(p), p.capacity)
 
 
-@lru_cache(maxsize=256)
 def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     """The composite operator T = W Delta^m; structural tail.
 
@@ -219,19 +174,12 @@ def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     w_k - w_{k+1} (with w_{n+1} = 0) of the weighted-mean row: O(mn) per row.
     """
     p, order = _lifted(p, order)
-    mean_row = weighted_mean_matrix(p, order).row_fn
+    mean_row = _mean_row(p)
 
     def row(n):
         return tuple(reversed(_differences(reversed(mean_row(n)), p.m)))
 
     return _structural(order, row, p.capacity)
-
-
-@lru_cache(maxsize=256)
-def mean_difference_inverse(p, order=None) -> TriangleMatrix:
-    """Inverse of the composite operator: the difference inverse times the weighted-mean inverse."""
-    p, order = _lifted(p, order)
-    return compose(difference_inverse(p.m, order, p.backend), weighted_mean_inverse(p, order))
 
 
 # Substitution kernels.  They take the exact twin and iterables of Fractions
@@ -511,9 +459,7 @@ def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
 __all__ = [
     "ParameterTriple", "PresetSpec", "NormResult", "PRESET_NAMES",
     "validate_params", "check_params",
-    "weighted_mean_matrix", "weighted_mean_inverse",
-    "difference_matrix", "difference_inverse",
-    "mean_difference_matrix", "mean_difference_inverse",
+    "weighted_mean_matrix", "mean_difference_matrix",
     "transform", "inverse_transform", "space_norm",
-    "preset", "identity_triple", "identity",
+    "preset", "identity_triple",
 ]

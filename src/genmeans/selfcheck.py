@@ -2,42 +2,43 @@
 
 The generators here produce small random rationals so products stay cheap
 while still exercising sign mixes and zero entries wherever zeros are legal.
-The closed forms of the associate rows, tail sums and partial-sum entries
-live here as oracles for the defining sums that ``duality`` computes, with
-the determinant oracle for the Toeplitz inverse coefficients, the direct
-kernel of the composite operator's entries and the window sums and scalings
-the linearity checks use.
+The dense triangle algebra lives here as oracles for the substitution
+kernels of ``operators``: the triangle product and inverse, the Toeplitz
+inverse coefficients D_n of s with their determinant oracle, the difference
+triangle and its binomial inverse, and the closed-form inverses of the
+weighted-mean and composite operators.  So do the closed forms of the
+associate rows, tail sums and partial-sum entries, oracles for the defining
+sums that ``duality`` computes, the direct kernel of the composite
+operator's entries and the window sums and scalings the linearity checks use.
 ``run_selftest`` drives the cross-module identities end to end and is what
 the CLI selftest command executes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from .errors import DimensionError, GuardError, ParameterError
+from .errors import DimensionError, GuardError, ParameterError, SingularTriangleError
 from .scalars import RATIONAL
 from .triangle import (
+    STRUCTURAL_TAIL,
     UNKNOWN_TAIL,
     ZERO_TAIL,
     MatrixWindow,
     SequenceWindow,
-    _seq_values,
-    binom,
-    compose,
+    TriangleMatrix,
     identity,
-    invert_triangle,
-    toeplitz_inverse_coeffs,
 )
 from .operators import (
     ParameterTriple,
+    _lifted,
+    _structural,
     inverse_transform,
-    mean_difference_inverse,
     mean_difference_matrix,
     space_norm,
     transform,
-    weighted_mean_inverse,
     weighted_mean_matrix,
 )
 from .duality import (
@@ -50,6 +51,155 @@ from .duality import (
 from .triangle import apply, unit_sequence
 from .compactness import associate_matrix, chi_norm, compactness_verdict, supplied_associate
 from .conditions import CONDITION_IDS, condition_verdict, eval_condition
+
+
+# Dense triangle algebra: oracles for the substitution kernels of ``operators``.
+
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient, extended so that binom(-1, 0) = 1 (empty product)."""
+    if k < 0:
+        return 0
+    if k == 0:
+        return 1
+    if n < 0:
+        out = 1
+        for i in range(k):
+            out *= n - i
+        return out // math.factorial(k)
+    return math.comb(n, k) if k <= n else 0
+
+
+def _combined_tail(a, b):
+    if a == ZERO_TAIL and b == ZERO_TAIL:
+        return ZERO_TAIL
+    if a == STRUCTURAL_TAIL and b == STRUCTURAL_TAIL:
+        return STRUCTURAL_TAIL
+    return UNKNOWN_TAIL
+
+
+def compose(left, right):
+    """Matrix product of two triangles of equal order.
+
+    The tail combines pessimistically: zero with zero stays zero, structural
+    with structural stays structural, anything else is unknown.  The product
+    carries no row generator: a structural operator that needs one gets it
+    from its own formula.
+    """
+    if left.order != right.order:
+        raise DimensionError(f"order mismatch: {left.order} vs {right.order}")
+    order = left.order
+    rows = []
+    for n in range(order):
+        lrow = left.rows[n]
+        row = []
+        for k in range(n + 1):
+            acc = lrow[k] * right.rows[k][k]
+            for i in range(k + 1, n + 1):
+                acc += lrow[i] * right.rows[i][k]
+            row.append(acc)
+        rows.append(tuple(row))
+    return TriangleMatrix(order, rows, _combined_tail(left.tail, right.tail))
+
+
+def invert_triangle(matrix):
+    """Inverse of a triangle by forward substitution, one column at a time.
+
+    Triangular inversion is local: entry (n, k) of the inverse depends only
+    on rows <= n, so the window inverse agrees with the infinite inverse.  A
+    structural input therefore yields a structural inverse, without a row
+    generator (as ``compose``); any other input an unknown tail.
+    """
+    for n in range(matrix.order):
+        if matrix.rows[n][n] == 0:
+            raise SingularTriangleError(n)
+    order = matrix.order
+    inv = [[None] * (n + 1) for n in range(order)]
+    for k in range(order):
+        inv[k][k] = 1 / matrix.rows[k][k]
+        for n in range(k + 1, order):
+            acc = matrix.rows[n][k] * inv[k][k]
+            for i in range(k + 1, n):
+                acc += matrix.rows[n][i] * inv[i][k]
+            inv[n][k] = -acc / matrix.rows[n][n]
+    tail = STRUCTURAL_TAIL if matrix.tail == STRUCTURAL_TAIL else UNKNOWN_TAIL
+    return TriangleMatrix(order, inv, tail)
+
+
+def _seq_values(s):
+    return s.values if isinstance(s, SequenceWindow) else tuple(s)
+
+
+def toeplitz_inverse_coeffs(s, count):
+    """The tuple D_0 .. D_{count-1} of coefficients of the inverse of the
+    lower-triangular Toeplitz matrix built from a window s (s_0 on the
+    diagonal), via the reciprocal-series convolution recursion.
+
+    c_0 = 1/s_0, c_n = -(1/s_0) sum_{j=1}^{n} s_j c_{n-j}, D_n = (-1)^n c_n,
+    so c is the reciprocal of s as a power series: sum_{j<=n} s_j c_{n-j} = [n = 0].
+    Quadratic cost; ``coeff_via_determinant`` is its small-order determinant
+    oracle.  The operators run the same recursion on integers
+    (``operators._InverseKernel``), and this Fraction loop is their oracle.
+    """
+    vals = _seq_values(s)
+    if count < 1:
+        raise DimensionError("coefficient count must be positive")
+    if len(vals) < count:
+        raise DimensionError(f"window of length {len(vals)} too short for {count} coefficients")
+    if vals[0] == 0:
+        raise ParameterError(["s[0] must be nonzero (leading Toeplitz diagonal)"])
+    c = [None] * count
+    c[0] = 1 / vals[0]
+    for n in range(1, count):
+        acc = vals[1] * c[n - 1]
+        for j in range(2, n + 1):
+            acc += vals[j] * c[n - j]
+        c[n] = -acc / vals[0]
+    return tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count))
+
+
+def difference_matrix(m, order, backend=RATIONAL) -> TriangleMatrix:
+    """Order-m difference triangle: entries (-1)^{n-k} binom(m, n-k); m = 0 is the identity."""
+    if m < 0:
+        raise ParameterError([f"difference order must be nonnegative, got {m}"])
+    one = backend.one
+
+    def row(n):
+        return tuple((-1) ** ((n - k) % 2) * binom(m, n - k) * one for k in range(n + 1))
+
+    return _structural(order, row)
+
+
+def difference_inverse(m, order, backend=RATIONAL) -> TriangleMatrix:
+    """Inverse of the order-m difference triangle: entries binom(m+n-k-1, n-k)."""
+    if m < 0:
+        raise ParameterError([f"difference order must be nonnegative, got {m}"])
+    one = backend.one
+
+    def row(n):
+        return tuple(binom(m + n - k - 1, n - k) * one for k in range(n + 1))
+
+    return _structural(order, row)
+
+
+def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
+    """Closed-form inverse of the weighted-mean triangle.
+
+    Entry (n, k) is (-1)^{n-k} D_{n-k} r_k / t_n with D the Toeplitz inverse
+    coefficients of s.
+    """
+    p, order = _lifted(p, order)
+    D = toeplitz_inverse_coeffs(p.s, p.capacity)
+
+    def row(n):
+        return tuple((-1) ** ((n - k) % 2) * D[n - k] * p.r[k] / p.t[n] for k in range(n + 1))
+
+    return _structural(order, row, p.capacity)
+
+
+def mean_difference_inverse(p, order=None) -> TriangleMatrix:
+    """Inverse of the composite operator: the difference inverse times the weighted-mean inverse."""
+    p, order = _lifted(p, order)
+    return compose(difference_inverse(p.m, order, p.backend), weighted_mean_inverse(p, order))
 
 
 def nonzero_fraction(rng, span=3, den=3):

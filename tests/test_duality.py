@@ -17,13 +17,10 @@ from genmeans import (
     apply,
     associate_row,
     basis_vector,
-    binom,
     dual_membership,
     gamma_dual_matrix,
     identity_triple,
     inverse_transform,
-    invert_triangle,
-    mean_difference_inverse,
     mean_difference_matrix,
     preset,
     reconstruct,
@@ -34,8 +31,16 @@ from genmeans import (
 from genmeans import operators
 from genmeans.conditions import tail_sum_family
 from genmeans.duality import associate_kernel
+from genmeans.limits import row_abs_sum
 from genmeans.operators import _InverseKernel, exact_lift
-from genmeans.selfcheck import associate_row_closed, gamma_dual_closed, tail_sum_closed
+from genmeans.selfcheck import (
+    associate_row_closed,
+    binom,
+    gamma_dual_closed,
+    invert_triangle,
+    mean_difference_inverse,
+    tail_sum_closed,
+)
 
 from conftest import (
     dyadic_floats,
@@ -429,6 +434,38 @@ def test_membership_indeterminate_without_zero_tail():
     p = euler_triple(5)
     verdict = dual_membership(p, SequenceWindow((F(1),) * 5), "beta", "c0")
     assert verdict.status == "indeterminate"
+
+
+def test_membership_makes_one_toeplitz_solve(monkeypatch):
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    p = euler_triple(8)
+    a = SequenceWindow(tuple(F(k + 1, 3) for k in range(5)) + (F(0),) * 3, "zero")
+    total = row_abs_sum(associate_row(p, a))
+    for dual in ("alpha", "beta", "gamma"):
+        for space in ("c0", "c", "l_inf"):
+            solves.clear()
+            verdict = dual_membership(p, a, dual, space)
+            assert solves == [5]
+            if dual == "beta":
+                assert verdict.evidence["B1"]["value"] == total
+            if dual == "gamma":
+                assert verdict.evidence["stabilized_row_sum"] == total
+
+
+def test_membership_input_length_is_the_order():
+    p = euler_triple(5)
+    for dual in ("alpha", "beta", "gamma"):
+        with pytest.raises(DimensionError):
+            dual_membership(p, SequenceWindow((F(1),) + (F(0),) * 5, "zero"), dual)
+        # the tail check comes first: an undeclared tail is indeterminate at any length
+        assert dual_membership(p, SequenceWindow((F(1),) * 6), dual).status == "indeterminate"
 
 
 # --- float boundary ---------------------------------------------------------

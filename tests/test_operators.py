@@ -13,21 +13,15 @@ from genmeans import (
     RATIONAL,
     SequenceWindow,
     TriangleMatrix,
-    compose,
-    difference_inverse,
-    difference_matrix,
     identity,
     identity_triple,
     inverse_transform,
-    invert_triangle,
-    mean_difference_inverse,
     mean_difference_matrix,
     ones_sequence,
     preset,
     space_norm,
     transform,
     validate_params,
-    weighted_mean_inverse,
     weighted_mean_matrix,
 )
 
@@ -39,7 +33,15 @@ from genmeans.operators import (
     _running_sums,
     exact_lift,
 )
-from genmeans.selfcheck import composite_entry
+from genmeans.selfcheck import (
+    compose,
+    composite_entry,
+    difference_inverse,
+    difference_matrix,
+    invert_triangle,
+    mean_difference_inverse,
+    weighted_mean_inverse,
+)
 from genmeans.triangle import apply
 
 from conftest import (
@@ -228,7 +230,7 @@ def test_composite_inverse_uv_two_term_reduction():
     # s = ones makes the inverse entries two-term sums over i in {k, k+1}
     p = preset(PresetSpec("uv", u=(F(2),) * 16, v=(F(3),) * 16), 4, m=1)
     S = mean_difference_inverse(p)
-    from genmeans import binom
+    from genmeans.selfcheck import binom
     for j in range(4):
         for k in range(j + 1):
             expected = sum(
@@ -272,7 +274,7 @@ def test_inverse_transform_of_zero_is_zero():
 
 def test_inverse_transform_matches_double_sum():
     # independent oracle: the explicit double-sum reconstruction
-    from genmeans import binom, toeplitz_inverse_coeffs
+    from genmeans.selfcheck import binom, toeplitz_inverse_coeffs
 
     p = preset(PresetSpec("euler", alpha=F(2, 5)), 6, m=2)
     y = SequenceWindow((F(1), F(-2), F(1, 3), F(0), F(2), F(-1)))

@@ -14,15 +14,20 @@ from genmeans import (
     SingularTriangleError,
     TriangleMatrix,
     apply,
-    binom,
-    compose,
     identity,
-    invert_triangle,
-    toeplitz_inverse_coeffs,
     unit_sequence,
 )
-from genmeans.operators import difference_matrix, identity_triple, mean_difference_matrix
-from genmeans.selfcheck import coeff_via_determinant, seq_add, seq_scale
+from genmeans.operators import identity_triple, mean_difference_matrix
+from genmeans.selfcheck import (
+    binom,
+    coeff_via_determinant,
+    compose,
+    difference_matrix,
+    invert_triangle,
+    seq_add,
+    seq_scale,
+    toeplitz_inverse_coeffs,
+)
 
 from conftest import fraction_windows, lower_triangles, small_fractions
 
