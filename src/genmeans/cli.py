@@ -22,7 +22,7 @@ from .compactness import (
     supplied_associate,
 )
 from .conditions import CONDITION_SUMMARY, classify_map
-from .duality import basis_vector, dual_membership, associate_row
+from .duality import _membership, basis_vector
 from .errors import (
     DimensionError,
     GuardError,
@@ -156,10 +156,10 @@ def _cmd_basis(args, backend):
 def _cmd_dual(args, backend):
     p, job_params = _resolve_params(args, backend)
     a, raw = _load_sequence(args.input, backend, p)
-    verdict = dual_membership(p, a, args.dual, args.space)
+    verdict, associate = _membership(p, a, args.dual, args.space)
     result = {"dual": args.dual, "space": args.space, "verdict": verdict}
-    if a.tail == "zero":
-        result["associate_row"] = list(associate_row(p, a).values)
+    if associate is not None:
+        result["associate_row"] = list(associate)
     job = {"command": "dual", **job_params, "dual": args.dual,
            "space": args.space, "input": raw}
     return job, result, None, verdict.status == "indeterminate"

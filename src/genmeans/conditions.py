@@ -38,7 +38,7 @@ from .triangle import (
     MatrixWindow,
     SequenceWindow,
 )
-from .duality import associate_kernel, tail_sum_matrix
+from .duality import associate_rows, tail_sum_matrix
 from .operators import _InverseKernel, check_params, exact_lift
 
 SPACES = ("c0", "c", "l_inf")
@@ -114,24 +114,19 @@ SHIFTED_MEMBERSHIP_NOTE = (
 def transformed_rows(p, matrix) -> MatrixWindow:
     """The matrix with rows R(A_n): each source row re-expressed against the
     inverse columns.  Requires complete (zero-tail) rows; the row tail in the
-    n direction propagates, with a derived generator for structural tails.
-    The parameters are checked once here, not once per stored or generated row."""
+    n direction propagates.  A structural source with a generator has its
+    cached extension, up to the capacity, mapped with its stored rows in one
+    pass through one kernel, and the window generates from that tuple alone;
+    a generated row with support past the parameter capacity raises
+    ``DimensionError`` here.  The parameters are checked once, not per row."""
     check_params(p)
-    associate = associate_kernel(p)
-    rows = tuple(map(associate, matrix.rows))
-    row_fn = None
-    capacity = matrix.capacity
-    if matrix.row_tail == STRUCTURAL_TAIL and matrix.row_fn is not None:
-        caps = [c for c in (matrix.capacity, p.capacity) if c is not None]
-        capacity = min(caps) if caps else None
-
-        def row_fn(n):
-            src = matrix.row(n)
-            if src is None:
-                raise DimensionError(f"cannot generate source row {n}")
-            return associate(src)
-
-    return MatrixWindow(rows, matrix.row_tail, row_fn, capacity)
+    if matrix.row_tail != STRUCTURAL_TAIL or matrix.row_fn is None:
+        return MatrixWindow(associate_rows(p, matrix.rows), matrix.row_tail, None,
+                            matrix.capacity)
+    stored = len(matrix.rows)
+    capacity = p.capacity if matrix.capacity is None else min(matrix.capacity, p.capacity)
+    rows = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
+    return MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__, min(capacity, len(rows)))
 
 
 def tail_sum_family(p, matrix) -> tuple:
@@ -140,7 +135,7 @@ def tail_sum_family(p, matrix) -> tuple:
     check_params(p)
     rows = [SequenceWindow(row, ZERO_TAIL) for row in matrix.rows]
     support = max((a.support for a in rows), default=0)
-    inverse = _InverseKernel(exact_lift(p)).inverse_rows(support)
+    inverse = _InverseKernel(exact_lift(p), support).inverse_rows()
     return tuple(tail_sum_matrix(p, a, inverse) for a in rows)
 
 

@@ -5,18 +5,18 @@ of the composite operator: basis vector j is column j of that inverse, and
 the extra vector indexed -1 (for the convergent-sequence space) is its row
 sums.  The dual machinery revolves around the associate row R_k(a): the
 source row re-expressed against the inverse columns, one integer product
-with the reciprocal series c = 1/s per row (``operators._InverseKernel``).
-The tail-sum and alpha/gamma dual triangles are running sums of the rows
-a_j T^{-1}_j, made once per call.  Every dual/associate input must declare
-a zero tail so each series collapses to a finite sum; anything else is
-rejected rather than extrapolated.
+with c = 1/s per row, all rows of a call through one sized kernel
+(``operators._InverseKernel``).  The tail-sum and alpha/gamma dual
+triangles are running sums of the rows a_j T^{-1}_j, made once per call.
+Every dual/associate input must declare a zero tail so each series
+collapses to a finite sum; anything else is rejected, not extrapolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add
 
 from .errors import DimensionError
@@ -89,14 +89,16 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
                           out(ell) if space == "c" else None, space == "c")
 
 
-def associate_kernel(p):
-    """a -> R_0 .. R_{len(a)-1} for the values a of a zero-tail row, on
-    parameters the caller has checked: the exact twin and one kernel serve
-    every row mapped (``conditions.transformed_rows``), not one per row."""
+def associate_rows(p, rows) -> tuple:
+    """R_0 .. R_{len(a)-1} for the values a of each zero-tail row, on
+    parameters the caller has checked: one exact twin and one kernel, sized
+    to the longest support, serve every row (``conditions.transformed_rows``).
+    A support past the parameter capacity raises ``DimensionError``."""
     q, _, out = exact_twin(p)
     lift = Fraction if p.backend.mode == FLOAT_MODE else _same
-    kernel = _InverseKernel(q)
-    return lambda a: tuple(map(out, kernel.associate(tuple(map(lift, a)))))
+    rows = [tuple(map(lift, a)) for a in rows]
+    kernel = _InverseKernel(q, max((SequenceWindow(a).support for a in rows), default=0))
+    return tuple(tuple(map(out, kernel.associate(a))) for a in rows)
 
 
 def associate_row(p, a) -> SequenceWindow:
@@ -110,14 +112,14 @@ def associate_row(p, a) -> SequenceWindow:
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    return SequenceWindow(associate_kernel(p)(a.values), ZERO_TAIL)
+    return SequenceWindow(associate_rows(p, (a.values,))[0], ZERO_TAIL)
 
 
 def _weighted_rows(q, a, inverse=None):
     """(the rows a_j T^{-1}_j for j < len(a) as integer lists, their denominator),
     from ``inverse`` (rows made for at least the support of a) or a new kernel."""
     nums, da = common_denominator(a)
-    rows, den = inverse or _InverseKernel(q).inverse_rows(SequenceWindow(a).support)
+    rows, den = inverse or _InverseKernel(q, SequenceWindow(a).support).inverse_rows()
     return ([[x * v for v in row] for x, row in zip(nums, rows)]
             + [[0] * (j + 1) for j in range(len(rows), len(a))]), den * da
 
@@ -196,9 +198,14 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
     Zero tails make every limit eventually constant, so each verdict is
     exact; any other tail yields an indeterminate verdict with an
     explanation rather than a guess.  A zero-tail sequence must have length
-    ``p.order``.  Each call builds one inverse kernel: the associate row is
-    read off the dual triangle.
+    ``p.order``.  Each call builds one inverse kernel.
     """
+    return _membership(p, a, dual, space)[0]
+
+
+def _membership(p, a, dual, space):
+    """(the ``dual_membership`` verdict, R(a) read off the dual triangle it
+    built, or None when the tail is not zero)."""
     check_params(p)
     if dual not in ("alpha", "beta", "gamma"):
         raise DimensionError(f"dual must be alpha, beta or gamma, got {dual!r}")
@@ -208,36 +215,39 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
         return Verdict(
             "indeterminate",
             "input tail is undeclared; infinite-support membership is out of scope",
-            evidence={"tail": a.tail})
+            evidence={"tail": a.tail}), None
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
 
     jmax = a.support - 1
 
     if dual == "alpha":
-        C = alpha_dual_matrix(p, a)
-        est = subset_column_sup(C)
+        q, (b,), out = exact_twin(p, a)
+        rows, den = _weighted_rows(q, b.values)
+        est = subset_column_sup(TriangleMatrix(p.order, _fractions(rows, den, out), ZERO_TAIL))
+        # R(a) is the column sums of the rows a_j T^{-1}_j, taken before rounding
+        R = tuple(out(Fraction(sum(col), den)) for col in zip_longest(*rows, fillvalue=0))
         return Verdict("satisfied",
                        "finite column-subset sup on the coordinatewise-product matrix",
-                       evidence={"subset_sup": est})
+                       evidence={"subset_sup": est}), R
 
     if dual == "gamma":
         E = gamma_dual_matrix(p, a)
         row_sums = [row_abs_sum(row) for row in E.rows]
         # rows stabilize at the absolute associate total once l passes the
         # support; the last row is the associate row R(a) itself
-        stabilized = row_sums[-1]
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
                        evidence={"row_sums": tuple(row_sums),
-                                 "stabilized_row_sum": stabilized,
-                                 "sup": max(row_sums)})
+                                 "stabilized_row_sum": row_sums[-1],
+                                 "sup": max(row_sums)}), E.rows[-1]
 
     # beta: evaluate the membership sets needed for the source space; the
     # tail-sum diagonal w_kk is the associate row R_k(a)
     W = tail_sum_matrix(p, a)
+    R = W.diagonal()
     sets = {}
-    sets["B1"] = {"value": row_abs_sum(W.diagonal()), "satisfied": True}
+    sets["B1"] = {"value": row_abs_sum(R), "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
     row_abs = [row_abs_sum(row) for row in W.rows]
     sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}
@@ -249,7 +259,7 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
     evidence = {name: {"label": BETA_SET_LABELS[name], **sets[name]} for name in needed}
     return Verdict("satisfied" if ok else "violated",
                    f"zero tail collapses every tail sum beyond index {jmax}",
-                   evidence=evidence)
+                   evidence=evidence), R
 
 
 __all__ = [

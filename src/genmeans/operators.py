@@ -6,13 +6,13 @@ s_{n-k} t_k / r_n, the order-m difference triangle with entries
 T = W Delta^m.  Transforms never build T or its inverse: they run m
 differences or running sums and one convolution or forward substitution
 on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
-built on the reciprocal series c = 1/s.  These kernels bring their inputs
-over one common denominator and compute on integers (fraction-free, as in
-Bareiss elimination), so an inner product costs no gcd; each result becomes
-one Fraction.  W and T are the only dense triangles built here, for callers
-that hold an operator as a matrix; the dense inverses and the difference
-triangle are oracles in ``selfcheck``.  Nothing is cached on a parameter set
-except its exact twin.
+sized once by its caller, on the reciprocal series c = 1/s.  The kernels
+bring their inputs over one common denominator and compute on integers
+(fraction-free, as in Bareiss elimination), so an inner product costs no
+gcd; each result becomes one Fraction.  W and T are the only dense
+triangles built here, for callers that hold an operator as a matrix; the
+dense inverses and the difference triangle are oracles in ``selfcheck``.
+Nothing is cached on a parameter set except its exact twin.
 Parameter windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
 is m reverse differences of row n of W, never a matrix product.
@@ -212,13 +212,13 @@ def _mean_apply(p, d):
             for n, r in enumerate(p.r[:len(td)])]
 
 
-def _toeplitz_solve(s, c, w=(), q=1):
+def _toeplitz_solve(s, c):
     """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n as integers W over one
     running denominator q, the lcm of the denominators seen so far, by forward
-    substitution; a solved prefix W over q continues from entry len(W) of c."""
+    substitution."""
     s, ds = common_denominator(s[:len(c)])
-    tail, w = s[1:], list(w)
-    for v in c[len(w):]:
+    tail, w, q = s[1:], [], 1
+    for v in c:
         # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with s = S / ds, w = W / q
         num = v.numerator * ds * q - sum(map(mul, tail, reversed(w))) * v.denominator
         den = v.denominator * q * s[0]
@@ -238,13 +238,6 @@ def _mean_solve(p, y):
     return [Fraction(v * t.denominator, q * t.numerator) for v, t in zip(tz, p.t)]
 
 
-def _extend(ints, den, values):
-    """ints over den followed by values, all over one common denominator."""
-    new, d = common_denominator(values)
-    lcm = math.lcm(den, d)
-    return [v * (lcm // den) for v in ints] + [v * (lcm // d) for v in new], lcm
-
-
 def _add_rows(g, row):
     """g + row for integer rows, row one entry longer: a running-sum step."""
     return [*map(add, g, row), row[-1]]
@@ -255,32 +248,26 @@ class _InverseKernel:
 
     (W^{-1})_{jk} = c_{j-k} r_k / t_j, with c = 1/s the reciprocal series from
     one ``_toeplitz_solve`` of e_0.  c, 1/t and r are held as integers, each
-    over one denominator, grown only to the longest support asked for: the
-    denominators of c_n grow geometrically on general (r, s, t).  A kernel
-    lives for one call or one window; nothing caches it on p.
+    over one denominator, for exactly the n terms its caller sizes it to, the
+    longest support it will map: the denominators of c_n grow geometrically
+    on general (r, s, t).  A kernel serves one call; nothing caches it on p.
     """
 
-    def __init__(self, p):
-        self.p, self.size, self.den = p, 0, 1
-        self.c, self.dc, self.tinv, self.dt, self.r, self.dr = [], 1, [], 1, [], 1
-
-    def grow(self, n):
-        """c, 1/t and r over n terms; n past the capacity raises DimensionError."""
-        p = self.p
+    def __init__(self, p, n):
         if n > p.capacity:
             raise DimensionError(f"source row support {n} exceeds parameter capacity {p.capacity}")
-        if n > self.size:
-            self.c, self.dc = _toeplitz_solve(p.s, (1,) + (0,) * (n - 1), self.c, self.dc)
-            self.tinv, self.dt = _extend(self.tinv, self.dt, (1 / t for t in p.t[self.size:n]))
-            self.r, self.dr = _extend(self.r, self.dr, p.r[self.size:n])
-            self.size, self.den = n, self.dr * self.dt * self.dc
+        self.p = p
+        self.c, dc = _toeplitz_solve(p.s, (1,) + (0,) * (n - 1))
+        self.tinv, dt = common_denominator(1 / t for t in p.t[:n])
+        self.r, dr = common_denominator(p.r[:n])
+        self.den = dr * dt * dc
 
     def associate(self, a):
-        """R_0 .. R_{len(a)-1} of the values a: with b the m reverse running
-        sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer product
-        and one Fraction per entry.  R vanishes past the support of a."""
+        """R_0 .. R_{len(a)-1} of the values a, whose support the kernel covers:
+        with b the m reverse running sums of a, R_k = r_k sum_{j>=k} b_j
+        c_{j-k} / t_j, one integer product and one Fraction per entry.  R
+        vanishes past the support of a."""
         support = SequenceWindow(a).support
-        self.grow(support)
         b, db = common_denominator(reversed(a[:support]))
         for _ in range(self.p.m):
             b = accumulate(b)
@@ -288,12 +275,11 @@ class _InverseKernel:
         return ([Fraction(r * sum(map(mul, u[k:], self.c)), den)
                  for k, r in enumerate(self.r[:support])] + [0] * (len(a) - support))
 
-    def inverse_rows(self, n):
-        """(rows 0 .. n-1 of T^{-1} as integer lists, their denominator): the
-        rows of W^{-1}, then m running sums down the rows."""
-        self.grow(n)
+    def inverse_rows(self):
+        """(the kernel's rows of T^{-1} as integer lists, their denominator):
+        the rows of W^{-1}, then m running sums down the rows."""
         rows = [[r * tj * c for r, c in zip(self.r, self.c[j::-1])]
-                for j, tj in enumerate(self.tinv[:n])]
+                for j, tj in enumerate(self.tinv)]
         for _ in range(self.p.m):
             rows = list(accumulate(rows, _add_rows))
         return rows, self.den

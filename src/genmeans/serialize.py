@@ -17,7 +17,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .errors import SchemaError
-from .limits import LimitEstimate, Verdict
+from .limits import LimitEstimate
 from .operators import NormResult, ParameterTriple
 from .scalars import Backend, FLOAT_MODE, RATIONAL_MODE
 from .triangle import (
@@ -212,9 +212,6 @@ def _plain(value):
             "trace": [_plain(v) for v in value.trace],
             "note": value.note,
         }
-    if isinstance(value, Verdict):
-        return {"status": value.status, "detail": value.detail,
-                "evidence": _plain(value.evidence)}
     if isinstance(value, NormResult):
         return {"value": _plain(value.value), "arg_index": value.arg_index,
                 "exact": value.exact}

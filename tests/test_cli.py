@@ -14,12 +14,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genmeans
-from genmeans import MatrixWindow, RATIONAL, SequenceWindow, identity
+from genmeans import (
+    FLOAT64,
+    MatrixWindow,
+    PresetSpec,
+    RATIONAL,
+    SequenceWindow,
+    associate_row,
+    identity,
+    operators,
+    preset,
+)
 from genmeans.cli import main
 from genmeans.serialize import (
     canonical_number_from_json,
     matrix_to_json,
     sequence_from_json,
+    scalar_to_json,
     sequence_to_json,
 )
 
@@ -89,6 +100,31 @@ def test_dual_command(tmp_path, capsys):
                     "--input", str(path), "--n", "16")
     assert code == 0
     assert json.loads(out)["result"]["verdict"]["status"] == "satisfied"
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT64], ids=lambda b: b.mode)
+@pytest.mark.parametrize("dual", ["alpha", "beta", "gamma"])
+def test_dual_command_makes_one_toeplitz_solve(dual, backend, tmp_path, capsys, monkeypatch):
+    # the report's associate row is read off the dual triangle, not rebuilt
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    a = SequenceWindow((F(1), F(-3, 4), F(5, 2)) + (F(0),) * 5, "zero")
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(sequence_to_json(a)))
+    scalar = "rational" if backend is RATIONAL else "f64"
+    code, out = run(capsys, "dual", "--dual", dual, "--preset", "euler", "--alpha", "1/3",
+                    "--m", "2", "--n", "8", "--scalar", scalar, "--input", str(path))
+    assert code == 0
+    assert solves == [3]
+    p = preset(PresetSpec("euler", alpha=backend.convert(F(1, 3))), 8, m=2, backend=backend)
+    R = associate_row(p, SequenceWindow(map(backend.convert, a), "zero"))
+    assert json.loads(out)["result"]["associate_row"] == list(map(scalar_to_json, R))
 
 
 def test_chi_command_with_supplied_associate(tmp_path, capsys):

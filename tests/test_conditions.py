@@ -7,6 +7,7 @@ from hypothesis import given
 
 from genmeans import (
     CONDITION_IDS,
+    DimensionError,
     MatrixWindow,
     ParameterError,
     PresetSpec,
@@ -24,7 +25,7 @@ from genmeans import (
     transformed_rows,
     unit_sequence,
 )
-from genmeans import conditions
+from genmeans import conditions, operators
 from genmeans.conditions import REQUIRED_CONDITIONS
 
 from conftest import parameter_triples, zero_tail_windows
@@ -119,6 +120,51 @@ def test_transformed_rows_match_associate_rows(p):
     for n in range(6):
         expected = associate_row(p, SequenceWindow(A.rows[n], "zero")).values
         assert B.rows[n] == expected
+
+
+def _widening_row(n):
+    return tuple(F((-1) ** k, k + 1) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("capacity", [2, 10, 16, 20, None, 40])
+def test_transformed_rows_extend_as_the_associates_of_the_source_extension(capacity):
+    # four stored rows extend to 16; the parameters' capacity is 24
+    p = preset(PresetSpec("euler", alpha=F(1, 3)), 6, m=2)
+    A = MatrixWindow(tuple(map(_widening_row, range(4))), "structural", _widening_row, capacity)
+    B = transformed_rows(p, A)
+
+    def associate(row):
+        return associate_row(p, SequenceWindow(row, "zero")).values
+
+    assert B.rows == tuple(map(associate, A.rows))
+    stop = p.capacity if capacity is None else min(capacity, p.capacity)
+    assert B.extended == tuple(map(associate, A.extended[:stop]))
+
+
+def test_transformed_rows_reject_a_generated_row_past_the_capacity():
+    p = preset(PresetSpec("euler", alpha=F(1, 3)), 4, m=1)
+
+    def row(n):
+        return (F(1),) * (2 * n + 1)
+
+    A = MatrixWindow(tuple(map(row, range(4))), "structural", row)
+    with pytest.raises(DimensionError):
+        transformed_rows(p, A).extended
+
+
+def test_transformed_rows_make_one_toeplitz_solve(monkeypatch):
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    B = transformed_rows(p, mean_difference_matrix(p))
+    assert len(B.extended) == 24
+    assert solves == [24]
 
 
 def test_tail_sum_family_single_coordinate_row():
@@ -250,6 +296,22 @@ def test_classification_builds_the_associate_once_and_each_row_once(source, targ
     assert sorted(generated) == list(range(6, 24))
     assert set(generated.values()) == {1}
     assert report == classify_map(p, T, source, target)
+
+
+def test_classifications_of_one_window_generate_each_source_row_once():
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    generated = Counter()
+
+    def row_fn(n):
+        generated[n] += 1
+        return T.row_fn(n)
+
+    window = MatrixWindow(T.rows, "structural", row_fn, T.capacity)
+    classify_map(p, window, "c", "c")
+    classify_map(p, window, "c0", "l_inf")
+    assert sorted(generated) == list(range(6, 24))
+    assert set(generated.values()) == {1}
 
 
 def test_structural_identity_violates_null_target():

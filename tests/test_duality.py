@@ -30,7 +30,7 @@ from genmeans import (
 )
 from genmeans import operators
 from genmeans.conditions import tail_sum_family
-from genmeans.duality import associate_kernel
+from genmeans.duality import associate_rows
 from genmeans.limits import row_abs_sum
 from genmeans.operators import _InverseKernel, exact_lift
 from genmeans.selfcheck import (
@@ -265,14 +265,9 @@ def check_kernel_against_dense_inverse(q, a):
     n = q.capacity
     S = mean_difference_inverse(q, n)
     assert S.rows == invert_triangle(mean_difference_matrix(q, n)).rows
-    rows, den = _InverseKernel(q).inverse_rows(n)
+    kernel = _InverseKernel(q, n)
+    rows, den = kernel.inverse_rows()
     assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
-    # grown in steps (a resumed solve) as when grown at once
-    kernel = _InverseKernel(q)
-    for size in (1, n // 2, n):
-        part, part_den = kernel.inverse_rows(size)
-        assert [[F(v, part_den) for v in row] for row in part] == [
-            list(row) for row in S.rows[:size]]
     assert len(a) == n
     assert kernel.associate(a) == [sum(a[j] * S.entry(j, k) for j in range(k, n))
                                    for k in range(n)]
@@ -309,8 +304,8 @@ def test_kernel_runs_f64_through_the_exact_twin(p, data):
     q = exact_lift(p)
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
-    assert associate_kernel(p)(a) == tuple(map(float, _InverseKernel(q).associate(
-        tuple(map(F, a)))))
+    assert associate_rows(p, (a,)) == (tuple(map(float, _InverseKernel(q, len(a)).associate(
+        tuple(map(F, a))))),)
 
 
 def test_kernel_support_at_and_past_the_capacity():
@@ -329,9 +324,9 @@ def test_kernel_support_at_and_past_the_capacity():
         with pytest.raises(DimensionError):
             fn(p, past)
     with pytest.raises(DimensionError):
-        associate_kernel(p)(past.values)
+        associate_rows(p, (past.values,))
     with pytest.raises(DimensionError):
-        _InverseKernel(p).inverse_rows(n + 1)
+        _InverseKernel(p, n + 1)
 
 
 def test_tail_sum_family_makes_one_toeplitz_solve(monkeypatch):
