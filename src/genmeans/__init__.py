@@ -67,7 +67,6 @@ from .conditions import (
     classify_map,
     condition_verdict,
     eval_condition,
-    tail_sum_family,
     transformed_rows,
 )
 from .compactness import (

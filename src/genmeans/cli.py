@@ -120,28 +120,15 @@ def _load_matrix(path, backend):
     return matrix_from_json(doc, path="matrix", backend=backend), doc
 
 
-def _cmd_transform(args, backend):
-    p, job_params = _resolve_params(args, backend)
-    x, raw = _load_sequence(args.input, backend, p)
-    y = transform(p, x)
-    job = {"command": "transform", **job_params, "input": raw}
-    return job, {"sequence": y}, y, False
-
-
-def _cmd_inverse_transform(args, backend):
-    p, job_params = _resolve_params(args, backend)
-    y, raw = _load_sequence(args.input, backend, p)
-    x = inverse_transform(p, y)
-    job = {"command": "inverse-transform", **job_params, "input": raw}
-    return job, {"sequence": x}, x, False
-
-
-def _cmd_norm(args, backend):
-    p, job_params = _resolve_params(args, backend)
-    x, raw = _load_sequence(args.input, backend, p)
-    result = space_norm(p, x)
-    job = {"command": "norm", **job_params, "input": raw}
-    return job, {"norm": result}, None, False
+def _on_sequence(command, fn, key):
+    """The handler of a command that maps its one input sequence through ``fn``."""
+    def handler(args, backend):
+        p, job_params = _resolve_params(args, backend)
+        x, raw = _load_sequence(args.input, backend, p)
+        result = fn(p, x)
+        job = {"command": command, **job_params, "input": raw}
+        return job, {key: result}, result, False
+    return handler
 
 
 def _cmd_basis(args, backend):
@@ -220,9 +207,9 @@ def _cmd_selftest(args, backend):
 
 
 COMMANDS = {
-    "transform": _cmd_transform,
-    "inverse-transform": _cmd_inverse_transform,
-    "norm": _cmd_norm,
+    "transform": _on_sequence("transform", transform, "sequence"),
+    "inverse-transform": _on_sequence("inverse-transform", inverse_transform, "sequence"),
+    "norm": _on_sequence("norm", space_norm, "norm"),
     "basis": _cmd_basis,
     "dual": _cmd_dual,
     "matclass": _cmd_matclass,

@@ -13,6 +13,7 @@ for bounded targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError, InconsistencyError
@@ -99,8 +100,16 @@ class ChiEstimate:
 def _half(value):
     if isinstance(value, float):
         return value / 2
-    from fractions import Fraction
     return Fraction(value) / 2
+
+
+def _gauge_inputs(p, matrix_or_associate, target, tolerance):
+    """(the associate window, the tolerance) after checking p and the target."""
+    check_params(p)
+    if target not in TARGETS:
+        raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
+    return (_resolve_associate(p, matrix_or_associate).window,
+            p.backend.tolerance if tolerance is None else tolerance)
 
 
 def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDOW,
@@ -110,11 +119,7 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
     or the sandwich around the column-shifted limsup (c).  A matrix gets an
     associate of its own per call; an ``AssociateMatrix`` shares its extension
     and cached row sums with every gauge that reads it."""
-    check_params(p)
-    if target not in TARGETS:
-        raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
-    tolerance = p.backend.tolerance if tolerance is None else tolerance
-    assoc = _resolve_associate(p, matrix_or_associate).window
+    assoc, tolerance = _gauge_inputs(p, matrix_or_associate, target, tolerance)
 
     if target != "c":
         # null target: the gauge is the limsup; bounded target: [0, limsup]
@@ -147,11 +152,7 @@ def compactness_verdict(p, matrix_or_associate, target, *,
     Decisive only under decisive tails; never a guess.  A matrix gets an
     associate of its own per call; an ``AssociateMatrix`` shares its extension
     and cached row sums with every gauge that reads it."""
-    check_params(p)
-    if target not in TARGETS:
-        raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
-    tolerance = p.backend.tolerance if tolerance is None else tolerance
-    assoc = _resolve_associate(p, matrix_or_associate).window
+    assoc, tolerance = _gauge_inputs(p, matrix_or_associate, target, tolerance)
 
     if target == "c":
         cols, est = column_shifted(assoc, limsup_of_rows, trend_window, tolerance)

@@ -36,10 +36,9 @@ from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
     MatrixWindow,
-    SequenceWindow,
 )
-from .duality import associate_rows, tail_sum_matrix
-from .operators import _InverseKernel, check_params, exact_lift
+from .duality import associate_rows, tail_sum_rows
+from .operators import check_params
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -129,16 +128,6 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     return MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__, min(capacity, len(rows)))
 
 
-def tail_sum_family(p, matrix) -> tuple:
-    """The tail-sum triangle of each source row, all read off the rows of
-    T^{-1} made once, up to the longest source support."""
-    check_params(p)
-    rows = [SequenceWindow(row, ZERO_TAIL) for row in matrix.rows]
-    support = max((a.support for a in rows), default=0)
-    inverse = _InverseKernel(exact_lift(p), support).inverse_rows()
-    return tuple(tail_sum_matrix(p, a, inverse) for a in rows)
-
-
 def _per_row_tail_condition(p, window, cond):
     """Conditions quantified per source row over its tail-sum triangle.
 
@@ -146,15 +135,16 @@ def _per_row_tail_condition(p, window, cond):
     past the support: per-row limits are exact.  The universal quantifier
     over rows is certified by the row-tail declaration (zero and structural
     tails generate finitely supported rows; unknown tails cannot certify).
-    4.15 bounds each row's tail sums separately; the largest of those bounds
-    is a value over every row only when the row tail is zero."""
+    4.15 bounds each row's tail sums separately, all rows read off one
+    kernel (``duality.tail_sum_rows``); the largest of those bounds is a
+    value over every row only when the row tail is zero."""
     if window.row_tail == UNKNOWN_TAIL:
         return LimitEstimate("lim" if cond != "4.15" else "sup", None, STATUS_INDET,
                              TREND_SHORT,
                              note="row tail undeclared; per-row conditions not certifiable")
     if cond == "4.15":
-        per_row_values = [max((row_abs_sum(row) for row in W.rows), default=0)
-                          for W in tail_sum_family(p, window)]
+        per_row_values = [max(map(row_abs_sum, W), default=0)
+                          for W in tail_sum_rows(p, window.rows)]
         if window.row_tail != ZERO_TAIL:
             return LimitEstimate("sup", None, STATUS_EXACT, TREND_EXACT,
                                  tuple(range(len(per_row_values))), tuple(per_row_values),
@@ -315,5 +305,5 @@ __all__ = [
     "CONDITION_SUMMARY", "CONDITION_PREDICATE", "REQUIRED_CONDITIONS",
     "ON_ASSOCIATE", "SHIFTED_MEMBERSHIP_NOTE", "SPACES",
     "eval_condition", "condition_verdict", "classify_map", "ClassReport",
-    "transformed_rows", "tail_sum_family",
+    "transformed_rows",
 ]

@@ -5,9 +5,10 @@ of the composite operator: basis vector j is column j of that inverse, and
 the extra vector indexed -1 (for the convergent-sequence space) is its row
 sums.  The dual machinery revolves around the associate row R_k(a): the
 source row re-expressed against the inverse columns, one integer product
-with c = 1/s per row, all rows of a call through one sized kernel
-(``operators._InverseKernel``).  The tail-sum and alpha/gamma dual
-triangles are running sums of the rows a_j T^{-1}_j, made once per call.
+with c = 1/s per row.  Every object reads all rows of a call off one sized
+kernel (``operators._InverseKernel``), on values lifted by ``exact_twin``
+alone: the tail-sum and alpha/gamma dual triangles are running sums of its
+rows a_j T^{-1}_j, and ``dual_membership`` takes R(a) from the same kernel.
 Every dual/associate input must declare a zero tail so each series
 collapses to a finite sum; anything else is rejected, not extrapolated.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from operator import add
 
 from .errors import DimensionError
 from .limits import Verdict, row_abs_sum, subset_column_sup
-from .scalars import FLOAT_MODE, common_denominator
+from .scalars import common_denominator
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
@@ -35,7 +36,6 @@ from .operators import (
     NormResult,
     _InverseKernel,
     _add_rows,
-    _same,
     check_params,
     exact_twin,
     inverse_transform,
@@ -75,7 +75,8 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
         raise DimensionError(f"partial-sum order {partial_order} must be below {p.order}")
     if space not in ("c0", "c"):
         raise DimensionError(f"reconstruction space must be c0 or c, got {space!r}")
-    q, (x,), out = exact_twin(p, x)
+    q, (values,), out = exact_twin(p, x.values)
+    x = SequenceWindow(values, x.tail)
     y = transform(q, x)
     # the partial sum is the preimage of y cut after partial_order, padded
     # with 0 (c0) or with the limit proxy ell (c): sum_j c_j b^(j) + ell b^(-1)
@@ -89,16 +90,44 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
                           out(ell) if space == "c" else None, space == "c")
 
 
+def _kernel(p, rows):
+    """(one kernel sized to the longest support of the value rows, the rows
+    lifted alike, out): every object here reads its rows off this."""
+    q, rows, out = exact_twin(p, *rows)
+    return _InverseKernel(q, max((SequenceWindow(a).support for a in rows), default=0)), rows, out
+
+
+def _dual_rows(a, inverse, dual, out):
+    """The alpha, gamma or beta triangle of the values a from the kernel's
+    ``inverse_rows()``: the integer rows a_j T^{-1}_j over one denominator,
+    their prefix sums (gamma) or suffix sums cut after entry p in row p (beta,
+    the tail sums), then one Fraction per entry through ``out``."""
+    nums, da = common_denominator(a)
+    rows, den = inverse[0], inverse[1] * da
+    rows = ([[x * v for v in row] for x, row in zip(nums, rows)]
+            + [[0] * (j + 1) for j in range(len(rows), len(a))])
+    if dual == "gamma":
+        rows = accumulate(rows, _add_rows)
+    elif dual == "beta":
+        rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
+    return tuple(tuple(out(Fraction(v, den)) for v in row) for row in rows)
+
+
 def associate_rows(p, rows) -> tuple:
     """R_0 .. R_{len(a)-1} for the values a of each zero-tail row, on
     parameters the caller has checked: one exact twin and one kernel, sized
     to the longest support, serve every row (``conditions.transformed_rows``).
     A support past the parameter capacity raises ``DimensionError``."""
-    q, _, out = exact_twin(p)
-    lift = Fraction if p.backend.mode == FLOAT_MODE else _same
-    rows = [tuple(map(lift, a)) for a in rows]
-    kernel = _InverseKernel(q, max((SequenceWindow(a).support for a in rows), default=0))
+    kernel, rows, out = _kernel(p, rows)
     return tuple(tuple(map(out, kernel.associate(a))) for a in rows)
+
+
+def tail_sum_rows(p, rows) -> tuple:
+    """The tail-sum triangle rows of each zero-tail value row, on parameters
+    the caller has checked, all off one kernel's rows of T^{-1} (4.15)."""
+    kernel, rows, out = _kernel(p, rows)
+    inverse = kernel.inverse_rows()
+    return tuple(_dual_rows(a, inverse, "beta", out) for a in rows)
 
 
 def associate_row(p, a) -> SequenceWindow:
@@ -115,33 +144,16 @@ def associate_row(p, a) -> SequenceWindow:
     return SequenceWindow(associate_rows(p, (a.values,))[0], ZERO_TAIL)
 
 
-def _weighted_rows(q, a, inverse=None):
-    """(the rows a_j T^{-1}_j for j < len(a) as integer lists, their denominator),
-    from ``inverse`` (rows made for at least the support of a) or a new kernel."""
-    nums, da = common_denominator(a)
-    rows, den = inverse or _InverseKernel(q, SequenceWindow(a).support).inverse_rows()
-    return ([[x * v for v in row] for x, row in zip(nums, rows)]
-            + [[0] * (j + 1) for j in range(len(rows), len(a))]), den * da
-
-
-def _fractions(rows, den, out):
-    return tuple(tuple(out(Fraction(v, den)) for v in row) for row in rows)
-
-
-def tail_sum_matrix(p, a, inverse=None) -> TriangleMatrix:
+def tail_sum_matrix(p, a) -> TriangleMatrix:
     """Triangle of tail sums w_pk = sum_{j>=p} a_j s_{jk} for 0 <= k <= p:
     row p is the suffix sum of the rows a_j T^{-1}_j for j >= p, cut after
     entry p.  Rows vanish once p passes the support of a, so the triangle has
-    a zero tail.  ``conditions.tail_sum_family`` passes one ``inverse``, from
-    ``_InverseKernel.inverse_rows``, to all its rows.  ``selfcheck`` holds the
+    a zero tail.  ``tail_sum_rows`` on one row; ``selfcheck`` holds the
     closed-form oracle.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    q, (b,), out = exact_twin(p, a)
-    rows, den = _weighted_rows(q, b.values, inverse)
-    sums = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    return TriangleMatrix(len(a), _fractions(sums, den, out), ZERO_TAIL)
+    return TriangleMatrix(len(a), tail_sum_rows(p, (a.values,))[0], ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -152,8 +164,8 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    q, (b,), out = exact_twin(p, a)
-    return TriangleMatrix(p.order, _fractions(*_weighted_rows(q, b.values), out), tail)
+    kernel, (b,), out = _kernel(p, (a.values,))
+    return TriangleMatrix(p.order, _dual_rows(b, kernel.inverse_rows(), "alpha", out), tail)
 
 
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
@@ -169,10 +181,9 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
         raise DimensionError(f"partial-sum order {L} exceeds truncation order {p.order}")
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
-    q, (b,), out = exact_twin(p, a)
-    rows, den = _weighted_rows(q, b.values[:L])
+    kernel, (b,), out = _kernel(p, (a.values[:L],))
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(L, _fractions(accumulate(rows, _add_rows), den, out), tail)
+    return TriangleMatrix(L, _dual_rows(b, kernel.inverse_rows(), "gamma", out), tail)
 
 
 # descriptive labels for the beta-dual membership conditions
@@ -204,8 +215,8 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 
 
 def _membership(p, a, dual, space):
-    """(the ``dual_membership`` verdict, R(a) read off the dual triangle it
-    built, or None when the tail is not zero)."""
+    """(the ``dual_membership`` verdict, R(a) from the kernel that built the
+    dual triangle, or None when the tail is not zero)."""
     check_params(p)
     if dual not in ("alpha", "beta", "gamma"):
         raise DimensionError(f"dual must be alpha, beta or gamma, got {dual!r}")
@@ -220,36 +231,31 @@ def _membership(p, a, dual, space):
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
 
     jmax = a.support - 1
+    kernel, (b,), out = _kernel(p, (a.values,))
+    R = tuple(map(out, kernel.associate(b)))
+    rows = _dual_rows(b, kernel.inverse_rows(), dual, out)
 
     if dual == "alpha":
-        q, (b,), out = exact_twin(p, a)
-        rows, den = _weighted_rows(q, b.values)
-        est = subset_column_sup(TriangleMatrix(p.order, _fractions(rows, den, out), ZERO_TAIL))
-        # R(a) is the column sums of the rows a_j T^{-1}_j, taken before rounding
-        R = tuple(out(Fraction(sum(col), den)) for col in zip_longest(*rows, fillvalue=0))
+        est = subset_column_sup(TriangleMatrix(p.order, rows, ZERO_TAIL))
         return Verdict("satisfied",
                        "finite column-subset sup on the coordinatewise-product matrix",
                        evidence={"subset_sup": est}), R
 
     if dual == "gamma":
-        E = gamma_dual_matrix(p, a)
-        row_sums = [row_abs_sum(row) for row in E.rows]
-        # rows stabilize at the absolute associate total once l passes the
-        # support; the last row is the associate row R(a) itself
+        # rows stabilize at the absolute associate total once l passes the support
+        row_sums = [row_abs_sum(row) for row in rows]
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
                        evidence={"row_sums": tuple(row_sums),
                                  "stabilized_row_sum": row_sums[-1],
-                                 "sup": max(row_sums)}), E.rows[-1]
+                                 "sup": max(row_sums)}), R
 
-    # beta: evaluate the membership sets needed for the source space; the
-    # tail-sum diagonal w_kk is the associate row R_k(a)
-    W = tail_sum_matrix(p, a)
-    R = W.diagonal()
+    # beta: evaluate the membership sets needed for the source space on the
+    # tail-sum rows
     sets = {}
     sets["B1"] = {"value": row_abs_sum(R), "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
-    row_abs = [row_abs_sum(row) for row in W.rows]
+    row_abs = [row_abs_sum(row) for row in rows]
     sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}
     sets["B4"] = {"vanish_from": jmax + 1, "satisfied": True}
     sets["B5"] = {"limits": tuple(0 for _ in range(len(a))), "satisfied": True}
@@ -263,7 +269,8 @@ def _membership(p, a, dual, space):
 
 
 __all__ = [
-    "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_matrix",
+    "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_rows",
+    "tail_sum_matrix",
     "alpha_dual_matrix", "gamma_dual_matrix", "dual_membership",
     "BETA_SET_LABELS", "BETA_SETS_BY_SPACE",
 ]

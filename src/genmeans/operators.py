@@ -9,10 +9,11 @@ on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
 sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 bring their inputs over one common denominator and compute on integers
 (fraction-free, as in Bareiss elimination), so an inner product costs no
-gcd; each result becomes one Fraction.  W and T are the only dense
-triangles built here, for callers that hold an operator as a matrix; the
-dense inverses and the difference triangle are oracles in ``selfcheck``.
-Nothing is cached on a parameter set except its exact twin.
+gcd; each result becomes one Fraction.  Float inputs cross one boundary,
+``exact_twin``, the only place that lifts values, and nothing is cached on
+a parameter set except its exact twin.  W and T are the only dense
+triangles built here; the dense inverses and the difference triangle are
+oracles in ``selfcheck``.
 Parameter windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
 is m reverse differences of row n of W, never a matrix product.
@@ -118,18 +119,16 @@ def _same(value):
     return value
 
 
-def exact_twin(p, *windows):
-    """The one float boundary: (exact_lift(p), the windows lifted alike, out).
+def exact_twin(p, *values):
+    """The one float boundary: (exact_lift(p), the value sequences lifted, out).
 
     Value functions compute on the exact twin and pass every scalar they
     return through ``out``: ``float`` for the float backend, so each result
     is rounded exactly once, and the identity for the rational backend.
     """
     if p.backend.mode != FLOAT_MODE:
-        return p, windows, _same
-    lifted = tuple(SequenceWindow(tuple(Fraction(v) for v in x.values), x.tail, x.space_label)
-                   for x in windows)
-    return _dyadic_lift(p), lifted, float
+        return p, values, _same
+    return _dyadic_lift(p), tuple(tuple(map(Fraction, x)) for x in values), float
 
 
 def _lifted(p, order):
@@ -290,8 +289,8 @@ def transform(p, x) -> SequenceWindow:
     check_params(p)
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
-    q, (x,), out = exact_twin(p, x)
-    return SequenceWindow(map(out, _mean_apply(q, _differences(x.values, q.m))))
+    q, (x,), out = exact_twin(p, x.values)
+    return SequenceWindow(map(out, _mean_apply(q, _differences(x, q.m))))
 
 
 def inverse_transform(p, y) -> SequenceWindow:
@@ -299,8 +298,8 @@ def inverse_transform(p, y) -> SequenceWindow:
     check_params(p)
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
-    q, (y,), out = exact_twin(p, y)
-    return SequenceWindow(map(out, _running_sums(_mean_solve(q, y.values), q.m)))
+    q, (y,), out = exact_twin(p, y.values)
+    return SequenceWindow(map(out, _running_sums(_mean_solve(q, y), q.m)))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from genmeans import (
     identity_triple,
     mean_difference_matrix,
     preset,
-    tail_sum_family,
     transformed_rows,
     unit_sequence,
 )
-from genmeans import conditions, operators
+from genmeans import conditions, duality, operators
+from genmeans.duality import tail_sum_rows
 from genmeans.conditions import REQUIRED_CONDITIONS
 
 from conftest import parameter_triples, zero_tail_windows
@@ -167,18 +167,37 @@ def test_transformed_rows_make_one_toeplitz_solve(monkeypatch):
     assert solves == [24]
 
 
-def test_tail_sum_family_single_coordinate_row():
+def test_tail_sum_rows_single_coordinate_row():
     p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
     from genmeans.selfcheck import mean_difference_inverse
     S = mean_difference_inverse(p)
     A = MatrixWindow((unit_sequence(6, 2, RATIONAL).values,), "zero")
-    fam = tail_sum_family(p, A)
+    fam = tail_sum_rows(p, A.rows)
     W = fam[0]
     for cut in range(3):
         for k in range(cut + 1):
-            assert W.entry(cut, k) == S.entry(2, k)
+            assert W[cut][k] == S.entry(2, k)
     # rows past the support vanish
-    assert all(v == 0 for v in W.rows[3])
+    assert all(v == 0 for v in W[3])
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+def test_condition_4_15_checks_the_parameters_once(rows, monkeypatch):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    calls = []
+    check = operators.check_params
+
+    def counting_check(p):
+        calls.append(p)
+        return check(p)
+
+    for module in (operators, duality, conditions):
+        monkeypatch.setattr(module, "check_params", counting_check)
+    A = MatrixWindow(tuple(unit_sequence(6, n % 6, RATIONAL).values for n in range(rows)),
+                     "zero")
+    est = eval_condition("4.15", A, p)
+    assert est.status == "exact"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cond", ["4.23", "4.24", "4.25"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from genmeans import (
     DimensionError,
+    FLOAT64,
     MatrixWindow,
     PresetSpec,
     RATIONAL,
@@ -29,8 +30,7 @@ from genmeans import (
     unit_sequence,
 )
 from genmeans import operators
-from genmeans.conditions import tail_sum_family
-from genmeans.duality import associate_rows
+from genmeans.duality import associate_rows, tail_sum_rows
 from genmeans.limits import row_abs_sum
 from genmeans.operators import _InverseKernel, exact_lift
 from genmeans.selfcheck import (
@@ -329,7 +329,7 @@ def test_kernel_support_at_and_past_the_capacity():
         _InverseKernel(p, n + 1)
 
 
-def test_tail_sum_family_makes_one_toeplitz_solve(monkeypatch):
+def test_tail_sum_rows_make_one_toeplitz_solve(monkeypatch):
     solves = []
     solve = operators._toeplitz_solve
 
@@ -343,9 +343,9 @@ def test_tail_sum_family_makes_one_toeplitz_solve(monkeypatch):
         A = MatrixWindow(tuple(tuple(F(n + k + 1, k + 1) for k in range(n % 8 + 1))
                                for n in range(rows)), "zero")
         solves.clear()
-        family = tail_sum_family(p, A)
+        family = tail_sum_rows(p, A.rows)
         assert solves == [min(rows, 8)]
-        assert family == tuple(tail_sum_matrix(p, SequenceWindow(row, "zero"))
+        assert family == tuple(tail_sum_matrix(p, SequenceWindow(row, "zero")).rows
                                for row in A.rows)
 
 
@@ -440,18 +440,25 @@ def test_membership_makes_one_toeplitz_solve(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
-    p = euler_triple(8)
-    a = SequenceWindow(tuple(F(k + 1, 3) for k in range(5)) + (F(0),) * 3, "zero")
-    total = row_abs_sum(associate_row(p, a))
-    for dual in ("alpha", "beta", "gamma"):
-        for space in ("c0", "c", "l_inf"):
+    for backend in (RATIONAL, FLOAT64):
+        p = preset(PresetSpec("euler", alpha=backend.convert(F(1, 2))), 8, m=1, backend=backend)
+        a = SequenceWindow(tuple(backend.convert(F(k + 1, 3)) for k in range(5))
+                           + (backend.zero,) * 3, "zero")
+        total = row_abs_sum(associate_row(p, a))
+        for dual in ("alpha", "beta", "gamma"):
+            for space in ("c0", "c", "l_inf"):
+                solves.clear()
+                verdict = dual_membership(p, a, dual, space)
+                assert solves == [5]
+                if dual == "beta":
+                    assert verdict.evidence["B1"]["value"] == total
+                if dual == "gamma":
+                    assert verdict.evidence["stabilized_row_sum"] == total
+        # the dual matrices read one kernel each too
+        for fn in (alpha_dual_matrix, gamma_dual_matrix, tail_sum_matrix):
             solves.clear()
-            verdict = dual_membership(p, a, dual, space)
-            assert solves == [5]
-            if dual == "beta":
-                assert verdict.evidence["B1"]["value"] == total
-            if dual == "gamma":
-                assert verdict.evidence["stabilized_row_sum"] == total
+            fn(p, a)
+            assert solves == [5], (backend.mode, fn.__name__)
 
 
 def test_membership_input_length_is_the_order():
