@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print the call counts of one in-process analysis cycle, as cProfile sees them.
+
+Usage: python scripts/work_counts.py [SEED]
+
+Runs one cycle of the benchmark's seeded ``analysis`` workload
+(``perfbench/workloads.py``, read only, seed 3 by default) under cProfile and
+prints how often each function below was called.  The counts are
+deterministic: they measure work, not time, so two checkouts compare on any
+machine.  Nothing is bounded; a change that claims less work quotes them.
+
+  Fraction.__new__     every rational built
+  common_denominator   every lcm taken over a list of values
+  integer_row          every row brought over one denominator for its statistics
+  _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
+  check_params         every parameter validation
+
+A name the checkout does not have prints as 0.  The sources come from this
+checkout (``src/`` and ``perfbench/``), whatever ``PYTHONPATH`` says.
+"""
+
+import cProfile
+import os
+import pstats
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402  (perfbench's modules import each other by bare name)
+
+# (label, source file suffix, function name) as pstats keys them
+COUNTED = (
+    ("Fraction.__new__", "fractions.py", "__new__"),
+    ("common_denominator", "scalars.py", "common_denominator"),
+    ("_exact_total", "limits.py", "_exact_total"),
+    ("integer_row", "limits.py", "integer_row"),
+    ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
+    ("check_params", "operators.py", "check_params"),
+)
+
+
+def counts(seed):
+    """{label: calls} over one analysis cycle of the given seed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = workloads.Analysis(seed, "full", tmp).cycle()
+        profile = cProfile.Profile()
+        profile.enable()
+        for job in jobs:
+            job.run()
+        profile.disable()
+    stats = pstats.Stats(profile).stats
+    found = dict.fromkeys((label for label, _, _ in COUNTED), 0)
+    for (path, _line, name), (_cc, calls, *_rest) in stats.items():
+        for label, suffix, fn in COUNTED:
+            if name == fn and path.endswith(suffix):
+                found[label] += calls
+    return len(jobs), found
+
+
+def main(argv):
+    seed = int(argv[0]) if argv else 3
+    jobs, found = counts(seed)
+    print(f"analysis seed {seed}: {jobs} jobs")
+    for label, calls in found.items():
+        print(f"{label:20} {calls:>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

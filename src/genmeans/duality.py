@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import add
 
 from .errors import DimensionError
-from .limits import Verdict, row_abs_sum, subset_column_sup
+from .limits import Verdict, row_statistic, subset_column_sup, total
 from .scalars import common_denominator
 from .triangle import (
     UNKNOWN_TAIL,
@@ -30,6 +30,7 @@ from .triangle import (
     TriangleMatrix,
     ones_sequence,
     seq_sub,
+    support_of,
     unit_sequence,
 )
 from .operators import (
@@ -94,32 +95,47 @@ def _kernel(p, rows):
     """(one kernel sized to the longest support of the value rows, the rows
     lifted alike, out): every object here reads its rows off this."""
     q, rows, out = exact_twin(p, *rows)
-    return _InverseKernel(q, max((SequenceWindow(a).support for a in rows), default=0)), rows, out
+    return _InverseKernel(q, max(map(support_of, rows), default=0)), rows, out
 
 
-def _dual_rows(a, inverse, dual, out):
+def _values(forms, out):
+    """The rows of integer forms (ints, den) through ``out``, int 0 for zeros."""
+    return tuple(tuple(out(Fraction(v, den)) if v else out(0) for v in ints)
+                 for ints, den in forms)
+
+
+def _abs_sums(forms, out):
+    """sum_k |v_k| of the row of each integer form: off the integers, or, when
+    ``out`` rounds to float, left to right over the rounded values."""
+    if out is float:
+        return [total(map(abs, row)) for row in _values(forms, out)]
+    return [row_statistic(form[0], form, absolute=True) for form in forms]
+
+
+def _dual_rows(a, inverse, dual):
     """The alpha, gamma or beta triangle of the values a from the kernel's
-    ``inverse_rows()``: the integer rows a_j T^{-1}_j over one denominator,
-    their prefix sums (gamma) or suffix sums cut after entry p in row p (beta,
-    the tail sums), then one Fraction per entry through ``out``."""
+    ``inverse_rows()`` as integer forms over one denominator: the rows
+    a_j T^{-1}_j, their prefix sums (gamma) or suffix sums cut after entry p
+    in row p (beta, the tail sums)."""
     nums, da = common_denominator(a)
     rows, den = inverse[0], inverse[1] * da
     rows = ([[x * v for v in row] for x, row in zip(nums, rows)]
             + [[0] * (j + 1) for j in range(len(rows), len(a))])
     if dual == "gamma":
-        rows = accumulate(rows, _add_rows)
+        rows = list(accumulate(rows, _add_rows))
     elif dual == "beta":
         rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    return tuple(tuple(out(Fraction(v, den)) for v in row) for row in rows)
+    return [(row, den) for row in rows]
 
 
 def associate_rows(p, rows) -> tuple:
-    """R_0 .. R_{len(a)-1} for the values a of each zero-tail row, on
-    parameters the caller has checked: one exact twin and one kernel, sized
-    to the longest support, serve every row (``conditions.transformed_rows``).
+    """(R(a) for the values a of each zero-tail row, their integer forms or None
+    for f64) on parameters the caller has checked: one exact twin and one kernel,
+    sized to the longest support, serve every row (``conditions.transformed_rows``).
     A support past the parameter capacity raises ``DimensionError``."""
     kernel, rows, out = _kernel(p, rows)
-    return tuple(tuple(map(out, kernel.associate(a))) for a in rows)
+    forms = tuple(map(kernel.associate, rows))
+    return _values(forms, out), None if out is float else forms
 
 
 def tail_sum_rows(p, rows) -> tuple:
@@ -127,7 +143,15 @@ def tail_sum_rows(p, rows) -> tuple:
     the caller has checked, all off one kernel's rows of T^{-1} (4.15)."""
     kernel, rows, out = _kernel(p, rows)
     inverse = kernel.inverse_rows()
-    return tuple(_dual_rows(a, inverse, "beta", out) for a in rows)
+    return tuple(_values(_dual_rows(a, inverse, "beta"), out) for a in rows)
+
+
+def tail_sum_bounds(p, rows) -> list:
+    """max_p sum_k |w_pk| over the tail-sum triangle of each zero-tail value
+    row (4.15), off the integers of one kernel, as ``tail_sum_rows``."""
+    kernel, rows, out = _kernel(p, rows)
+    inverse = kernel.inverse_rows()
+    return [max(_abs_sums(_dual_rows(a, inverse, "beta"), out), default=0) for a in rows]
 
 
 def associate_row(p, a) -> SequenceWindow:
@@ -141,7 +165,7 @@ def associate_row(p, a) -> SequenceWindow:
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    return SequenceWindow(associate_rows(p, (a.values,))[0], ZERO_TAIL)
+    return SequenceWindow(associate_rows(p, (a.values,))[0][0], ZERO_TAIL)
 
 
 def tail_sum_matrix(p, a) -> TriangleMatrix:
@@ -165,7 +189,8 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
     kernel, (b,), out = _kernel(p, (a.values,))
-    return TriangleMatrix(p.order, _dual_rows(b, kernel.inverse_rows(), "alpha", out), tail)
+    return TriangleMatrix(p.order, _values(_dual_rows(b, kernel.inverse_rows(), "alpha"), out),
+                          tail)
 
 
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
@@ -183,7 +208,7 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
     kernel, (b,), out = _kernel(p, (a.values[:L],))
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(L, _dual_rows(b, kernel.inverse_rows(), "gamma", out), tail)
+    return TriangleMatrix(L, _values(_dual_rows(b, kernel.inverse_rows(), "gamma"), out), tail)
 
 
 # descriptive labels for the beta-dual membership conditions
@@ -232,18 +257,19 @@ def _membership(p, a, dual, space):
 
     jmax = a.support - 1
     kernel, (b,), out = _kernel(p, (a.values,))
-    R = tuple(map(out, kernel.associate(b)))
-    rows = _dual_rows(b, kernel.inverse_rows(), dual, out)
+    form = kernel.associate(b)
+    R = _values([form], out)[0]
+    forms = _dual_rows(b, kernel.inverse_rows(), dual)
 
     if dual == "alpha":
-        est = subset_column_sup(TriangleMatrix(p.order, rows, ZERO_TAIL))
+        est = subset_column_sup(TriangleMatrix(p.order, _values(forms, out), ZERO_TAIL))
         return Verdict("satisfied",
                        "finite column-subset sup on the coordinatewise-product matrix",
                        evidence={"subset_sup": est}), R
 
     if dual == "gamma":
         # rows stabilize at the absolute associate total once l passes the support
-        row_sums = [row_abs_sum(row) for row in rows]
+        row_sums = _abs_sums(forms, out)
         return Verdict("satisfied",
                        "partial-sum rows have uniformly bounded absolute sums",
                        evidence={"row_sums": tuple(row_sums),
@@ -253,10 +279,9 @@ def _membership(p, a, dual, space):
     # beta: evaluate the membership sets needed for the source space on the
     # tail-sum rows
     sets = {}
-    sets["B1"] = {"value": row_abs_sum(R), "satisfied": True}
+    sets["B1"] = {"value": _abs_sums([form], out)[0], "satisfied": True}
     sets["B2"] = {"vanish_from": jmax + 1, "satisfied": True}
-    row_abs = [row_abs_sum(row) for row in rows]
-    sets["B3"] = {"sup": max(row_abs, default=0), "satisfied": True}
+    sets["B3"] = {"sup": max(_abs_sums(forms, out), default=0), "satisfied": True}
     sets["B4"] = {"vanish_from": jmax + 1, "satisfied": True}
     sets["B5"] = {"limits": tuple(0 for _ in range(len(a))), "satisfied": True}
     sets["B6"] = {"limit": 0, "satisfied": True}
@@ -270,7 +295,7 @@ def _membership(p, a, dual, space):
 
 __all__ = [
     "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_rows",
-    "tail_sum_matrix",
+    "tail_sum_bounds", "tail_sum_matrix",
     "alpha_dual_matrix", "gamma_dual_matrix", "dual_membership",
     "BETA_SET_LABELS", "BETA_SETS_BY_SPACE",
 ]

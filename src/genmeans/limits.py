@@ -12,10 +12,10 @@ trace the values: the signed and absolute row sums (``MatrixWindow.row_sums``,
 ``row_abs_sums``, also computed once per window, so every estimate and gauge
 on one window shares them), or a trace the caller builds from them.
 
-Row sums of int and Fraction entries are taken on integers: one lcm of the
-denominators, integer adds, one Fraction at the end (the fraction-free idea
-of the operator kernels), so an N-entry sum costs no gcd per term.  A row
-holding a float adds left to right through ``total``.
+Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
+the inverse kernel's own for associate rows): integer adds, one Fraction, no
+gcd per term, with the shifted trace's column limits scaled once per window.
+A row or limit vector holding a float adds left to right through ``total``.
 """
 
 from __future__ import annotations
@@ -140,52 +140,31 @@ def total(values):
     return reduce(operator.add, values, 0)
 
 
-_EXACT_TYPES = {int, Fraction}
+def integer_row(row):
+    """The integer form (ints, den) of a row of int and Fraction entries, den
+    the lcm of their denominators; None when an entry is a float."""
+    return common_denominator(row) if set(map(type, row)) <= {int, Fraction} else None
 
 
-def _exact_total(row, absolute=False, alphas=()):
-    """sum_k row_k, sum_k |row_k| (``absolute``), or sum_k |row_k - alpha_k|
-    (``alphas`` given, both padded with zeros) of int and Fraction entries:
-    one lcm of all denominators, row and alphas scaled together, integer adds
-    and one Fraction at the end.  An all-int input gives an int and the empty
-    row 0, as ``total`` would; None when an entry is anything else (a float),
-    so the caller adds left to right instead."""
-    values = (*row, *alphas)
-    kinds = set(map(type, values))
-    if not kinds <= _EXACT_TYPES:
-        return None
-    nums, den = common_denominator(values)
-    if alphas:
-        nums = [a - b for a, b in zip_longest(nums[:len(row)], nums[len(row):], fillvalue=0)]
-    value = sum(map(abs, nums)) if absolute else sum(nums)
-    return Fraction(value, den) if Fraction in kinds else value
-
-
-def row_abs_sum(row):
-    """sum_k |a_nk|."""
-    value = _exact_total(row, absolute=True)
-    return total(abs(v) for v in row) if value is None else value
-
-
-def row_sum(row):
-    """sum_k a_nk."""
-    value = _exact_total(row)
-    return total(row) if value is None else value
+def row_statistic(row, form, absolute=False, alphas=None, shift=None):
+    """sum_k row_k, sum_k |row_k| (``absolute``) or, with ``absolute``,
+    sum_k |row_k - alpha_k| (``shift`` the integer form of ``alphas``; both
+    padded with zeros) of a row with integer form ``form``: integer adds and
+    one Fraction when the forms exist, else left to right through ``total``."""
+    if form is None or (alphas is not None and shift is None):
+        if alphas is not None:
+            row = [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
+        return total(map(abs, row)) if absolute else total(row)
+    ints, den = form
+    if shift is not None:
+        alpha_ints, alpha_den = shift
+        ints = [v * alpha_den - a * den for v, a in zip_longest(ints, alpha_ints, fillvalue=0)]
+        den *= alpha_den
+    return Fraction(sum(map(abs, ints)) if absolute else sum(ints), den)
 
 
 def column_value(row, k):
     return row[k] if k < len(row) else 0
-
-
-def shifted_row_abs_sum(row, alphas):
-    """sum_k |row_k - alpha_k| with the limit vector padded by zeros beyond
-    its computed width (the standard truncation reading: column limits past
-    the stored window are taken as zero)."""
-    value = _exact_total(row, absolute=True, alphas=alphas)
-    if value is None:
-        value = total(abs(column_value(row, k) - column_value(alphas, k))
-                      for k in range(max(len(row), len(alphas))))
-    return value
 
 
 def sup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
@@ -268,20 +247,14 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
     width = window.width
     ns = tuple(range(len(rows)))
     if window.row_tail == ZERO_TAIL:
-        values = tuple(0 for _ in range(width))
-        return LimitEstimate(kind, values, STATUS_EXACT, TREND_EXACT, ns)
+        return LimitEstimate(kind, (0,) * width, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
-        values = []
-        worst = STATUS_EXACT
-        trends = []
-        for k in range(width):
-            trace = tuple(column_value(row, k) for row in rows)
-            status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
-            values.append(value)
-            trends.append(trend)
-            worst = _worse_status(worst, status)
-        overall = STATUS_TREND if worst == STATUS_EXACT else worst
-        return LimitEstimate(kind, tuple(values), overall,
+        # the ladder reads each column; one indeterminate column makes all so
+        statuses, trends, values = tuple(zip(*(
+            analyze_tail(ns, tuple(column_value(row, k) for row in rows), trend_window, tolerance)
+            for k in range(width)))) or ((), (), ())
+        overall = STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND
+        return LimitEstimate(kind, values, overall,
                              trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))
@@ -293,13 +266,17 @@ def column_shifted(window, estimator, trend_window=DEFAULT_TREND_WINDOW,
 
     ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
     None when the column limits are unresolved.  The limits and the trace are
-    computed once per window and key, in ``MatrixWindow.shifted``."""
+    computed once per window and key, in ``MatrixWindow.shifted``: alpha is
+    brought over one denominator once, and each row reads its integer form."""
     key = (trend_window, tolerance)
     if key not in window.shifted:
         cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
-        window.shifted[key] = cols, (
-            None if cols.status == STATUS_INDET or cols.value is None
-            else tuple(shifted_row_abs_sum(row, cols.value) for row in window.extended))
+        alphas, trace = cols.value, None
+        if cols.status != STATUS_INDET and alphas is not None:
+            shift = integer_row(alphas)
+            trace = tuple(row_statistic(row, form, True, alphas, shift)
+                          for row, form in zip(window.extended, window.integer_rows))
+        window.shifted[key] = cols, trace
     cols, trace = window.shifted[key]
     return cols, None if trace is None else estimator(window, trace, trend_window=trend_window,
                                                       tolerance=tolerance)

@@ -9,7 +9,8 @@ on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
 sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 bring their inputs over one common denominator and compute on integers
 (fraction-free, as in Bareiss elimination), so an inner product costs no
-gcd; each result becomes one Fraction.  Float inputs cross one boundary,
+gcd; each substitution result becomes one Fraction, and the inverse kernel's
+integers go to the row statistics as they are.  Float inputs cross one boundary,
 ``exact_twin``, the only place that lifts values, and nothing is cached on
 a parameter set except its exact twin.  W and T are the only dense
 triangles built here; the dense inverses and the difference triangle are
@@ -262,17 +263,16 @@ class _InverseKernel:
         self.den = dr * dt * dc
 
     def associate(self, a):
-        """R_0 .. R_{len(a)-1} of the values a, whose support the kernel covers:
-        with b the m reverse running sums of a, R_k = r_k sum_{j>=k} b_j
-        c_{j-k} / t_j, one integer product and one Fraction per entry.  R
-        vanishes past the support of a."""
-        support = SequenceWindow(a).support
-        b, db = common_denominator(reversed(a[:support]))
+        """(R_0 .. R_{len(a)-1} of the values a as integers, their one
+        denominator), the support of a within the kernel's n terms: with b the
+        m reverse running sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j,
+        one integer product per entry and no gcd.  R vanishes past n."""
+        b, db = common_denominator(reversed(a[:len(self.r)]))
         for _ in range(self.p.m):
             b = accumulate(b)
-        u, den = list(map(mul, list(b)[::-1], self.tinv)), self.den * db
-        return ([Fraction(r * sum(map(mul, u[k:], self.c)), den)
-                 for k, r in enumerate(self.r[:support])] + [0] * (len(a) - support))
+        u = list(map(mul, list(b)[::-1], self.tinv))
+        return ([r * sum(map(mul, u[k:], self.c)) for k, r in enumerate(self.r[:len(u)])]
+                + [0] * (len(a) - len(u)), self.den * db)
 
     def inverse_rows(self):
         """(the kernel's rows of T^{-1} as integer lists, their denominator):

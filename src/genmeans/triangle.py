@@ -18,8 +18,8 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .errors import DimensionError, TailError
@@ -70,14 +70,19 @@ class SequenceWindow:
     @property
     def support(self):
         """Index one past the last stored nonzero entry."""
-        for i in range(len(self.values) - 1, -1, -1):
-            if self.values[i] != 0:
-                return i + 1
-        return 0
+        return support_of(self.values)
 
     def require_zero_tail(self, what="input sequence"):
         if self.tail != ZERO_TAIL:
             raise TailError(f"{what} must have a declared zero tail, got {self.tail!r}")
+
+
+def support_of(values):
+    """Index one past the last nonzero entry of a value sequence."""
+    n = len(values)
+    while n and values[n - 1] == 0:
+        n -= 1
+    return n
 
 
 def unit_sequence(order, j, backend):
@@ -110,12 +115,17 @@ class MatrixWindow:
     declares the rows beyond the stored block.  ``row_fn`` optionally
     generates row n beyond it when the tail is structural; ``capacity`` is
     the exclusive bound on generatable indices (None = unlimited).
+
+    Row statistics read ``integer_rows``, each extended row as integers over
+    one denominator (None for a float row): ``integers`` from a builder that
+    has them (the inverse kernel's), else each row brought over one once.
     """
 
     rows: tuple
     row_tail: str = UNKNOWN_TAIL
     row_fn: Optional[Callable[[int], tuple]] = None
     capacity: Optional[int] = None
+    integers: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
@@ -141,16 +151,23 @@ class MatrixWindow:
         return tuple(self.row(n) for n in range(stop))
 
     @cached_property
+    def integer_rows(self):
+        """The integer form of each extended row, computed once per window."""
+        from .limits import integer_row    # limits imports this module
+        given = self.integers or ()
+        return given[:len(self.extended)] + tuple(map(integer_row, self.extended[len(given):]))
+
+    @cached_property
     def row_sums(self):
         """sum_k a_nk over the extended rows, computed once per window."""
-        from .limits import row_sum    # limits imports this module
-        return tuple(map(row_sum, self.extended))
+        from .limits import row_statistic
+        return tuple(map(row_statistic, self.extended, self.integer_rows))
 
     @cached_property
     def row_abs_sums(self):
         """sum_k |a_nk| over the extended rows, computed once per window."""
-        from .limits import row_abs_sum
-        return tuple(map(row_abs_sum, self.extended))
+        from .limits import row_statistic
+        return tuple(map(partial(row_statistic, absolute=True), self.extended, self.integer_rows))
 
     @cached_property
     def shifted(self):

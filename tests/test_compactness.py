@@ -217,35 +217,41 @@ def test_gauges_on_one_associate_generate_each_row_once():
 
 
 def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
-    summed, shifted = [], []
-    row_abs_sum, shifted_row_abs_sum = limits.row_abs_sum, limits.shifted_row_abs_sum
+    scaled, shifted = [], []
+    integer_row, row_statistic = limits.integer_row, limits.row_statistic
 
-    def counting_row_abs_sum(row):
-        summed.append(row)
-        return row_abs_sum(row)
+    def counting_integer_row(row):
+        scaled.append(row)
+        return integer_row(row)
 
-    def counting_shifted_row_abs_sum(row, alphas):
-        shifted.append(row)
-        return shifted_row_abs_sum(row, alphas)
+    def counting_row_statistic(row, form, absolute=False, alphas=None, shift=None):
+        if alphas is not None:
+            shifted.append(row)
+        return row_statistic(row, form, absolute, alphas, shift)
 
-    # the window sums its rows through limits.row_abs_sum, and the
-    # column-shifted trace through limits.shifted_row_abs_sum
-    monkeypatch.setattr(limits, "row_abs_sum", counting_row_abs_sum)
-    monkeypatch.setattr(limits, "shifted_row_abs_sum", counting_shifted_row_abs_sum)
+    # the window brings each extended row over one denominator through
+    # limits.integer_row, and every row statistic, the column-shifted trace
+    # included, reads that form through limits.row_statistic
+    monkeypatch.setattr(limits, "integer_row", counting_integer_row)
+    monkeypatch.setattr(limits, "row_statistic", counting_row_statistic)
     A = supplied_associate(identity(8))
     p = euler_triple(4)
     operator_norm(p, A)
     chi_norm(p, A, "c0")
     compactness_verdict(p, A, "c0")
-    assert summed == list(A.window.extended) and len(summed) == 32
+    assert scaled == list(A.window.extended) and len(scaled) == 32
     chi = chi_norm(p, A, "c")
     verdict = compactness_verdict(p, A, "c")
+    # the column limits are scaled once per key; no row is scaled again
+    assert scaled == list(A.window.extended) + [chi.alpha_tilde]
     assert shifted == list(A.window.extended) and len(shifted) == 32
     assert chi.status == verdict.evidence.status == "trend-converged"
     assert chi.upper == verdict.evidence.value
-    # another trend window or tolerance is another key: its trace is its own
+    # another trend window or tolerance is another key: its trace is its own,
+    # read off the same integer rows
     chi_norm(p, A, "c", trend_window=5)
     assert len(shifted) == 64
+    assert scaled[:32] == list(A.window.extended) and len(scaled) == 34
 
 
 def test_euler_structural_instances_give_trend_estimates():

@@ -23,8 +23,9 @@ from genmeans import (
     preset,
     transformed_rows,
     unit_sequence,
+    weighted_mean_matrix,
 )
-from genmeans import conditions, duality, operators
+from genmeans import conditions, duality, limits, operators
 from genmeans.duality import tail_sum_rows
 from genmeans.conditions import REQUIRED_CONDITIONS
 
@@ -165,6 +166,33 @@ def test_transformed_rows_make_one_toeplitz_solve(monkeypatch):
     B = transformed_rows(p, mean_difference_matrix(p))
     assert len(B.extended) == 24
     assert solves == [24]
+
+
+@pytest.mark.parametrize("composite", (True, False), ids=("composite", "weighted-mean"))
+def test_kernel_windows_sum_rows_with_no_rescaling(monkeypatch, composite):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    B = transformed_rows(p, (mean_difference_matrix if composite else weighted_mean_matrix)(p))
+    rows = B.extended
+    scaled = []
+    common_denominator = limits.common_denominator
+
+    def counting_common_denominator(values):
+        values = list(values)
+        scaled.append(values)
+        return common_denominator(values)
+
+    # every lcm the row statistics take goes through limits.common_denominator
+    monkeypatch.setattr(limits, "common_denominator", counting_common_denominator)
+    assert len(rows) == 24
+    assert B.row_sums == tuple(map(limits.total, rows))
+    assert B.row_abs_sums == tuple(limits.total(map(abs, row)) for row in rows)
+    cols, est = limits.column_shifted(B, limits.limsup_of_rows)    # the c-target trace
+    alphas = cols.value
+    assert est.trace == tuple(
+        limits.total(abs(limits.column_value(row, k) - limits.column_value(alphas, k))
+                     for k in range(max(len(row), len(alphas)))) for row in rows)
+    # the kernel's integers serve every row; only the column limits are scaled
+    assert scaled == [list(alphas)]
 
 
 def test_tail_sum_rows_single_coordinate_row():

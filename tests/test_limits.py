@@ -3,22 +3,23 @@ from fractions import Fraction as F
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genmeans import MatrixWindow, eval_condition, identity_triple
+from genmeans import MatrixWindow, eval_condition, identity_triple, transformed_rows
 from genmeans.compactness import compactness_verdict, operator_norm, supplied_associate
 from genmeans.limits import (
     STATUS_INDET,
     STATUS_TREND,
     analyze_tail,
     column_limits,
+    column_shifted,
     column_value,
     limit_of_rows,
     limsup_of_rows,
-    row_abs_sum,
-    row_sum,
-    shifted_row_abs_sum,
     sup_of_rows,
     total,
 )
+from genmeans.selfcheck import row_abs_sum, row_sum, shifted_row_abs_sum
+
+from conftest import f64_triples, no_shrink, parameter_triples, small_fractions
 
 # q -> lim q^n, or None when the powers have no limit
 GEOMETRIC_LIMITS = {F(1, 2): 0, F(-1, 2): 0, F(1): 1, F(-1): None, F(2): None, F(-2): None}
@@ -138,3 +139,42 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
     assert limit_of_rows(unknown, unknown.row_abs_sums).note == (
         "tail undeclared; limit not computable from the window")
     assert column_limits(unknown).note == "tail undeclared; column limits not computable"
+
+
+def _same_sums(got, want):
+    """Equal values, and the same repr wherever a float is involved."""
+    assert got == want
+    for g, w in zip(got, want):
+        if isinstance(g, float) or isinstance(w, float):
+            assert repr(g) == repr(w)
+
+
+@no_shrink
+@given(st.one_of(parameter_triples(order=3), f64_triples(max_order=4)), st.data())
+def test_window_statistics_are_left_to_right_sums(p, data):
+    convert = p.backend.convert
+    width = data.draw(st.integers(min_value=1, max_value=p.order))
+    if data.draw(st.booleans()):
+        A = MatrixWindow(tuple(tuple(convert(data.draw(small_fractions)) for _ in range(width))
+                               for _ in range(3)), "zero")
+    else:
+        # columns a_k + b_k q^n: the column limits resolve, often to an
+        # accelerated float, so the shifted trace meets float alphas
+        a, b = ([data.draw(small_fractions) for _ in range(width)] for _ in "ab")
+        q = data.draw(st.sampled_from((F(1, 2), F(-1, 2), F(1, 3))))
+
+        def row_fn(n):
+            return tuple(convert(x + y * q ** n) for x, y in zip(a, b))
+
+        A = MatrixWindow(tuple(map(row_fn, range(3))), "structural", row_fn)
+    # a window of given rows and one whose integer rows come off the kernel
+    for window in (A, transformed_rows(p, A)):
+        rows = window.extended
+        _same_sums(window.row_sums, tuple(map(total, rows)))
+        _same_sums(window.row_abs_sums, tuple(total(map(abs, row)) for row in rows))
+        cols, est = column_shifted(window, limit_of_rows)
+        if est is not None:
+            alphas = cols.value
+            _same_sums(est.trace, tuple(
+                total(abs(column_value(row, k) - column_value(alphas, k))
+                      for k in range(max(len(row), len(alphas)))) for row in rows))
