@@ -36,7 +36,7 @@ from .triangle import (
     ZERO_TAIL,
     MatrixWindow,
 )
-from .duality import associate_rows, tail_sum_bounds
+from .duality import _tail_sum_bounds, associate_rows
 from .operators import check_params
 
 SPACES = ("c0", "c", "l_inf")
@@ -120,12 +120,12 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     check_params(p)
     if matrix.row_tail != STRUCTURAL_TAIL or matrix.row_fn is None:
         rows, forms = associate_rows(p, matrix.rows)
-        return MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, forms)
+        return MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
     stored = len(matrix.rows)
     capacity = p.capacity if matrix.capacity is None else min(matrix.capacity, p.capacity)
     rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
     return MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__,
-                        min(capacity, len(rows)), forms)
+                        min(capacity, len(rows)), _integers=forms)
 
 
 def _per_row_tail_condition(p, window, cond):
@@ -136,14 +136,14 @@ def _per_row_tail_condition(p, window, cond):
     over rows is certified by the row-tail declaration (zero and structural
     tails generate finitely supported rows; unknown tails cannot certify).
     4.15 bounds each row's tail sums separately, all rows read off one
-    kernel's integers (``duality.tail_sum_bounds``); the largest of those bounds is a
-    value over every row only when the row tail is zero."""
+    kernel's integers (``duality._tail_sum_bounds``); the largest of those
+    bounds is a value over every row only when the row tail is zero."""
     if window.row_tail == UNKNOWN_TAIL:
         return LimitEstimate("lim" if cond != "4.15" else "sup", None, STATUS_INDET,
                              TREND_SHORT,
                              note="row tail undeclared; per-row conditions not certifiable")
     if cond == "4.15":
-        per_row_values = tail_sum_bounds(p, window.rows)
+        per_row_values = _tail_sum_bounds(p, window.rows)
         if window.row_tail != ZERO_TAIL:
             return LimitEstimate("sup", None, STATUS_EXACT, TREND_EXACT,
                                  tuple(range(len(per_row_values))), tuple(per_row_values),

@@ -105,8 +105,7 @@ def _values(forms, out):
 
 
 def _abs_sums(forms, out):
-    """sum_k |v_k| of the row of each integer form: off the integers, or, when
-    ``out`` rounds to float, left to right over the rounded values."""
+    """sum_k |v_k| of each form's row; on f64 left to right over the rounded values."""
     if out is float:
         return [total(map(abs, row)) for row in _values(forms, out)]
     return [row_statistic(form[0], form, absolute=True) for form in forms]
@@ -146,9 +145,8 @@ def tail_sum_rows(p, rows) -> tuple:
     return tuple(_values(_dual_rows(a, inverse, "beta"), out) for a in rows)
 
 
-def tail_sum_bounds(p, rows) -> list:
-    """max_p sum_k |w_pk| over the tail-sum triangle of each zero-tail value
-    row (4.15), off the integers of one kernel, as ``tail_sum_rows``."""
+def _tail_sum_bounds(p, rows) -> list:
+    """max_p sum_k |w_pk| of each value row's tail-sum triangle, on the integers (4.15)."""
     kernel, rows, out = _kernel(p, rows)
     inverse = kernel.inverse_rows()
     return [max(_abs_sums(_dual_rows(a, inverse, "beta"), out), default=0) for a in rows]
@@ -295,7 +293,7 @@ def _membership(p, a, dual, space):
 
 __all__ = [
     "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_rows",
-    "tail_sum_bounds", "tail_sum_matrix",
+    "tail_sum_matrix",
     "alpha_dual_matrix", "gamma_dual_matrix", "dual_membership",
     "BETA_SET_LABELS", "BETA_SETS_BY_SPACE",
 ]

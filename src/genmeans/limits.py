@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .scalars import DEFAULT_TOLERANCE, common_denominator, zero_like
 from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
@@ -149,8 +149,8 @@ def integer_row(row):
 def row_statistic(row, form, absolute=False, alphas=None, shift=None):
     """sum_k row_k, sum_k |row_k| (``absolute``) or, with ``absolute``,
     sum_k |row_k - alpha_k| (``shift`` the integer form of ``alphas``; both
-    padded with zeros) of a row with integer form ``form``: integer adds and
-    one Fraction when the forms exist, else left to right through ``total``."""
+    padded with zeros) of a row with integer form ``form``, on integers and typed
+    as ``total`` types it; left to right through ``total`` when a form is missing."""
     if form is None or (alphas is not None and shift is None):
         if alphas is not None:
             row = [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
@@ -160,7 +160,10 @@ def row_statistic(row, form, absolute=False, alphas=None, shift=None):
         alpha_ints, alpha_den = shift
         ints = [v * alpha_den - a * den for v, a in zip_longest(ints, alpha_ints, fillvalue=0)]
         den *= alpha_den
-    return Fraction(sum(map(abs, ints)) if absolute else sum(ints), den)
+    value = Fraction(sum(map(abs, ints)) if absolute else sum(ints), den)
+    if value.denominator == 1 and Fraction not in map(type, chain(row, alphas or ())):
+        return int(value)
+    return value
 
 
 def column_value(row, k):
@@ -247,14 +250,20 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
     width = window.width
     ns = tuple(range(len(rows)))
     if window.row_tail == ZERO_TAIL:
-        return LimitEstimate(kind, (0,) * width, STATUS_EXACT, TREND_EXACT, ns)
+        values = tuple(0 for _ in range(width))
+        return LimitEstimate(kind, values, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
-        # the ladder reads each column; one indeterminate column makes all so
-        statuses, trends, values = tuple(zip(*(
-            analyze_tail(ns, tuple(column_value(row, k) for row in rows), trend_window, tolerance)
-            for k in range(width)))) or ((), (), ())
-        overall = STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND
-        return LimitEstimate(kind, values, overall,
+        values = []
+        worst = STATUS_EXACT
+        trends = []
+        for k in range(width):
+            trace = tuple(column_value(row, k) for row in rows)
+            status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
+            values.append(value)
+            trends.append(trend)
+            worst = _worse_status(worst, status)
+        overall = STATUS_TREND if worst == STATUS_EXACT else worst
+        return LimitEstimate(kind, tuple(values), overall,
                              trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))

@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import DimensionError, ParameterError
 from .scalars import FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator
-from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix
+from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix, support_of
 
 PRESET_NAMES = ("uv", "euler", "aydin", "lambda", "identity")
 
@@ -266,8 +266,8 @@ class _InverseKernel:
         """(R_0 .. R_{len(a)-1} of the values a as integers, their one
         denominator), the support of a within the kernel's n terms: with b the
         m reverse running sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j,
-        one integer product per entry and no gcd.  R vanishes past n."""
-        b, db = common_denominator(reversed(a[:len(self.r)]))
+        one integer product per entry and no gcd.  R vanishes past the support."""
+        b, db = common_denominator(reversed(a[:support_of(a)]))
         for _ in range(self.p.m):
             b = accumulate(b)
         u = list(map(mul, list(b)[::-1], self.tinv))

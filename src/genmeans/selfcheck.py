@@ -9,8 +9,7 @@ triangle and its binomial inverse, and the closed-form inverses of the
 weighted-mean and composite operators.  So do the closed forms of the
 associate rows, tail sums and partial-sum entries, oracles for the defining
 sums that ``duality`` computes, the direct kernel of the composite
-operator's entries, the window sums and scalings the linearity checks use
-and the single-row statistics, typed as ``limits.total`` types them.
+operator's entries and the window sums and scalings the linearity checks use.
 ``run_selftest`` drives the cross-module identities end to end and is what
 the CLI selftest command executes.
 """
@@ -22,7 +21,6 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionError, GuardError, ParameterError, SingularTriangleError
-from .limits import integer_row, row_statistic
 from .scalars import RATIONAL
 from .triangle import (
     STRUCTURAL_TAIL,
@@ -256,32 +254,6 @@ def seq_add(x, y):
 
 def seq_scale(alpha, x):
     return SequenceWindow(tuple(alpha * v for v in x), x.tail)
-
-
-# Single-row statistics on the production route (``limits.integer_row`` and
-# ``row_statistic``, which every window statistic reads), typed as
-# ``limits.total`` types them: an int when every entry is an int.
-
-def _typed(value, *rows):
-    if type(value) is Fraction and all(type(v) is int for row in rows for v in row):
-        return int(value)
-    return value
-
-
-def row_sum(row):
-    """sum_k a_nk."""
-    return _typed(row_statistic(row, integer_row(row)), row)
-
-
-def row_abs_sum(row):
-    """sum_k |a_nk|."""
-    return _typed(row_statistic(row, integer_row(row), absolute=True), row)
-
-
-def shifted_row_abs_sum(row, alphas):
-    """sum_k |row_k - alpha_k|, both padded with zeros."""
-    return _typed(row_statistic(row, integer_row(row), True, alphas, integer_row(alphas)),
-                  row, alphas)
 
 
 def _laplace_det(mat):

@@ -117,15 +117,16 @@ class MatrixWindow:
     the exclusive bound on generatable indices (None = unlimited).
 
     Row statistics read ``integer_rows``, each extended row as integers over
-    one denominator (None for a float row): ``integers`` from a builder that
-    has them (the inverse kernel's), else each row brought over one once.
+    one denominator (None for a float row): ``_integers``, the exact forms of
+    the leading extended rows from a builder that has them (the inverse
+    kernel's), else each row brought over one denominator once.
     """
 
     rows: tuple
     row_tail: str = UNKNOWN_TAIL
     row_fn: Optional[Callable[[int], tuple]] = None
     capacity: Optional[int] = None
-    integers: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _integers: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
@@ -154,7 +155,7 @@ class MatrixWindow:
     def integer_rows(self):
         """The integer form of each extended row, computed once per window."""
         from .limits import integer_row    # limits imports this module
-        given = self.integers or ()
+        given = self._integers or ()
         return given[:len(self.extended)] + tuple(map(integer_row, self.extended[len(given):]))
 
     @cached_property

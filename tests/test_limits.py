@@ -12,12 +12,13 @@ from genmeans.limits import (
     column_limits,
     column_shifted,
     column_value,
+    integer_row,
     limit_of_rows,
     limsup_of_rows,
+    row_statistic,
     sup_of_rows,
     total,
 )
-from genmeans.selfcheck import row_abs_sum, row_sum, shifted_row_abs_sum
 
 from conftest import f64_triples, no_shrink, parameter_triples, small_fractions
 
@@ -78,7 +79,7 @@ def test_trace_beyond_the_double_range_is_indeterminate():
 
 def test_float_row_sums_add_left_to_right():
     # compensated summation (sum() since Python 3.12) would give 1.0
-    assert row_sum((1e16, 1.0, -1e16)) == 0.0
+    assert MatrixWindow(((1e16, 1.0, -1e16),)).row_sums == (0.0,)
 
 
 def reference_row_statistics(row, alphas):
@@ -89,7 +90,11 @@ def reference_row_statistics(row, alphas):
 
 
 def row_statistics(row, alphas):
-    return row_sum(row), row_abs_sum(row), shifted_row_abs_sum(row, alphas)
+    """The three statistics as a window takes them: its row sums, and the
+    shifted trace's ``row_statistic`` on the integer forms of row and alphas."""
+    window = MatrixWindow((row,))
+    shifted = row_statistic(row, window.integer_rows[0], True, alphas, integer_row(alphas))
+    return window.row_sums[0], window.row_abs_sums[0], shifted
 
 
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
@@ -142,8 +147,9 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
 
 
 def _same_sums(got, want):
-    """Equal values, and the same repr wherever a float is involved."""
-    assert got == want
+    """Equal values of the same types, and the same repr wherever a float is
+    involved."""
+    assert got == want and tuple(map(type, got)) == tuple(map(type, want))
     for g, w in zip(got, want):
         if isinstance(g, float) or isinstance(w, float):
             assert repr(g) == repr(w)
