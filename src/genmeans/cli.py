@@ -35,6 +35,7 @@ from .errors import (
 from .operators import PresetSpec, preset, inverse_transform, space_norm, transform
 from .scalars import FLOAT_MODE, backend_for
 from .serialize import (
+    canonical_number,
     make_report,
     matrix_from_json,
     params_from_json,
@@ -100,10 +101,11 @@ def _resolve_params(args, backend):
     p = preset(spec, order, m=args.m, backend=backend)
     job = {"preset": name, "n": order, "m": p.m, "scalar": backend.mode}
     if "alpha" in kwargs:
-        job["alpha"] = str(kwargs["alpha"])
+        # str() of each value, with integers of any size
+        job["alpha"] = canonical_number(kwargs["alpha"]).removesuffix("/1")
     for key in ("u", "v", "lam"):
         if key in kwargs:
-            job[key] = [str(v) for v in kwargs[key]]
+            job[key] = [canonical_number(v).removesuffix("/1") for v in kwargs[key]]
     return p, job
 
 

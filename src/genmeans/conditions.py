@@ -5,9 +5,12 @@ on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
 transported through the mean-difference coordinate change.  Most are their
 raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``); 4.24 is the
-sup of the associate row totals; the rest read the per-row tail-sum
-triangles.  How a tail declaration reads a trace is decided in ``limits``
-alone.  Every id maps to exactly one evaluator and the table is exhaustive.
+sup of the associate row totals; the rest are per-row conditions on the
+tail-sum triangles, certified by the finite support of every source row and
+the row-tail declaration, with no triangle built.  How a tail declaration
+reads a trace is decided in ``limits`` alone.  Every id maps to exactly one
+evaluator and the table is exhaustive.  A verdict carries no evidence: its
+estimate is the one record of the number it was decided on.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .scalars import DEFAULT_TOLERANCE
 from .triangle import (
     STRUCTURAL_TAIL,
     UNKNOWN_TAIL,
-    ZERO_TAIL,
     MatrixWindow,
 )
-from .duality import _tail_sum_bounds, associate_rows
+from .duality import associate_rows
 from .operators import check_params
 
 SPACES = ("c0", "c", "l_inf")
@@ -47,7 +49,7 @@ TRANSFORMED_CONDITION_IDS = ("4.13", "4.14", "4.15", "4.16", "4.17", "4.18",
 CONDITION_IDS = RAW_CONDITION_IDS + TRANSFORMED_CONDITION_IDS
 # transported conditions: the raw twin run on the associate rows R(A_n).
 # 4.24 reads the associate rows as sup_n |sum_k R_k(A_n)|; the others (4.15,
-# 4.16, 4.19, 4.21, 4.22) read the per-row tail sums
+# 4.16, 4.19, 4.21, 4.22) are per-row tail-sum conditions
 ON_ASSOCIATE = {"4.13": "4.5", "4.14": "4.7", "4.17": "4.9", "4.18": "4.6",
                 "4.20": "4.10", "4.23": "4.8", "4.25": "4.11"}
 _ASSOCIATE_IDS = (*ON_ASSOCIATE, "4.24")
@@ -128,36 +130,29 @@ def transformed_rows(p, matrix) -> MatrixWindow:
                         min(capacity, len(rows)), _integers=forms)
 
 
-def _per_row_tail_condition(p, window, cond):
+def _per_row_tail_condition(window, cond):
     """Conditions quantified per source row over its tail-sum triangle.
 
     Each source row is a finite support, so its tail-sum triangle vanishes
-    past the support: per-row limits are exact.  The universal quantifier
-    over rows is certified by the row-tail declaration (zero and structural
-    tails generate finitely supported rows; unknown tails cannot certify).
-    4.15 bounds each row's tail sums separately, all rows read off one
-    kernel's integers (``duality._tail_sum_bounds``); the largest of those
-    bounds is a value over every row only when the row tail is zero."""
+    past the support: per-row limits are exact and every tail-sum row is
+    bounded.  The universal quantifier over rows is certified by the row-tail
+    declaration (zero and structural tails generate finitely supported rows;
+    unknown tails cannot certify).  Nothing here builds a triangle: 4.15's
+    bound is never read by its verdict, and ``duality.tail_sum_matrix`` gives
+    one row's triangle on request."""
+    kind = {_FINITE: "sup", _EXISTS: "exists"}.get(CONDITION_PREDICATE[cond], "lim")
     if window.row_tail == UNKNOWN_TAIL:
-        return LimitEstimate("lim" if cond != "4.15" else "sup", None, STATUS_INDET,
-                             TREND_SHORT,
+        return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT,
                              note="row tail undeclared; per-row conditions not certifiable")
     if cond == "4.15":
-        per_row_values = _tail_sum_bounds(p, window.rows)
-        if window.row_tail != ZERO_TAIL:
-            return LimitEstimate("sup", None, STATUS_EXACT, TREND_EXACT,
-                                 tuple(range(len(per_row_values))), tuple(per_row_values),
-                                 note="each row's tail sums are bounded (trace: stored rows); "
-                                      "the structural row tail leaves their sup over all "
-                                      "rows uncomputed")
-        kind, value = "sup", max(per_row_values, default=0)
-    else:
-        # past the support the tail sums vanish columnwise, in absolute row
-        # sums and in total, so 4.16/4.19/4.21/4.22 hold with exact limit 0
-        per_row_values = [0] * len(window.rows)
-        kind, value = ("exists" if cond in ("4.21", "4.22") else "lim"), 0
-    return LimitEstimate(kind, value, STATUS_EXACT, TREND_EXACT,
-                         tuple(range(len(per_row_values))), tuple(per_row_values),
+        return LimitEstimate(kind, None, STATUS_EXACT, TREND_EXACT,
+                             note="each source row is finitely supported, so its tail-sum "
+                                  "rows are bounded (duality.tail_sum_matrix gives a "
+                                  "row's triangle)")
+    # past the support the tail sums vanish columnwise, in absolute row sums
+    # and in total, so 4.16/4.19/4.21/4.22 hold with exact limit 0
+    n = len(window.rows)
+    return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, tuple(range(n)), (0,) * n,
                          note="per-row quantities are finite computations on zero-tail rows")
 
 
@@ -210,7 +205,7 @@ def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
     elif cond in ON_ASSOCIATE:
         est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
     else:
-        return _per_row_tail_condition(p, window, cond)
+        return _per_row_tail_condition(window, cond)
     if cond in _SHIFTED_MEMBERSHIP_IDS:
         # gamma_n = 0 on the finite supports of the source rows
         est = replace(est, note="; ".join(filter(None, (est.note, SHIFTED_MEMBERSHIP_NOTE))))
@@ -222,13 +217,11 @@ def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
     predicate = CONDITION_PREDICATE[cond]
     if estimate.status == STATUS_INDET:
         return Verdict("indeterminate",
-                       f"{cond}: {estimate.note or 'tail does not decide the limit'}",
-                       evidence=estimate)
+                       f"{cond}: {estimate.note or 'tail does not decide the limit'}")
     if predicate == _FINITE:
-        return Verdict("satisfied", f"{cond}: bounded ({estimate.status})", evidence=estimate)
+        return Verdict("satisfied", f"{cond}: bounded ({estimate.status})")
     if predicate == _EXISTS:
-        return Verdict("satisfied", f"{cond}: limit exists ({estimate.status})",
-                       evidence=estimate)
+        return Verdict("satisfied", f"{cond}: limit exists ({estimate.status})")
     # zero predicate
     value = estimate.value
     if isinstance(value, tuple):
@@ -236,10 +229,8 @@ def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
     else:
         is_zero = _near_zero(value, estimate.status, tolerance)
     if is_zero:
-        return Verdict("satisfied", f"{cond}: limit is zero ({estimate.status})",
-                       evidence=estimate)
-    return Verdict("violated", f"{cond}: limit {value} is nonzero ({estimate.status})",
-                   evidence=estimate)
+        return Verdict("satisfied", f"{cond}: limit is zero ({estimate.status})")
+    return Verdict("violated", f"{cond}: limit {value} is nonzero ({estimate.status})")
 
 
 def _near_zero(value, status, tolerance):

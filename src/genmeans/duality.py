@@ -137,21 +137,6 @@ def associate_rows(p, rows) -> tuple:
     return _values(forms, out), None if out is float else forms
 
 
-def tail_sum_rows(p, rows) -> tuple:
-    """The tail-sum triangle rows of each zero-tail value row, on parameters
-    the caller has checked, all off one kernel's rows of T^{-1} (4.15)."""
-    kernel, rows, out = _kernel(p, rows)
-    inverse = kernel.inverse_rows()
-    return tuple(_values(_dual_rows(a, inverse, "beta"), out) for a in rows)
-
-
-def _tail_sum_bounds(p, rows) -> list:
-    """max_p sum_k |w_pk| of each value row's tail-sum triangle, on the integers (4.15)."""
-    kernel, rows, out = _kernel(p, rows)
-    inverse = kernel.inverse_rows()
-    return [max(_abs_sums(_dual_rows(a, inverse, "beta"), out), default=0) for a in rows]
-
-
 def associate_row(p, a) -> SequenceWindow:
     """R_k(a) = sum_{j>=k} a_j s_{jk}, the source row against the inverse
     columns: with b the m reverse running sums of a, R_k = r_k sum_{j>=k}
@@ -170,12 +155,13 @@ def tail_sum_matrix(p, a) -> TriangleMatrix:
     """Triangle of tail sums w_pk = sum_{j>=p} a_j s_{jk} for 0 <= k <= p:
     row p is the suffix sum of the rows a_j T^{-1}_j for j >= p, cut after
     entry p.  Rows vanish once p passes the support of a, so the triangle has
-    a zero tail.  ``tail_sum_rows`` on one row; ``selfcheck`` holds the
-    closed-form oracle.
+    a zero tail.  ``selfcheck`` holds the closed-form oracle.
     """
     check_params(p)
     a.require_zero_tail("dual/associate input")
-    return TriangleMatrix(len(a), tail_sum_rows(p, (a.values,))[0], ZERO_TAIL)
+    kernel, (b,), out = _kernel(p, (a.values,))
+    return TriangleMatrix(len(a), _values(_dual_rows(b, kernel.inverse_rows(), "beta"), out),
+                          ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -292,8 +278,7 @@ def _membership(p, a, dual, space):
 
 
 __all__ = [
-    "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_rows",
-    "tail_sum_matrix",
+    "Reconstruction", "basis_vector", "reconstruct", "associate_row", "tail_sum_matrix",
     "alpha_dual_matrix", "gamma_dual_matrix", "dual_membership",
     "BETA_SET_LABELS", "BETA_SETS_BY_SPACE",
 ]

@@ -64,7 +64,8 @@ class LimitEstimate:
 
 @dataclass(frozen=True)
 class Verdict:
-    """satisfied | violated | indeterminate, with the trace that produced it."""
+    """satisfied | violated | indeterminate, with a detail line and the evidence
+    behind it; a condition's verdict has none, its estimate holds the number."""
 
     status: str
     detail: str = ""

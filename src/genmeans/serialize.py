@@ -4,7 +4,8 @@ All numbers are serialized as strings so exactness survives any platform:
 rationals as {"num": "...", "den": "..."}, floats as their shortest
 round-tripping decimal form.  JSON is the canonical format; CSV exists only
 for flat tables (sequences and traces) and carries the same canonical number
-strings.
+strings.  Integers past CPython's int/str digit limit convert through
+``decimal``, so a report of any size is written and read back alike.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -30,12 +33,30 @@ from .triangle import (
 
 SCHEMA_VERSION = 1
 
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")   # what int() reads
+
+
+def _digits(n):
+    """str(n) for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _parse_int(text):
+    """int(text) for a decimal integer string of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        if isinstance(text, str) and _INTEGER_TEXT.fullmatch(text):
+            return int(Decimal(text))
+        raise
+
 
 def scalar_to_json(value):
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, int):
-        return {"num": str(value), "den": "1"}
+    if isinstance(value, (Fraction, int)):
+        return {"num": _digits(value.numerator), "den": _digits(value.denominator)}
     if isinstance(value, float):
         return repr(value)
     raise SchemaError("scalar", f"cannot serialize {type(value).__name__}")
@@ -46,7 +67,7 @@ def scalar_from_json(doc, path="scalar"):
         if "num" not in doc or "den" not in doc:
             raise SchemaError(path, "rational object needs 'num' and 'den'")
         try:
-            return Fraction(int(doc["num"]), int(doc["den"]))
+            return Fraction(_parse_int(doc["num"]), _parse_int(doc["den"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(path, f"bad rational: {exc}") from None
     if isinstance(doc, str):
@@ -76,10 +97,8 @@ def _scalar_list(doc, path, backend=None):
 
 def canonical_number(value):
     """The single canonical string form shared by CSV and comparisons."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return f"{value}/1"
+    if isinstance(value, (Fraction, int)):
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
     if isinstance(value, float):
         return repr(value)
     raise SchemaError("scalar", f"cannot canonicalize {type(value).__name__}")

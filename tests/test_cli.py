@@ -180,6 +180,23 @@ def test_chi_command_uv_preset(tmp_path, capsys):
     assert result["compactness"]["status"] == "satisfied"
 
 
+def test_numbers_past_the_int_str_digit_limit_read_and_echo(tmp_path, capsys):
+    # a 5,000-digit numerator is past CPython's default int/str limit
+    big = "7" * 5000
+    u = tmp_path / "u.json"
+    u.write_text(json.dumps({"values": [{"num": big, "den": "3"}] + ["1"] * 7,
+                             "tail": "zero"}))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"values": [{"num": big, "den": "1"}, "1"], "tail": "zero"}))
+    code, out = run(capsys, "transform", "--preset", "uv", "--u", f"@{u}", "--v", "ones",
+                    "--n", "2", "--input", str(x))
+    assert code == 0
+    report = json.loads(out)
+    assert report["job"]["u"][0] == f"{big}/3"
+    assert report["job"]["input"]["values"][0]["num"] == big
+    assert max(len(v["num"]) for v in report["result"]["sequence"]["values"]) > 4300
+
+
 def test_params_file_input(tmp_path, capsys, ones_file):
     from genmeans import identity_triple
     from genmeans.serialize import params_to_json

@@ -21,13 +21,14 @@ from genmeans import (
     identity_triple,
     mean_difference_matrix,
     preset,
+    tail_sum_matrix,
     transformed_rows,
     unit_sequence,
     weighted_mean_matrix,
 )
 from genmeans import conditions, duality, limits, operators
-from genmeans.duality import tail_sum_rows
 from genmeans.conditions import REQUIRED_CONDITIONS
+from genmeans.limits import LimitEstimate
 
 from conftest import parameter_triples, zero_tail_windows
 
@@ -199,9 +200,7 @@ def test_tail_sum_rows_single_coordinate_row():
     p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
     from genmeans.selfcheck import mean_difference_inverse
     S = mean_difference_inverse(p)
-    A = MatrixWindow((unit_sequence(6, 2, RATIONAL).values,), "zero")
-    fam = tail_sum_rows(p, A.rows)
-    W = fam[0]
+    W = tail_sum_matrix(p, SequenceWindow(unit_sequence(6, 2, RATIONAL).values, "zero")).rows
     for cut in range(3):
         for k in range(cut + 1):
             assert W[cut][k] == S.entry(2, k)
@@ -259,18 +258,36 @@ def test_transported_conditions_are_their_raw_twins_on_the_associate(tail, row_f
         assert est == twin, cond
 
 
-def test_tail_sum_bound_over_structural_rows_claims_no_sup():
-    # 4.15 bounds each source row's tail sums separately, and every row is
-    # finitely supported, so it holds exactly; but the stored rows give no
-    # sup over all rows (4.13, a sup over all rows, is indeterminate here)
-    A = MatrixWindow(((F(1),),) * 8, "structural")
+def test_tail_sum_bound_over_structural_rows_claims_no_sup(monkeypatch):
+    # every source row is finitely supported, so its tail-sum rows are
+    # bounded and 4.15 holds exactly on any declared row tail; it reports no
+    # bound and builds no kernel (4.13, a sup over all rows, is indeterminate
+    # on the structural tail)
+    def no_solve(*args):
+        raise AssertionError("4.15 built an inverse kernel")
+
     p = identity_triple(4, m=0)
-    est = eval_condition("4.15", A, p)
-    assert est.status == "exact" and est.value is None and est.trace == (1,) * 8
-    assert condition_verdict("4.15", est).status == "satisfied"
+    A = MatrixWindow(((F(1),),) * 8, "structural")
     assert eval_condition("4.13", A, p).status == "indeterminate"
-    zero = eval_condition("4.15", MatrixWindow(((F(1),),) * 8, "zero"), p)
-    assert zero.status == "exact" and zero.value == 1
+    monkeypatch.setattr(operators, "_toeplitz_solve", no_solve)
+    for tail in ("zero", "structural"):
+        est = eval_condition("4.15", MatrixWindow(((F(1),),) * 8, tail), p)
+        assert est == LimitEstimate("sup", None, "exact", "exact", note=est.note)
+        assert "finitely supported" in est.note and "tail_sum_matrix" in est.note
+        assert condition_verdict("4.15", est).status == "satisfied"
+    unknown = eval_condition("4.15", MatrixWindow(((F(1),),) * 8, "unknown"), p)
+    assert unknown == LimitEstimate("sup", None, "indeterminate", unknown.trend,
+                                    note=unknown.note)
+    assert condition_verdict("4.15", unknown).status == "indeterminate"
+
+
+@pytest.mark.parametrize("cond", ["4.15", "4.16", "4.19", "4.21", "4.22"])
+def test_per_row_conditions_keep_one_kind_on_every_tail(cond):
+    p = identity_triple(4, m=0)
+    kinds = {eval_condition(cond, MatrixWindow(((F(1),),) * 4, tail), p).kind
+             for tail in ("zero", "structural", "unknown")}
+    predicate = conditions.CONDITION_PREDICATE[cond]
+    assert kinds == {{"finite": "sup", "exists": "exists", "zero": "lim"}[predicate]}
 
 
 # --- condition table totality -----------------------------------------------------
@@ -343,6 +360,22 @@ def test_classification_builds_the_associate_once_and_each_row_once(source, targ
     assert sorted(generated) == list(range(6, 24))
     assert set(generated.values()) == {1}
     assert report == classify_map(p, T, source, target)
+
+
+@pytest.mark.parametrize("source,target", sorted(REQUIRED_CONDITIONS))
+def test_classification_builds_one_inverse_kernel(source, target, monkeypatch):
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    A = MatrixWindow((tuple(F(k + 1) for k in range(6)), (F(1), F(-1, 2))), "zero")
+    classify_map(p, A, source, target)
+    assert solves == [6]
 
 
 def test_classifications_of_one_window_generate_each_source_row_once():

@@ -46,10 +46,10 @@ JOBS = {
                        "d4efb594fb5830744dd6fb59a1012fe263223ea3da06a95d7073ba877efa279e"),
     "matclass-c-c": (["matclass", *EULER6, "--matrix", "{A}", "--source", "c",
                       "--target", "c"],
-                     "f137080384ff3462f0e44d5b0ac53a7f50315ff4f3cfd991a859448273821b18"),
+                     "174b7e836ac4d9d2609c4790b2f985de41294233ef38a920ef3f198c7e0c0f53"),
     "matclass-linf-c0": (["matclass", *EULER6, "--matrix", "{A}", "--source", "l_inf",
                           "--target", "c0"],
-                         "d995542ff0d62fdf552874b41379dfe1265dd85a0964e9ad229c291aa61c44d8"),
+                         "b41ad53d9c6f088ab01ef53b2f2f02e2de7794d3473859b13ff371b2de7eb68e"),
     "chi-matrix-c": (["chi", *EULER6, "--matrix", "{A}", "--target", "c"],
                      "afc6c5bef7fbbaacbbfb4ab7b8a874445704860c84b8d8f164fb3bb0ac6e4d21"),
     "chi-matrix-c0": (["chi", *EULER6, "--matrix", "{A}", "--target", "c0"],

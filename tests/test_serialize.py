@@ -1,3 +1,5 @@
+import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -121,3 +123,25 @@ def test_canonical_number_forms():
     assert canonical_number(F(5, 8)) == "5/8"
     assert canonical_number(F(3)) == "3/1"
     assert canonical_number(0.25) == "0.25"
+
+
+def test_numbers_past_the_int_str_digit_limit_round_trip():
+    # 7**6000 has 5,071 digits, past CPython's default int/str limit of 4,300
+    x = F(-7 ** 6000, 3 ** 5000)
+    num, den = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+    doc = json.loads(json.dumps(scalar_to_json(x)))
+    assert doc == {"num": num, "den": den}
+    assert scalar_from_json(doc) == x
+    seq = SequenceWindow((x, F(1, 2)), "zero")
+    report = make_report({"command": "transform"}, RATIONAL, {"sequence": seq})
+    assert sequence_from_json(json.loads(json.dumps(report))["result"]["sequence"]).values == (
+        x, F(1, 2))
+    assert sequence_to_csv(report, seq).splitlines()[3:] == [f"0,{num}/{den}", "1,1/2"]
+    assert canonical_number(7 ** 6000) == f"{Decimal(7 ** 6000)}/1"
+
+
+@pytest.mark.parametrize("text", ["1e0", "1.0", "0x10", "", "+-1", "1__0", "NaN", "12x",
+                                  "1" * 5000 + "e0", "1" * 5000 + ".5", "1" * 5000 + "x"])
+def test_integer_strings_int_rejects_stay_rejected(text):
+    with pytest.raises(SchemaError, match="bad rational"):
+        scalar_from_json({"num": text, "den": "1"})
