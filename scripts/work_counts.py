@@ -12,6 +12,7 @@ machine.  Nothing is bounded; a change that claims less work quotes them.
   Fraction.__new__     every rational built
   common_denominator   every lcm taken over a list of values
   integer_row          every row brought over one denominator for its statistics
+  analyze_tail         every run of the trend ladder over a trace
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   check_params         every parameter validation
@@ -36,6 +37,7 @@ COUNTED = (
     ("Fraction.__new__", "fractions.py", "__new__"),
     ("common_denominator", "scalars.py", "common_denominator"),
     ("integer_row", "limits.py", "integer_row"),
+    ("analyze_tail", "limits.py", "analyze_tail"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("check_params", "operators.py", "check_params"),

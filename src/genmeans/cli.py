@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from .compactness import (
     associate_matrix,
@@ -38,11 +36,20 @@ from .serialize import (
     canonical_number,
     make_report,
     matrix_from_json,
+    number_from_text,
     params_from_json,
     params_to_json,
     sequence_from_json,
     sequence_to_csv,
 )
+
+
+def _parse_number(text, backend, what):
+    """A scalar flag value: 'p/q' or decimal text, read exactly, in ``backend``."""
+    try:
+        return backend.convert(number_from_text(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError([f"{what}: cannot parse {text!r} ({exc})"]) from None
 
 
 def _parse_sequence_arg(text, length, backend, what):
@@ -51,10 +58,7 @@ def _parse_sequence_arg(text, length, backend, what):
         return tuple(backend.one for _ in range(length))
     if text.startswith("@"):
         return sequence_from_json(_load_json(text[1:], what), path=what, backend=backend).values
-    try:
-        return tuple(backend.convert(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError([f"{what}: cannot parse {text!r} ({exc})"]) from None
+    return tuple(_parse_number(part, backend, what) for part in text.split(","))
 
 
 def _load_json(path, what):
@@ -84,10 +88,7 @@ def _resolve_params(args, backend):
     if name in ("euler", "aydin"):
         if args.alpha is None:
             raise ParameterError([f"preset {name!r} requires --alpha"])
-        try:
-            kwargs["alpha"] = backend.convert(Fraction(args.alpha))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ParameterError([f"--alpha: cannot parse {args.alpha!r} ({exc})"]) from None
+        kwargs["alpha"] = _parse_number(args.alpha, backend, "--alpha")
     if name == "uv":
         if args.u is None or args.v is None:
             raise ParameterError(["preset 'uv' requires --u and --v"])
@@ -157,8 +158,7 @@ def _cmd_dual(args, backend):
 def _cmd_matclass(args, backend):
     p, job_params = _resolve_params(args, backend)
     matrix, raw = _load_matrix(args.matrix, backend)
-    report = classify_map(p, matrix, args.source, args.target,
-                          trend_window=args.window, tolerance=backend.tolerance)
+    report = classify_map(p, matrix, args.source, args.target)
     job = {"command": "matclass", **job_params, "source": args.source,
            "target": args.target, "matrix": raw}
     result = {
@@ -184,15 +184,13 @@ def _cmd_chi(args, backend):
         matrix, raw = _load_matrix(args.matrix, backend)
         operand = associate_matrix(p, matrix)
         source_doc = {"matrix": raw}
-    estimate = chi_norm(p, operand, args.target, trend_window=args.window,
-                        tolerance=backend.tolerance)
-    verdict = compactness_verdict(p, operand, args.target, trend_window=args.window,
-                                  tolerance=backend.tolerance)
-    norm = operator_norm(p, operand, trend_window=args.window, tolerance=backend.tolerance)
+    estimate = chi_norm(p, operand, args.target)
+    verdict = compactness_verdict(p, operand, args.target)
+    norm = operator_norm(p, operand)
     job = {"command": "chi", **job_params, "target": args.target, **source_doc}
     result = {"chi": estimate, "compactness": verdict, "operator_norm": norm}
-    indeterminate = estimate.status == "indeterminate" or verdict.status == "indeterminate"
-    return job, result, None, indeterminate
+    # an indeterminate chi makes the verdict read off it indeterminate too
+    return job, result, None, verdict.status == "indeterminate"
 
 
 def _cmd_selftest(args, backend):
@@ -241,10 +239,6 @@ def build_parser():
             sp.add_argument("--m", type=int, default=1, help="difference order (default 1)")
         sp.add_argument("--scalar", choices=("rational", "f64"), default="rational",
                         help="arithmetic backend (default rational)")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="absolute tolerance for float equality and trend checks")
-        sp.add_argument("--window", type=int, default=8,
-                        help="trend-classification window, at least 3 (default 8)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 3 when the verdict is indeterminate")
         sp.add_argument("--output", help="write the report here instead of stdout")
@@ -312,12 +306,7 @@ def _emit(report, payload_seq, args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (args.tolerance is None or math.isfinite(args.tolerance) and args.tolerance >= 0):
-        parser.error(f"argument --tolerance: must be finite and >= 0, got {args.tolerance}")
-    if args.window < 3:
-        parser.error(f"argument --window: must be at least 3, got {args.window}")
-    backend = backend_for(getattr(args, "scalar", "rational"),
-                          getattr(args, "tolerance", None))
+    backend = backend_for(args.scalar)
     try:
         job, result, payload_seq, indeterminate = COMMANDS[args.command](args, backend)
         report = make_report(job, backend, result)

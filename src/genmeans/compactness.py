@@ -7,7 +7,8 @@ transformed sequence.  The operator norm is the sup of the associate rows'
 absolute sums, and the Hausdorff measure of noncompactness of the induced
 operator is estimated from their limsup behavior: an identity for null
 targets, a two-sided sandwich for convergent targets, and an upper bound
-for bounded targets.
+for bounded targets.  The compactness verdict is read off that estimate
+alone.  Every gauge runs at the tolerance of its parameters' backend.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from typing import Optional
 
 from .errors import DimensionError, InconsistencyError
 from .limits import (
-    DEFAULT_TREND_WINDOW,
     STATUS_EXACT,
     STATUS_INDET,
     LimitEstimate,
     Verdict,
     _worse_status,
     column_shifted,
-    limit_of_rows,
     limsup_of_rows,
     sup_of_rows,
 )
@@ -64,17 +63,14 @@ def _resolve_associate(p, matrix_or_associate) -> AssociateMatrix:
     return associate_matrix(p, matrix_or_associate)
 
 
-def operator_norm(p, matrix_or_associate, *, trend_window=DEFAULT_TREND_WINDOW,
-                  tolerance=None) -> LimitEstimate:
+def operator_norm(p, matrix_or_associate) -> LimitEstimate:
     """sup_n of the associate rows' absolute sums; exact when rows are
     eventually zero, windowed with trend classification otherwise.  A matrix
     gets an associate of its own per call; an ``AssociateMatrix`` shares its
     extension and cached row sums with every gauge that reads it."""
     check_params(p)
-    tolerance = p.backend.tolerance if tolerance is None else tolerance
     assoc = _resolve_associate(p, matrix_or_associate).window
-    return sup_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
-                       tolerance=tolerance)
+    return sup_of_rows(assoc, assoc.row_abs_sums, p.backend.tolerance)
 
 
 @dataclass(frozen=True)
@@ -97,40 +93,26 @@ class ChiEstimate:
     note: str = ""
 
 
-def _half(value):
-    if isinstance(value, float):
-        return value / 2
-    return Fraction(value) / 2
-
-
-def _gauge_inputs(p, matrix_or_associate, target, tolerance):
-    """(the associate window, the tolerance) after checking p and the target."""
-    check_params(p)
-    if target not in TARGETS:
-        raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
-    return (_resolve_associate(p, matrix_or_associate).window,
-            p.backend.tolerance if tolerance is None else tolerance)
-
-
-def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDOW,
-             tolerance=None) -> ChiEstimate:
+def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
     """The noncompactness gauge of the induced operator into ``target``: the
     limsup of the associate rows' absolute sums (c0; [0, limsup] for l_inf),
     or the sandwich around the column-shifted limsup (c).  A matrix gets an
     associate of its own per call; an ``AssociateMatrix`` shares its extension
     and cached row sums with every gauge that reads it."""
-    assoc, tolerance = _gauge_inputs(p, matrix_or_associate, target, tolerance)
+    check_params(p)
+    if target not in TARGETS:
+        raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
+    assoc = _resolve_associate(p, matrix_or_associate).window
 
     if target != "c":
         # null target: the gauge is the limsup; bounded target: [0, limsup]
-        est = limsup_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
-                             tolerance=tolerance)
+        est = limsup_of_rows(assoc, assoc.row_abs_sums, p.backend.tolerance)
         zero = zero_like(est.value) if est.value is not None else 0
         return ChiEstimate(target, est.value if target == "c0" else zero, est.value, None,
                            est.status, est.trend, est.window, est.trace, est.note)
 
     # convergent target: sandwich around the column-shifted limsup
-    cols, est = column_shifted(assoc, limsup_of_rows, trend_window, tolerance)
+    cols, est = column_shifted(assoc, limsup_of_rows, p.backend.tolerance)
     if est is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
@@ -139,46 +121,32 @@ def chi_norm(p, matrix_or_associate, target, *, trend_window=DEFAULT_TREND_WINDO
         return ChiEstimate("c", None, None, tuple(alphas), STATUS_INDET, est.trend,
                            est.window, est.trace, est.note)
     status = est.status if cols.status == STATUS_EXACT else _worse_status(est.status, cols.status)
-    return ChiEstimate("c", _half(est.value), est.value, tuple(alphas), status, est.trend,
+    half = est.value / 2 if isinstance(est.value, float) else Fraction(est.value) / 2
+    return ChiEstimate("c", half, est.value, tuple(alphas), status, est.trend,
                        est.window, est.trace, est.note)
 
 
-def compactness_verdict(p, matrix_or_associate, target, *,
-                        trend_window=DEFAULT_TREND_WINDOW, tolerance=None) -> Verdict:
-    """Compact iff the gauge-driving limit vanishes: the rows' absolute sums
-    for null/bounded targets, the column-shifted sums for convergent targets.
-    For a bounded target a vanishing limit is only sufficient (the gauge is
-    bracketed by [0, L]), so a nonzero limit there stays indeterminate.
-    Decisive only under decisive tails; never a guess.  A matrix gets an
-    associate of its own per call; an ``AssociateMatrix`` shares its extension
-    and cached row sums with every gauge that reads it."""
-    assoc, tolerance = _gauge_inputs(p, matrix_or_associate, target, tolerance)
-
-    if target == "c":
-        cols, est = column_shifted(assoc, limsup_of_rows, trend_window, tolerance)
-        if est is None:
-            return Verdict("indeterminate", "per-column limits unresolved", evidence=cols)
-    else:
-        est = limit_of_rows(assoc, assoc.row_abs_sums, trend_window=trend_window,
-                            tolerance=tolerance)
-
-    if est.status == STATUS_INDET:
-        return Verdict("indeterminate",
-                       est.note or "tail trace does not decide the limit", evidence=est)
-    value = est.value
-    if _near_zero(value, est.status, tolerance):
-        return Verdict("satisfied", f"compact ({est.status}): limit vanishes", evidence=est)
+def compactness_verdict(p, matrix_or_associate, target) -> Verdict:
+    """Compactness read off ``chi_norm``'s estimate, whose upper end L is the
+    limsup behind the gauge chi.  Into c0, chi = L; into c, L/2 <= chi <= L:
+    compact iff L vanishes, so a nonzero L is "violated".  Into l_inf,
+    0 <= chi <= L: a vanishing L proves compactness and a nonzero one decides
+    nothing.  An indeterminate estimate gives an indeterminate verdict, with
+    the estimate's note; never a guess.  The verdict carries no evidence: the
+    estimate is the one record of its number."""
+    chi = chi_norm(p, matrix_or_associate, target)
+    if chi.status == STATUS_INDET:
+        return Verdict("indeterminate", chi.note)
+    if _near_zero(chi.upper, chi.status, p.backend.tolerance):
+        return Verdict("satisfied", f"compact ({chi.status}): limit vanishes")
     if target == "l_inf":
         return Verdict("indeterminate",
-                       f"chi bracket [0, {value}] ({est.status}): a nonzero limit does not "
-                       "decide compactness into l_inf", evidence=est)
-    return Verdict("violated", f"not compact ({est.status}): limit {value} is nonzero",
-                   evidence=est)
+                       f"chi bracket [0, {chi.upper}] ({chi.status}): a nonzero limit does not "
+                       "decide compactness into l_inf")
+    return Verdict("violated", f"not compact ({chi.status}): limit {chi.upper} is nonzero")
 
 
-def linf_source_autocompact_check(p, matrix, target, *,
-                                  trend_window=DEFAULT_TREND_WINDOW,
-                                  tolerance=None) -> Verdict:
+def linf_source_autocompact_check(p, matrix, target) -> Verdict:
     """Consistency check: membership of a map out of the bounded-sequence
     source space into a null or convergent target forces compactness.
 
@@ -189,15 +157,13 @@ def linf_source_autocompact_check(p, matrix, target, *,
     check_params(p)
     if target not in ("c0", "c"):
         raise DimensionError(f"target must be c0 or c, got {target!r}")
-    report = classify_map(p, matrix, "l_inf", target, trend_window=trend_window,
-                          tolerance=tolerance)
+    report = classify_map(p, matrix, "l_inf", target)
     if report.overall.status != "satisfied":
         return Verdict("indeterminate",
                        f"membership precondition not established "
                        f"({report.overall.status}); check not applicable",
                        evidence=report)
-    verdict = compactness_verdict(p, matrix, target, trend_window=trend_window,
-                                  tolerance=tolerance)
+    verdict = compactness_verdict(p, matrix, target)
     if verdict.status == "satisfied":
         return Verdict("satisfied", "consistent-compact",
                        evidence={"classification": report, "compactness": verdict})

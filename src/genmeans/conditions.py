@@ -23,7 +23,6 @@ from .limits import (
     STATUS_INDET,
     TREND_EXACT,
     TREND_SHORT,
-    DEFAULT_TREND_WINDOW,
     LimitEstimate,
     Verdict,
     column_limits,
@@ -156,31 +155,30 @@ def _per_row_tail_condition(window, cond):
                          note="per-row quantities are finite computations on zero-tail rows")
 
 
-def _raw_condition(cond, window, trend_window, tolerance):
+def _raw_condition(cond, window, tolerance):
     """Raw condition cond in 4.4-4.11 on a matrix window."""
-    kw = {"trend_window": trend_window, "tolerance": tolerance}
     if cond == "4.4":
         return subset_column_sup(window)
     if cond == "4.5":
-        return sup_of_rows(window, window.row_abs_sums, **kw)
+        return sup_of_rows(window, window.row_abs_sums, tolerance)
     if cond == "4.6":
-        return limit_of_rows(window, window.row_abs_sums, **kw)
+        return limit_of_rows(window, window.row_abs_sums, tolerance)
     if cond == "4.7":
-        return column_limits(window, **kw)
+        return column_limits(window, tolerance)
     if cond == "4.8":
-        return limit_of_rows(window, window.row_sums, **kw)
+        return limit_of_rows(window, window.row_sums, tolerance)
     if cond == "4.9":
-        return column_limits(window, kind="exists", **kw)
+        return column_limits(window, tolerance, kind="exists")
     if cond == "4.10":
-        cols, est = column_shifted(window, limit_of_rows, trend_window, tolerance)
+        cols, est = column_shifted(window, limit_of_rows, tolerance)
         return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                                     note="column limits unresolved")
-    return limit_of_rows(window, window.row_sums, kind="exists", **kw)
+    return limit_of_rows(window, window.row_sums, tolerance, kind="exists")
 
 
-def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WINDOW,
-                   tolerance=DEFAULT_TOLERANCE) -> LimitEstimate:
-    """Evaluate one catalog condition on a matrix window.
+def eval_condition(cond, matrix, params=None) -> LimitEstimate:
+    """Evaluate one catalog condition on a matrix window, at the tolerance of
+    ``params``' backend (``DEFAULT_TOLERANCE`` without them).
 
     Ids 4.4-4.11 read the window directly.  Ids 4.13-4.25 are conditions on
     the transformed objects and need the space parameters.
@@ -188,22 +186,22 @@ def eval_condition(cond, matrix, params=None, *, trend_window=DEFAULT_TREND_WIND
     if cond not in CONDITION_IDS:
         raise DimensionError(f"unknown condition id {cond!r}")
     if cond in RAW_CONDITION_IDS:
-        return _raw_condition(cond, matrix, trend_window, tolerance)
+        return _raw_condition(cond, matrix,
+                              DEFAULT_TOLERANCE if params is None else params.backend.tolerance)
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
     check_params(params)
     assoc = transformed_rows(params, matrix) if cond in _ASSOCIATE_IDS else None
-    return _transformed_condition(cond, params, matrix, assoc, trend_window, tolerance)
+    return _transformed_condition(cond, params, matrix, assoc)
 
 
-def _transformed_condition(cond, p, window, assoc, trend_window, tolerance):
+def _transformed_condition(cond, p, window, assoc):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
     if cond == "4.24":
-        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)), trend_window=trend_window,
-                          tolerance=tolerance)
+        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)), p.backend.tolerance)
     elif cond in ON_ASSOCIATE:
-        est = _raw_condition(ON_ASSOCIATE[cond], assoc, trend_window, tolerance)
+        est = _raw_condition(ON_ASSOCIATE[cond], assoc, p.backend.tolerance)
     else:
         return _per_row_tail_condition(window, cond)
     if cond in _SHIFTED_MEMBERSHIP_IDS:
@@ -254,8 +252,7 @@ class ClassReport:
     notes: tuple = ()
 
 
-def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW,
-                 tolerance=None) -> ClassReport:
+def classify_map(p, matrix, source, target) -> ClassReport:
     """Evaluate the exact condition set for the (source, target) pair and aggregate.
 
     Overall is satisfied only when every required condition is satisfied at a
@@ -265,13 +262,12 @@ def classify_map(p, matrix, source, target, *, trend_window=DEFAULT_TREND_WINDOW
     check_params(p)
     if source not in SPACES or target not in SPACES:
         raise DimensionError(f"source and target must be in {SPACES}")
-    tolerance = p.backend.tolerance if tolerance is None else tolerance
     required = REQUIRED_CONDITIONS[(source, target)]
     # every pair needs 4.13 or 4.18: build the associate rows once for all of them
     assoc = transformed_rows(p, matrix)
-    estimates = {cond: _transformed_condition(cond, p, matrix, assoc, trend_window, tolerance)
-                 for cond in required}
-    verdicts = {cond: condition_verdict(cond, est, tolerance) for cond, est in estimates.items()}
+    estimates = {cond: _transformed_condition(cond, p, matrix, assoc) for cond in required}
+    verdicts = {cond: condition_verdict(cond, est, p.backend.tolerance)
+                for cond, est in estimates.items()}
     notes = (SHIFTED_MEMBERSHIP_NOTE,) if set(required) & set(_SHIFTED_MEMBERSHIP_IDS) else ()
     summary = {cond: verdicts[cond].status for cond in required}
     if any(v.status == "violated" for v in verdicts.values()):

@@ -65,7 +65,8 @@ class LimitEstimate:
 @dataclass(frozen=True)
 class Verdict:
     """satisfied | violated | indeterminate, with a detail line and the evidence
-    behind it; a condition's verdict has none, its estimate holds the number."""
+    behind it; a condition's or compactness verdict has none, its estimate
+    holds the number."""
 
     status: str
     detail: str = ""
@@ -171,8 +172,7 @@ def column_value(row, k):
     return row[k] if k < len(row) else 0
 
 
-def sup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
-                tolerance=DEFAULT_TOLERANCE):
+def sup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
     """sup_n of ``trace``, a row statistic over ``window.extended``, over the
     infinite row index.  Past a zero tail every row statistic is 0."""
     ns = tuple(range(len(trace)))
@@ -184,7 +184,7 @@ def sup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, limit = analyze_tail(ns, trace, trend_window, tolerance)
+        status, trend, limit = analyze_tail(ns, trace, tolerance=tolerance)
         if trend == TREND_CONVERGED:
             # a trace rising to its limit never attains it: the sup is the limit
             return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
@@ -197,22 +197,20 @@ def sup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
                          note=_no_extension_note(window, "observed max is a lower bound"))
 
 
-def limit_of_rows(window, trace, kind="lim",
-                  trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
+def limit_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE, kind="lim"):
     """lim_n of ``trace``, a row statistic over ``window.extended``; exactly 0
     past a zero tail."""
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
+        status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
         return LimitEstimate(kind, value, status, trend, ns, trace)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "limit not computable from the window"))
 
 
-def limsup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
-                   tolerance=DEFAULT_TOLERANCE):
+def limsup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
     """limsup_n of ``trace``, a row statistic over ``window.extended``: exact 0
     past a zero tail, the ladder's limit when the extended trace resolves (a
     convergent trace's limsup is its limit), else the windowed maximum at
@@ -222,9 +220,9 @@ def limsup_of_rows(window, trace, trend_window=DEFAULT_TREND_WINDOW,
         return LimitEstimate("limsup", 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if not trace:
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
-    w = min(max(trend_window, 3), len(trace))
+    w = min(DEFAULT_TREND_WINDOW, len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
+        status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
         if status == STATUS_TREND:
             return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
         return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
@@ -244,8 +242,7 @@ def _no_extension_note(window, undeclared="stored window only bounds the quantit
     return f"tail undeclared; {undeclared}"
 
 
-def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
-                  tolerance=DEFAULT_TOLERANCE):
+def column_limits(window, tolerance=DEFAULT_TOLERANCE, kind="lim"):
     """Per-column limits lim_n a_nk, aggregated over k < width."""
     rows = window.extended
     width = window.width
@@ -259,7 +256,7 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
         trends = []
         for k in range(width):
             trace = tuple(column_value(row, k) for row in rows)
-            status, trend, value = analyze_tail(ns, trace, trend_window, tolerance)
+            status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
             values.append(value)
             trends.append(trend)
             worst = _worse_status(worst, status)
@@ -270,26 +267,23 @@ def column_limits(window, kind="lim", trend_window=DEFAULT_TREND_WINDOW,
                          note=_no_extension_note(window, "column limits not computable"))
 
 
-def column_shifted(window, estimator, trend_window=DEFAULT_TREND_WINDOW,
-                   tolerance=DEFAULT_TOLERANCE):
+def column_shifted(window, estimator, tolerance=DEFAULT_TOLERANCE):
     """(column limits alpha, ``estimator`` over the trace sum_k |a_nk - alpha_k|).
 
     ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
     None when the column limits are unresolved.  The limits and the trace are
-    computed once per window and key, in ``MatrixWindow.shifted``: alpha is
-    brought over one denominator once, and each row reads its integer form."""
-    key = (trend_window, tolerance)
-    if key not in window.shifted:
-        cols = column_limits(window, trend_window=trend_window, tolerance=tolerance)
+    computed once per window and tolerance, in ``MatrixWindow.shifted``: alpha
+    is brought over one denominator once, and each row reads its integer form."""
+    if tolerance not in window.shifted:
+        cols = column_limits(window, tolerance)
         alphas, trace = cols.value, None
         if cols.status != STATUS_INDET and alphas is not None:
             shift = integer_row(alphas)
             trace = tuple(row_statistic(row, form, True, alphas, shift)
                           for row, form in zip(window.extended, window.integer_rows))
-        window.shifted[key] = cols, trace
-    cols, trace = window.shifted[key]
-    return cols, None if trace is None else estimator(window, trace, trend_window=trend_window,
-                                                      tolerance=tolerance)
+        window.shifted[tolerance] = cols, trace
+    cols, trace = window.shifted[tolerance]
+    return cols, None if trace is None else estimator(window, trace, tolerance)
 
 
 def _worse_status(a, b):

@@ -44,12 +44,13 @@ RATIONAL = Backend(RATIONAL_MODE)
 FLOAT64 = Backend(FLOAT_MODE)
 
 
-def backend_for(mode, tolerance=None):
-    """Resolve a CLI-style mode name ("rational" or "f64") to a Backend."""
+def backend_for(mode):
+    """Resolve a CLI-style mode name ("rational" or "f64") to a Backend at
+    ``DEFAULT_TOLERANCE``; a parameter document carries its own tolerance."""
     name = {"rational": RATIONAL_MODE, "f64": FLOAT_MODE, "float": FLOAT_MODE}.get(mode)
     if name is None:
         raise ValueError(f"unknown scalar mode {mode!r}")
-    return Backend(name, DEFAULT_TOLERANCE if tolerance is None else float(tolerance))
+    return Backend(name)
 
 
 def zero_like(value):

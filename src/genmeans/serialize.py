@@ -34,6 +34,7 @@ from .triangle import (
 SCHEMA_VERSION = 1
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")   # what int() reads
+_RATIO_TEXT = re.compile(r"\s*([+-]?\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)\s*")
 
 
 def _digits(n):
@@ -44,14 +45,28 @@ def _digits(n):
         return str(Decimal(n))
 
 
-def _parse_int(text):
-    """int(text) for a decimal integer string of any length."""
+def _parse_int(doc):
+    """A JSON integer (not a bool), or a decimal integer string of any length."""
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return doc
+    if not (isinstance(doc, str) and _INTEGER_TEXT.fullmatch(doc)):
+        raise ValueError(f"expected an integer or integer string, got {doc!r}")
     try:
-        return int(text)
-    except ValueError:
-        if isinstance(text, str) and _INTEGER_TEXT.fullmatch(text):
-            return int(Decimal(text))
-        raise
+        return int(doc)
+    except ValueError:    # past the int/str digit limit
+        return int(Decimal(doc))
+
+
+def number_from_text(text):
+    """The exact value of 'p/q' or decimal text, as ``Fraction(text)`` reads
+    it, with integers of any size."""
+    ratio = _RATIO_TEXT.fullmatch(text)
+    if ratio:
+        return Fraction(_parse_int(ratio[1]), _parse_int(ratio[2]))
+    try:
+        return Fraction(Decimal(text))
+    except (ArithmeticError, ValueError):    # not a number, or not finite
+        raise ValueError(f"not a finite number: {text!r}") from None
 
 
 def scalar_to_json(value):
@@ -201,7 +216,8 @@ def _integer(doc, path, least):
 
 
 def _tolerance(doc, path):
-    """A number or decimal string, finite and >= 0, as the --tolerance flag requires."""
+    """A params document's tolerance for its backend: a number or decimal
+    string, finite and >= 0."""
     try:
         value = float(doc) if isinstance(doc, (str, int, float)) else math.nan
     except (ValueError, OverflowError):

@@ -172,7 +172,7 @@ class MatrixWindow:
 
     @cached_property
     def shifted(self):
-        """Column limits and shifted traces per key, from ``limits.column_shifted``."""
+        """Column limits and shifted traces per tolerance, from ``limits.column_shifted``."""
         return {}
 
     def entry(self, n, k):

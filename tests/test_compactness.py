@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmeans import (
+    Backend,
     InconsistencyError,
     MatrixWindow,
     PresetSpec,
@@ -198,6 +199,36 @@ def test_bounded_target_nonzero_limit_is_not_decisive():
     assert compactness_verdict(p, finite_rank(6), "l_inf").status == "satisfied"
 
 
+# rows f(n) e_0 (or the identity) on structural tails, one per kind of trace
+STRUCTURAL_ASSOCIATES = {
+    "q^n": lambda n: (F(1, 2 ** n),),
+    "1": lambda n: (F(1),),
+    "2^n": lambda n: (F(2 ** n),),
+    "1/(n+1)": lambda n: (F(1, n + 1),),
+    "identity": lambda n: (F(0),) * n + (F(1),),
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURAL_ASSOCIATES))
+@pytest.mark.parametrize("target", ["c0", "c", "l_inf"])
+def test_compactness_verdict_is_read_off_chi(target, name):
+    # indeterminate chi: indeterminate; vanishing upper end L: compact;
+    # nonzero L: not compact into c0 or c, undecided into l_inf ([0, L])
+    row = STRUCTURAL_ASSOCIATES[name]
+    A = supplied_associate(MatrixWindow(tuple(row(n) for n in range(16)), "structural", row))
+    p = euler_triple(4)
+    chi = chi_norm(p, A, target)
+    verdict = compactness_verdict(p, A, target)
+    assert verdict.evidence is None
+    if chi.status == "indeterminate":
+        expected = "indeterminate"
+    elif abs(float(chi.upper)) <= p.backend.tolerance:
+        expected = "satisfied"
+    else:
+        expected = "indeterminate" if target == "l_inf" else "violated"
+    assert verdict.status == expected
+
+
 def test_gauges_on_one_associate_generate_each_row_once():
     generated = Counter()
 
@@ -242,14 +273,15 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     assert scaled == list(A.window.extended) and len(scaled) == 32
     chi = chi_norm(p, A, "c")
     verdict = compactness_verdict(p, A, "c")
-    # the column limits are scaled once per key; no row is scaled again
+    # the column limits are scaled once per tolerance; no row is scaled again
     assert scaled == list(A.window.extended) + [chi.alpha_tilde]
     assert shifted == list(A.window.extended) and len(shifted) == 32
-    assert chi.status == verdict.evidence.status == "trend-converged"
-    assert chi.upper == verdict.evidence.value
-    # another trend window or tolerance is another key: its trace is its own,
-    # read off the same integer rows
-    chi_norm(p, A, "c", trend_window=5)
+    assert chi.status == "trend-converged"
+    assert verdict.detail == f"not compact ({chi.status}): limit {chi.upper} is nonzero"
+    # parameters whose backend has another tolerance are another key: their
+    # trace is their own, read off the same integer rows
+    chi_norm(preset(PresetSpec("euler", alpha=F(1, 2)), 4, backend=Backend("rational", 1e-6)),
+             A, "c")
     assert len(shifted) == 64
     assert scaled[:32] == list(A.window.extended) and len(scaled) == 34
 

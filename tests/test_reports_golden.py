@@ -51,15 +51,15 @@ JOBS = {
                           "--target", "c0"],
                          "b41ad53d9c6f088ab01ef53b2f2f02e2de7794d3473859b13ff371b2de7eb68e"),
     "chi-matrix-c": (["chi", *EULER6, "--matrix", "{A}", "--target", "c"],
-                     "afc6c5bef7fbbaacbbfb4ab7b8a874445704860c84b8d8f164fb3bb0ac6e4d21"),
+                     "bb22719742d4ca07156180010ec9e2fa0f8a5bfd3797e2b859fa6f643970fb1f"),
     "chi-matrix-c0": (["chi", *EULER6, "--matrix", "{A}", "--target", "c0"],
-                      "c714440c64c73c18bb782b0ba8fd88db2e9f76bbb9c33bbfbe3548d9b74d1541"),
+                      "54c3b0b51887d6e3dfb828d753731578a24bbc0233bf43e269eb37ca0bb6d7ba"),
     "chi-matrix-c-f64": (["chi", *EULER6, *F64, "--matrix", "{A}", "--target", "c"],
-                         "51088ff20500ac206967f257f77f1bb6305a635282576395e4de6b9a1b5a4a2a"),
+                         "98bb29d3611c247eb724d3660dac40865c7f02773cb7008aee06f203a7fade64"),
     "chi-matrix-c0-f64": (["chi", *EULER6, *F64, "--matrix", "{A}", "--target", "c0"],
-                          "c6bce5ce02d753dc402602d0acccf01a3eff847872374f5ad70cbc4ec22bfa94"),
+                          "de80612e47418cdfe12c462b80b6c1c88d1618d1949c5e2ce92650846fbb5f11"),
     "chi-atilde": (["chi", *EULER6, "--atilde", "{atilde}", "--target", "c0"],
-                   "845c291682227c87cd56726f9ea25934f3d23786972e61f3ad777bffbe386113"),
+                   "6fff49e00d1a85f1bfe73bfc63d7314a787615efdc690406f18a65eb5c64bdf1"),
     "basis-minus-one": (["basis", *EULER6, "--j", "-1"],
                         "af4518ab82d09193b02150066669955c77634c20dfcfc9d52d6a9433ac284645"),
     "selftest": (["selftest"],

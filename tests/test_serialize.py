@@ -33,6 +33,8 @@ def test_rational_round_trip():
     doc = scalar_to_json(F(5, 8))
     assert doc == {"num": "5", "den": "8"}
     assert scalar_from_json(doc) == F(5, 8)
+    # num and den may also be JSON integers, though not bools
+    assert scalar_from_json({"num": -5, "den": " 8"}) == F(-5, 8)
 
 
 def test_float_round_trip():
@@ -141,7 +143,11 @@ def test_numbers_past_the_int_str_digit_limit_round_trip():
 
 
 @pytest.mark.parametrize("text", ["1e0", "1.0", "0x10", "", "+-1", "1__0", "NaN", "12x",
-                                  "1" * 5000 + "e0", "1" * 5000 + ".5", "1" * 5000 + "x"])
+                                  "1" * 5000 + "e0", "1" * 5000 + ".5", "1" * 5000 + "x",
+                                  [1], {"x": 1}, 1.5, True, None])
 def test_integer_strings_int_rejects_stay_rejected(text):
+    # num and den are JSON integers (not bools) or decimal integer strings
     with pytest.raises(SchemaError, match="bad rational"):
         scalar_from_json({"num": text, "den": "1"})
+    with pytest.raises(SchemaError, match="bad rational"):
+        scalar_from_json({"num": "1", "den": text})
