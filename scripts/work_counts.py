@@ -15,15 +15,18 @@ machine.  Nothing is bounded; a change that claims less work quotes them.
   analyze_tail         every run of the trend ladder over a trace
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
-  check_params         every parameter validation
+  parameter checks     every check of a parameter set's conditions
 
-A name the checkout does not have prints as 0.  The sources come from this
+A name the checkout does not have prints as 0.  The last line counts the
+modules a fresh interpreter loads for ``import genmeans``: the share of
+start-up time that the package's imports decide.  The sources come from this
 checkout (``src/`` and ``perfbench/``), whatever ``PYTHONPATH`` says.
 """
 
 import cProfile
 import os
 import pstats
+import subprocess
 import sys
 import tempfile
 
@@ -40,7 +43,7 @@ COUNTED = (
     ("analyze_tail", "limits.py", "analyze_tail"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
-    ("check_params", "operators.py", "check_params"),
+    ("parameter checks", "operators.py", "_violations"),
 )
 
 
@@ -62,12 +65,22 @@ def counts(seed):
     return len(jobs), found
 
 
+def import_modules():
+    """The number of modules ``import genmeans`` adds in a fresh interpreter."""
+    probe = ("import sys; before = set(sys.modules); import genmeans; "
+             "print(len(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return int(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True).stdout)
+
+
 def main(argv):
     seed = int(argv[0]) if argv else 3
     jobs, found = counts(seed)
     print(f"analysis seed {seed}: {jobs} jobs")
     for label, calls in found.items():
         print(f"{label:20} {calls:>8}")
+    print(f"{'import genmeans':20} {import_modules():>8} modules")
     return 0
 
 

@@ -38,14 +38,12 @@ from .operators import (
     ParameterTriple,
     PresetSpec,
     PRESET_NAMES,
-    check_params,
     identity_triple,
     inverse_transform,
     mean_difference_matrix,
     preset,
     space_norm,
     transform,
-    validate_params,
     weighted_mean_matrix,
 )
 from .duality import (

@@ -31,7 +31,6 @@ from .limits import (
 from .scalars import zero_like
 from .triangle import MatrixWindow
 from .conditions import SPACES, _near_zero, classify_map, transformed_rows
-from .operators import check_params
 
 TARGETS = SPACES
 
@@ -68,7 +67,6 @@ def operator_norm(p, matrix_or_associate) -> LimitEstimate:
     eventually zero, windowed with trend classification otherwise.  A matrix
     gets an associate of its own per call; an ``AssociateMatrix`` shares its
     extension and cached row sums with every gauge that reads it."""
-    check_params(p)
     assoc = _resolve_associate(p, matrix_or_associate).window
     return sup_of_rows(assoc, assoc.row_abs_sums, p.backend.tolerance)
 
@@ -99,7 +97,6 @@ def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
     or the sandwich around the column-shifted limsup (c).  A matrix gets an
     associate of its own per call; an ``AssociateMatrix`` shares its extension
     and cached row sums with every gauge that reads it."""
-    check_params(p)
     if target not in TARGETS:
         raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
     assoc = _resolve_associate(p, matrix_or_associate).window
@@ -154,7 +151,6 @@ def linf_source_autocompact_check(p, matrix, target) -> Verdict:
     satisfied classification paired with a non-compact verdict is an internal
     inconsistency (a bug or a tail misdeclaration), reported loudly.
     """
-    check_params(p)
     if target not in ("c0", "c"):
         raise DimensionError(f"target must be c0 or c, got {target!r}")
     report = classify_map(p, matrix, "l_inf", target)

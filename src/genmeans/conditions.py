@@ -10,7 +10,8 @@ tail-sum triangles, certified by the finite support of every source row and
 the row-tail declaration, with no triangle built.  How a tail declaration
 reads a trace is decided in ``limits`` alone.  Every id maps to exactly one
 evaluator and the table is exhaustive.  A verdict carries no evidence: its
-estimate is the one record of the number it was decided on.
+estimate is the one record of the number it was decided on.  The space
+parameters are valid by construction, so no evaluator checks them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .triangle import (
     MatrixWindow,
 )
 from .duality import associate_rows
-from .operators import check_params
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -117,8 +117,7 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     cached extension, up to the capacity, mapped with its stored rows in one
     pass through one kernel, and the window generates from that tuple alone;
     a generated row with support past the parameter capacity raises
-    ``DimensionError`` here.  The parameters are checked once, not per row."""
-    check_params(p)
+    ``DimensionError`` here."""
     if matrix.row_tail != STRUCTURAL_TAIL or matrix.row_fn is None:
         rows, forms = associate_rows(p, matrix.rows)
         return MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
@@ -190,7 +189,6 @@ def eval_condition(cond, matrix, params=None) -> LimitEstimate:
                               DEFAULT_TOLERANCE if params is None else params.backend.tolerance)
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
-    check_params(params)
     assoc = transformed_rows(params, matrix) if cond in _ASSOCIATE_IDS else None
     return _transformed_condition(cond, params, matrix, assoc)
 
@@ -259,7 +257,6 @@ def classify_map(p, matrix, source, target) -> ClassReport:
     decisive status; any indeterminate condition forces an indeterminate
     overall verdict.
     """
-    check_params(p)
     if source not in SPACES or target not in SPACES:
         raise DimensionError(f"source and target must be in {SPACES}")
     required = REQUIRED_CONDITIONS[(source, target)]

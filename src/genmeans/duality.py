@@ -37,7 +37,6 @@ from .operators import (
     NormResult,
     _InverseKernel,
     _add_rows,
-    check_params,
     exact_twin,
     inverse_transform,
     space_norm,
@@ -48,7 +47,6 @@ from .operators import (
 def basis_vector(p, j) -> SequenceWindow:
     """Basis element b^(j); transform(p, b^(j)) is the j-th coordinate vector
     (or the all-ones sequence for the special index j = -1)."""
-    check_params(p)
     if j >= p.order or j < -1:
         raise DimensionError(f"basis index {j} outside [-1, {p.order})")
     e = ones_sequence(p.order, p.backend) if j == -1 else unit_sequence(p.order, j, p.backend)
@@ -71,7 +69,6 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
     transformed coordinates, which a finite window cannot observe; the last
     coordinate stands in for it and the result is flagged accordingly.
     """
-    check_params(p)
     if partial_order >= p.order:
         raise DimensionError(f"partial-sum order {partial_order} must be below {p.order}")
     if space not in ("c0", "c"):
@@ -129,8 +126,8 @@ def _dual_rows(a, inverse, dual):
 
 def associate_rows(p, rows) -> tuple:
     """(R(a) for the values a of each zero-tail row, their integer forms or None
-    for f64) on parameters the caller has checked: one exact twin and one kernel,
-    sized to the longest support, serve every row (``conditions.transformed_rows``).
+    for f64): one exact twin and one kernel, sized to the longest support,
+    serve every row (``conditions.transformed_rows``).
     A support past the parameter capacity raises ``DimensionError``."""
     kernel, rows, out = _kernel(p, rows)
     forms = tuple(map(kernel.associate, rows))
@@ -146,7 +143,6 @@ def associate_row(p, a) -> SequenceWindow:
     The defining sum over the dense inverse and the closed form are oracles
     for this route in the tests and in ``selfcheck``.
     """
-    check_params(p)
     a.require_zero_tail("dual/associate input")
     return SequenceWindow(associate_rows(p, (a.values,))[0][0], ZERO_TAIL)
 
@@ -157,7 +153,6 @@ def tail_sum_matrix(p, a) -> TriangleMatrix:
     entry p.  Rows vanish once p passes the support of a, so the triangle has
     a zero tail.  ``selfcheck`` holds the closed-form oracle.
     """
-    check_params(p)
     a.require_zero_tail("dual/associate input")
     kernel, (b,), out = _kernel(p, (a.values,))
     return TriangleMatrix(len(a), _values(_dual_rows(b, kernel.inverse_rows(), "beta"), out),
@@ -168,7 +163,6 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
     """Row-scaled inverse: entry (n, j) = s_nj a_n, so that the coordinatewise
     products a_n x_n appear as the rows of this matrix applied to the
     transformed sequence.  Row n is a_n T^{-1}_n."""
-    check_params(p)
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
@@ -184,7 +178,6 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     row l is the prefix sum of the rows a_j T^{-1}_j for j <= l.  Its
     bracketed closed form is an oracle in ``selfcheck``.
     """
-    check_params(p)
     L = p.order if partial_order is None else partial_order
     if L > p.order:
         raise DimensionError(f"partial-sum order {L} exceeds truncation order {p.order}")
@@ -226,7 +219,6 @@ def dual_membership(p, a, dual, space="c0") -> Verdict:
 def _membership(p, a, dual, space):
     """(the ``dual_membership`` verdict, R(a) from the kernel that built the
     dual triangle, or None when the tail is not zero)."""
-    check_params(p)
     if dual not in ("alpha", "beta", "gamma"):
         raise DimensionError(f"dual must be alpha, beta or gamma, got {dual!r}")
     if space not in ("c0", "c", "l_inf"):

@@ -18,7 +18,9 @@ class SingularTriangleError(GenmeansError):
 
 
 class ParameterError(GenmeansError):
-    """Aggregated parameter-validation report; never raised for a single silent reason."""
+    """Aggregated validation report, never a single silent reason: building a
+    ``ParameterTriple`` raises it with every violation, and other entry points
+    (presets, CLI flags) raise it for their own arguments."""
 
     def __init__(self, violations):
         if isinstance(violations, str):

@@ -15,7 +15,8 @@ integers go to the row statistics as they are.  Float inputs cross one boundary,
 a parameter set except its exact twin.  W and T are the only dense
 triangles built here; the dense inverses and the difference triangle are
 oracles in ``selfcheck``.
-Parameter windows may be longer than the truncation order; the surplus feeds
+A ``ParameterTriple`` is checked once, when it is built, and never again.
+Its windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
 is m reverse differences of row n of W, never a matrix product.
 """
@@ -45,7 +46,9 @@ class ParameterTriple:
     window must cover at least ``order`` terms.  Windows longer than ``order``
     raise the structural-extension capacity.  On the rational backend the
     windows are stored as Fractions (``Backend.convert``), so int windows
-    cannot leak floats through division.
+    cannot leak floats through division.  A triple is valid by construction:
+    building one that breaks a condition raises ``ParameterError`` listing
+    every violation, so no function that receives a triple checks it again.
     """
 
     r: tuple
@@ -61,13 +64,16 @@ class ParameterTriple:
             if self.backend.mode == RATIONAL_MODE and set(map(type, window)) - {Fraction}:
                 window = tuple(map(self.backend.convert, window))
             object.__setattr__(self, name, window)
+        problems = _violations(self)
+        if problems:
+            raise ParameterError(problems)
 
     @property
     def capacity(self):
         return min(len(self.r), len(self.s), len(self.t))
 
 
-def validate_params(p) -> list:
+def _violations(p) -> list:
     """All parameter violations, or an empty list when p is usable."""
     problems = []
     if p.order < 1:
@@ -86,27 +92,6 @@ def validate_params(p) -> list:
     return problems
 
 
-def check_params(p) -> ParameterTriple:
-    problems = validate_params(p)
-    if problems:
-        raise ParameterError(problems)
-    return p
-
-
-def exact_lift(p) -> ParameterTriple:
-    """Exact-rational twin of a float parameter set; rational sets pass through.
-
-    Binary floats are dyadic rationals, so the lift is exact.  The inverse
-    entries are alternating binomial sums whose terms can dwarf the result
-    by many orders of magnitude; evaluating them directly in doubles loses
-    everything to cancellation, so float-backend constructions run on the
-    lift and round once at the boundary (see ``exact_twin``).  The lift
-    keeps only the truncation-order window: structural extension beyond it
-    stays a rational-backend facility.
-    """
-    return _dyadic_lift(p) if p.backend.mode == FLOAT_MODE else p
-
-
 @lru_cache(maxsize=128)
 def _dyadic_lift(p) -> ParameterTriple:
     n = p.order
@@ -121,11 +106,17 @@ def _same(value):
 
 
 def exact_twin(p, *values):
-    """The one float boundary: (exact_lift(p), the value sequences lifted, out).
+    """The one float boundary: (the exact twin of p, the value sequences
+    lifted, out); rational parameters and values pass through.
 
-    Value functions compute on the exact twin and pass every scalar they
-    return through ``out``: ``float`` for the float backend, so each result
-    is rounded exactly once, and the identity for the rational backend.
+    Binary floats are dyadic rationals, so the lift is exact.  The inverse
+    entries are alternating binomial sums whose terms can dwarf the result;
+    in doubles they would cancel to nothing, so float-backend constructions
+    run on the twin, which keeps only the truncation-order window
+    (structural extension stays a rational-backend facility).  Value
+    functions pass every scalar they return through ``out``: ``float`` for
+    the float backend, so each result is rounded exactly once, and the
+    identity for the rational backend.
     """
     if p.backend.mode != FLOAT_MODE:
         return p, values, _same
@@ -133,9 +124,9 @@ def exact_twin(p, *values):
 
 
 def _lifted(p, order):
-    """The exact twin of p and the requested order, checked against its capacity."""
-    check_params(p)
-    p = exact_lift(p)
+    """The exact twin of p and the requested order; p is valid as built, so the
+    one check left is the order against the twin's capacity."""
+    p = exact_twin(p)[0]
     order = p.order if order is None else order
     if order > p.capacity:
         raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
@@ -286,7 +277,6 @@ class _InverseKernel:
 
 def transform(p, x) -> SequenceWindow:
     """Image of a window under the composite operator: W applied to Delta^m x."""
-    check_params(p)
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
     q, (x,), out = exact_twin(p, x.values)
@@ -295,7 +285,6 @@ def transform(p, x) -> SequenceWindow:
 
 def inverse_transform(p, y) -> SequenceWindow:
     """Preimage of a window under the composite operator: m running sums of W^{-1} y."""
-    check_params(p)
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
     q, (y,), out = exact_twin(p, y.values)
@@ -414,9 +403,8 @@ def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
         if problems:
             raise ParameterError(problems)
         r = tuple(lam)
+        # strictly monotone and zero-free: every step t_n is nonzero
         t = tuple(lam[i] - (lam[i - 1] if i else zero) for i in range(length))
-        if any(v == 0 for v in t):
-            raise ParameterError(["lam produces a zero step; t must be zero-free"])
         s = (one,) * length
         m = 1
 
@@ -434,7 +422,7 @@ def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
                 f"{usable}; truncation order {order} needs more"])
         r, s, t = r[:usable], s[:usable], t[:usable]
 
-    return check_params(ParameterTriple(r, s, t, m, order, backend))
+    return ParameterTriple(r, s, t, m, order, backend)
 
 
 def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
@@ -443,7 +431,6 @@ def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
 
 __all__ = [
     "ParameterTriple", "PresetSpec", "NormResult", "PRESET_NAMES",
-    "validate_params", "check_params",
     "weighted_mean_matrix", "mean_difference_matrix",
     "transform", "inverse_transform", "space_norm",
     "preset", "identity_triple",

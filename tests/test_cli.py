@@ -234,6 +234,53 @@ def test_bad_params_file_field_exit_code(tmp_path, capsys, ones_file, field, val
     assert capsys.readouterr().err.startswith(f"error: params.{field}: {message}")
 
 
+def _invalid_params_file(tmp_path, case):
+    """An identity params document (n = 16) with one condition broken."""
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    doc = params_to_json(identity_triple(16, m=1))
+    zero = {"num": "0", "den": "1"}
+    doc = {"t-zero": dict(doc, t=doc["t"][:3] + [zero] + doc["t"][4:]),
+           "s0-zero": dict(doc, s=[zero] + doc["s"][1:]),
+           "short-r": dict(doc, r=doc["r"][:2])}[case]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+INVALID_PARAMS_ERRORS = {
+    "t-zero": "error: t[3] = 0 (window must be zero-free)\n",
+    "s0-zero": "error: s[0] = 0 (leading entry must be nonzero)\n",
+    "short-r": "error: r window has 2 terms, needs at least 16\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PARAMS_ERRORS))
+@pytest.mark.parametrize("command", ["transform", "matclass"])
+def test_invalid_params_file_exits_2_with_its_violation(tmp_path, capsys, ones_file,
+                                                        command, case):
+    matrix = tmp_path / "A.json"
+    matrix.write_text(json.dumps(matrix_to_json(MatrixWindow(((F(1),),), "zero"))))
+    operand = (["--input", ones_file] if command == "transform" else
+               ["--matrix", str(matrix), "--source", "c0", "--target", "c0"])
+    argv = [command, *operand, "--params", _invalid_params_file(tmp_path, case)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == INVALID_PARAMS_ERRORS[case]
+
+
+@pytest.mark.parametrize("missing_input, scalar", [(True, "rational"), (False, "f64")])
+def test_invalid_params_file_is_reported_before_other_errors(tmp_path, capsys, ones_file,
+                                                             missing_input, scalar):
+    # the params are rejected when they are read, before the input file is
+    # opened and before their scalar mode is compared with --scalar
+    source = str(tmp_path / "missing.json") if missing_input else ones_file
+    argv = ["transform", "--input", source, "--scalar", scalar,
+            "--params", _invalid_params_file(tmp_path, "t-zero")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == INVALID_PARAMS_ERRORS["t-zero"]
+
+
 @pytest.mark.parametrize("command", [["norm", "--input"], ["dual", "--dual", "beta", "--input"]])
 def test_rational_params_file_rejects_f64_inputs(tmp_path, capsys, ones_file, command):
     # the inputs would be floats against rational parameters: exit 2, not a traceback

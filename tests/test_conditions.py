@@ -14,19 +14,31 @@ from genmeans import (
     RATIONAL,
     SequenceWindow,
     TriangleMatrix,
+    alpha_dual_matrix,
     associate_row,
+    basis_vector,
+    chi_norm,
     classify_map,
+    compactness_verdict,
     condition_verdict,
+    dual_membership,
     eval_condition,
+    gamma_dual_matrix,
     identity_triple,
+    inverse_transform,
     mean_difference_matrix,
+    operator_norm,
     preset,
+    reconstruct,
+    space_norm,
+    supplied_associate,
     tail_sum_matrix,
+    transform,
     transformed_rows,
     unit_sequence,
     weighted_mean_matrix,
 )
-from genmeans import conditions, duality, limits, operators
+from genmeans import conditions, limits, operators
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
 
@@ -208,22 +220,40 @@ def test_tail_sum_rows_single_coordinate_row():
     assert all(v == 0 for v in W[3])
 
 
-@pytest.mark.parametrize("rows", [1, 16])
-def test_condition_4_15_checks_the_parameters_once(rows, monkeypatch):
-    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+def test_no_function_rechecks_a_built_triple(monkeypatch):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=2)
+    A = finite_rank(3, 6)
+    a = SequenceWindow(unit_sequence(6, 2, RATIONAL).values, "zero")
+    x = SequenceWindow(tuple(F(1, k + 1) for k in range(6)))
     calls = []
-    check = operators.check_params
+    violations = operators._violations
 
-    def counting_check(p):
-        calls.append(p)
-        return check(p)
+    def counting(q):
+        calls.append(q)
+        return violations(q)
 
-    for module in (operators, duality, conditions):
-        monkeypatch.setattr(module, "check_params", counting_check)
-    A = MatrixWindow(tuple(unit_sequence(6, n % 6, RATIONAL).values for n in range(rows)),
-                     "zero")
-    est = eval_condition("4.15", A, p)
-    assert est.status == "exact"
+    monkeypatch.setattr(operators, "_violations", counting)
+    for source in SPACES:
+        for target in SPACES:
+            classify_map(p, A, source, target)
+    eval_condition("4.15", A, p)
+    for operand in (A, supplied_associate(zero_tail_identity(6))):
+        for target in SPACES:
+            chi_norm(p, operand, target)
+            compactness_verdict(p, operand, target)
+        operator_norm(p, operand)
+    inverse_transform(p, transform(p, x))
+    space_norm(p, x)
+    basis_vector(p, 2)
+    reconstruct(p, x, 3, "c")
+    for dual in ("alpha", "beta", "gamma"):
+        dual_membership(p, a, dual)
+    tail_sum_matrix(p, a)
+    alpha_dual_matrix(p, a)
+    gamma_dual_matrix(p, a)
+    assert calls == []
+    # the wrapper is live: building a triple is the one check
+    replace(p, m=1)
     assert len(calls) == 1
 
 

@@ -31,7 +31,7 @@ from genmeans import (
 )
 from genmeans import operators
 from genmeans.duality import associate_rows
-from genmeans.operators import _InverseKernel, exact_lift
+from genmeans.operators import _InverseKernel, exact_twin
 from genmeans.selfcheck import (
     associate_row_closed,
     binom,
@@ -301,7 +301,7 @@ def test_kernel_matches_dense_inverse_on_rational_triples(m, p, data):
 
 @given(f64_triples(), st.data())
 def test_kernel_runs_f64_through_the_exact_twin(p, data):
-    q = exact_lift(p)
+    q = exact_twin(p)[0]
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
     ints, den = _InverseKernel(q, len(a)).associate(tuple(map(F, a)))
@@ -502,7 +502,7 @@ def test_float_results_are_the_exact_twin_rounded_once(p, data):
             return SequenceWindow(tuple(F(v) for v in arg.values), arg.tail)
         return arg
 
-    q = exact_lift(p)
+    q = exact_twin(p)[0]
     for fn, args, scalars in calls:
         got = scalars(fn(p, *args))
         exact = scalars(fn(q, *map(lift, args)))

@@ -21,7 +21,6 @@ from genmeans import (
     preset,
     space_norm,
     transform,
-    validate_params,
     weighted_mean_matrix,
 )
 
@@ -31,7 +30,7 @@ from genmeans.operators import (
     _mean_apply,
     _mean_solve,
     _running_sums,
-    exact_lift,
+    exact_twin,
 )
 from genmeans.selfcheck import (
     compose,
@@ -63,26 +62,51 @@ def ones_params(order, m=1):
 
 def test_validate_accepts_basic_triple():
     p = ParameterTriple((F(1),) * 4, (F(1), F(0), F(0), F(0)), (F(1),) * 4, 1, 4)
-    assert validate_params(p) == []
+    assert (p.m, p.order, p.capacity) == (1, 4, 4)
 
 
 def test_validate_names_zero_index():
     t = [F(1)] * 6
     t[3] = F(0)
-    p = ParameterTriple((F(1),) * 6, (F(1),) * 6, tuple(t), 1, 6)
-    problems = validate_params(p)
-    assert any("t[3]" in msg for msg in problems)
+    with pytest.raises(ParameterError) as err:
+        ParameterTriple((F(1),) * 6, (F(1),) * 6, tuple(t), 1, 6)
+    assert err.value.violations == ("t[3] = 0 (window must be zero-free)",)
 
 
 def test_validate_rejects_zero_leading_s():
-    p = ParameterTriple((F(1),) * 4, (F(0), F(1), F(1), F(1)), (F(1),) * 4, 1, 4)
-    problems = validate_params(p)
-    assert any("s[0]" in msg for msg in problems)
+    with pytest.raises(ParameterError) as err:
+        ParameterTriple((F(1),) * 4, (F(0), F(1), F(1), F(1)), (F(1),) * 4, 1, 4)
+    assert err.value.violations == ("s[0] = 0 (leading entry must be nonzero)",)
 
 
 def test_validate_reports_short_windows():
-    p = ParameterTriple((F(1),) * 2, (F(1),) * 4, (F(1),) * 4, 1, 4)
-    assert any("r window" in msg for msg in validate_params(p))
+    with pytest.raises(ParameterError) as err:
+        ParameterTriple((F(1),) * 2, (F(1),) * 4, (F(1),) * 4, 1, 4)
+    assert err.value.violations == ("r window has 2 terms, needs at least 4",)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT64])
+def test_construction_lists_every_violation(backend):
+    one, zero = backend.one, backend.zero
+    with pytest.raises(ParameterError) as err:
+        ParameterTriple((one, zero), (zero, one, one), (one,) * 3, -2, 3, backend)
+    assert err.value.violations == (
+        "difference order must be nonnegative, got -2",
+        "r window has 2 terms, needs at least 3",
+        "s[0] = 0 (leading entry must be nonzero)",
+        "r[1] = 0 (window must be zero-free)",
+    )
+    with pytest.raises(ParameterError) as err:
+        ParameterTriple((one,), (one,), (one,), 0, 0, backend)
+    assert err.value.violations == ("truncation order must be positive, got 0",)
+
+
+def test_replace_goes_through_the_construction_check():
+    p = ones_params(4)
+    assert dataclasses.replace(p, m=3).m == 3
+    with pytest.raises(ParameterError) as err:
+        dataclasses.replace(p, m=-1)
+    assert err.value.violations == ("difference order must be nonnegative, got -1",)
 
 
 def test_rational_triple_converts_int_windows():
@@ -379,7 +403,7 @@ def test_float_backend_euler_round_trip():
 
 @given(f64_triples())
 def test_constructors_given_float_params_return_exact_triangles(p):
-    q = exact_lift(p)
+    q = exact_twin(p)[0]
     for build in (weighted_mean_matrix, weighted_mean_inverse,
                   mean_difference_matrix, mean_difference_inverse):
         T = build(p)
@@ -396,7 +420,7 @@ def kernel_twins(draw):
     if draw(st.booleans()):
         alpha = F(draw(st.integers(min_value=1, max_value=8)), 9)
         return preset(PresetSpec("euler", alpha=alpha), draw(st.integers(min_value=1, max_value=8)))
-    return exact_lift(draw(f64_triples()))
+    return exact_twin(draw(f64_triples()))[0]
 
 
 @pytest.mark.parametrize("m", range(4))
