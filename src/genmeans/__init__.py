@@ -9,7 +9,7 @@ declared tail behavior.  The dense triangle algebra and the closed-form
 inverses are oracles in ``genmeans.selfcheck``, not exported here.
 """
 
-from .scalars import Backend, DEFAULT_TOLERANCE, FLOAT64, RATIONAL, backend_for
+from .scalars import Backend, FLOAT64, RATIONAL, TOLERANCE, backend_for
 from .errors import (
     DimensionError,
     GenmeansError,

@@ -8,7 +8,7 @@ absolute sums, and the Hausdorff measure of noncompactness of the induced
 operator is estimated from their limsup behavior: an identity for null
 targets, a two-sided sandwich for convergent targets, and an upper bound
 for bounded targets.  The compactness verdict is read off that estimate
-alone.  Every gauge runs at the tolerance of its parameters' backend.
+alone.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def operator_norm(p, matrix_or_associate) -> LimitEstimate:
     gets an associate of its own per call; an ``AssociateMatrix`` shares its
     extension and cached row sums with every gauge that reads it."""
     assoc = _resolve_associate(p, matrix_or_associate).window
-    return sup_of_rows(assoc, assoc.row_abs_sums, p.backend.tolerance)
+    return sup_of_rows(assoc, assoc.row_abs_sums)
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,13 @@ def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
 
     if target != "c":
         # null target: the gauge is the limsup; bounded target: [0, limsup]
-        est = limsup_of_rows(assoc, assoc.row_abs_sums, p.backend.tolerance)
+        est = limsup_of_rows(assoc, assoc.row_abs_sums)
         zero = zero_like(est.value) if est.value is not None else 0
         return ChiEstimate(target, est.value if target == "c0" else zero, est.value, None,
                            est.status, est.trend, est.window, est.trace, est.note)
 
     # convergent target: sandwich around the column-shifted limsup
-    cols, est = column_shifted(assoc, limsup_of_rows, p.backend.tolerance)
+    cols, est = column_shifted(assoc, limsup_of_rows)
     if est is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
@@ -134,7 +134,7 @@ def compactness_verdict(p, matrix_or_associate, target) -> Verdict:
     chi = chi_norm(p, matrix_or_associate, target)
     if chi.status == STATUS_INDET:
         return Verdict("indeterminate", chi.note)
-    if _near_zero(chi.upper, chi.status, p.backend.tolerance):
+    if _near_zero(chi.upper, chi.status):
         return Verdict("satisfied", f"compact ({chi.status}): limit vanishes")
     if target == "l_inf":
         return Verdict("indeterminate",

@@ -32,7 +32,7 @@ from .limits import (
     subset_column_sup,
     sup_of_rows,
 )
-from .scalars import DEFAULT_TOLERANCE
+from .scalars import TOLERANCE
 from .triangle import (
     STRUCTURAL_TAIL,
     UNKNOWN_TAIL,
@@ -154,30 +154,29 @@ def _per_row_tail_condition(window, cond):
                          note="per-row quantities are finite computations on zero-tail rows")
 
 
-def _raw_condition(cond, window, tolerance):
+def _raw_condition(cond, window):
     """Raw condition cond in 4.4-4.11 on a matrix window."""
     if cond == "4.4":
         return subset_column_sup(window)
     if cond == "4.5":
-        return sup_of_rows(window, window.row_abs_sums, tolerance)
+        return sup_of_rows(window, window.row_abs_sums)
     if cond == "4.6":
-        return limit_of_rows(window, window.row_abs_sums, tolerance)
+        return limit_of_rows(window, window.row_abs_sums)
     if cond == "4.7":
-        return column_limits(window, tolerance)
+        return column_limits(window)
     if cond == "4.8":
-        return limit_of_rows(window, window.row_sums, tolerance)
+        return limit_of_rows(window, window.row_sums)
     if cond == "4.9":
-        return column_limits(window, tolerance, kind="exists")
+        return column_limits(window, kind="exists")
     if cond == "4.10":
-        cols, est = column_shifted(window, limit_of_rows, tolerance)
+        cols, est = column_shifted(window, limit_of_rows)
         return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
                                     note="column limits unresolved")
-    return limit_of_rows(window, window.row_sums, tolerance, kind="exists")
+    return limit_of_rows(window, window.row_sums, kind="exists")
 
 
 def eval_condition(cond, matrix, params=None) -> LimitEstimate:
-    """Evaluate one catalog condition on a matrix window, at the tolerance of
-    ``params``' backend (``DEFAULT_TOLERANCE`` without them).
+    """Evaluate one catalog condition on a matrix window.
 
     Ids 4.4-4.11 read the window directly.  Ids 4.13-4.25 are conditions on
     the transformed objects and need the space parameters.
@@ -185,8 +184,7 @@ def eval_condition(cond, matrix, params=None) -> LimitEstimate:
     if cond not in CONDITION_IDS:
         raise DimensionError(f"unknown condition id {cond!r}")
     if cond in RAW_CONDITION_IDS:
-        return _raw_condition(cond, matrix,
-                              DEFAULT_TOLERANCE if params is None else params.backend.tolerance)
+        return _raw_condition(cond, matrix)
     if params is None:
         raise ParameterError([f"condition {cond} needs the space parameters"])
     assoc = transformed_rows(params, matrix) if cond in _ASSOCIATE_IDS else None
@@ -197,9 +195,9 @@ def _transformed_condition(cond, p, window, assoc):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
     if cond == "4.24":
-        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)), p.backend.tolerance)
+        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)))
     elif cond in ON_ASSOCIATE:
-        est = _raw_condition(ON_ASSOCIATE[cond], assoc, p.backend.tolerance)
+        est = _raw_condition(ON_ASSOCIATE[cond], assoc)
     else:
         return _per_row_tail_condition(window, cond)
     if cond in _SHIFTED_MEMBERSHIP_IDS:
@@ -208,7 +206,7 @@ def _transformed_condition(cond, p, window, assoc):
     return est
 
 
-def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
+def condition_verdict(cond, estimate) -> Verdict:
     """Map an estimate to satisfied / violated / indeterminate for its predicate."""
     predicate = CONDITION_PREDICATE[cond]
     if estimate.status == STATUS_INDET:
@@ -221,20 +219,21 @@ def condition_verdict(cond, estimate, tolerance=DEFAULT_TOLERANCE) -> Verdict:
     # zero predicate
     value = estimate.value
     if isinstance(value, tuple):
-        is_zero = all(_near_zero(v, estimate.status, tolerance) for v in value)
+        is_zero = all(_near_zero(v, estimate.status) for v in value)
     else:
-        is_zero = _near_zero(value, estimate.status, tolerance)
+        is_zero = _near_zero(value, estimate.status)
     if is_zero:
         return Verdict("satisfied", f"{cond}: limit is zero ({estimate.status})")
     return Verdict("violated", f"{cond}: limit {value} is nonzero ({estimate.status})")
 
 
-def _near_zero(value, status, tolerance):
+def _near_zero(value, status):
+    """Zero: equal to 0 when exact, within ``TOLERANCE`` of 0 for a trend estimate."""
     if value is None:
         return False
     if status == STATUS_EXACT:
         return value == 0
-    return abs(float(value)) <= tolerance
+    return abs(float(value)) <= TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -263,8 +262,7 @@ def classify_map(p, matrix, source, target) -> ClassReport:
     # every pair needs 4.13 or 4.18: build the associate rows once for all of them
     assoc = transformed_rows(p, matrix)
     estimates = {cond: _transformed_condition(cond, p, matrix, assoc) for cond in required}
-    verdicts = {cond: condition_verdict(cond, est, p.backend.tolerance)
-                for cond, est in estimates.items()}
+    verdicts = {cond: condition_verdict(cond, est) for cond, est in estimates.items()}
     notes = (SHIFTED_MEMBERSHIP_NOTE,) if set(required) & set(_SHIFTED_MEMBERSHIP_IDS) else ()
     summary = {cond: verdicts[cond].status for cond in required}
     if any(v.status == "violated" for v in verdicts.values()):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, zip_longest
 
-from .scalars import DEFAULT_TOLERANCE, common_denominator, zero_like
+from .scalars import TOLERANCE, common_denominator, zero_like
 from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
 
 STATUS_EXACT = "exact"
@@ -73,14 +73,14 @@ class Verdict:
     evidence: object = None
 
 
-def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=DEFAULT_TOLERANCE):
+def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW):
     """Classify the tail of a finite trace.
 
     Returns (status, trend, value).  The ladder: settled window -> converged;
     stable second-difference acceleration over contracting differences ->
     converged to the accelerated value; positive monotone decay with a
     power-law log-log fit -> limit zero; otherwise drifting / diverging /
-    oscillating at indeterminate status.
+    oscillating at indeterminate status.  A trace settles within ``TOLERANCE``.
     """
     values = list(values)
     if len(values) < 3:
@@ -92,7 +92,7 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
         return STATUS_INDET, TREND_DIVERGING, None
     w = min(max(trend_window, 3), len(values))
     floats = full[-w:]
-    if max(floats) - min(floats) <= tolerance:
+    if max(floats) - min(floats) <= TOLERANCE:
         return STATUS_TREND, TREND_CONVERGED, values[-1]
 
     # second-difference (Aitken) acceleration, trusted only while the trailing
@@ -107,7 +107,7 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW, tolerance=D
             accelerated.append(c - (c - b) ** 2 / denom)
     if contracting and len(accelerated) >= 2:
         scale = max(1.0, max(abs(v) for v in floats))
-        if abs(accelerated[-1] - accelerated[-2]) <= max(tolerance, 1e-9 * scale):
+        if abs(accelerated[-1] - accelerated[-2]) <= max(TOLERANCE, 1e-9 * scale):
             return STATUS_TREND, TREND_CONVERGED, accelerated[-1]
 
     nonincreasing = all(full[i + 1] <= full[i] for i in range(len(full) - 1))
@@ -172,7 +172,7 @@ def column_value(row, k):
     return row[k] if k < len(row) else 0
 
 
-def sup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
+def sup_of_rows(window, trace):
     """sup_n of ``trace``, a row statistic over ``window.extended``, over the
     infinite row index.  Past a zero tail every row statistic is 0."""
     ns = tuple(range(len(trace)))
@@ -184,7 +184,7 @@ def sup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, limit = analyze_tail(ns, trace, tolerance=tolerance)
+        status, trend, limit = analyze_tail(ns, trace)
         if trend == TREND_CONVERGED:
             # a trace rising to its limit never attains it: the sup is the limit
             return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
@@ -197,20 +197,20 @@ def sup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
                          note=_no_extension_note(window, "observed max is a lower bound"))
 
 
-def limit_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE, kind="lim"):
+def limit_of_rows(window, trace, kind="lim"):
     """lim_n of ``trace``, a row statistic over ``window.extended``; exactly 0
     past a zero tail."""
     ns = tuple(range(len(trace)))
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
+        status, trend, value = analyze_tail(ns, trace)
         return LimitEstimate(kind, value, status, trend, ns, trace)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "limit not computable from the window"))
 
 
-def limsup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
+def limsup_of_rows(window, trace):
     """limsup_n of ``trace``, a row statistic over ``window.extended``: exact 0
     past a zero tail, the ladder's limit when the extended trace resolves (a
     convergent trace's limsup is its limit), else the windowed maximum at
@@ -222,7 +222,7 @@ def limsup_of_rows(window, trace, tolerance=DEFAULT_TOLERANCE):
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     w = min(DEFAULT_TREND_WINDOW, len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
+        status, trend, value = analyze_tail(ns, trace)
         if status == STATUS_TREND:
             return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
         return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
@@ -242,7 +242,7 @@ def _no_extension_note(window, undeclared="stored window only bounds the quantit
     return f"tail undeclared; {undeclared}"
 
 
-def column_limits(window, tolerance=DEFAULT_TOLERANCE, kind="lim"):
+def column_limits(window, kind="lim"):
     """Per-column limits lim_n a_nk, aggregated over k < width."""
     rows = window.extended
     width = window.width
@@ -256,7 +256,7 @@ def column_limits(window, tolerance=DEFAULT_TOLERANCE, kind="lim"):
         trends = []
         for k in range(width):
             trace = tuple(column_value(row, k) for row in rows)
-            status, trend, value = analyze_tail(ns, trace, tolerance=tolerance)
+            status, trend, value = analyze_tail(ns, trace)
             values.append(value)
             trends.append(trend)
             worst = _worse_status(worst, status)
@@ -267,23 +267,14 @@ def column_limits(window, tolerance=DEFAULT_TOLERANCE, kind="lim"):
                          note=_no_extension_note(window, "column limits not computable"))
 
 
-def column_shifted(window, estimator, tolerance=DEFAULT_TOLERANCE):
+def column_shifted(window, estimator):
     """(column limits alpha, ``estimator`` over the trace sum_k |a_nk - alpha_k|).
 
     ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
-    None when the column limits are unresolved.  The limits and the trace are
-    computed once per window and tolerance, in ``MatrixWindow.shifted``: alpha
-    is brought over one denominator once, and each row reads its integer form."""
-    if tolerance not in window.shifted:
-        cols = column_limits(window, tolerance)
-        alphas, trace = cols.value, None
-        if cols.status != STATUS_INDET and alphas is not None:
-            shift = integer_row(alphas)
-            trace = tuple(row_statistic(row, form, True, alphas, shift)
-                          for row, form in zip(window.extended, window.integer_rows))
-        window.shifted[tolerance] = cols, trace
-    cols, trace = window.shifted[tolerance]
-    return cols, None if trace is None else estimator(window, trace, tolerance)
+    None when the column limits are unresolved.  Both are read off the window's
+    ``MatrixWindow.shifted``, computed once per window."""
+    cols, trace = window.shifted
+    return cols, None if trace is None else estimator(window, trace)
 
 
 def _worse_status(a, b):

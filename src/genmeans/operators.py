@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import add, mul
 from typing import Optional
@@ -72,6 +72,14 @@ class ParameterTriple:
     def capacity(self):
         return min(len(self.r), len(self.s), len(self.t))
 
+    @cached_property
+    def _twin(self):
+        """The rational triple on the truncation-order windows, lifted on first
+        use by ``exact_twin`` and kept with the triple."""
+        n = self.order
+        return ParameterTriple(*(tuple(map(Fraction, w[:n])) for w in (self.r, self.s, self.t)),
+                               self.m, n, RATIONAL)
+
 
 def _violations(p) -> list:
     """All parameter violations, or an empty list when p is usable."""
@@ -90,15 +98,6 @@ def _violations(p) -> list:
             if value == 0:
                 problems.append(f"{name}[{idx}] = 0 (window must be zero-free)")
     return problems
-
-
-@lru_cache(maxsize=128)
-def _dyadic_lift(p) -> ParameterTriple:
-    n = p.order
-    return ParameterTriple(tuple(Fraction(v) for v in p.r[:n]),
-                           tuple(Fraction(v) for v in p.s[:n]),
-                           tuple(Fraction(v) for v in p.t[:n]),
-                           p.m, n, RATIONAL)
 
 
 def _same(value):
@@ -120,7 +119,7 @@ def exact_twin(p, *values):
     """
     if p.backend.mode != FLOAT_MODE:
         return p, values, _same
-    return _dyadic_lift(p), tuple(tuple(map(Fraction, x)) for x in values), float
+    return p._twin, tuple(tuple(map(Fraction, x)) for x in values), float
 
 
 def _lifted(p, order):

@@ -1,7 +1,7 @@
 """Scalar backends: exact rationals or IEEE doubles, never mixed in one computation.
 
-The rational backend is bit-exact (arbitrary-precision integers underneath);
-the float backend carries an absolute tolerance used by every equality check.
+The rational backend is bit-exact (arbitrary-precision integers underneath).
+``TOLERANCE`` is how close to zero is zero for a trend estimate.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ from fractions import Fraction
 
 RATIONAL_MODE = "rational"
 FLOAT_MODE = "float"
-DEFAULT_TOLERANCE = 1e-10
+TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
 class Backend:
-    """Arithmetic mode plus the absolute tolerance used by float equality."""
+    """Arithmetic mode: exact rationals or IEEE doubles."""
 
     mode: str
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.mode not in (RATIONAL_MODE, FLOAT_MODE):
@@ -45,12 +44,11 @@ FLOAT64 = Backend(FLOAT_MODE)
 
 
 def backend_for(mode):
-    """Resolve a CLI-style mode name ("rational" or "f64") to a Backend at
-    ``DEFAULT_TOLERANCE``; a parameter document carries its own tolerance."""
-    name = {"rational": RATIONAL_MODE, "f64": FLOAT_MODE, "float": FLOAT_MODE}.get(mode)
-    if name is None:
+    """Resolve a mode name ("rational", or "f64" or "float") to its Backend."""
+    backend = {"rational": RATIONAL, "f64": FLOAT64, "float": FLOAT64}.get(mode)
+    if backend is None:
         raise ValueError(f"unknown scalar mode {mode!r}")
-    return Backend(name)
+    return backend
 
 
 def zero_like(value):

@@ -22,10 +22,11 @@ from fractions import Fraction
 from .errors import SchemaError
 from .limits import LimitEstimate
 from .operators import NormResult, ParameterTriple
-from .scalars import Backend, FLOAT_MODE, RATIONAL_MODE
+from .scalars import FLOAT_MODE, RATIONAL_MODE, backend_for
 from .triangle import (
     MATRIX_TAILS,
     SEQUENCE_TAILS,
+    SPACE_LABELS,
     MatrixWindow,
     SequenceWindow,
     TriangleMatrix,
@@ -147,6 +148,8 @@ def sequence_from_json(doc, path="sequence", backend=None):
         raise SchemaError(f"{path}.tail", "missing field 'tail'")
     if doc["tail"] not in SEQUENCE_TAILS:
         raise SchemaError(f"{path}.tail", f"tail must be one of {SEQUENCE_TAILS}")
+    if doc.get("space") not in (None, *SPACE_LABELS):
+        raise SchemaError(f"{path}.space", f"space must be one of {SPACE_LABELS}")
     values = _scalar_list(doc["values"], f"{path}.values", backend)
     return SequenceWindow(values, doc["tail"], doc.get("space"))
 
@@ -188,7 +191,6 @@ def params_to_json(p):
         "m": p.m,
         "order": p.order,
         "scalar": p.backend.mode,
-        "tolerance": repr(p.backend.tolerance),
     }
 
 
@@ -201,7 +203,7 @@ def params_from_json(doc, path="params"):
     mode = doc.get("scalar", RATIONAL_MODE)
     if mode not in (RATIONAL_MODE, FLOAT_MODE):
         raise SchemaError(f"{path}.scalar", f"scalar must be 'rational' or 'float', got {mode!r}")
-    backend = Backend(mode, _tolerance(doc.get("tolerance", "1e-10"), f"{path}.tolerance"))
+    backend = backend_for(mode)
     windows = {field: tuple(_scalar_list(doc[field], f"{path}.{field}", backend))
                for field in ("r", "s", "t")}
     return ParameterTriple(windows["r"], windows["s"], windows["t"],
@@ -213,18 +215,6 @@ def _integer(doc, path, least):
     if isinstance(doc, bool) or not isinstance(doc, int) or doc < least:
         raise SchemaError(path, f"expected an integer >= {least}, got {doc!r}")
     return doc
-
-
-def _tolerance(doc, path):
-    """A params document's tolerance for its backend: a number or decimal
-    string, finite and >= 0."""
-    try:
-        value = float(doc) if isinstance(doc, (str, int, float)) else math.nan
-    except (ValueError, OverflowError):
-        value = math.nan
-    if isinstance(doc, bool) or not (math.isfinite(value) and value >= 0):
-        raise SchemaError(path, f"tolerance must be finite and >= 0, got {doc!r}")
-    return value
 
 
 def _plain(value):

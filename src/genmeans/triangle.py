@@ -172,8 +172,16 @@ class MatrixWindow:
 
     @cached_property
     def shifted(self):
-        """Column limits and shifted traces per tolerance, from ``limits.column_shifted``."""
-        return {}
+        """(column limits alpha, the trace sum_k |a_nk - alpha_k| over the extended
+        rows, or None for unresolved alpha), computed once per window: alpha is
+        brought over one denominator once, and each row reads its integer form."""
+        from .limits import STATUS_INDET, column_limits, integer_row, row_statistic
+        cols = column_limits(self)
+        if cols.status == STATUS_INDET or cols.value is None:
+            return cols, None
+        alphas = cols.value
+        stat = partial(row_statistic, absolute=True, alphas=alphas, shift=integer_row(alphas))
+        return cols, tuple(map(stat, self.extended, self.integer_rows))
 
     def entry(self, n, k):
         row = self.rows[n]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmeans import (
-    Backend,
     InconsistencyError,
     MatrixWindow,
     PresetSpec,
@@ -27,7 +26,7 @@ from genmeans import (
     transform,
 )
 
-from genmeans import limits
+from genmeans import limits, scalars
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
 
@@ -222,7 +221,7 @@ def test_compactness_verdict_is_read_off_chi(target, name):
     assert verdict.evidence is None
     if chi.status == "indeterminate":
         expected = "indeterminate"
-    elif abs(float(chi.upper)) <= p.backend.tolerance:
+    elif abs(float(chi.upper)) <= scalars.TOLERANCE:
         expected = "satisfied"
     else:
         expected = "indeterminate" if target == "l_inf" else "violated"
@@ -273,17 +272,15 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     assert scaled == list(A.window.extended) and len(scaled) == 32
     chi = chi_norm(p, A, "c")
     verdict = compactness_verdict(p, A, "c")
-    # the column limits are scaled once per tolerance; no row is scaled again
+    # the column limits are scaled once per window; no row is scaled again
     assert scaled == list(A.window.extended) + [chi.alpha_tilde]
     assert shifted == list(A.window.extended) and len(shifted) == 32
     assert chi.status == "trend-converged"
     assert verdict.detail == f"not compact ({chi.status}): limit {chi.upper} is nonzero"
-    # parameters whose backend has another tolerance are another key: their
-    # trace is their own, read off the same integer rows
-    chi_norm(preset(PresetSpec("euler", alpha=F(1, 2)), 4, backend=Backend("rational", 1e-6)),
-             A, "c")
-    assert len(shifted) == 64
-    assert scaled[:32] == list(A.window.extended) and len(scaled) == 34
+    # the shifted trace belongs to the window: another parameter set on the
+    # same associate scales no row and sums no row again
+    assert chi_norm(preset(PresetSpec("aydin", alpha=F(1, 3)), 6, m=2), A, "c") == chi
+    assert len(shifted) == 32 and len(scaled) == 33
 
 
 def test_euler_structural_instances_give_trend_estimates():

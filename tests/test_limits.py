@@ -1,9 +1,22 @@
+import dataclasses
+import inspect
 from fractions import Fraction as F
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genmeans import MatrixWindow, eval_condition, identity_triple, transformed_rows
+from genmeans import (
+    Backend,
+    MatrixWindow,
+    compactness,
+    conditions,
+    duality,
+    eval_condition,
+    identity_triple,
+    limits,
+    operators,
+    transformed_rows,
+)
 from genmeans.compactness import compactness_verdict, operator_norm, supplied_associate
 from genmeans.limits import (
     STATUS_INDET,
@@ -184,3 +197,13 @@ def test_window_statistics_are_left_to_right_sums(p, data):
             _same_sums(est.trace, tuple(
                 total(abs(column_value(row, k) - column_value(alphas, k))
                       for k in range(max(len(row), len(alphas)))) for row in rows))
+
+
+def test_no_function_takes_a_tolerance():
+    # one tolerance, scalars.TOLERANCE, read by the trend ladder and the zero
+    # test of trend estimates; no caller can pass another
+    for module in (limits, conditions, compactness, operators, duality):
+        for name, value in vars(module).items():
+            if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                assert "tolerance" not in inspect.signature(value).parameters, (module, name)
+    assert [f.name for f in dataclasses.fields(Backend)] == ["mode"]

@@ -13,6 +13,7 @@ from genmeans import (
     RATIONAL,
     SequenceWindow,
     TriangleMatrix,
+    associate_row,
     identity,
     identity_triple,
     inverse_transform,
@@ -409,6 +410,24 @@ def test_constructors_given_float_params_return_exact_triangles(p):
         T = build(p)
         assert all(isinstance(v, F) for row in T.rows for v in row)
         assert T.rows == build(q).rows
+
+
+def test_exact_twin_is_kept_with_the_triple(monkeypatch):
+    # the twin is built once per float triple and read back without hashing it
+    u = tuple(1.0 + i / 8 for i in range(32))
+    p = preset(PresetSpec("uv", u=u, v=(0.5,) * 32), 8, m=2, backend=FLOAT64)
+    x = SequenceWindow(tuple(1.0 / (i + 1) for i in range(8)), "zero")
+    hashed = []
+    hash_triple = ParameterTriple.__hash__
+    monkeypatch.setattr(ParameterTriple, "__hash__",
+                        lambda self: hashed.append(self) or hash_triple(self))
+    inverse_transform(p, transform(p, x))
+    space_norm(p, x)
+    associate_row(p, x)
+    assert hashed == []
+    assert exact_twin(p)[0] is exact_twin(p)[0]
+    q = dataclasses.replace(p, m=1)
+    assert exact_twin(q)[0] == dataclasses.replace(exact_twin(p)[0], m=1)
 
 
 # --- integer substitution kernels ---------------------------------------------
