@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Print the call counts of one in-process analysis cycle, as cProfile sees them.
+"""Print the call counts of in-process benchmark cycles, as cProfile sees them.
 
 Usage: python scripts/work_counts.py [SEED]
 
-Runs one cycle of the benchmark's seeded ``analysis`` workload
-(``perfbench/workloads.py``, read only, seed 3 by default) under cProfile and
-prints how often each function below was called.  The counts are
-deterministic: they measure work, not time, so two checkouts compare on any
-machine.  Nothing is bounded; a change that claims less work quotes them.
+Runs one cycle of each of the benchmark's seeded ``analysis``,
+``roundtrip-warm`` and ``roundtrip-cold`` workloads (``perfbench/workloads.py``,
+read only, seed 3 by default) under cProfile and prints how often each
+function below was called while the jobs ran (set-up is not counted).  The
+counts are deterministic: they measure work, not time, so two checkouts
+compare on any machine.  Nothing is bounded; a change that claims less work
+quotes them.  The round-trip cycles print the first three rows, the analysis
+cycle every row but ``math.gcd``.
 
   Fraction.__new__     every rational built
   common_denominator   every lcm taken over a list of values
+  math.gcd             every gcd taken, by ``Fraction`` or by a kernel
   integer_row          every row brought over one denominator for its statistics
   analyze_tail         every run of the trend ladder over a trace
   kernels built        every ``operators._InverseKernel`` constructed
@@ -36,30 +40,34 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402  (perfbench's modules import each other by bare name)
 
 # (label, source file suffix, function name) as pstats keys them
-COUNTED = (
-    ("Fraction.__new__", "fractions.py", "__new__"),
-    ("common_denominator", "scalars.py", "common_denominator"),
+FRACTION = ("Fraction.__new__", "fractions.py", "__new__")
+COMMON = ("common_denominator", "scalars.py", "common_denominator")
+ANALYSIS = (
+    FRACTION,
+    COMMON,
     ("integer_row", "limits.py", "integer_row"),
     ("analyze_tail", "limits.py", "analyze_tail"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("parameter checks", "operators.py", "_violations"),
 )
+ROUNDTRIP = (FRACTION, COMMON, ("math.gcd", "~", "<built-in method math.gcd>"))
+CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-cold", ROUNDTRIP))
 
 
-def counts(seed):
-    """{label: calls} over one analysis cycle of the given seed."""
+def counts(workload, seed, counted):
+    """(jobs, {label: calls}) over one cycle of the named workload and seed."""
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = workloads.Analysis(seed, "full", tmp).cycle()
+        jobs = workloads.WORKLOADS[workload](seed, "full", tmp).cycle()
         profile = cProfile.Profile()
         profile.enable()
         for job in jobs:
             job.run()
         profile.disable()
     stats = pstats.Stats(profile).stats
-    found = dict.fromkeys((label for label, _, _ in COUNTED), 0)
+    found = dict.fromkeys((label for label, _, _ in counted), 0)
     for (path, _line, name), (_cc, calls, *_rest) in stats.items():
-        for label, suffix, fn in COUNTED:
+        for label, suffix, fn in counted:
             if name == fn and path.endswith(suffix):
                 found[label] += calls
     return len(jobs), found
@@ -76,10 +84,11 @@ def import_modules():
 
 def main(argv):
     seed = int(argv[0]) if argv else 3
-    jobs, found = counts(seed)
-    print(f"analysis seed {seed}: {jobs} jobs")
-    for label, calls in found.items():
-        print(f"{label:20} {calls:>8}")
+    for workload, counted in CYCLES:
+        jobs, found = counts(workload, seed, counted)
+        print(f"{workload} seed {seed}: {jobs} jobs")
+        for label, calls in found.items():
+            print(f"{label:20} {calls:>8}")
     print(f"{'import genmeans':20} {import_modules():>8} modules")
     return 0
 

@@ -245,18 +245,13 @@ def build_parser():
         sp.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (csv only for flat sequence payloads)")
 
-    sp = sub.add_parser("transform", help="apply the composite operator to a sequence")
-    sp.add_argument("--input", required=True, help="sequence JSON file")
-    add_common(sp)
-
-    sp = sub.add_parser("inverse-transform",
-                        help="apply the inverse of the composite operator to a sequence")
-    sp.add_argument("--input", required=True, help="sequence JSON file")
-    add_common(sp)
-
-    sp = sub.add_parser("norm", help="sup-norm of the transformed sequence")
-    sp.add_argument("--input", required=True, help="sequence JSON file")
-    add_common(sp)
+    for name, text in (("transform", "apply the composite operator to a sequence"),
+                       ("inverse-transform",
+                        "apply the inverse of the composite operator to a sequence"),
+                       ("norm", "sup-norm of the transformed sequence")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--input", required=True, help="sequence JSON file")
+        add_common(sp)
 
     sp = sub.add_parser("basis", help="emit basis vector j with its transform")
     sp.add_argument("--j", type=int, required=True, help="basis index (>= -1)")

@@ -82,10 +82,12 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
     cut = y.values[:partial_order + 1] + (ell,) * (p.order - partial_order - 1)
     partial = inverse_transform(q, SequenceWindow(cut))
     residual = space_norm(q, seq_sub(x, partial))
-    return Reconstruction(SequenceWindow(map(out, partial), partial.tail),
-                          NormResult(out(residual.value), residual.arg_index, residual.exact),
-                          tuple(out(v - ell) for v in cut[:partial_order + 1]),
-                          out(ell) if space == "c" else None, space == "c")
+    def lower(v):
+        return out(*v.as_integer_ratio())
+    return Reconstruction(SequenceWindow(map(lower, partial), partial.tail),
+                          NormResult(lower(residual.value), residual.arg_index, residual.exact),
+                          tuple(lower(v - ell) for v in cut[:partial_order + 1]),
+                          lower(ell) if space == "c" else None, space == "c")
 
 
 def _kernel(p, rows):
@@ -96,14 +98,14 @@ def _kernel(p, rows):
 
 
 def _values(forms, out):
-    """The rows of integer forms (ints, den) through ``out``, int 0 for zeros."""
-    return tuple(tuple(out(Fraction(v, den)) if v else out(0) for v in ints)
-                 for ints, den in forms)
+    """The rows of integer forms (ints, den) through ``out``, int 0 or 0.0 for zeros."""
+    zero = 0 if out is Fraction else 0.0
+    return tuple(tuple(out(v, den) if v else zero for v in ints) for ints, den in forms)
 
 
 def _abs_sums(forms, out):
     """sum_k |v_k| of each form's row; on f64 left to right over the rounded values."""
-    if out is float:
+    if out is not Fraction:
         return [total(map(abs, row)) for row in _values(forms, out)]
     return [row_statistic(form[0], form, absolute=True) for form in forms]
 
@@ -131,7 +133,7 @@ def associate_rows(p, rows) -> tuple:
     A support past the parameter capacity raises ``DimensionError``."""
     kernel, rows, out = _kernel(p, rows)
     forms = tuple(map(kernel.associate, rows))
-    return _values(forms, out), None if out is float else forms
+    return _values(forms, out), forms if out is Fraction else None
 
 
 def associate_row(p, a) -> SequenceWindow:

@@ -7,14 +7,14 @@ T = W Delta^m.  Transforms never build T or its inverse: they run m
 differences or running sums and one convolution or forward substitution
 on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
 sized once by its caller, on the reciprocal series c = 1/s.  The kernels
-bring their inputs over one common denominator and compute on integers
-(fraction-free, as in Bareiss elimination), so an inner product costs no
-gcd; each substitution result becomes one Fraction, and the inverse kernel's
-integers go to the row statistics as they are.  Float inputs cross one boundary,
-``exact_twin``, the only place that lifts values, and nothing is cached on
-a parameter set except its exact twin.  W and T are the only dense
-triangles built here; the dense inverses and the difference triangle are
-oracles in ``selfcheck``.
+compute on integers over one common denominator (fraction-free, as in
+Bareiss elimination), so an inner product costs no gcd, and hand each other
+that integer form; each result value is made once from its integer pair,
+and the inverse kernel's integers go to the row statistics as they are.
+Float inputs cross one boundary, ``exact_twin``, which lifts input values
+and makes result values, and nothing is cached on a parameter set except
+its exact twin.  W and T are the only dense triangles built here; the
+dense inverses and the difference triangle are oracles in ``selfcheck``.
 A ``ParameterTriple`` is checked once, when it is built, and never again.
 Its windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import add, mul
+from itertools import accumulate, starmap
+from operator import add, mul, truediv
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
-from .scalars import FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator
+from .scalars import (
+    FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator, common_quotients)
 from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix, support_of
 
 PRESET_NAMES = ("uv", "euler", "aydin", "lambda", "identity")
@@ -94,14 +95,9 @@ def _violations(p) -> list:
     if p.s and p.s[0] == 0:
         problems.append("s[0] = 0 (leading entry must be nonzero)")
     for name, window in (("r", p.r), ("t", p.t)):
-        for idx, value in enumerate(window):
-            if value == 0:
-                problems.append(f"{name}[{idx}] = 0 (window must be zero-free)")
+        problems += [f"{name}[{i}] = 0 (window must be zero-free)"
+                     for i, value in enumerate(window) if value == 0]
     return problems
-
-
-def _same(value):
-    return value
 
 
 def exact_twin(p, *values):
@@ -113,13 +109,14 @@ def exact_twin(p, *values):
     in doubles they would cancel to nothing, so float-backend constructions
     run on the twin, which keeps only the truncation-order window
     (structural extension stays a rational-backend facility).  Value
-    functions pass every scalar they return through ``out``: ``float`` for
-    the float backend, so each result is rounded exactly once, and the
-    identity for the rational backend.
+    functions make each scalar they return once by ``out(num, den)`` on ints:
+    ``Fraction``, or ``num / den`` on the float backend, which CPython rounds
+    correctly, so with den > 0 it is ``float(Fraction(num, den))`` bit for
+    bit, overflow included (den < 0 would round a zero to -0.0).
     """
     if p.backend.mode != FLOAT_MODE:
-        return p, values, _same
-    return p._twin, tuple(tuple(map(Fraction, x)) for x in values), float
+        return p, values, Fraction
+    return p._twin, tuple(tuple(map(Fraction, x)) for x in values), truediv
 
 
 def _lifted(p, order):
@@ -167,51 +164,54 @@ def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     mean_row = _mean_row(p)
 
     def row(n):
-        return tuple(reversed(_differences(reversed(mean_row(n)), p.m)))
+        d, den = _differences(common_denominator(reversed(mean_row(n))), p.m)
+        return tuple(Fraction(v, den) for v in reversed(d))
 
     return _structural(order, row, p.capacity)
 
 
-# Substitution kernels.  They take the exact twin and iterables of Fractions
-# or ints, touch only the two triangular factors of T = W Delta^m, and
-# return lists of Fractions.
+# Substitution kernels.  They take the exact twin and integer forms (ints, den),
+# den > 0, touch only the two triangular factors of T = W Delta^m, and return
+# integer forms; ``_mean_apply``, the last stage of ``transform``, one pair per entry.
 
 def _differences(x, m):
     """Delta^m x: m first differences x_n - x_{n-1}, with x_{-1} = 0."""
-    x, den = common_denominator(x)
+    x, den = x
     for _ in range(m):
         x = [b - a for a, b in zip([0] + x, x)]
-    return [Fraction(v, den) for v in x]
+    return x, den
 
 
 def _running_sums(x, m):
     """Delta^{-m} x: m running sums."""
-    x, den = common_denominator(x)
+    x, den = x
     for _ in range(m):
         x = accumulate(x)
-    return [Fraction(v, den) for v in x]
+    return list(x), den
 
 
 def _mean_apply(p, d):
-    """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n."""
-    d, dd = common_denominator(d)
+    """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n, as one pair
+    (num, den > 0) per entry: the lcm of r's numerators can be very long."""
+    d, dd = d
     s, ds = common_denominator(p.s[:len(d)])
     t, dt = common_denominator(p.t[:len(d)])
     td, den = list(map(mul, t, d)), ds * dt * dd
-    return [Fraction(sum(map(mul, s[n::-1], td)) * r.denominator, den * r.numerator)
-            for n, r in enumerate(p.r[:len(td)])]
+    rinv = [(r.denominator, r.numerator) if r.numerator > 0 else (-r.denominator, -r.numerator)
+            for r in p.r[:len(td)]]
+    return [(sum(map(mul, s[n::-1], td)) * a, den * b) for n, (a, b) in enumerate(rinv)]
 
 
 def _toeplitz_solve(s, c):
-    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n as integers W over one
-    running denominator q, the lcm of the denominators seen so far, by forward
-    substitution."""
+    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n, for c given as pairs
+    (num, den > 0), as integers W over one running denominator q > 0, the lcm
+    of the denominators seen so far, by forward substitution."""
     s, ds = common_denominator(s[:len(c)])
     tail, w, q = s[1:], [], 1
-    for v in c:
-        # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with s = S / ds, w = W / q
-        num = v.numerator * ds * q - sum(map(mul, tail, reversed(w))) * v.denominator
-        den = v.denominator * q * s[0]
+    for v, dv in c:
+        # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with c_n = v / dv, s = S / ds, w = W / q
+        num = v * ds * q - sum(map(mul, tail, reversed(w))) * dv
+        den = dv * q * s[0]
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         num, den = num // g, den // g
         if q % den:
@@ -224,8 +224,10 @@ def _toeplitz_solve(s, c):
 
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
-    tz, q = _toeplitz_solve(p.s, [r * v for r, v in zip(p.r, y)])
-    return [Fraction(v * t.denominator, q * t.numerator) for v, t in zip(tz, p.t)]
+    y, dy = y
+    tz, q = _toeplitz_solve(p.s, [(r.numerator * v, r.denominator * dy) for r, v in zip(p.r, y)])
+    z, dz = common_quotients(tz, p.t)      # t_n's numerator cancelled where tz_n allows
+    return z, q * dz
 
 
 def _add_rows(g, row):
@@ -247,8 +249,8 @@ class _InverseKernel:
         if n > p.capacity:
             raise DimensionError(f"source row support {n} exceeds parameter capacity {p.capacity}")
         self.p = p
-        self.c, dc = _toeplitz_solve(p.s, (1,) + (0,) * (n - 1))
-        self.tinv, dt = common_denominator(1 / t for t in p.t[:n])
+        self.c, dc = _toeplitz_solve(p.s, ((1, 1),) + ((0, 1),) * (n - 1))
+        self.tinv, dt = common_quotients((1,) * n, p.t)
         self.r, dr = common_denominator(p.r[:n])
         self.den = dr * dt * dc
 
@@ -279,7 +281,7 @@ def transform(p, x) -> SequenceWindow:
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
     q, (x,), out = exact_twin(p, x.values)
-    return SequenceWindow(map(out, _mean_apply(q, _differences(x, q.m))))
+    return SequenceWindow(starmap(out, _mean_apply(q, _differences(common_denominator(x), q.m))))
 
 
 def inverse_transform(p, y) -> SequenceWindow:
@@ -287,7 +289,8 @@ def inverse_transform(p, y) -> SequenceWindow:
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
     q, (y,), out = exact_twin(p, y.values)
-    return SequenceWindow(map(out, _running_sums(_mean_solve(q, y), q.m)))
+    x, den = _running_sums(_mean_solve(q, common_denominator(y)), q.m)
+    return SequenceWindow(out(v, den) for v in x)
 
 
 @dataclass(frozen=True)
@@ -305,13 +308,9 @@ class NormResult:
 
 def space_norm(p, x) -> NormResult:
     y = transform(p, x)
-    best = abs(y[0])
-    best_idx = 0
-    for n in range(1, len(y)):
-        v = abs(y[n])
-        if v > best:
-            best, best_idx = v, n
-    return NormResult(best, best_idx, exact=(y.tail == "zero"))
+    sizes = [abs(v) for v in y]
+    best = max(sizes)
+    return NormResult(best, sizes.index(best), exact=(y.tail == "zero"))
 
 
 @dataclass(frozen=True)
@@ -367,8 +366,7 @@ def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
             raise ParameterError(["preset 'uv' requires both u and v windows"])
         length = min(length, len(spec.u), len(spec.v))
         if length < order:
-            raise ParameterError([
-                f"u/v windows cover {length} terms, need at least {order}"])
+            raise ParameterError([f"u/v windows cover {length} terms, need at least {order}"])
         problems = [f"u[{i}] = 0 (must be zero-free)" for i in range(length) if spec.u[i] == 0]
         problems += [f"v[{i}] = 0 (must be zero-free)" for i in range(length) if spec.v[i] == 0]
         if problems:
@@ -409,12 +407,8 @@ def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
 
     if backend.mode == "float":
         # float windows may underflow to zero or overflow; keep the clean prefix
-        usable = length
-        for i in range(length):
-            if (not (math.isfinite(r[i]) and math.isfinite(s[i]) and math.isfinite(t[i]))
-                    or r[i] == 0 or t[i] == 0):
-                usable = i
-                break
+        usable = next((i for i in range(length) if r[i] == 0 or t[i] == 0
+                       or not all(map(math.isfinite, (r[i], s[i], t[i])))), length)
         if usable < order:
             raise ParameterError([
                 f"float backend cannot represent the {name!r} windows past index "

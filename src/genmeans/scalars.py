@@ -62,3 +62,12 @@ def common_denominator(values):
     values = list(values)
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def common_quotients(ints, values):
+    """(ints, den): the quotients u / v of ints u by nonzero values v over den > 0,
+    the lcm of what each u leaves of its v's numerator; no Fraction is built."""
+    cut = [(u // g, v.denominator, v.numerator // g)
+           for u, v in zip(ints, values) for g in (math.gcd(u, v.numerator),)]
+    den = math.lcm(*(b for _, _, b in cut))
+    return [u * a * (den // b) for u, a, b in cut], den

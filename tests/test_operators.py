@@ -33,6 +33,7 @@ from genmeans.operators import (
     _running_sums,
     exact_twin,
 )
+from genmeans.scalars import common_denominator
 from genmeans.selfcheck import (
     compose,
     composite_entry,
@@ -442,23 +443,33 @@ def kernel_twins(draw):
     return exact_twin(draw(f64_triples()))[0]
 
 
+def kernel_values(got):
+    """The Fractions of a kernel's integer form (ints, den), or of its list of
+    (num, den) pairs; every numerator is an int and every denominator positive."""
+    pairs = got if isinstance(got, list) else [(v, got[1]) for v in got[0]]
+    assert all(type(v) is int and den > 0 for v, den in pairs)
+    return [F(v, den) for v, den in pairs]
+
+
 @pytest.mark.parametrize("m", range(4))
 @no_shrink
 @given(q=kernel_twins(), data=st.data())
 def test_integer_kernels_match_dense_triangles(m, q, data):
     n = q.order
     x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(n)))
+    form = common_denominator(x)
     cases = [
-        (_differences(x, m), apply(difference_matrix(m, n), x)),
-        (_running_sums(x, m), apply(difference_inverse(m, n), x)),
-        (_mean_apply(q, x), apply(weighted_mean_matrix(q), x)),
-        (_mean_solve(q, x), apply(weighted_mean_inverse(q), x)),
+        (_differences(form, m), apply(difference_matrix(m, n), x)),
+        (_running_sums(form, m), apply(difference_inverse(m, n), x)),
+        (_mean_apply(q, form), apply(weighted_mean_matrix(q), x)),
+        (_mean_solve(q, form), apply(weighted_mean_inverse(q), x)),
     ]
     for got, want in cases:
-        assert got == list(want)
+        assert kernel_values(got) == list(want)
+    q = dataclasses.replace(q, m=m)
+    for got in (transform(q, x), inverse_transform(q, x)):
         assert all(type(v) is F for v in got)
     # the associate product: a against the columns of the dense T^{-1}
-    q = dataclasses.replace(q, m=m)
     a = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
     S = mean_difference_inverse(q, q.capacity)
     ints, den = _InverseKernel(q, len(a)).associate(a)
@@ -471,16 +482,40 @@ def test_integer_kernels_take_iterators_plain_ints_and_empty_input():
     x = (F(1, 2), F(-2, 3), F(5), F(0))
     kernels = (lambda v: _differences(v, 2), lambda v: _running_sums(v, 2),
                lambda v: _mean_apply(q, v), lambda v: _mean_solve(q, v))
+
+    def values(v):
+        return kernel_values(kernel(common_denominator(v)))
+
     for kernel in kernels:
-        assert kernel(iter(x)) == kernel(x)
-        assert kernel(reversed(x)) == kernel(x[::-1])
-        assert kernel([]) == []
+        assert values(iter(x)) == values(x)
+        assert values(reversed(x)) == values(x[::-1])
+        assert values([]) == []
         for zero in ((0,) * 4, (F(0),) * 4):
-            got = kernel(zero)
-            assert got == [0] * 4 and all(type(v) is F for v in got)
-        unit = kernel((0, 0, 1))      # a plain-int unit row
-        assert unit == kernel((F(0), F(0), F(1))) and all(type(v) is F for v in unit)
-    assert _running_sums(reversed((0, 0, 1)), 2) == [F(1), F(2), F(3)]
+            assert values(zero) == [0] * 4
+        assert values((0, 0, 1)) == values((F(0), F(0), F(1)))     # a plain-int unit row
+    assert _running_sums(common_denominator(reversed((0, 0, 1))), 2) == ([1, 2, 3], 1)
+    # the public outputs are Fractions, whatever the input's scalar type
+    for v in ((0,) * 4, (F(0),) * 4, (0, 0, 1, 0)):
+        for got in (transform(q, SequenceWindow(v)), inverse_transform(q, SequenceWindow(v))):
+            assert all(type(u) is F for u in got)
+        assert type(space_norm(q, SequenceWindow(v)).value) is F
+
+
+def test_float_zeros_keep_the_exact_zeros_sign():
+    # r_0 = 1/u_0 and t_1 = v_1 are negative: divided by a negative
+    # denominator, an exact zero would round to -0.0, not to float(Fraction(0)).
+    p = preset(PresetSpec("uv", u=(-1.5, 2.0, -0.5, 1.0), v=(1.0, -2.0, 0.5, -3.0)), 4,
+               m=1, backend=FLOAT64)
+    q = exact_twin(p)[0]
+    x = SequenceWindow((0.0, 0.0, 1.0, 1.0))
+    assert [repr(v) for v in transform(p, x)] == ["0.0", "0.0", "-0.25", "0.5"]
+    for fn in (transform, inverse_transform):
+        for v in (x.values, (0.0,) * 4, (0.0, 0.0, 1.0, 0.0)):
+            got = fn(p, SequenceWindow(v)).values
+            exact = fn(q, SequenceWindow(map(F, v))).values
+            assert [repr(u) for u in got] == [repr(float(u)) for u in exact]
+            assert "-0.0" not in map(repr, got)
+    assert repr(space_norm(p, SequenceWindow((0.0,) * 4)).value) == "0.0"
 
 
 def test_rational_round_trip_at_order_64_matches_dense_composite():
