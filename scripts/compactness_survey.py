@@ -12,7 +12,6 @@ from genmeans import (
     PresetSpec,
     associate_matrix,
     chi_norm,
-    compactness_verdict,
     identity,
     mean_difference_matrix,
     operator_norm,
@@ -27,8 +26,7 @@ def survey(label, p, operand):
     row = [label, str(norm.value)]
     for target in ("c0", "c", "l_inf"):
         est = chi_norm(p, operand, target)
-        verdict = compactness_verdict(p, operand, target)
-        row.append(f"[{est.lower}, {est.upper}] {verdict.status}/{est.status}")
+        row.append(f"[{est.lower}, {est.upper}] {est.verdict().status}/{est.status}")
     print("  ".join(f"{cell:<34}" for cell in row))
 
 

@@ -73,7 +73,6 @@ from .compactness import (
     associate_matrix,
     chi_norm,
     compactness_verdict,
-    linf_source_autocompact_check,
     operator_norm,
     supplied_associate,
 )

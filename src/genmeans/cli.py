@@ -12,15 +12,9 @@ import argparse
 import json
 import sys
 
-from .compactness import (
-    associate_matrix,
-    chi_norm,
-    compactness_verdict,
-    operator_norm,
-    supplied_associate,
-)
+from .compactness import associate_matrix, chi_norm, operator_norm, supplied_associate
 from .conditions import CONDITION_SUMMARY, classify_map
-from .duality import _membership, basis_vector
+from .duality import associate_row, basis_vector, dual_membership
 from .errors import (
     DimensionError,
     GuardError,
@@ -42,6 +36,7 @@ from .serialize import (
     sequence_from_json,
     sequence_to_csv,
 )
+from .triangle import ZERO_TAIL
 
 
 def _parse_number(text, backend, what):
@@ -146,10 +141,10 @@ def _cmd_basis(args, backend):
 def _cmd_dual(args, backend):
     p, job_params = _resolve_params(args, backend)
     a, raw = _load_sequence(args.input, backend, p)
-    verdict, associate = _membership(p, a, args.dual, args.space)
+    verdict = dual_membership(p, a, args.dual, args.space)
     result = {"dual": args.dual, "space": args.space, "verdict": verdict}
-    if associate is not None:
-        result["associate_row"] = list(associate)
+    if a.tail == ZERO_TAIL:
+        result["associate_row"] = list(associate_row(p, a))
     job = {"command": "dual", **job_params, "dual": args.dual,
            "space": args.space, "input": raw}
     return job, result, None, verdict.status == "indeterminate"
@@ -185,7 +180,7 @@ def _cmd_chi(args, backend):
         operand = associate_matrix(p, matrix)
         source_doc = {"matrix": raw}
     estimate = chi_norm(p, operand, args.target)
-    verdict = compactness_verdict(p, operand, args.target)
+    verdict = estimate.verdict()
     norm = operator_norm(p, operand)
     job = {"command": "chi", **job_params, "target": args.target, **source_doc}
     result = {"chi": estimate, "compactness": verdict, "operator_norm": norm}

@@ -8,7 +8,7 @@ absolute sums, and the Hausdorff measure of noncompactness of the induced
 operator is estimated from their limsup behavior: an identity for null
 targets, a two-sided sandwich for convergent targets, and an upper bound
 for bounded targets.  The compactness verdict is read off that estimate
-alone.
+alone, by ``ChiEstimate.verdict``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DimensionError, InconsistencyError
+from .errors import DimensionError
 from .limits import (
     STATUS_EXACT,
     STATUS_INDET,
@@ -30,7 +30,7 @@ from .limits import (
 )
 from .scalars import zero_like
 from .triangle import MatrixWindow
-from .conditions import SPACES, _near_zero, classify_map, transformed_rows
+from .conditions import SPACES, _near_zero, transformed_rows
 
 TARGETS = SPACES
 
@@ -90,6 +90,25 @@ class ChiEstimate:
     trace: tuple = ()
     note: str = ""
 
+    def verdict(self) -> Verdict:
+        """Compactness read off this estimate, whose upper end L is the limsup
+        behind the gauge chi.  Into c0, chi = L; into c, L/2 <= chi <= L:
+        compact iff L vanishes, so a nonzero L is "violated".  Into l_inf,
+        0 <= chi <= L: a vanishing L proves compactness and a nonzero one
+        decides nothing.  An indeterminate estimate gives an indeterminate
+        verdict, with the estimate's note; never a guess.  The verdict carries
+        no evidence: the estimate is the one record of its number.  A method,
+        not a field, so that a serialized estimate does not carry it."""
+        if self.status == STATUS_INDET:
+            return Verdict("indeterminate", self.note)
+        if _near_zero(self.upper, self.status):
+            return Verdict("satisfied", f"compact ({self.status}): limit vanishes")
+        if self.target == "l_inf":
+            return Verdict("indeterminate",
+                           f"chi bracket [0, {self.upper}] ({self.status}): a nonzero limit "
+                           "does not decide compactness into l_inf")
+        return Verdict("violated", f"not compact ({self.status}): limit {self.upper} is nonzero")
+
 
 def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
     """The noncompactness gauge of the induced operator into ``target``: the
@@ -124,53 +143,13 @@ def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
 
 
 def compactness_verdict(p, matrix_or_associate, target) -> Verdict:
-    """Compactness read off ``chi_norm``'s estimate, whose upper end L is the
-    limsup behind the gauge chi.  Into c0, chi = L; into c, L/2 <= chi <= L:
-    compact iff L vanishes, so a nonzero L is "violated".  Into l_inf,
-    0 <= chi <= L: a vanishing L proves compactness and a nonzero one decides
-    nothing.  An indeterminate estimate gives an indeterminate verdict, with
-    the estimate's note; never a guess.  The verdict carries no evidence: the
-    estimate is the one record of its number."""
-    chi = chi_norm(p, matrix_or_associate, target)
-    if chi.status == STATUS_INDET:
-        return Verdict("indeterminate", chi.note)
-    if _near_zero(chi.upper, chi.status):
-        return Verdict("satisfied", f"compact ({chi.status}): limit vanishes")
-    if target == "l_inf":
-        return Verdict("indeterminate",
-                       f"chi bracket [0, {chi.upper}] ({chi.status}): a nonzero limit does not "
-                       "decide compactness into l_inf")
-    return Verdict("violated", f"not compact ({chi.status}): limit {chi.upper} is nonzero")
-
-
-def linf_source_autocompact_check(p, matrix, target) -> Verdict:
-    """Consistency check: membership of a map out of the bounded-sequence
-    source space into a null or convergent target forces compactness.
-
-    Applicable only when the classification is decisively satisfied; a
-    satisfied classification paired with a non-compact verdict is an internal
-    inconsistency (a bug or a tail misdeclaration), reported loudly.
-    """
-    if target not in ("c0", "c"):
-        raise DimensionError(f"target must be c0 or c, got {target!r}")
-    report = classify_map(p, matrix, "l_inf", target)
-    if report.overall.status != "satisfied":
-        return Verdict("indeterminate",
-                       f"membership precondition not established "
-                       f"({report.overall.status}); check not applicable",
-                       evidence=report)
-    verdict = compactness_verdict(p, matrix, target)
-    if verdict.status == "satisfied":
-        return Verdict("satisfied", "consistent-compact",
-                       evidence={"classification": report, "compactness": verdict})
-    raise InconsistencyError(
-        "membership is satisfied but the compactness verdict is "
-        f"{verdict.status}: {verdict.detail}")
+    """``chi_norm(p, matrix_or_associate, target).verdict()``: callers that
+    report the estimate too read its verdict off it instead."""
+    return chi_norm(p, matrix_or_associate, target).verdict()
 
 
 __all__ = [
     "AssociateMatrix", "ChiEstimate", "TARGETS",
     "associate_matrix", "supplied_associate",
     "operator_norm", "chi_norm", "compactness_verdict",
-    "linf_source_autocompact_check",
 ]

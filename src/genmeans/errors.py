@@ -46,4 +46,5 @@ class SchemaError(GenmeansError):
 
 
 class InconsistencyError(GenmeansError):
-    """An internal consistency check failed: selftest, or the autocompact check."""
+    """An internal consistency check failed: a ``selftest`` line, or its
+    bounded-source autocompactness check (``selfcheck``)."""

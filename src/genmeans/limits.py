@@ -66,7 +66,8 @@ class LimitEstimate:
 class Verdict:
     """satisfied | violated | indeterminate, with a detail line and the evidence
     behind it; a condition's or compactness verdict has none, its estimate
-    holds the number."""
+    holds the number, and a dual verdict on a zero tail has none either, the
+    finite support is its certificate."""
 
     status: str
     detail: str = ""

@@ -10,8 +10,9 @@ weighted-mean and composite operators.  So do the closed forms of the
 associate rows, tail sums and partial-sum entries, oracles for the defining
 sums that ``duality`` computes, the direct kernel of the composite
 operator's entries and the window sums and scalings the linearity checks use.
-``run_selftest`` drives the cross-module identities end to end and is what
-the CLI selftest command executes.
+``linf_source_autocompact_check`` is the consistency oracle between
+membership and compactness.  ``run_selftest`` drives the cross-module
+identities end to end and is what the CLI selftest command executes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DimensionError, GuardError, ParameterError, SingularTriangleError
+from .errors import (
+    DimensionError,
+    GuardError,
+    InconsistencyError,
+    ParameterError,
+    SingularTriangleError,
+)
+from .limits import Verdict
 from .scalars import RATIONAL
 from .triangle import (
     STRUCTURAL_TAIL,
@@ -50,7 +58,7 @@ from .duality import (
 )
 from .triangle import apply, unit_sequence
 from .compactness import associate_matrix, chi_norm, compactness_verdict, supplied_associate
-from .conditions import CONDITION_IDS, condition_verdict, eval_condition
+from .conditions import CONDITION_IDS, classify_map, condition_verdict, eval_condition
 
 
 # Dense triangle algebra: oracles for the substitution kernels of ``operators``.
@@ -388,6 +396,31 @@ def gamma_dual_closed(p, a, partial_order):
             for l in range(partial_order)]
 
 
+def linf_source_autocompact_check(p, matrix, target) -> Verdict:
+    """Consistency check: membership of a map out of the bounded-sequence
+    source space into a null or convergent target forces compactness.
+
+    Applicable only when the classification is decisively satisfied; a
+    satisfied classification paired with a non-compact verdict is an internal
+    inconsistency (a bug or a tail misdeclaration), reported loudly.
+    """
+    if target not in ("c0", "c"):
+        raise DimensionError(f"target must be c0 or c, got {target!r}")
+    report = classify_map(p, matrix, "l_inf", target)
+    if report.overall.status != "satisfied":
+        return Verdict("indeterminate",
+                       f"membership precondition not established "
+                       f"({report.overall.status}); check not applicable",
+                       evidence=report)
+    verdict = compactness_verdict(p, matrix, target)
+    if verdict.status == "satisfied":
+        return Verdict("satisfied", "consistent-compact",
+                       evidence={"classification": report, "compactness": verdict})
+    raise InconsistencyError(
+        "membership is satisfied but the compactness verdict is "
+        f"{verdict.status}: {verdict.detail}")
+
+
 def run_selftest(seed=20240601, emit=print) -> bool:
     """Run the rational-backend invariant suite; True when every check passes."""
     rng = random.Random(seed)
@@ -479,6 +512,11 @@ def run_selftest(seed=20240601, emit=print) -> bool:
     chi0 = chi_norm(p, eye_assoc, "c0")
     passed &= chi0.lower == 1 and chi0.upper == 1
     check("noncompactness gauges on finite-rank and identity associates", passed)
+
+    # an inconsistency raises, and the selftest command exits 4 on it
+    passed = all(linf_source_autocompact_check(p, A, tgt).status == "satisfied"
+                 for tgt in ("c0", "c"))
+    check("bounded-source membership forces compactness on a finite-rank map", passed)
 
     ref = random_zero_tail_rows(rng, 3, 6)
     pref = random_params(rng, 6)

@@ -29,6 +29,7 @@ from genmeans.selfcheck import (
     any_fraction,
     coeff_via_determinant,
     compose,
+    linf_source_autocompact_check,
     mean_difference_inverse,
     nonzero_fraction,
     random_params,
@@ -219,7 +220,7 @@ def test_criterion_09_membership_forces_compactness():
         for _ in range(50):
             p = random_params(rng, 16)
             A = random_zero_tail_rows(rng, 4, 16)
-            check = gm.linf_source_autocompact_check(p, A, "c0")
+            check = linf_source_autocompact_check(p, A, "c0")
             assert check.status == "satisfied" and check.detail == "consistent-compact"
             assert check.evidence["classification"].overall.status == "satisfied"
             assert check.evidence["compactness"].status == "satisfied"

@@ -21,6 +21,8 @@ from genmeans import (
     RATIONAL,
     SequenceWindow,
     associate_row,
+    cli,
+    compactness,
     identity,
     operators,
     preset,
@@ -105,7 +107,8 @@ def test_dual_command(tmp_path, capsys):
 @pytest.mark.parametrize("backend", [RATIONAL, FLOAT64], ids=lambda b: b.mode)
 @pytest.mark.parametrize("dual", ["alpha", "beta", "gamma"])
 def test_dual_command_makes_one_toeplitz_solve(dual, backend, tmp_path, capsys, monkeypatch):
-    # the report's associate row is read off the dual triangle, not rebuilt
+    # the zero tail is the membership certificate: the one solve is the
+    # report's associate row
     solves = []
     solve = operators._toeplitz_solve
 
@@ -124,7 +127,30 @@ def test_dual_command_makes_one_toeplitz_solve(dual, backend, tmp_path, capsys, 
     assert solves == [3]
     p = preset(PresetSpec("euler", alpha=backend.convert(F(1, 3))), 8, m=2, backend=backend)
     R = associate_row(p, SequenceWindow(map(backend.convert, a), "zero"))
-    assert json.loads(out)["result"]["associate_row"] == list(map(scalar_to_json, R))
+    result = json.loads(out)["result"]
+    assert result["associate_row"] == list(map(scalar_to_json, R))
+    assert result["verdict"]["status"] == "satisfied"
+    assert result["verdict"]["evidence"] is None
+
+
+def test_chi_command_computes_the_estimate_once(tmp_path, capsys, monkeypatch):
+    # the compactness verdict is read off the reported estimate
+    calls = []
+    chi_norm = compactness.chi_norm
+
+    def counting_chi_norm(*args):
+        calls.append(args[2])
+        return chi_norm(*args)
+
+    monkeypatch.setattr(compactness, "chi_norm", counting_chi_norm)
+    monkeypatch.setattr(cli, "chi_norm", counting_chi_norm)
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(matrix_to_json(
+        MatrixWindow(((F(1), F(2), F(0), F(0)), (F(0), F(1), F(0), F(0))), "zero"))))
+    code, out = run(capsys, "chi", "--matrix", str(path), "--target", "c", "--n", "4")
+    assert code == 0
+    assert calls == ["c"]
+    assert json.loads(out)["result"]["compactness"]["status"] == "satisfied"
 
 
 def test_chi_command_with_supplied_associate(tmp_path, capsys):

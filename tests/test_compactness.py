@@ -18,7 +18,6 @@ from genmeans import (
     compactness_verdict,
     identity,
     identity_triple,
-    linf_source_autocompact_check,
     mean_difference_matrix,
     operator_norm,
     preset,
@@ -27,6 +26,7 @@ from genmeans import (
 )
 
 from genmeans import limits, scalars
+from genmeans.selfcheck import linf_source_autocompact_check
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
 

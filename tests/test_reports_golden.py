@@ -33,17 +33,17 @@ F64 = ["--scalar", "f64"]
 
 JOBS = {
     "dual-alpha": (["dual", *EULER6, "--dual", "alpha", "--input", "{a}"],
-                   "8356cf6ca97fe686fbb3e5ef31ae763916ae8904709be58f7f1a09ad22dc6eff"),
+                   "51c02a269494b5d98784784e570eb36e5d041e09370693c0ff371271b768bad0"),
     "dual-beta": (["dual", *EULER6, "--dual", "beta", "--input", "{a}"],
-                  "7da92056f2eef6adbe68ab36bb696dec3f24dddcddaa7eaa3a87c43a3b3f6f78"),
+                  "97f9abda4b37b8e36762e2993891a170aa0723cfdc9144b810b1b90da9ef51ca"),
     "dual-gamma": (["dual", *EULER6, "--dual", "gamma", "--input", "{a}"],
-                   "efb767c1d4115d18b5667e9393548393b7802519dfb78c2ab1cef63e04066ab3"),
+                   "c84d86b21d815b7eacd46543fd4b003fd5080c933adf0966c62c69c89580dfa7"),
     "dual-alpha-f64": (["dual", *EULER6, *F64, "--dual", "alpha", "--input", "{a}"],
-                       "127e65d2fec4082f4d4de14495a805b1ac9a6eb2a0af6f05d15f12e844fa5bdf"),
+                       "3195f1436c2ae6ee625cf7c56b87d061f8ca245b35298ec87712b3b9acca566b"),
     "dual-beta-f64": (["dual", *EULER6, *F64, "--dual", "beta", "--input", "{a}"],
-                      "cc9eadec9b05ca9ac3cbcfe645e948b66d8674ff9259e171db7233830caf23ef"),
+                      "a14ee873e5536995fd43628b3371ddaa503d2280e20971f49d4580d3d9f7aac0"),
     "dual-gamma-f64": (["dual", *EULER6, *F64, "--dual", "gamma", "--input", "{a}"],
-                       "d4efb594fb5830744dd6fb59a1012fe263223ea3da06a95d7073ba877efa279e"),
+                       "fea4afaf0c3e7ffaee2e4d88ca7d74ec798455dfd57ee0e4e423251930c84a08"),
     "matclass-c-c": (["matclass", *EULER6, "--matrix", "{A}", "--source", "c",
                       "--target", "c"],
                      "174b7e836ac4d9d2609c4790b2f985de41294233ef38a920ef3f198c7e0c0f53"),
@@ -63,7 +63,7 @@ JOBS = {
     "basis-minus-one": (["basis", *EULER6, "--j", "-1"],
                         "af4518ab82d09193b02150066669955c77634c20dfcfc9d52d6a9433ac284645"),
     "selftest": (["selftest"],
-                 "d684a90687fcb89f1f6e1740018511d5343b32a09757652e27e26f86c787db53"),
+                 "657d94d8d263131af779a9c57e8d6a01027410f28d061eba741b080cb6dfdce2"),
 }
 
 
