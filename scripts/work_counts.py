@@ -17,6 +17,7 @@ cycle every row but ``math.gcd``.
   math.gcd             every gcd taken, by ``Fraction`` or by a kernel
   integer_row          every row brought over one denominator for its statistics
   analyze_tail         every run of the trend ladder over a trace
+  column_limits        every column-limit pass over a window's extended rows
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   parameter checks     every check of a parameter set's conditions
@@ -47,6 +48,7 @@ ANALYSIS = (
     COMMON,
     ("integer_row", "limits.py", "integer_row"),
     ("analyze_tail", "limits.py", "analyze_tail"),
+    ("column_limits", "limits.py", "column_limits"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("parameter checks", "operators.py", "_violations"),

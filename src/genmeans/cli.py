@@ -3,7 +3,8 @@
 Every invocation runs one job and writes one report; the report embeds a
 hash of the fully-resolved job document and the scalar backend, so a run is
 reproducible from its own output.  Exit codes: 0 success, 2 validation
-error, 3 indeterminate verdict under --strict, 4 internal inconsistency.
+error or an f64 result beyond the double range, 3 indeterminate verdict under
+--strict, 4 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
     except (ParameterError, SchemaError, DimensionError, TailError, GuardError,
             SingularTriangleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a result is beyond the f64 range (about 1.8e308)", file=sys.stderr)
         return 2
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ absolute sums, and the Hausdorff measure of noncompactness of the induced
 operator is estimated from their limsup behavior: an identity for null
 targets, a two-sided sandwich for convergent targets, and an upper bound
 for bounded targets.  The compactness verdict is read off that estimate
-alone, by ``ChiEstimate.verdict``.
+alone, by ``ChiEstimate.verdict`` with the one zero test ``limits.vanishes``;
+the convergent target reads the window's column-shifted trace once
+(``MatrixWindow.shifted``).
 """
 
 from __future__ import annotations
@@ -18,19 +20,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DimensionError
-from .limits import (
-    STATUS_EXACT,
-    STATUS_INDET,
-    LimitEstimate,
-    Verdict,
-    _worse_status,
-    column_shifted,
-    limsup_of_rows,
-    sup_of_rows,
-)
+from .limits import STATUS_INDET, LimitEstimate, Verdict, limsup_of_rows, sup_of_rows, vanishes
 from .scalars import zero_like
 from .triangle import MatrixWindow
-from .conditions import SPACES, _near_zero, transformed_rows
+from .conditions import SPACES, transformed_rows
 
 TARGETS = SPACES
 
@@ -101,7 +94,7 @@ class ChiEstimate:
         not a field, so that a serialized estimate does not carry it."""
         if self.status == STATUS_INDET:
             return Verdict("indeterminate", self.note)
-        if _near_zero(self.upper, self.status):
+        if vanishes(self.upper, self.status):
             return Verdict("satisfied", f"compact ({self.status}): limit vanishes")
         if self.target == "l_inf":
             return Verdict("indeterminate",
@@ -127,18 +120,20 @@ def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
         return ChiEstimate(target, est.value if target == "c0" else zero, est.value, None,
                            est.status, est.trend, est.window, est.trace, est.note)
 
-    # convergent target: sandwich around the column-shifted limsup
-    cols, est = column_shifted(assoc, limsup_of_rows)
-    if est is None:
+    # convergent target: sandwich around the column-shifted limsup; the column
+    # limits are exact only on a zero tail, where the limsup is exact too, and
+    # trend-converged otherwise, never better than the limsup's status
+    cols, trace = assoc.shifted
+    if trace is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")
+    est = limsup_of_rows(assoc, trace)
     alphas = cols.value
     if est.value is None:
-        return ChiEstimate("c", None, None, tuple(alphas), STATUS_INDET, est.trend,
+        return ChiEstimate("c", None, None, alphas, STATUS_INDET, est.trend,
                            est.window, est.trace, est.note)
-    status = est.status if cols.status == STATUS_EXACT else _worse_status(est.status, cols.status)
     half = est.value / 2 if isinstance(est.value, float) else Fraction(est.value) / 2
-    return ChiEstimate("c", half, est.value, tuple(alphas), status, est.trend,
+    return ChiEstimate("c", half, est.value, alphas, est.status, est.trend,
                        est.window, est.trace, est.note)
 
 

@@ -8,10 +8,12 @@ raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``); 4.24 is the
 sup of the associate row totals; the rest are per-row conditions on the
 tail-sum triangles, certified by the finite support of every source row and
 the row-tail declaration, with no triangle built.  How a tail declaration
-reads a trace is decided in ``limits`` alone.  Every id maps to exactly one
-evaluator and the table is exhaustive.  A verdict carries no evidence: its
-estimate is the one record of the number it was decided on.  The space
-parameters are valid by construction, so no evaluator checks them.
+reads a trace, and whether a limit is zero (``limits.vanishes``), is decided
+in ``limits`` alone; 4.7, 4.9 and 4.10 read the window's column limits,
+``MatrixWindow.columns``.  Every id maps to exactly one evaluator and the
+table is exhaustive.  A verdict carries no evidence: its estimate is the one
+record of the number it was decided on.  The space parameters are valid by
+construction, so no evaluator checks them.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from .limits import (
     TREND_SHORT,
     LimitEstimate,
     Verdict,
-    column_limits,
-    column_shifted,
     limit_of_rows,
     subset_column_sup,
     sup_of_rows,
+    vanishes,
 )
-from .scalars import TOLERANCE
 from .triangle import (
     STRUCTURAL_TAIL,
     UNKNOWN_TAIL,
@@ -163,15 +163,17 @@ def _raw_condition(cond, window):
     if cond == "4.6":
         return limit_of_rows(window, window.row_abs_sums)
     if cond == "4.7":
-        return column_limits(window)
+        return window.columns
     if cond == "4.8":
         return limit_of_rows(window, window.row_sums)
     if cond == "4.9":
-        return column_limits(window, kind="exists")
+        return replace(window.columns, kind="exists")
     if cond == "4.10":
-        cols, est = column_shifted(window, limit_of_rows)
-        return est or LimitEstimate("lim", None, STATUS_INDET, cols.trend,
-                                    note="column limits unresolved")
+        cols, trace = window.shifted
+        if trace is None:
+            return LimitEstimate("lim", None, STATUS_INDET, cols.trend,
+                                 note="column limits unresolved")
+        return limit_of_rows(window, trace)
     return limit_of_rows(window, window.row_sums, kind="exists")
 
 
@@ -216,24 +218,9 @@ def condition_verdict(cond, estimate) -> Verdict:
         return Verdict("satisfied", f"{cond}: bounded ({estimate.status})")
     if predicate == _EXISTS:
         return Verdict("satisfied", f"{cond}: limit exists ({estimate.status})")
-    # zero predicate
-    value = estimate.value
-    if isinstance(value, tuple):
-        is_zero = all(_near_zero(v, estimate.status) for v in value)
-    else:
-        is_zero = _near_zero(value, estimate.status)
-    if is_zero:
+    if vanishes(estimate.value, estimate.status):
         return Verdict("satisfied", f"{cond}: limit is zero ({estimate.status})")
-    return Verdict("violated", f"{cond}: limit {value} is nonzero ({estimate.status})")
-
-
-def _near_zero(value, status):
-    """Zero: equal to 0 when exact, within ``TOLERANCE`` of 0 for a trend estimate."""
-    if value is None:
-        return False
-    if status == STATUS_EXACT:
-        return value == 0
-    return abs(float(value)) <= TOLERANCE
+    return Verdict("violated", f"{cond}: limit {estimate.value} is nonzero ({estimate.status})")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ the extra vector indexed -1 (for the convergent-sequence space) is its row
 sums.  The dual machinery revolves around the associate row R_k(a): the
 source row re-expressed against the inverse columns, one integer product
 with c = 1/s per row.  Every object reads all rows of a call off one sized
-kernel (``operators._InverseKernel``), on values lifted by ``exact_twin``
-alone: the tail-sum and alpha/gamma dual triangles are running sums of its
-rows a_j T^{-1}_j.  Every dual/associate input must declare a zero tail so
+kernel (``operators._InverseKernel``) on the parameters' exact twin, with
+the values read exactly by ``common_denominator``: the tail-sum and
+alpha/gamma dual triangles are running sums of its rows a_j T^{-1}_j.  Every dual/associate input must declare a zero tail so
 each series collapses to a finite sum; anything else is rejected, not
 extrapolated.  ``dual_membership`` reads no kernel: a finitely supported
 sequence lies in every dual, so its zero tail is the certificate.
@@ -74,8 +74,8 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
         raise DimensionError(f"partial-sum order {partial_order} must be below {p.order}")
     if space not in ("c0", "c"):
         raise DimensionError(f"reconstruction space must be c0 or c, got {space!r}")
-    q, (values,), out = exact_twin(p, x.values)
-    x = SequenceWindow(values, x.tail)
+    q, out = exact_twin(p)
+    x = SequenceWindow(map(Fraction, x.values), x.tail)
     y = transform(q, x)
     # the partial sum is the preimage of y cut after partial_order, padded
     # with 0 (c0) or with the limit proxy ell (c): sum_j c_j b^(j) + ell b^(-1)
@@ -92,10 +92,10 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
 
 
 def _kernel(p, rows):
-    """(one kernel sized to the longest support of the value rows, the rows
-    lifted alike, out): every object here reads its rows off this."""
-    q, rows, out = exact_twin(p, *rows)
-    return _InverseKernel(q, max(map(support_of, rows), default=0)), rows, out
+    """(one kernel sized to the longest support of the value rows, out): every
+    object here reads its rows off this."""
+    q, out = exact_twin(p)
+    return _InverseKernel(q, max(map(support_of, rows), default=0)), out
 
 
 def _values(forms, out):
@@ -104,20 +104,20 @@ def _values(forms, out):
     return tuple(tuple(out(v, den) if v else zero for v in ints) for ints, den in forms)
 
 
-def _dual_rows(a, inverse, dual):
-    """The alpha, gamma or beta triangle of the values a from the kernel's
-    ``inverse_rows()`` as integer forms over one denominator: the rows
-    a_j T^{-1}_j, their prefix sums (gamma) or suffix sums cut after entry p
-    in row p (beta, the tail sums)."""
-    nums, da = common_denominator(a)
-    rows, den = inverse[0], inverse[1] * da
+def _dual_rows(p, a, dual):
+    """The alpha, gamma or beta triangle of the values a, off one kernel's
+    ``inverse_rows()`` on integers over one denominator: the rows a_j T^{-1}_j,
+    their prefix sums (gamma) or suffix sums cut after entry p in row p (beta,
+    the tail sums)."""
+    kernel, out = _kernel(p, (a,))
+    (rows, den), (nums, da) = kernel.inverse_rows(), common_denominator(a)
     rows = ([[x * v for v in row] for x, row in zip(nums, rows)]
             + [[0] * (j + 1) for j in range(len(rows), len(a))])
     if dual == "gamma":
         rows = list(accumulate(rows, _add_rows))
     elif dual == "beta":
         rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    return [(row, den) for row in rows]
+    return _values([(row, den * da) for row in rows], out)
 
 
 def associate_rows(p, rows) -> tuple:
@@ -125,7 +125,7 @@ def associate_rows(p, rows) -> tuple:
     for f64): one exact twin and one kernel, sized to the longest support,
     serve every row (``conditions.transformed_rows``).
     A support past the parameter capacity raises ``DimensionError``."""
-    kernel, rows, out = _kernel(p, rows)
+    kernel, out = _kernel(p, rows)
     forms = tuple(map(kernel.associate, rows))
     return _values(forms, out), forms if out is Fraction else None
 
@@ -150,9 +150,7 @@ def tail_sum_matrix(p, a) -> TriangleMatrix:
     a zero tail.  ``selfcheck`` holds the closed-form oracle.
     """
     a.require_zero_tail("dual/associate input")
-    kernel, (b,), out = _kernel(p, (a.values,))
-    return TriangleMatrix(len(a), _values(_dual_rows(b, kernel.inverse_rows(), "beta"), out),
-                          ZERO_TAIL)
+    return TriangleMatrix(len(a), _dual_rows(p, a.values, "beta"), ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -162,9 +160,7 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    kernel, (b,), out = _kernel(p, (a.values,))
-    return TriangleMatrix(p.order, _values(_dual_rows(b, kernel.inverse_rows(), "alpha"), out),
-                          tail)
+    return TriangleMatrix(p.order, _dual_rows(p, a.values, "alpha"), tail)
 
 
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
@@ -179,9 +175,8 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
         raise DimensionError(f"partial-sum order {L} exceeds truncation order {p.order}")
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
-    kernel, (b,), out = _kernel(p, (a.values[:L],))
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(L, _values(_dual_rows(b, kernel.inverse_rows(), "gamma"), out), tail)
+    return TriangleMatrix(L, _dual_rows(p, a.values[:L], "gamma"), tail)
 
 
 def dual_membership(p, a, dual, space="c0") -> Verdict:

@@ -16,6 +16,9 @@ Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
 the inverse kernel's own for associate rows): integer adds, one Fraction, no
 gcd per term, with the shifted trace's column limits scaled once per window.
 A row or limit vector holding a float adds left to right through ``total``.
+The column limits are read through ``MatrixWindow.columns``, computed once per
+window, and whether an estimate's value is zero is decided by ``vanishes``
+alone, the one reader of ``TOLERANCE`` besides the ladder.
 """
 
 from __future__ import annotations
@@ -72,6 +75,19 @@ class Verdict:
     status: str
     detail: str = ""
     evidence: object = None
+
+
+def vanishes(value, status):
+    """The one zero test of an estimate's value: equal to 0 when exact, within
+    ``TOLERANCE`` of 0 at trend status; a tuple when every entry vanishes;
+    None never."""
+    if isinstance(value, tuple):
+        return all(vanishes(v, status) for v in value)
+    if value is None:
+        return False
+    if status == STATUS_EXACT:
+        return value == 0
+    return abs(float(value)) <= TOLERANCE
 
 
 def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW):
@@ -243,14 +259,15 @@ def _no_extension_note(window, undeclared="stored window only bounds the quantit
     return f"tail undeclared; {undeclared}"
 
 
-def column_limits(window, kind="lim"):
-    """Per-column limits lim_n a_nk, aggregated over k < width."""
+def column_limits(window):
+    """Per-column limits lim_n a_nk, aggregated over k < width; read through
+    ``MatrixWindow.columns``, computed once per window."""
     rows = window.extended
     width = window.width
     ns = tuple(range(len(rows)))
     if window.row_tail == ZERO_TAIL:
         values = tuple(0 for _ in range(width))
-        return LimitEstimate(kind, values, STATUS_EXACT, TREND_EXACT, ns)
+        return LimitEstimate("lim", values, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
         values = []
         worst = STATUS_EXACT
@@ -262,20 +279,10 @@ def column_limits(window, kind="lim"):
             trends.append(trend)
             worst = _worse_status(worst, status)
         overall = STATUS_TREND if worst == STATUS_EXACT else worst
-        return LimitEstimate(kind, tuple(values), overall,
+        return LimitEstimate("lim", tuple(values), overall,
                              trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
-    return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns,
+    return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))
-
-
-def column_shifted(window, estimator):
-    """(column limits alpha, ``estimator`` over the trace sum_k |a_nk - alpha_k|).
-
-    ``estimator`` is ``limit_of_rows`` or ``limsup_of_rows``; its estimate is
-    None when the column limits are unresolved.  Both are read off the window's
-    ``MatrixWindow.shifted``, computed once per window."""
-    cols, trace = window.shifted
-    return cols, None if trace is None else estimator(window, trace)
 
 
 def _worse_status(a, b):

@@ -11,10 +11,11 @@ compute on integers over one common denominator (fraction-free, as in
 Bareiss elimination), so an inner product costs no gcd, and hand each other
 that integer form; each result value is made once from its integer pair,
 and the inverse kernel's integers go to the row statistics as they are.
-Float inputs cross one boundary, ``exact_twin``, which lifts input values
-and makes result values, and nothing is cached on a parameter set except
-its exact twin.  W and T are the only dense triangles built here; the
-dense inverses and the difference triangle are oracles in ``selfcheck``.
+The float backend has one boundary: ``exact_twin`` lifts the parameters and
+makes result values, and ``scalars.common_denominator`` reads input values
+exactly; nothing is cached on a parameter set except its exact twin.  W and
+T are the only dense triangles built here; the dense inverses and the
+difference triangle are oracles in ``selfcheck``.
 A ``ParameterTriple`` is checked once, when it is built, and never again.
 Its windows may be longer than the truncation order; the surplus feeds
 the structural row generators used by tail-trend diagnostics; row n of T
@@ -100,9 +101,10 @@ def _violations(p) -> list:
     return problems
 
 
-def exact_twin(p, *values):
-    """The one float boundary: (the exact twin of p, the value sequences
-    lifted, out); rational parameters and values pass through.
+def exact_twin(p):
+    """The float boundary of the parameters: (the exact twin of p, out);
+    rational parameters pass through.  Input values are not lifted here:
+    ``common_denominator`` reads a float exactly.
 
     Binary floats are dyadic rationals, so the lift is exact.  The inverse
     entries are alternating binomial sums whose terms can dwarf the result;
@@ -115,8 +117,8 @@ def exact_twin(p, *values):
     bit, overflow included (den < 0 would round a zero to -0.0).
     """
     if p.backend.mode != FLOAT_MODE:
-        return p, values, Fraction
-    return p._twin, tuple(tuple(map(Fraction, x)) for x in values), truediv
+        return p, Fraction
+    return p._twin, truediv
 
 
 def _lifted(p, order):
@@ -280,7 +282,7 @@ def transform(p, x) -> SequenceWindow:
     """Image of a window under the composite operator: W applied to Delta^m x."""
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
-    q, (x,), out = exact_twin(p, x.values)
+    q, out = exact_twin(p)
     return SequenceWindow(starmap(out, _mean_apply(q, _differences(common_denominator(x), q.m))))
 
 
@@ -288,7 +290,7 @@ def inverse_transform(p, y) -> SequenceWindow:
     """Preimage of a window under the composite operator: m running sums of W^{-1} y."""
     if len(y) != p.order:
         raise DimensionError(f"sequence length {len(y)} does not match order {p.order}")
-    q, (y,), out = exact_twin(p, y.values)
+    q, out = exact_twin(p)
     x, den = _running_sums(_mean_solve(q, common_denominator(y)), q.m)
     return SequenceWindow(out(v, den) for v in x)
 

@@ -57,11 +57,13 @@ def zero_like(value):
 
 
 def common_denominator(values):
-    """(ints, den): int or Fraction values as integers over den, the lcm of
-    their denominators, so sums and inner products over them cost no gcd."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """(ints, den): int, Fraction or float values as integers over den, the lcm
+    of their denominators, so sums and inner products over them cost no gcd.
+    A float is read exactly, as the dyadic rational it is: the one lift of the
+    float backend's values."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def common_quotients(ints, values):

@@ -1,9 +1,9 @@
 """JSON schema for every domain type, plus CSV emission for flat tables.
 
-All numbers are serialized as strings so exactness survives any platform:
-rationals as {"num": "...", "den": "..."}, floats as their shortest
-round-tripping decimal form.  JSON is the canonical format; CSV exists only
-for flat tables (sequences and traces) and carries the same canonical number
+Scalars are serialized as strings so exactness survives any platform:
+rationals as {"num": "...", "den": "..."}, finite floats as their shortest
+round-tripping decimal form; row indices are JSON ints.  JSON is canonical;
+CSV, only for flat tables (sequences and traces), carries the same number
 strings.  Integers past CPython's int/str digit limit convert through
 ``decimal``, so a report of any size is written and read back alike.
 """
@@ -20,8 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SchemaError
-from .limits import LimitEstimate
-from .operators import NormResult, ParameterTriple
+from .operators import ParameterTriple
 from .scalars import FLOAT_MODE, RATIONAL_MODE, backend_for
 from .triangle import (
     MATRIX_TAILS,
@@ -33,6 +32,7 @@ from .triangle import (
 )
 
 SCHEMA_VERSION = 1
+_INDEX_FIELDS = ("window", "arg_index")
 
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")   # what int() reads
 _RATIO_TEXT = re.compile(r"\s*([+-]?\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)\s*")
@@ -73,9 +73,9 @@ def number_from_text(text):
 def scalar_to_json(value):
     if isinstance(value, (Fraction, int)):
         return {"num": _digits(value.numerator), "den": _digits(value.denominator)}
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return repr(value)
-    raise SchemaError("scalar", f"cannot serialize {type(value).__name__}")
+    raise SchemaError("scalar", f"cannot serialize {value!r}: not a rational or an f64 in range")
 
 
 def scalar_from_json(doc, path="scalar"):
@@ -217,35 +217,25 @@ def _integer(doc, path, least):
     return doc
 
 
-def _plain(value):
-    """Recursively turn package values into JSON-ready structures."""
+def _plain(value, index=False):
+    """Recursively turn package values into JSON-ready structures.  The
+    dataclass fields ``window`` and ``arg_index`` hold row indices (``index``),
+    written as plain JSON ints; every other number is a scalar."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (Fraction, float, int)):
-        return scalar_to_json(value)
+        return int(value) if index else scalar_to_json(value)
     if isinstance(value, SequenceWindow):
         return sequence_to_json(value)
     if isinstance(value, MatrixWindow):
         return matrix_to_json(value)
-    if isinstance(value, LimitEstimate):
-        return {
-            "kind": value.kind,
-            "value": _plain(value.value),
-            "status": value.status,
-            "trend": value.trend,
-            "window": [int(n) for n in value.window],
-            "trace": [_plain(v) for v in value.trace],
-            "note": value.note,
-        }
-    if isinstance(value, NormResult):
-        return {"value": _plain(value.value), "arg_index": value.arg_index,
-                "exact": value.exact}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, index) for v in value]
     if is_dataclass(value):
-        return {k: _plain(v) for k, v in vars(value).items() if not callable(v)}
+        return {k: _plain(v, k in _INDEX_FIELDS) for k, v in vars(value).items()
+                if not callable(v)}
     raise SchemaError("report", f"cannot serialize {type(value).__name__}")
 
 

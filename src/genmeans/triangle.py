@@ -171,12 +171,18 @@ class MatrixWindow:
         return tuple(map(partial(row_statistic, absolute=True), self.extended, self.integer_rows))
 
     @cached_property
+    def columns(self):
+        """The column limits lim_n a_nk, computed once per window."""
+        from .limits import column_limits
+        return column_limits(self)
+
+    @cached_property
     def shifted(self):
         """(column limits alpha, the trace sum_k |a_nk - alpha_k| over the extended
         rows, or None for unresolved alpha), computed once per window: alpha is
         brought over one denominator once, and each row reads its integer form."""
-        from .limits import STATUS_INDET, column_limits, integer_row, row_statistic
-        cols = column_limits(self)
+        from .limits import STATUS_INDET, integer_row, row_statistic
+        cols = self.columns
         if cols.status == STATUS_INDET or cols.value is None:
             return cols, None
         alphas = cols.value
@@ -220,9 +226,6 @@ class TriangleMatrix(MatrixWindow):
     @property
     def tail(self):
         return self.row_tail
-
-    def diagonal(self):
-        return tuple(self.rows[n][n] for n in range(self.order))
 
 
 def identity(order, backend=None):

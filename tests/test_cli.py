@@ -498,6 +498,43 @@ def test_params_beyond_double_range_exit_code(tmp_path, capsys, ones_file):
     assert capsys.readouterr().err.startswith("error: --alpha: cannot parse '1e400'")
 
 
+_NEAR_MAX = {"values": ["1e308", "-1e308"], "tail": "zero"}
+_NEAR_MAX_ROWS = {"kind": "window", "tail": "zero", "rows": [["1e308", "1e308"]]}
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    (["transform"], "--input", _NEAR_MAX),
+    (["norm"], "--input", _NEAR_MAX),
+    (["matclass", "--source", "c0", "--target", "c0"], "--matrix", _NEAR_MAX_ROWS),
+    (["chi", "--target", "c0"], "--atilde", _NEAR_MAX_ROWS),
+], ids=["transform", "norm", "matclass", "chi"])
+def test_f64_result_beyond_double_range_exit_code(tmp_path, capsys, command, flag, doc):
+    # f64 inputs in range whose results leave it: one error line, never a
+    # traceback or a report holding "inf"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(command + ["--scalar", "f64", "--n", "2", flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "f64" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_chi_report_window_is_plain_row_indices(tmp_path, capsys):
+    # every estimate writes its window as JSON ints, one per trace value
+    A = MatrixWindow(((F(1), F(2), F(0), F(0)), (F(0), F(1), F(0), F(0))), "zero")
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(matrix_to_json(A)))
+    for target in ("c0", "c", "l_inf"):
+        code, out = run(capsys, "chi", "--matrix", str(path), "--target", target, "--n", "4")
+        assert code == 0
+        result = json.loads(out)["result"]
+        for estimate in (result["chi"], result["operator_norm"]):
+            assert estimate["window"] == list(range(len(estimate["trace"])))
+            assert all(type(n) is int for n in estimate["window"])
+
+
 @pytest.mark.parametrize("tail", ["unknown", "structural"])
 @pytest.mark.parametrize("target", ["c0", "l_inf"])
 def test_chi_on_empty_associate_is_indeterminate(tmp_path, capsys, tail, target):

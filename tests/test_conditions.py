@@ -38,7 +38,7 @@ from genmeans import (
     unit_sequence,
     weighted_mean_matrix,
 )
-from genmeans import conditions, limits, operators
+from genmeans import compactness, conditions, limits, operators
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
 
@@ -199,13 +199,37 @@ def test_kernel_windows_sum_rows_with_no_rescaling(monkeypatch, composite):
     assert len(rows) == 24
     assert B.row_sums == tuple(map(limits.total, rows))
     assert B.row_abs_sums == tuple(limits.total(map(abs, row)) for row in rows)
-    cols, est = limits.column_shifted(B, limits.limsup_of_rows)    # the c-target trace
+    cols, trace = B.shifted    # the c-target trace
+    est = limits.limsup_of_rows(B, trace)
     alphas = cols.value
     assert est.trace == tuple(
         limits.total(abs(limits.column_value(row, k) - limits.column_value(alphas, k))
                      for k in range(max(len(row), len(alphas)))) for row in rows)
     # the kernel's integers serve every row; only the column limits are scaled
     assert scaled == [list(alphas)]
+
+
+def test_column_limits_are_computed_once_per_window(monkeypatch):
+    # 4.17 and 4.20 read the associate's column limits, and the chi trio into
+    # c reads a supplied associate's: each window computes them once
+    windows = []
+    column_limits = limits.column_limits
+
+    def counting_column_limits(window, *args, **kwargs):
+        windows.append(window)
+        return column_limits(window, *args, **kwargs)
+
+    for module in (limits, conditions, compactness):
+        monkeypatch.setattr(module, "column_limits", counting_column_limits, raising=False)
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 4, m=1)
+    report = classify_map(p, weighted_mean_matrix(p), "l_inf", "c")
+    assert report.estimates["4.17"].kind == "exists"
+    assert len(windows) == 1
+    operand = supplied_associate(transformed_rows(p, weighted_mean_matrix(p)))
+    chi = chi_norm(p, operand, "c")
+    assert compactness_verdict(p, operand, "c") == chi.verdict()
+    operator_norm(p, operand)
+    assert len(windows) == 2 and windows[1] is operand.window
 
 
 def test_tail_sum_rows_single_coordinate_row():

@@ -19,11 +19,11 @@ from genmeans import (
 )
 from genmeans.compactness import compactness_verdict, operator_norm, supplied_associate
 from genmeans.limits import (
+    STATUS_EXACT,
     STATUS_INDET,
     STATUS_TREND,
     analyze_tail,
     column_limits,
-    column_shifted,
     column_value,
     integer_row,
     limit_of_rows,
@@ -31,6 +31,7 @@ from genmeans.limits import (
     row_statistic,
     sup_of_rows,
     total,
+    vanishes,
 )
 
 from conftest import f64_triples, no_shrink, parameter_triples, small_fractions
@@ -191,8 +192,9 @@ def test_window_statistics_are_left_to_right_sums(p, data):
         rows = window.extended
         _same_sums(window.row_sums, tuple(map(total, rows)))
         _same_sums(window.row_abs_sums, tuple(total(map(abs, row)) for row in rows))
-        cols, est = column_shifted(window, limit_of_rows)
-        if est is not None:
+        cols, trace = window.shifted
+        if trace is not None:
+            est = limit_of_rows(window, trace)
             alphas = cols.value
             _same_sums(est.trace, tuple(
                 total(abs(column_value(row, k) - column_value(alphas, k))
@@ -207,3 +209,17 @@ def test_no_function_takes_a_tolerance():
             if callable(value) and getattr(value, "__module__", None) == module.__name__:
                 assert "tolerance" not in inspect.signature(value).parameters, (module, name)
     assert [f.name for f in dataclasses.fields(Backend)] == ["mode"]
+
+
+def test_vanishes_is_the_one_zero_test():
+    # exact values compare with ==, trend values within TOLERANCE; a tuple
+    # vanishes entrywise and None never does
+    assert vanishes(0, STATUS_EXACT) and vanishes(F(0), STATUS_EXACT)
+    assert not vanishes(F(1, 10 ** 12), STATUS_EXACT)
+    assert vanishes(F(1, 10 ** 12), STATUS_TREND)
+    assert vanishes(1e-11, STATUS_TREND) and vanishes(-1e-11, STATUS_TREND)
+    assert not vanishes(1e-9, STATUS_TREND)
+    assert vanishes((0, F(0)), STATUS_EXACT) and not vanishes((0, F(1, 2)), STATUS_EXACT)
+    assert vanishes((1e-11, 0.0), STATUS_TREND) and not vanishes((1e-11, None), STATUS_TREND)
+    assert not vanishes(None, STATUS_EXACT) and not vanishes(None, STATUS_TREND)
+    assert not any(hasattr(module, "_near_zero") for module in (conditions, compactness))

@@ -431,6 +431,40 @@ def test_exact_twin_is_kept_with_the_triple(monkeypatch):
     assert exact_twin(q)[0] == dataclasses.replace(exact_twin(p)[0], m=1)
 
 
+def test_f64_input_values_are_read_without_a_fraction(monkeypatch):
+    # with the twin built, the f64 routes read their input values through
+    # common_denominator alone: no Fraction is made for them
+    from genmeans import duality, operators
+
+    u = tuple(1.0 + i / 8 for i in range(32))
+    p = preset(PresetSpec("uv", u=u, v=(0.5,) * 32), 8, m=2, backend=FLOAT64)
+    x = SequenceWindow(tuple(1.0 / (i + 1) for i in range(8)), "zero")
+    exact_twin(p)
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(operators, "Fraction", counting_fraction)
+    monkeypatch.setattr(duality, "Fraction", counting_fraction)
+    y = transform(p, x)
+    inverse_transform(p, y)
+    associate_row(p, x)
+    assert built == []
+
+
+values_of_every_type = st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=10 ** 12)), max_size=8)
+
+
+@given(values_of_every_type)
+def test_common_denominator_reads_a_float_exactly(values):
+    assert common_denominator(values) == common_denominator(map(F, values))
+
+
 # --- integer substitution kernels ---------------------------------------------
 
 @st.composite

@@ -51,15 +51,15 @@ JOBS = {
                           "--target", "c0"],
                          "b41ad53d9c6f088ab01ef53b2f2f02e2de7794d3473859b13ff371b2de7eb68e"),
     "chi-matrix-c": (["chi", *EULER6, "--matrix", "{A}", "--target", "c"],
-                     "bb22719742d4ca07156180010ec9e2fa0f8a5bfd3797e2b859fa6f643970fb1f"),
+                     "4919d7e801e78ca897acc5eb8013859ed361915a18c12152f13500e6d28e8a60"),
     "chi-matrix-c0": (["chi", *EULER6, "--matrix", "{A}", "--target", "c0"],
-                      "54c3b0b51887d6e3dfb828d753731578a24bbc0233bf43e269eb37ca0bb6d7ba"),
+                      "781e829c8dd961baad3795deaa1dafb046bd90bfd2d3ecb8f9ae453b66b57613"),
     "chi-matrix-c-f64": (["chi", *EULER6, *F64, "--matrix", "{A}", "--target", "c"],
-                         "98bb29d3611c247eb724d3660dac40865c7f02773cb7008aee06f203a7fade64"),
+                         "8155e479e307dc9db98ff5a50dfff891a03002aad03c8a66735ef23819d0b7cb"),
     "chi-matrix-c0-f64": (["chi", *EULER6, *F64, "--matrix", "{A}", "--target", "c0"],
-                          "de80612e47418cdfe12c462b80b6c1c88d1618d1949c5e2ce92650846fbb5f11"),
+                          "8a970aae60e79e1b250d7b7ab9c37384b2008af6be63e16b23c18c96d5b14855"),
     "chi-atilde": (["chi", *EULER6, "--atilde", "{atilde}", "--target", "c0"],
-                   "6fff49e00d1a85f1bfe73bfc63d7314a787615efdc690406f18a65eb5c64bdf1"),
+                   "fcb143a00806446b7e135051b03811507e1fd23e617d43564e0d932dc3ba5fca"),
     "basis-minus-one": (["basis", *EULER6, "--j", "-1"],
                         "af4518ab82d09193b02150066669955c77634c20dfcfc9d52d6a9433ac284645"),
     "selftest": (["selftest"],

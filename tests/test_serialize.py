@@ -43,6 +43,13 @@ def test_float_round_trip():
     assert scalar_from_json(doc) == 0.1
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_float_is_not_written(value):
+    # the reader rejects it, so the writer must not produce it
+    with pytest.raises(SchemaError, match="f64"):
+        scalar_to_json(value)
+
+
 def test_scalar_schema_errors_name_path():
     with pytest.raises(SchemaError) as err:
         scalar_from_json({"num": "1"}, path="x.values[0]")
