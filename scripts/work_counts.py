@@ -18,6 +18,8 @@ cycle every row but ``math.gcd``.
   integer_row          every row brought over one denominator for its statistics
   analyze_tail         every run of the trend ladder over a trace
   column_limits        every column-limit pass over a window's extended rows
+  transformed_rows     every request for an associate window
+  associates built     every associate built (``duality.associate_rows``)
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   parameter checks     every check of a parameter set's conditions
@@ -49,6 +51,8 @@ ANALYSIS = (
     ("integer_row", "limits.py", "integer_row"),
     ("analyze_tail", "limits.py", "analyze_tail"),
     ("column_limits", "limits.py", "column_limits"),
+    ("transformed_rows", "conditions.py", "transformed_rows"),
+    ("associates built", "duality.py", "associate_rows"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("parameter checks", "operators.py", "_violations"),

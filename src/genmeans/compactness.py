@@ -40,8 +40,8 @@ class AssociateMatrix:
 
 
 def associate_matrix(p, matrix) -> AssociateMatrix:
-    """Associate of a zero-tail-row matrix, built row by row from the
-    defining sums R(A_n)."""
+    """Associate of a zero-tail-row matrix from the defining sums R(A_n),
+    built once per triple and kept on the matrix window."""
     return AssociateMatrix(transformed_rows(p, matrix))
 
 
@@ -58,8 +58,8 @@ def _resolve_associate(p, matrix_or_associate) -> AssociateMatrix:
 def operator_norm(p, matrix_or_associate) -> LimitEstimate:
     """sup_n of the associate rows' absolute sums; exact when rows are
     eventually zero, windowed with trend classification otherwise.  A matrix
-    gets an associate of its own per call; an ``AssociateMatrix`` shares its
-    extension and cached row sums with every gauge that reads it."""
+    reads the associate kept on its window, as an ``AssociateMatrix`` does, so
+    every gauge and classification of one operator shares its row sums."""
     assoc = _resolve_associate(p, matrix_or_associate).window
     return sup_of_rows(assoc, assoc.row_abs_sums)
 
@@ -106,9 +106,9 @@ class ChiEstimate:
 def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
     """The noncompactness gauge of the induced operator into ``target``: the
     limsup of the associate rows' absolute sums (c0; [0, limsup] for l_inf),
-    or the sandwich around the column-shifted limsup (c).  A matrix gets an
-    associate of its own per call; an ``AssociateMatrix`` shares its extension
-    and cached row sums with every gauge that reads it."""
+    or the sandwich around the column-shifted limsup (c).  A matrix reads the
+    associate kept on its window, as an ``AssociateMatrix`` does, so every
+    gauge and classification of one operator shares its row sums."""
     if target not in TARGETS:
         raise DimensionError(f"target must be one of {TARGETS}, got {target!r}")
     assoc = _resolve_associate(p, matrix_or_associate).window

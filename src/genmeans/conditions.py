@@ -4,8 +4,10 @@ The catalog holds two families.  Ids 4.4-4.11 are the classical conditions
 on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
 transported through the mean-difference coordinate change.  Most are their
-raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``); 4.24 is the
-sup of the associate row totals; the rest are per-row conditions on the
+raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``), which
+``transformed_rows`` builds once per triple and keeps on the source window,
+so every classification and gauge of one operator reads one associate; 4.24
+is the sup of the associate row totals; the rest are per-row conditions on the
 tail-sum triangles, certified by the finite support of every source row and
 the row-tail declaration, with no triangle built.  How a tail declaration
 reads a trace, and whether a limit is zero (``limits.vanishes``), is decided
@@ -117,15 +119,23 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     cached extension, up to the capacity, mapped with its stored rows in one
     pass through one kernel, and the window generates from that tuple alone;
     a generated row with support past the parameter capacity raises
-    ``DimensionError`` here."""
+    ``DimensionError`` here.  Like the extension, the associate is derived once
+    per source window: the window holds the latest triple and its associate,
+    so a later call with that same triple object returns the same window."""
+    held, assoc = vars(matrix).get("_associate", (None, None))
+    if held is p:
+        return assoc
     if matrix.row_tail != STRUCTURAL_TAIL or matrix.row_fn is None:
         rows, forms = associate_rows(p, matrix.rows)
-        return MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
-    stored = len(matrix.rows)
-    capacity = p.capacity if matrix.capacity is None else min(matrix.capacity, p.capacity)
-    rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
-    return MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__,
-                        min(capacity, len(rows)), _integers=forms)
+        assoc = MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
+    else:
+        stored = len(matrix.rows)
+        capacity = p.capacity if matrix.capacity is None else min(matrix.capacity, p.capacity)
+        rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
+        assoc = MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__,
+                             min(capacity, len(rows)), _integers=forms)
+    object.__setattr__(matrix, "_associate", (p, assoc))
+    return assoc
 
 
 def _per_row_tail_condition(window, cond):
@@ -246,7 +256,7 @@ def classify_map(p, matrix, source, target) -> ClassReport:
     if source not in SPACES or target not in SPACES:
         raise DimensionError(f"source and target must be in {SPACES}")
     required = REQUIRED_CONDITIONS[(source, target)]
-    # every pair needs 4.13 or 4.18: build the associate rows once for all of them
+    # every pair needs 4.13 or 4.18: read the window's associate once for all of them
     assoc = transformed_rows(p, matrix)
     estimates = {cond: _transformed_condition(cond, p, matrix, assoc) for cond in required}
     verdicts = {cond: condition_verdict(cond, est) for cond, est in estimates.items()}

@@ -169,11 +169,14 @@ def row_statistic(row, form, absolute=False, alphas=None, shift=None):
     """sum_k row_k, sum_k |row_k| (``absolute``) or, with ``absolute``,
     sum_k |row_k - alpha_k| (``shift`` the integer form of ``alphas``; both
     padded with zeros) of a row with integer form ``form``, on integers and typed
-    as ``total`` types it; left to right through ``total`` when a form is missing."""
+    as ``total`` types it; left to right through ``total`` when a form is missing.
+    A float sum of finite entries past the double range raises ``OverflowError``."""
     if form is None or (alphas is not None and shift is None):
-        if alphas is not None:
-            row = [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
-        return total(map(abs, row)) if absolute else total(row)
+        terms = row if alphas is None else [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
+        value = total(map(abs, terms)) if absolute else total(terms)
+        if math.isinf(value) and all(map(math.isfinite, chain(row, alphas or ()))):
+            raise OverflowError("row statistic beyond the double range")
+        return value
     ints, den = form
     if shift is not None:
         alpha_ints, alpha_den = shift

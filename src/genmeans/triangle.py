@@ -12,8 +12,9 @@ n+1 entries), so it extends past its order as any window does, and one
 Toeplitz inverse coefficients) is not needed on any production route; it
 lives in ``selfcheck`` as oracles.
 
-All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no synchronization.
+Every value is immutable after construction; a window memoizes what it
+derives (extension, row statistics, column limits, its latest associate), and
+a race computes one twice but never a wrong one: no synchronization is needed.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmeans import (
+    FLOAT64,
     InconsistencyError,
     MatrixWindow,
     PresetSpec,
@@ -25,7 +26,7 @@ from genmeans import (
     transform,
 )
 
-from genmeans import limits, scalars
+from genmeans import limits, operators, scalars
 from genmeans.selfcheck import linf_source_autocompact_check
 
 from conftest import parameter_triples, small_fractions, zero_tail_windows
@@ -42,6 +43,19 @@ def finite_rank(width):
         tuple(F((-1) ** i) for i in range(width)),
     )
     return MatrixWindow(rows, "zero")
+
+
+def counted_solves(monkeypatch):
+    """The length of every ``operators._toeplitz_solve`` made from now on."""
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    return solves
 
 
 def identity_associate(order):
@@ -350,3 +364,48 @@ def test_autocompact_guard_when_membership_fails():
     verdict = linf_source_autocompact_check(p, T, "c0")
     assert verdict.status == "indeterminate"
     assert "not applicable" in verdict.detail
+
+
+def test_autocompact_check_builds_one_associate(monkeypatch):
+    solves = counted_solves(monkeypatch)
+    p = euler_triple(6)
+    A = MatrixWindow(((F(1), F(2)), (F(0), F(1), F(3))), "zero")
+    verdict = linf_source_autocompact_check(p, A, "c0")
+    assert verdict.status == "satisfied"
+    # the classification and the compactness verdict read one associate
+    assert solves == [3]
+
+
+# --- one associate per raw matrix ---------------------------------------------------
+
+def test_gauges_on_one_raw_matrix_build_one_associate(monkeypatch):
+    p = euler_triple(6)
+    T = mean_difference_matrix(p)
+    solves = counted_solves(monkeypatch)
+    reports = [(chi_norm(p, T, target), compactness_verdict(p, T, target))
+               for target in ("c0", "c", "l_inf")]
+    norm = operator_norm(p, T)
+    assert solves == [24]
+    assert associate_matrix(p, T).window is associate_matrix(p, T).window
+    # an equal window of its own builds its own associate, to the same reports
+    fresh = mean_difference_matrix(p)
+    assert [(chi_norm(p, fresh, t), compactness_verdict(p, fresh, t))
+            for t in ("c0", "c", "l_inf")] == reports
+    assert operator_norm(p, fresh) == norm
+    assert len(solves) == 2
+
+
+# --- f64 range ---------------------------------------------------------------------
+
+def test_f64_row_sums_past_the_double_range_raise():
+    p = identity_triple(2, backend=FLOAT64)
+    A = supplied_associate(MatrixWindow(((1e308, 1e308),), "zero"))
+    # the sup of finite rows is finite: an inf is never an exact value
+    with pytest.raises(OverflowError):
+        operator_norm(p, A)
+    for target in ("c0", "c", "l_inf"):
+        with pytest.raises(OverflowError):
+            chi_norm(p, A, target)
+    inside = supplied_associate(MatrixWindow(((1e307, 1e307),), "zero"))
+    assert operator_norm(p, inside).value == 2e307
+    assert chi_norm(p, inside, "c0").upper == 0

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -8,6 +10,7 @@ from hypothesis import given
 from genmeans import (
     CONDITION_IDS,
     DimensionError,
+    FLOAT64,
     MatrixWindow,
     ParameterError,
     PresetSpec,
@@ -446,6 +449,74 @@ def test_classifications_of_one_window_generate_each_source_row_once():
     classify_map(p, window, "c0", "l_inf")
     assert sorted(generated) == list(range(6, 24))
     assert set(generated.values()) == {1}
+
+
+def _analysis(p, A):
+    """The nine classifications, condition 4.13 and the chi trio of one operator."""
+    return ([classify_map(p, A, source, target) for source, target in sorted(REQUIRED_CONDITIONS)],
+            eval_condition("4.13", A, p),
+            [(chi_norm(p, A, target), compactness_verdict(p, A, target)) for target in SPACES],
+            operator_norm(p, A))
+
+
+def test_one_operator_shares_one_associate(monkeypatch):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    generated = Counter()
+
+    def row_fn(n):
+        generated[n] += 1
+        return T.row_fn(n)
+
+    solves = []
+    solve = operators._toeplitz_solve
+
+    def counting_solve(*args):
+        solves.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(operators, "_toeplitz_solve", counting_solve)
+    window = MatrixWindow(T.rows, "structural", row_fn, T.capacity)
+    reports = _analysis(p, window)
+    assert solves == [24]
+    assert sorted(generated) == list(range(6, 24))
+    assert set(generated.values()) == {1}
+    assert reports == _analysis(p, MatrixWindow(T.rows, "structural", row_fn, T.capacity))
+
+
+def _associate_view(window):
+    return window.rows, window.extended, window.row_tail, window.capacity, window.integer_rows
+
+
+def test_associate_follows_the_triple_it_was_built_for():
+    spec = PresetSpec("euler", alpha=F(1, 2))
+    p = preset(spec, 6, m=1)
+    T = mean_difference_matrix(p)
+
+    def source():
+        return MatrixWindow(T.rows, "zero")
+
+    A = source()
+    first = transformed_rows(p, A)
+    assert transformed_rows(p, A) is first
+    views = []
+    for q in (replace(p, m=2), preset(spec, 6, m=1, backend=FLOAT64), p):
+        view = _associate_view(transformed_rows(q, A))
+        assert view == _associate_view(transformed_rows(q, source()))
+        views.append(view)
+    # each triple reads its own associate, never the one held before it
+    assert views[0] != views[2] and views[1] != views[2]
+    assert all(isinstance(v, float) for row in views[1][1] for v in row)
+
+
+def test_associate_dies_with_its_window():
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    A = MatrixWindow(mean_difference_matrix(p).rows, "zero")
+    _analysis(p, A)
+    refs = weakref.ref(A), weakref.ref(p)
+    del A, p
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_structural_identity_violates_null_target():
