@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -132,10 +134,23 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 @given(st.lists(st.one_of(finite_floats, rationals), max_size=10),
        st.lists(st.one_of(finite_floats, rationals), max_size=10))
+@example([1e308, 1e308], [])
+@example([], [3e292, 1.7976931348623155e308])
+@example([1e308, -1e308], [-1e308])
 def test_rows_with_floats_keep_left_to_right_sums(row, alphas):
-    got, want = row_statistics(row, alphas), reference_row_statistics(row, alphas)
-    assert tuple(map(repr, got)) == tuple(map(repr, want))
-    assert tuple(map(type, got)) == tuple(map(type, want))
+    # each statistic is the left-to-right sum, except that a sum of these
+    # finite entries past the double range raises instead of reading inf
+    window = MatrixWindow((row,))
+    statistics = (lambda: window.row_sums[0], lambda: window.row_abs_sums[0],
+                  lambda: row_statistic(row, window.integer_rows[0], True, alphas,
+                                        integer_row(alphas)))
+    for statistic, want in zip(statistics, reference_row_statistics(row, alphas)):
+        if isinstance(want, float) and math.isinf(want):
+            with pytest.raises(OverflowError):
+                statistic()
+            continue
+        got = statistic()
+        assert repr(got) == repr(want) and type(got) is type(want)
 
 
 def test_structural_tail_without_generator_is_named_by_every_estimator():
