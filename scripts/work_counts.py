@@ -17,6 +17,9 @@ cycle every row but ``math.gcd``.
   math.gcd             every gcd taken, by ``Fraction`` or by a kernel
   integer_row          every row brought over one denominator for its statistics
   analyze_tail         every run of the trend ladder over a trace
+  estimates            every sup_of_rows, limit_of_rows and limsup_of_rows call:
+                       with analyze_tail, how often an estimate reads a
+                       reading its window already holds
   column_limits        every column-limit pass over a window's extended rows
   transformed_rows     every request for an associate window
   associates built     every associate built (``duality.associate_rows``)
@@ -50,6 +53,10 @@ ANALYSIS = (
     COMMON,
     ("integer_row", "limits.py", "integer_row"),
     ("analyze_tail", "limits.py", "analyze_tail"),
+    # one row summing three estimators
+    ("estimates", "limits.py", "sup_of_rows"),
+    ("estimates", "limits.py", "limit_of_rows"),
+    ("estimates", "limits.py", "limsup_of_rows"),
     ("column_limits", "limits.py", "column_limits"),
     ("transformed_rows", "conditions.py", "transformed_rows"),
     ("associates built", "duality.py", "associate_rows"),

@@ -7,7 +7,7 @@ transported through the mean-difference coordinate change.  Most are their
 raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``), which
 ``transformed_rows`` builds once per triple and keeps on the source window,
 so every classification and gauge of one operator reads one associate; 4.24
-is the sup of the associate row totals; the rest are per-row conditions on the
+is the sup of the associate's held |row total| trace; the rest are per-row on the
 tail-sum triangles, certified by the finite support of every source row and
 the row-tail declaration, with no triangle built.  How a tail declaration
 reads a trace, and whether a limit is zero (``limits.vanishes``), is decided
@@ -41,6 +41,7 @@ from .triangle import (
     MatrixWindow,
 )
 from .duality import associate_rows
+from .operators import exact_twin
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -114,14 +115,14 @@ SHIFTED_MEMBERSHIP_NOTE = (
 
 def transformed_rows(p, matrix) -> MatrixWindow:
     """The matrix with rows R(A_n): each source row re-expressed against the
-    inverse columns.  Requires complete (zero-tail) rows; the row tail in the
-    n direction propagates.  A structural source with a generator has its
-    cached extension, up to the capacity, mapped with its stored rows in one
-    pass through one kernel, and the window generates from that tuple alone;
-    a generated row with support past the parameter capacity raises
-    ``DimensionError`` here.  Like the extension, the associate is derived once
-    per source window: the window holds the latest triple and its associate,
-    so a later call with that same triple object returns the same window."""
+    inverse columns.  Requires complete (zero-tail) rows; the row tail in the n
+    direction propagates.  A structural source with a generator has its cached
+    extension, up to the capacity of the exact twin the kernel runs on, mapped
+    with its stored rows in one pass through one kernel, and the window
+    generates from that tuple alone; a generated row with support past that
+    capacity raises ``DimensionError`` here.  Like the extension, the associate
+    is derived once per source window: the window holds the latest triple and
+    its associate, so a later call with that triple object returns the same window."""
     held, assoc = vars(matrix).get("_associate", (None, None))
     if held is p:
         return assoc
@@ -130,7 +131,7 @@ def transformed_rows(p, matrix) -> MatrixWindow:
         assoc = MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
     else:
         stored = len(matrix.rows)
-        capacity = p.capacity if matrix.capacity is None else min(matrix.capacity, p.capacity)
+        capacity = min(c for c in (matrix.capacity, exact_twin(p)[0].capacity) if c is not None)
         rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
         assoc = MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__,
                              min(capacity, len(rows)), _integers=forms)
@@ -207,7 +208,7 @@ def _transformed_condition(cond, p, window, assoc):
     """Condition cond in 4.13-4.25 on a source window, reading the associate
     rows ``assoc = transformed_rows(p, window)`` where the condition needs them."""
     if cond == "4.24":
-        est = sup_of_rows(assoc, tuple(map(abs, assoc.row_sums)))
+        est = sup_of_rows(assoc, assoc.row_sum_magnitudes)
     elif cond in ON_ASSOCIATE:
         est = _raw_condition(ON_ASSOCIATE[cond], assoc)
     else:

@@ -6,11 +6,11 @@ structural tail lets us extend the window by the generating formula and
 classify the observed trace (status "trend-converged" when the trace
 resolves, "indeterminate" otherwise).  Unknown tails never produce a
 decisive status.  The row estimators take a window and one scalar trace over
-its extension, ``MatrixWindow.extended``, computed once per window; trace
-indices are its row numbers.  The window supplies the tail declaration, the
-trace the values: the signed and absolute row sums (``MatrixWindow.row_sums``,
-``row_abs_sums``, also computed once per window, so every estimate and gauge
-on one window shares them), or a trace the caller builds from them.
+its extension, ``MatrixWindow.extended``; trace indices are its row numbers.
+The window supplies the tail declaration, the trace the values: one the window
+holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``, ``shifted``),
+computed once per window with its ladder reading (``MatrixWindow.reading``),
+so each estimate and gauge shares both; or a trace a caller builds, read afresh.
 
 Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
 the inverse kernel's own for associate rows): integer adds, one Fraction, no
@@ -204,7 +204,7 @@ def sup_of_rows(window, trace):
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, limit = analyze_tail(ns, trace)
+        status, trend, limit = window.reading(trace)
         if trend == TREND_CONVERGED:
             # a trace rising to its limit never attains it: the sup is the limit
             return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
@@ -224,7 +224,7 @@ def limit_of_rows(window, trace, kind="lim"):
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace)
+        status, trend, value = window.reading(trace)
         return LimitEstimate(kind, value, status, trend, ns, trace)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "limit not computable from the window"))
@@ -242,7 +242,7 @@ def limsup_of_rows(window, trace):
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     w = min(DEFAULT_TREND_WINDOW, len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = analyze_tail(ns, trace)
+        status, trend, value = window.reading(trace)
         if status == STATUS_TREND:
             return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
         return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
@@ -272,25 +272,16 @@ def column_limits(window):
         values = tuple(0 for _ in range(width))
         return LimitEstimate("lim", values, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
-        values = []
-        worst = STATUS_EXACT
-        trends = []
-        for k in range(width):
-            trace = tuple(column_value(row, k) for row in rows)
-            status, trend, value = analyze_tail(ns, trace)
-            values.append(value)
-            trends.append(trend)
-            worst = _worse_status(worst, status)
-        overall = STATUS_TREND if worst == STATUS_EXACT else worst
-        return LimitEstimate("lim", tuple(values), overall,
-                             trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
+        # the ladder reads trend-converged or indeterminate, never exact
+        readings = [analyze_tail(ns, tuple(column_value(row, k) for row in rows))
+                    for k in range(width)]
+        statuses = {status for status, _, _ in readings}
+        trends = {trend for _, trend, _ in readings}
+        return LimitEstimate("lim", tuple(value for _, _, value in readings),
+                             STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND,
+                             trends.pop() if len(trends) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))
-
-
-def _worse_status(a, b):
-    rank = {STATUS_EXACT: 0, STATUS_TREND: 1, STATUS_INDET: 2}
-    return a if rank[a] >= rank[b] else b
 
 
 def subset_column_sup(window):

@@ -13,8 +13,8 @@ that integer form; each result value is made once from its integer pair,
 and the inverse kernel's integers go to the row statistics as they are.
 The float backend has one boundary: ``exact_twin`` lifts the parameters and
 makes result values, and ``scalars.common_denominator`` reads input values
-exactly; nothing is cached on a parameter set except its exact twin.  W and
-T are the only dense triangles built here; the dense inverses and the
+exactly; a triple keeps only its exact twin and its kernels' integer forms.
+W and T are the only dense triangles built here; the dense inverses and the
 difference triangle are oracles in ``selfcheck``.
 A ``ParameterTriple`` is checked once, when it is built, and never again.
 Its windows may be longer than the truncation order; the surplus feeds
@@ -81,6 +81,11 @@ class ParameterTriple:
         n = self.order
         return ParameterTriple(*(tuple(map(Fraction, w[:n])) for w in (self.r, self.s, self.t)),
                                self.m, n, RATIONAL)
+
+    @cached_property
+    def _forms(self):
+        """``_integer_forms`` at the truncation order, made on first use and kept."""
+        return _integer_forms(self, self.order)
 
 
 def _violations(p) -> list:
@@ -192,23 +197,27 @@ def _running_sums(x, m):
     return list(x), den
 
 
+def _integer_forms(p, n):
+    """(s, t, 1/r) on p's first n terms: s and t each over one denominator, 1/r_k
+    as pairs (num, den > 0); the triple keeps its own at the truncation order."""
+    return (common_denominator(p.s[:n]), common_denominator(p.t[:n]),
+            [(r.denominator if r > 0 else -r.denominator, abs(r.numerator)) for r in p.r[:n]])
+
+
 def _mean_apply(p, d):
     """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n, as one pair
     (num, den > 0) per entry: the lcm of r's numerators can be very long."""
     d, dd = d
-    s, ds = common_denominator(p.s[:len(d)])
-    t, dt = common_denominator(p.t[:len(d)])
+    (s, ds), (t, dt), rinv = p._forms if len(d) == p.order else _integer_forms(p, len(d))
     td, den = list(map(mul, t, d)), ds * dt * dd
-    rinv = [(r.denominator, r.numerator) if r.numerator > 0 else (-r.denominator, -r.numerator)
-            for r in p.r[:len(td)]]
     return [(sum(map(mul, s[n::-1], td)) * a, den * b) for n, (a, b) in enumerate(rinv)]
 
 
 def _toeplitz_solve(s, c):
-    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n, for c given as pairs
-    (num, den > 0), as integers W over one running denominator q > 0, the lcm
-    of the denominators seen so far, by forward substitution."""
-    s, ds = common_denominator(s[:len(c)])
+    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n, for s over c's terms as one
+    integer form and c as pairs (num, den > 0), as integers W over one running
+    denominator q > 0, the lcm of the denominators seen, by forward substitution."""
+    s, ds = s
     tail, w, q = s[1:], [], 1
     for v, dv in c:
         # w_n = (c_n - sum_{k<n} s_{n-k} w_k) / s_0 with c_n = v / dv, s = S / ds, w = W / q
@@ -227,7 +236,8 @@ def _toeplitz_solve(s, c):
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
     y, dy = y
-    tz, q = _toeplitz_solve(p.s, [(r.numerator * v, r.denominator * dy) for r, v in zip(p.r, y)])
+    s = p._forms[0] if len(y) == p.order else common_denominator(p.s[:len(y)])
+    tz, q = _toeplitz_solve(s, [(r.numerator * v, r.denominator * dy) for r, v in zip(p.r, y)])
     z, dz = common_quotients(tz, p.t)      # t_n's numerator cancelled where tz_n allows
     return z, q * dz
 
@@ -251,7 +261,8 @@ class _InverseKernel:
         if n > p.capacity:
             raise DimensionError(f"source row support {n} exceeds parameter capacity {p.capacity}")
         self.p = p
-        self.c, dc = _toeplitz_solve(p.s, ((1, 1),) + ((0, 1),) * (n - 1))
+        e0 = ((1, 1),) + ((0, 1),) * (n - 1)     # one term even at n = 0
+        self.c, dc = _toeplitz_solve(common_denominator(p.s[:len(e0)]), e0)
         self.tinv, dt = common_quotients((1,) * n, p.t)
         self.r, dr = common_denominator(p.r[:n])
         self.den = dr * dt * dc

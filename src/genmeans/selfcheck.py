@@ -264,26 +264,30 @@ def seq_scale(alpha, x):
     return SequenceWindow(tuple(alpha * v for v in x), x.tail)
 
 
-def _laplace_det(mat):
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    total = 0
-    for i in range(size):
-        lead = mat[i][0]
-        if lead == 0:
-            continue
-        minor = [row[1:] for j, row in enumerate(mat) if j != i]
-        term = lead * _laplace_det(minor)
-        total += term if i % 2 == 0 else -term
-    return total
+def _det(mat):
+    """The determinant of a square matrix by Gaussian elimination over
+    Fractions, swapping in the first nonzero pivot of each column: O(n^3)."""
+    rows = [list(map(Fraction, row)) for row in mat]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
 
 
 def coeff_via_determinant(s, n):
     """D_n evaluated directly from its n x n banded-Hessenberg determinant.
 
-    Exponential-cost Laplace expansion, guarded to n <= 8; used only as an
-    independent oracle against toeplitz_inverse_coeffs.
+    Gaussian elimination, independent of the convolution recursion of
+    toeplitz_inverse_coeffs, which it checks as an oracle; guarded to n <= 8.
     """
     if n > DET_ORACLE_MAX:
         raise GuardError(f"determinant oracle limited to n <= {DET_ORACLE_MAX}, got {n}")
@@ -297,7 +301,7 @@ def coeff_via_determinant(s, n):
     if len(vals) < n + 1:
         raise DimensionError(f"window of length {len(vals)} too short for index {n}")
     mat = [[vals[i + 1 - j] if 0 <= i + 1 - j else 0 for j in range(n)] for i in range(n)]
-    return _laplace_det(mat) / vals[0] ** (n + 1)
+    return _det(mat) / vals[0] ** (n + 1)
 
 
 def composite_entry(p, n, j):

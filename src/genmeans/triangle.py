@@ -12,9 +12,9 @@ n+1 entries), so it extends past its order as any window does, and one
 Toeplitz inverse coefficients) is not needed on any production route; it
 lives in ``selfcheck`` as oracles.
 
-Every value is immutable after construction; a window memoizes what it
-derives (extension, row statistics, column limits, its latest associate), and
-a race computes one twice but never a wrong one: no synchronization is needed.
+Every value is immutable after construction; a window memoizes what it derives
+(extension, row statistics and the trend ladder's readings of them, column
+limits, its latest associate): a race computes one twice, never a wrong one.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ class MatrixWindow:
         return tuple(map(partial(row_statistic, absolute=True), self.extended, self.integer_rows))
 
     @cached_property
+    def row_sum_magnitudes(self):
+        """|sum_k a_nk| over the extended rows, computed once per window."""
+        return tuple(map(abs, self.row_sums))
+
+    @cached_property
     def columns(self):
         """The column limits lim_n a_nk, computed once per window."""
         from .limits import column_limits
@@ -189,6 +194,23 @@ class MatrixWindow:
         alphas = cols.value
         stat = partial(row_statistic, absolute=True, alphas=alphas, shift=integer_row(alphas))
         return cols, tuple(map(stat, self.extended, self.integer_rows))
+
+    @cached_property
+    def readings(self):
+        """{id(trace): (trace, its trend ladder reading)} for the traces it holds."""
+        return {}
+
+    def reading(self, trace):
+        """``limits.analyze_tail`` over ``trace`` on its row numbers: once for a trace
+        the window holds, kept in ``readings``; afresh for a caller's, kept nowhere."""
+        if id(trace) not in self.readings:
+            from .limits import analyze_tail
+            held = trace, analyze_tail(tuple(range(len(trace))), trace)
+            if not any(value is trace or name == "shifted" and value[1] is trace
+                       for name, value in vars(self).items()):
+                return held[1]
+            self.readings[id(trace)] = held
+        return self.readings[id(trace)][1]
 
     def entry(self, n, k):
         row = self.rows[n]

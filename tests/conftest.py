@@ -80,3 +80,19 @@ def f64_triples(draw, max_order=6):
     else:
         spec = PresetSpec(name, alpha=draw(st.integers(min_value=1, max_value=15)) / 16)
     return preset(spec, order, m=m, backend=FLOAT64)
+
+
+def counted_ladder(monkeypatch):
+    """Every trace the trend ladder (``limits.analyze_tail``) runs on from now
+    on, each kept alive so that distinct traces are told apart by identity."""
+    from genmeans import limits
+
+    traces = []
+    analyze_tail = limits.analyze_tail
+
+    def counting_analyze_tail(indices, values, *rest):
+        traces.append(values)
+        return analyze_tail(indices, values, *rest)
+
+    monkeypatch.setattr(limits, "analyze_tail", counting_analyze_tail)
+    return traces

@@ -29,7 +29,7 @@ from genmeans import (
 from genmeans import limits, operators, scalars
 from genmeans.selfcheck import linf_source_autocompact_check
 
-from conftest import parameter_triples, small_fractions, zero_tail_windows
+from conftest import counted_ladder, parameter_triples, small_fractions, zero_tail_windows
 
 
 def euler_triple(order=8, m=1, alpha=F(1, 2)):
@@ -295,6 +295,25 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     # same associate scales no row and sums no row again
     assert chi_norm(preset(PresetSpec("aydin", alpha=F(1, 3)), 6, m=2), A, "c") == chi
     assert len(shifted) == 32 and len(scaled) == 33
+
+
+def test_gauges_on_one_associate_run_the_ladder_once_per_trace(monkeypatch):
+    def row(n):
+        return (F(1, 2 ** n), 1 - F(1, 2 ** n))
+
+    traces = counted_ladder(monkeypatch)
+    A = supplied_associate(MatrixWindow(tuple(row(n) for n in range(8)), "structural", row))
+    p = euler_triple(4)
+    gauges = [(chi_norm(p, A, target), compactness_verdict(p, A, target))
+              for target in ("c0", "c", "l_inf")]
+    assert operator_norm(p, A).status == "trend-converged"
+    window = A.window
+    assert sum(trace is window.row_abs_sums for trace in traces) == 1
+    assert sum(trace is window.shifted[1] for trace in traces) == 1
+    assert set(window.readings) == {id(window.row_abs_sums), id(window.shifted[1])}
+    # the two columns and the two traces: nothing else ran the ladder
+    assert len(traces) == 4
+    assert gauges[0][0].upper == gauges[2][0].upper == 1
 
 
 def test_euler_structural_instances_give_trend_estimates():

@@ -45,7 +45,7 @@ from genmeans import compactness, conditions, limits, operators
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
 
-from conftest import parameter_triples, zero_tail_windows
+from conftest import counted_ladder, parameter_triples, zero_tail_windows
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -517,6 +517,70 @@ def test_associate_dies_with_its_window():
     del A, p
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_one_operator_runs_the_ladder_once_per_trace(monkeypatch):
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    traces = counted_ladder(monkeypatch)
+    reports = ([classify_map(p, T, source, target) for source, target in sorted(REQUIRED_CONDITIONS)],
+               [chi_norm(p, T, target) for target in SPACES], operator_norm(p, T))
+    assert traces and len(traces) == len({id(trace) for trace in traces})
+    # every row-statistic trace of the associate is read, and read once
+    assoc = transformed_rows(p, T)
+    assert set(assoc.readings) == set(map(id, (assoc.row_sums, assoc.row_abs_sums,
+                                               assoc.row_sum_magnitudes, assoc.shifted[1])))
+    assert sum(trace is assoc.row_abs_sums for trace in traces) == 1
+
+    def fresh():
+        return MatrixWindow(T.rows, "structural", T.row_fn, T.capacity)
+
+    # the readings kept change no estimate: a fresh window per call reads the same
+    assert reports == ([classify_map(p, fresh(), source, target)
+                        for source, target in sorted(REQUIRED_CONDITIONS)],
+                       [chi_norm(p, fresh(), target) for target in SPACES],
+                       operator_norm(p, fresh()))
+
+
+def test_repeated_conditions_keep_nothing_more_on_the_window():
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    first = eval_condition("4.24", T, p)
+    assoc = transformed_rows(p, T)
+    held = len(vars(T)), len(vars(assoc)), dict(assoc.readings)
+    for _ in range(3):
+        assert eval_condition("4.24", T, p) == first
+        # a trace the caller builds is read afresh, never kept
+        caller = tuple(map(abs, assoc.row_sums))
+        assert limits.sup_of_rows(assoc, caller).value == first.value
+    assert (len(vars(T)), len(vars(assoc)), dict(assoc.readings)) == held
+    assert set(assoc.readings) == {id(assoc.row_sum_magnitudes)}
+
+
+def test_readings_die_with_their_window():
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    T = mean_difference_matrix(p)
+    _analysis(p, T)
+    assoc = transformed_rows(p, T)
+    assert assoc.readings
+    refs = weakref.ref(T), weakref.ref(assoc), weakref.ref(p)
+    del T, assoc, p
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_f64_triple_extends_a_rational_source_only_as_far_as_its_twin():
+    # the kernel runs on the exact twin, whose capacity is the truncation order,
+    # not the length of the stored float windows
+    spec = PresetSpec("euler", alpha=F(1, 2))
+    T = mean_difference_matrix(preset(spec, 6, m=1))
+    q = preset(spec, 6, m=1, backend=FLOAT64)
+    assert transformed_rows(q, T).capacity == 6
+    notes = {target: chi_norm(q, T, target).note for target in SPACES}
+    stored = "structural tail not extendable past the stored rows"
+    assert notes == {"c0": stored, "c": "per-column limits unresolved", "l_inf": stored}
+    assert {chi_norm(q, T, target).status for target in SPACES} == {"indeterminate"}
+    assert classify_map(q, T, "c", "c").overall.status == "indeterminate"
 
 
 def test_structural_identity_violates_null_target():

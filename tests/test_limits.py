@@ -175,6 +175,26 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
     assert column_limits(unknown).note == "tail undeclared; column limits not computable"
 
 
+def test_f64_window_reads_the_estimates_of_a_fresh_ladder_run():
+    # float traces: a kept reading gives the estimates that a trace read
+    # afresh gives, on the first read and on every later one
+    def row(n):
+        return (1.0 - 0.9 ** n, 0.5 ** n, -(0.75 ** n))
+
+    window = MatrixWindow(tuple(map(row, range(8))), "structural", row)
+    own = (window.row_sums, window.row_abs_sums, window.row_sum_magnitudes, window.shifted[1])
+    estimators = (sup_of_rows, limit_of_rows, limsup_of_rows)
+    for _ in range(2):
+        for trace in own:
+            for estimate in estimators:
+                afresh = tuple(list(trace))     # a new tuple: tuple() of a tuple is itself
+                got, want = estimate(window, trace), estimate(window, afresh)
+                assert repr(got) == repr(want)
+    assert set(window.readings) == set(map(id, own))
+    assert all(isinstance(value, float) for _, (_, _, value) in window.readings.values()
+               if value is not None)
+
+
 def _same_sums(got, want):
     """Equal values of the same types, and the same repr wherever a float is
     involved."""

@@ -431,6 +431,34 @@ def test_exact_twin_is_kept_with_the_triple(monkeypatch):
     assert exact_twin(q)[0] == dataclasses.replace(exact_twin(p)[0], m=1)
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT64], ids=lambda b: b.mode)
+def test_integer_forms_are_kept_with_the_triple(backend, monkeypatch):
+    # s, t and 1/r over common denominators are made once per triple at its
+    # truncation order; a kernel sized to another n makes its own, not kept
+    from genmeans import operators
+
+    made = []
+    integer_forms = operators._integer_forms
+
+    def counting_forms(p, n):
+        made.append(n)
+        return integer_forms(p, n)
+
+    monkeypatch.setattr(operators, "_integer_forms", counting_forms)
+    spec = PresetSpec("euler", alpha=F(1, 3))
+    p = preset(spec, 6, m=2, backend=backend)
+    x = SequenceWindow(tuple(backend.convert(F(1, i + 1)) for i in range(6)), "zero")
+    roundtrips = [inverse_transform(p, transform(p, x)) for _ in range(3)]
+    assert made == [6]
+    fresh = preset(spec, 6, m=2, backend=backend)
+    assert roundtrips == [inverse_transform(fresh, transform(fresh, x))] * 3
+    q = exact_twin(p)[0]
+    short = SequenceWindow(tuple(F(1, i + 1) for i in range(4)))
+    assert (kernel_values(_mean_apply(q, common_denominator(short)))
+            == list(apply(weighted_mean_matrix(q, 4), short)))
+    assert made == [6, 6, 4] and q._forms == integer_forms(q, 6)
+
+
 def test_f64_input_values_are_read_without_a_fraction(monkeypatch):
     # with the twin built, the f64 routes read their input values through
     # common_denominator alone: no Fraction is made for them
