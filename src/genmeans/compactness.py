@@ -10,7 +10,7 @@ targets, a two-sided sandwich for convergent targets, and an upper bound
 for bounded targets.  The compactness verdict is read off that estimate
 alone, by ``ChiEstimate.verdict`` with the one zero test ``limits.vanishes``;
 the convergent target reads the window's column-shifted trace once
-(``MatrixWindow.shifted``).
+(``MatrixWindow.shifted_abs_sums``).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def chi_norm(p, matrix_or_associate, target) -> ChiEstimate:
     # convergent target: sandwich around the column-shifted limsup; the column
     # limits are exact only on a zero tail, where the limsup is exact too, and
     # trend-converged otherwise, never better than the limsup's status
-    cols, trace = assoc.shifted
+    cols, trace = assoc.columns, assoc.shifted_abs_sums
     if trace is None:
         return ChiEstimate("c", None, None, None, STATUS_INDET, cols.trend,
                            note="per-column limits unresolved")

@@ -118,11 +118,11 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     inverse columns.  Requires complete (zero-tail) rows; the row tail in the n
     direction propagates.  A structural source with a generator has its cached
     extension, up to the capacity of the exact twin the kernel runs on, mapped
-    with its stored rows in one pass through one kernel, and the window
-    generates from that tuple alone; a generated row with support past that
-    capacity raises ``DimensionError`` here.  Like the extension, the associate
-    is derived once per source window: the window holds the latest triple and
-    its associate, so a later call with that triple object returns the same window."""
+    with all its stored rows in one pass through one kernel, and the window
+    generates from that tuple alone, its capacity; a generated row with support
+    past the twin's capacity raises ``DimensionError`` here.  Like the extension,
+    the associate is derived once per source window: the window holds the latest
+    triple and its associate, so a later call with that triple returns the same window."""
     held, assoc = vars(matrix).get("_associate", (None, None))
     if held is p:
         return assoc
@@ -133,8 +133,8 @@ def transformed_rows(p, matrix) -> MatrixWindow:
         stored = len(matrix.rows)
         capacity = min(c for c in (matrix.capacity, exact_twin(p)[0].capacity) if c is not None)
         rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
-        assoc = MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__,
-                             min(capacity, len(rows)), _integers=forms)
+        assoc = MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__, len(rows),
+                             _integers=forms)
     object.__setattr__(matrix, "_associate", (p, assoc))
     return assoc
 
@@ -180,9 +180,9 @@ def _raw_condition(cond, window):
     if cond == "4.9":
         return replace(window.columns, kind="exists")
     if cond == "4.10":
-        cols, trace = window.shifted
+        trace = window.shifted_abs_sums
         if trace is None:
-            return LimitEstimate("lim", None, STATUS_INDET, cols.trend,
+            return LimitEstimate("lim", None, STATUS_INDET, window.columns.trend,
                                  note="column limits unresolved")
         return limit_of_rows(window, trace)
     return limit_of_rows(window, window.row_sums, kind="exists")

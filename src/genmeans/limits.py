@@ -8,9 +8,10 @@ resolves, "indeterminate" otherwise).  Unknown tails never produce a
 decisive status.  The row estimators take a window and one scalar trace over
 its extension, ``MatrixWindow.extended``; trace indices are its row numbers.
 The window supplies the tail declaration, the trace the values: one the window
-holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``, ``shifted``),
-computed once per window with its ladder reading (``MatrixWindow.reading``),
-so each estimate and gauge shares both; or a trace a caller builds, read afresh.
+holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
+``shifted_abs_sums``), computed once per window with its ladder reading
+(``MatrixWindow.reading``), so each estimate and gauge shares both; or a trace
+a caller builds, read afresh.
 
 Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
 the inverse kernel's own for associate rows): integer adds, one Fraction, no
@@ -272,16 +273,25 @@ def column_limits(window):
         values = tuple(0 for _ in range(width))
         return LimitEstimate("lim", values, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
-        # the ladder reads trend-converged or indeterminate, never exact
-        readings = [analyze_tail(ns, tuple(column_value(row, k) for row in rows))
-                    for k in range(width)]
-        statuses = {status for status, _, _ in readings}
-        trends = {trend for _, trend, _ in readings}
-        return LimitEstimate("lim", tuple(value for _, _, value in readings),
-                             STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND,
-                             trends.pop() if len(trends) == 1 else TREND_OSCILLATING, ns)
+        values = []
+        worst = STATUS_EXACT
+        trends = []
+        for k in range(width):
+            trace = tuple(column_value(row, k) for row in rows)
+            status, trend, value = analyze_tail(ns, trace)
+            values.append(value)
+            trends.append(trend)
+            worst = _worse_status(worst, status)
+        overall = STATUS_TREND if worst == STATUS_EXACT else worst
+        return LimitEstimate("lim", tuple(values), overall,
+                             trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
     return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT, ns,
                          note=_no_extension_note(window, "column limits not computable"))
+
+
+def _worse_status(a, b):
+    rank = {STATUS_EXACT: 0, STATUS_TREND: 1, STATUS_INDET: 2}
+    return a if rank[a] >= rank[b] else b
 
 
 def subset_column_sup(window):

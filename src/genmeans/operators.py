@@ -84,8 +84,10 @@ class ParameterTriple:
 
     @cached_property
     def _forms(self):
-        """``_integer_forms`` at the truncation order, made on first use and kept."""
-        return _integer_forms(self, self.order)
+        """(s, t, 1/r) at the order: s, t over one denominator, 1/r_k as (num, den > 0)."""
+        n = self.order
+        return (common_denominator(self.s[:n]), common_denominator(self.t[:n]),
+                [(r.denominator if r > 0 else -r.denominator, abs(r.numerator)) for r in self.r[:n]])
 
 
 def _violations(p) -> list:
@@ -178,8 +180,8 @@ def mean_difference_matrix(p, order=None) -> TriangleMatrix:
 
 
 # Substitution kernels.  They take the exact twin and integer forms (ints, den),
-# den > 0, touch only the two triangular factors of T = W Delta^m, and return
-# integer forms; ``_mean_apply``, the last stage of ``transform``, one pair per entry.
+# den > 0, at most its order long, touch only the two triangular factors of
+# T = W Delta^m (W's through the twin's ``_forms``), and return integer forms.
 
 def _differences(x, m):
     """Delta^m x: m first differences x_n - x_{n-1}, with x_{-1} = 0."""
@@ -197,26 +199,19 @@ def _running_sums(x, m):
     return list(x), den
 
 
-def _integer_forms(p, n):
-    """(s, t, 1/r) on p's first n terms: s and t each over one denominator, 1/r_k
-    as pairs (num, den > 0); the triple keeps its own at the truncation order."""
-    return (common_denominator(p.s[:n]), common_denominator(p.t[:n]),
-            [(r.denominator if r > 0 else -r.denominator, abs(r.numerator)) for r in p.r[:n]])
-
-
 def _mean_apply(p, d):
     """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n, as one pair
     (num, den > 0) per entry: the lcm of r's numerators can be very long."""
     d, dd = d
-    (s, ds), (t, dt), rinv = p._forms if len(d) == p.order else _integer_forms(p, len(d))
+    (s, ds), (t, dt), rinv = p._forms
     td, den = list(map(mul, t, d)), ds * dt * dd
-    return [(sum(map(mul, s[n::-1], td)) * a, den * b) for n, (a, b) in enumerate(rinv)]
+    return [(sum(map(mul, s[n::-1], td)) * a, den * b) for n, (a, b) in enumerate(rinv[:len(d)])]
 
 
 def _toeplitz_solve(s, c):
-    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n, for s over c's terms as one
-    integer form and c as pairs (num, den > 0), as integers W over one running
-    denominator q > 0, the lcm of the denominators seen, by forward substitution."""
+    """(W, q): the w with sum_{k<=n} s_{n-k} w_k = c_n, for s as one integer form
+    over at least c's terms and c as pairs (num, den > 0), as integers W over one
+    running denominator q > 0, the lcm of the denominators seen, by forward substitution."""
     s, ds = s
     tail, w, q = s[1:], [], 1
     for v, dv in c:
@@ -236,8 +231,8 @@ def _toeplitz_solve(s, c):
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
     y, dy = y
-    s = p._forms[0] if len(y) == p.order else common_denominator(p.s[:len(y)])
-    tz, q = _toeplitz_solve(s, [(r.numerator * v, r.denominator * dy) for r, v in zip(p.r, y)])
+    tz, q = _toeplitz_solve(p._forms[0], [(r.numerator * v, r.denominator * dy)
+                                          for r, v in zip(p.r, y)])
     z, dz = common_quotients(tz, p.t)      # t_n's numerator cancelled where tz_n allows
     return z, q * dz
 

@@ -128,6 +128,8 @@ class MatrixWindow:
     row_fn: Optional[Callable[[int], tuple]] = None
     capacity: Optional[int] = None
     _integers: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # {id(trace): its trend ladder reading} for the traces the window holds
+    readings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
@@ -142,14 +144,14 @@ class MatrixWindow:
     def extended(self):
         """The stored rows plus whatever the tail declaration allows, computed
         once per window: zero rows extend freely and structural rows come from
-        the generator, up to EXTENSION_FACTOR times the stored count (bounded
-        by the capacity); an unknown tail or a missing generator adds none."""
+        the generator, up to EXTENSION_FACTOR times the stored count (bounded by
+        the capacity, stored rows kept); an unknown tail or no generator adds none."""
         if self.row_tail == UNKNOWN_TAIL or (self.row_tail == STRUCTURAL_TAIL
                                              and self.row_fn is None):
             return self.rows
         stop = EXTENSION_FACTOR * max(len(self.rows), 1)
         if self.row_tail == STRUCTURAL_TAIL and self.capacity is not None:
-            stop = min(stop, self.capacity)
+            stop = max(min(stop, self.capacity), len(self.rows))
         return tuple(self.row(n) for n in range(stop))
 
     @cached_property
@@ -183,34 +185,27 @@ class MatrixWindow:
         return column_limits(self)
 
     @cached_property
-    def shifted(self):
-        """(column limits alpha, the trace sum_k |a_nk - alpha_k| over the extended
-        rows, or None for unresolved alpha), computed once per window: alpha is
-        brought over one denominator once, and each row reads its integer form."""
+    def shifted_abs_sums(self):
+        """sum_k |a_nk - alpha_k| over the extended rows, alpha the column limits,
+        or None for unresolved alpha, computed once per window: alpha is brought
+        over one denominator once, and each row reads its integer form."""
         from .limits import STATUS_INDET, integer_row, row_statistic
-        cols = self.columns
-        if cols.status == STATUS_INDET or cols.value is None:
-            return cols, None
-        alphas = cols.value
+        alphas = self.columns.value
+        if self.columns.status == STATUS_INDET or alphas is None:
+            return None
         stat = partial(row_statistic, absolute=True, alphas=alphas, shift=integer_row(alphas))
-        return cols, tuple(map(stat, self.extended, self.integer_rows))
-
-    @cached_property
-    def readings(self):
-        """{id(trace): (trace, its trend ladder reading)} for the traces it holds."""
-        return {}
+        return tuple(map(stat, self.extended, self.integer_rows))
 
     def reading(self, trace):
-        """``limits.analyze_tail`` over ``trace`` on its row numbers: once for a trace
-        the window holds, kept in ``readings``; afresh for a caller's, kept nowhere."""
+        """``limits.analyze_tail`` over ``trace`` on its row numbers: kept in ``readings``
+        for a trace the window holds, which lives as long as the window; afresh else."""
         if id(trace) not in self.readings:
             from .limits import analyze_tail
-            held = trace, analyze_tail(tuple(range(len(trace))), trace)
-            if not any(value is trace or name == "shifted" and value[1] is trace
-                       for name, value in vars(self).items()):
-                return held[1]
-            self.readings[id(trace)] = held
-        return self.readings[id(trace)][1]
+            got = analyze_tail(tuple(range(len(trace))), trace)
+            if not any(value is trace for value in vars(self).values()):
+                return got
+            self.readings[id(trace)] = got
+        return self.readings[id(trace)]
 
     def entry(self, n, k):
         row = self.rows[n]

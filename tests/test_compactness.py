@@ -309,8 +309,8 @@ def test_gauges_on_one_associate_run_the_ladder_once_per_trace(monkeypatch):
     assert operator_norm(p, A).status == "trend-converged"
     window = A.window
     assert sum(trace is window.row_abs_sums for trace in traces) == 1
-    assert sum(trace is window.shifted[1] for trace in traces) == 1
-    assert set(window.readings) == {id(window.row_abs_sums), id(window.shifted[1])}
+    assert sum(trace is window.shifted_abs_sums for trace in traces) == 1
+    assert set(window.readings) == {id(window.row_abs_sums), id(window.shifted_abs_sums)}
     # the two columns and the two traces: nothing else ran the ladder
     assert len(traces) == 4
     assert gauges[0][0].upper == gauges[2][0].upper == 1

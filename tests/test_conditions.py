@@ -154,8 +154,9 @@ def test_transformed_rows_extend_as_the_associates_of_the_source_extension(capac
         return associate_row(p, SequenceWindow(row, "zero")).values
 
     assert B.rows == tuple(map(associate, A.rows))
-    stop = p.capacity if capacity is None else min(capacity, p.capacity)
-    assert B.extended == tuple(map(associate, A.extended[:stop]))
+    # a capacity below the stored count stops the generator, never a stored row
+    assert len(A.extended) == max(4, min(16, capacity or 16))
+    assert B.extended == tuple(map(associate, A.extended[:p.capacity]))
 
 
 def test_transformed_rows_reject_a_generated_row_past_the_capacity():
@@ -202,7 +203,7 @@ def test_kernel_windows_sum_rows_with_no_rescaling(monkeypatch, composite):
     assert len(rows) == 24
     assert B.row_sums == tuple(map(limits.total, rows))
     assert B.row_abs_sums == tuple(limits.total(map(abs, row)) for row in rows)
-    cols, trace = B.shifted    # the c-target trace
+    cols, trace = B.columns, B.shifted_abs_sums    # the c-target trace
     est = limits.limsup_of_rows(B, trace)
     alphas = cols.value
     assert est.trace == tuple(
@@ -529,7 +530,7 @@ def test_one_operator_runs_the_ladder_once_per_trace(monkeypatch):
     # every row-statistic trace of the associate is read, and read once
     assoc = transformed_rows(p, T)
     assert set(assoc.readings) == set(map(id, (assoc.row_sums, assoc.row_abs_sums,
-                                               assoc.row_sum_magnitudes, assoc.shifted[1])))
+                                               assoc.row_sum_magnitudes, assoc.shifted_abs_sums)))
     assert sum(trace is assoc.row_abs_sums for trace in traces) == 1
 
     def fresh():
@@ -581,6 +582,24 @@ def test_f64_triple_extends_a_rational_source_only_as_far_as_its_twin():
     assert notes == {"c0": stored, "c": "per-column limits unresolved", "l_inf": stored}
     assert {chi_norm(q, T, target).status for target in SPACES} == {"indeterminate"}
     assert classify_map(q, T, "c", "c").overall.status == "indeterminate"
+
+
+def test_associate_keeps_every_stored_row_past_the_twin_capacity():
+    # eight stored rows of support 1, a window capacity of 5: the generator
+    # stops, the stored rows stay
+    def row(n):
+        return (F(n + 1),)
+
+    A = MatrixWindow(tuple(map(row, range(8))), "structural", row, capacity=5)
+    assert A.extended == A.rows and len(A.row_abs_sums) == 8
+    # the f64 kernel runs on the exact twin, of capacity 5: the associate maps
+    # all eight stored rows, and its observed sup is its last row's
+    q = preset(PresetSpec("euler", alpha=F(1, 2)), 5, m=1, backend=FLOAT64)
+    assoc = transformed_rows(q, MatrixWindow(A.rows, "structural", row))
+    assert len(assoc.extended) == assoc.capacity == 8
+    est = limits.sup_of_rows(assoc, assoc.row_abs_sums)
+    assert est.status == "indeterminate" and est.value == assoc.row_abs_sums[7] > 0
+    assert est.note == "structural tail not extendable past the stored rows"
 
 
 def test_structural_identity_violates_null_target():

@@ -182,7 +182,7 @@ def test_f64_window_reads_the_estimates_of_a_fresh_ladder_run():
         return (1.0 - 0.9 ** n, 0.5 ** n, -(0.75 ** n))
 
     window = MatrixWindow(tuple(map(row, range(8))), "structural", row)
-    own = (window.row_sums, window.row_abs_sums, window.row_sum_magnitudes, window.shifted[1])
+    own = (window.row_sums, window.row_abs_sums, window.row_sum_magnitudes, window.shifted_abs_sums)
     estimators = (sup_of_rows, limit_of_rows, limsup_of_rows)
     for _ in range(2):
         for trace in own:
@@ -191,7 +191,7 @@ def test_f64_window_reads_the_estimates_of_a_fresh_ladder_run():
                 got, want = estimate(window, trace), estimate(window, afresh)
                 assert repr(got) == repr(want)
     assert set(window.readings) == set(map(id, own))
-    assert all(isinstance(value, float) for _, (_, _, value) in window.readings.values()
+    assert all(isinstance(value, float) for _, _, value in window.readings.values()
                if value is not None)
 
 
@@ -227,7 +227,7 @@ def test_window_statistics_are_left_to_right_sums(p, data):
         rows = window.extended
         _same_sums(window.row_sums, tuple(map(total, rows)))
         _same_sums(window.row_abs_sums, tuple(total(map(abs, row)) for row in rows))
-        cols, trace = window.shifted
+        cols, trace = window.columns, window.shifted_abs_sums
         if trace is not None:
             est = limit_of_rows(window, trace)
             alphas = cols.value

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 
@@ -433,30 +434,32 @@ def test_exact_twin_is_kept_with_the_triple(monkeypatch):
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOAT64], ids=lambda b: b.mode)
 def test_integer_forms_are_kept_with_the_triple(backend, monkeypatch):
-    # s, t and 1/r over common denominators are made once per triple at its
-    # truncation order; a kernel sized to another n makes its own, not kept
-    from genmeans import operators
-
+    # s, t and 1/r over common denominators are made once per exact twin at its
+    # truncation order; a shorter kernel input reads a prefix of the same forms
+    forms = ParameterTriple.__dict__["_forms"]
     made = []
-    integer_forms = operators._integer_forms
 
-    def counting_forms(p, n):
-        made.append(n)
-        return integer_forms(p, n)
+    def counting_forms(p):
+        made.append(p)
+        return forms.func(p)
 
-    monkeypatch.setattr(operators, "_integer_forms", counting_forms)
+    counted = functools.cached_property(counting_forms)
+    counted.__set_name__(ParameterTriple, "_forms")
+    monkeypatch.setattr(ParameterTriple, "_forms", counted)
     spec = PresetSpec("euler", alpha=F(1, 3))
     p = preset(spec, 6, m=2, backend=backend)
     x = SequenceWindow(tuple(backend.convert(F(1, i + 1)) for i in range(6)), "zero")
     roundtrips = [inverse_transform(p, transform(p, x)) for _ in range(3)]
-    assert made == [6]
+    q = exact_twin(p)[0]
+    assert len(made) == 1 and made[0] is q
     fresh = preset(spec, 6, m=2, backend=backend)
     assert roundtrips == [inverse_transform(fresh, transform(fresh, x))] * 3
-    q = exact_twin(p)[0]
     short = SequenceWindow(tuple(F(1, i + 1) for i in range(4)))
     assert (kernel_values(_mean_apply(q, common_denominator(short)))
             == list(apply(weighted_mean_matrix(q, 4), short)))
-    assert made == [6, 6, 4] and q._forms == integer_forms(q, 6)
+    assert (kernel_values(_mean_solve(q, common_denominator(short)))
+            == list(apply(weighted_mean_inverse(q, 4), short)))
+    assert len(made) == 2 and made[0] is q and made[1] is exact_twin(fresh)[0]
 
 
 def test_f64_input_values_are_read_without_a_fraction(monkeypatch):
