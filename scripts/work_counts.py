@@ -16,6 +16,8 @@ cycle every row but ``math.gcd``.
   common_denominator   every lcm taken over a list of values
   math.gcd             every gcd taken, by ``Fraction`` or by a kernel
   integer_row          every row brought over one denominator for its statistics
+  form entries         the integers the windows' integer forms hold (each
+                       window's ``MatrixWindow.integer_rows``, made once)
   analyze_tail         every run of the trend ladder over a trace
   estimates            every sup_of_rows, limit_of_rows and limsup_of_rows call:
                        with analyze_tail, how often an estimate reads a
@@ -34,6 +36,7 @@ checkout (``src/`` and ``perfbench/``), whatever ``PYTHONPATH`` says.
 """
 
 import cProfile
+import contextlib
 import os
 import pstats
 import subprocess
@@ -44,6 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's modules import each other by bare name)
+from genmeans.triangle import MatrixWindow  # noqa: E402
 
 # (label, source file suffix, function name) as pstats keys them
 FRACTION = ("Fraction.__new__", "fractions.py", "__new__")
@@ -52,6 +56,7 @@ ANALYSIS = (
     FRACTION,
     COMMON,
     ("integer_row", "limits.py", "integer_row"),
+    ("form entries", None, None),     # counted by ``held_forms``, not by cProfile
     ("analyze_tail", "limits.py", "analyze_tail"),
     # one row summing three estimators
     ("estimates", "limits.py", "sup_of_rows"),
@@ -68,20 +73,44 @@ ROUNDTRIP = (FRACTION, COMMON, ("math.gcd", "~", "<built-in method math.gcd>"))
 CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-cold", ROUNDTRIP))
 
 
+@contextlib.contextmanager
+def held_forms(found):
+    """Add to ``found["form entries"]``, when it is counted, the integers of
+    every integer form ``MatrixWindow.integer_rows`` makes: ints of (ints, den)
+    or (start, ints, den), None (a float row) holding none."""
+    prop = vars(MatrixWindow).get("integer_rows")
+    if prop is None or "form entries" not in found:
+        yield
+        return
+    make = prop.func
+
+    def counting(window):
+        forms = make(window)
+        found["form entries"] += sum(len(form[-2]) for form in forms if form is not None)
+        return forms
+
+    prop.func = counting
+    try:
+        yield
+    finally:
+        prop.func = make
+
+
 def counts(workload, seed, counted):
     """(jobs, {label: calls}) over one cycle of the named workload and seed."""
+    found = dict.fromkeys((label for label, _, _ in counted), 0)
     with tempfile.TemporaryDirectory() as tmp:
         jobs = workloads.WORKLOADS[workload](seed, "full", tmp).cycle()
         profile = cProfile.Profile()
-        profile.enable()
-        for job in jobs:
-            job.run()
-        profile.disable()
+        with held_forms(found):
+            profile.enable()
+            for job in jobs:
+                job.run()
+            profile.disable()
     stats = pstats.Stats(profile).stats
-    found = dict.fromkeys((label for label, _, _ in counted), 0)
     for (path, _line, name), (_cc, calls, *_rest) in stats.items():
         for label, suffix, fn in counted:
-            if name == fn and path.endswith(suffix):
+            if suffix is not None and name == fn and path.endswith(suffix):
                 found[label] += calls
     return len(jobs), found
 

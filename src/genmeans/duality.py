@@ -98,10 +98,13 @@ def _kernel(p, rows):
     return _InverseKernel(q, max(map(support_of, rows), default=0)), out
 
 
-def _values(forms, out):
-    """The rows of integer forms (ints, den) through ``out``, int 0 or 0.0 for zeros."""
+def _values(forms, out, widths):
+    """The rows of integer forms (start, ints, den) through ``out``, each as wide
+    as its entry of ``widths``: int 0 or 0.0 for zeros, outside the span too."""
     zero = 0 if out is Fraction else 0.0
-    return tuple(tuple(out(v, den) if v else zero for v in ints) for ints, den in forms)
+    return tuple((zero,) * start + tuple(out(v, den) if v else zero for v in ints)
+                 + (zero,) * (width - start - len(ints))
+                 for (start, ints, den), width in zip(forms, widths))
 
 
 def _dual_rows(p, a, dual):
@@ -117,7 +120,7 @@ def _dual_rows(p, a, dual):
         rows = list(accumulate(rows, _add_rows))
     elif dual == "beta":
         rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    return _values([(row, den * da) for row in rows], out)
+    return _values([(0, row, den * da) for row in rows], out, map(len, rows))
 
 
 def associate_rows(p, rows) -> tuple:
@@ -127,7 +130,7 @@ def associate_rows(p, rows) -> tuple:
     A support past the parameter capacity raises ``DimensionError``."""
     kernel, out = _kernel(p, rows)
     forms = tuple(map(kernel.associate, rows))
-    return _values(forms, out), forms if out is Fraction else None
+    return _values(forms, out, map(len, rows)), forms if out is Fraction else None
 
 
 def associate_row(p, a) -> SequenceWindow:

@@ -14,11 +14,12 @@ holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
 a caller builds, read afresh.
 
 Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
-the inverse kernel's own for associate rows): integer adds, one Fraction, no
-gcd per term, with the shifted trace's column limits scaled once per window.
-A row or limit vector holding a float adds left to right through ``total``.
-The column limits are read through ``MatrixWindow.columns``, computed once per
-window, and whether an estimate's value is zero is decided by ``vanishes``
+the inverse kernel's own for associate rows), its support span: integer adds
+over the span, one Fraction, no gcd per term, the shifted trace merging it with
+the span of the column limits, scaled once per window.  A row or limit vector
+holding a float adds left to right through ``total``.  The column limits
+(``MatrixWindow.columns``, once per window) scatter each row's span into their
+traces, and whether an estimate's value is zero is decided by ``vanishes``
 alone, the one reader of ``TOLERANCE`` besides the ladder.
 """
 
@@ -29,10 +30,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, zip_longest
+from itertools import chain, compress, count, zip_longest
 
 from .scalars import TOLERANCE, common_denominator, zero_like
-from .triangle import STRUCTURAL_TAIL, ZERO_TAIL
+from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, support_of
 
 STATUS_EXACT = "exact"
 STATUS_TREND = "trend-converged"
@@ -161,9 +162,16 @@ def total(values):
 
 
 def integer_row(row):
-    """The integer form (ints, den) of a row of int and Fraction entries, den
-    the lcm of their denominators; None when an entry is a float."""
-    return common_denominator(row) if set(map(type, row)) <= {int, Fraction} else None
+    """The integer form (start, ints, den) of a row of int and Fraction entries,
+    its support span: the entries from the first nonzero to the last as ints over
+    den, the lcm of their denominators; None when an entry is a float."""
+    if not set(map(type, row)) <= {int, Fraction}:
+        return None
+    if row and row[0] and row[-1]:
+        return (0, *common_denominator(row))
+    stop = support_of(row)
+    start = next(compress(count(), row), stop)
+    return (start, *common_denominator(row[start:stop]))
 
 
 def row_statistic(row, form, absolute=False, alphas=None, shift=None):
@@ -178,10 +186,13 @@ def row_statistic(row, form, absolute=False, alphas=None, shift=None):
         if math.isinf(value) and all(map(math.isfinite, chain(row, alphas or ()))):
             raise OverflowError("row statistic beyond the double range")
         return value
-    ints, den = form
+    start, ints, den = form
     if shift is not None:
-        alpha_ints, alpha_den = shift
-        ints = [v * alpha_den - a * den for v, a in zip_longest(ints, alpha_ints, fillvalue=0)]
+        at, alpha_ints, alpha_den = shift
+        if alpha_ints:    # the two spans aligned from the first start on
+            lo = min(start, at)
+            ints = [v * alpha_den - x * den for v, x in zip_longest(
+                [0] * (start - lo) + ints, [0] * (at - lo) + alpha_ints, fillvalue=0)]
         den *= alpha_den
     value = Fraction(sum(map(abs, ints)) if absolute else sum(ints), den)
     if value.denominator == 1 and Fraction not in map(type, chain(row, alphas or ())):
@@ -201,11 +212,8 @@ def sup_of_rows(window, trace):
         if window.row_tail == ZERO_TAIL:
             return LimitEstimate("sup", 0, STATUS_EXACT)
         return LimitEstimate("sup", None, STATUS_INDET, TREND_SHORT, note="no rows")
-    observed = max(trace)
-    if window.row_tail == ZERO_TAIL:
-        return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, limit = window.reading(trace)
+        status, trend, limit, observed = window.reading(trace)
         if trend == TREND_CONVERGED:
             # a trace rising to its limit never attains it: the sup is the limit
             return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
@@ -214,6 +222,9 @@ def sup_of_rows(window, trace):
             return LimitEstimate("sup", observed, STATUS_TREND, trend, ns, trace)
         return LimitEstimate("sup", observed, STATUS_INDET, trend, ns, trace,
                              note="tail trace unresolved; observed max is a lower bound")
+    observed = max(trace)
+    if window.row_tail == ZERO_TAIL:
+        return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
     return LimitEstimate("sup", observed, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "observed max is a lower bound"))
 
@@ -225,7 +236,7 @@ def limit_of_rows(window, trace, kind="lim"):
     if window.row_tail == ZERO_TAIL:
         return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = window.reading(trace)
+        status, trend, value, _ = window.reading(trace)
         return LimitEstimate(kind, value, status, trend, ns, trace)
     return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
                          note=_no_extension_note(window, "limit not computable from the window"))
@@ -243,7 +254,7 @@ def limsup_of_rows(window, trace):
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
     w = min(DEFAULT_TREND_WINDOW, len(trace))
     if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value = window.reading(trace)
+        status, trend, value, _ = window.reading(trace)
         if status == STATUS_TREND:
             return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
         return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
@@ -273,11 +284,16 @@ def column_limits(window):
         values = tuple(0 for _ in range(width))
         return LimitEstimate("lim", values, STATUS_EXACT, TREND_EXACT, ns)
     if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
+        # each row's span scattered into the column traces, 0 past it; a float row whole
+        traces = [[0] * len(rows) for _ in range(width)]
+        for n, row, form in zip(count(), rows, window.integer_rows):
+            start, span, _ = form or (0, row, None)
+            for k in range(start, min(start + len(span), width)):
+                traces[k][n] = row[k]
         values = []
         worst = STATUS_EXACT
         trends = []
-        for k in range(width):
-            trace = tuple(column_value(row, k) for row in rows)
+        for trace in traces:
             status, trend, value = analyze_tail(ns, trace)
             values.append(value)
             trends.append(trend)

@@ -263,16 +263,16 @@ class _InverseKernel:
         self.den = dr * dt * dc
 
     def associate(self, a):
-        """(R_0 .. R_{len(a)-1} of the values a as integers, their one
-        denominator), the support of a within the kernel's n terms: with b the
-        m reverse running sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j,
-        one integer product per entry and no gcd.  R vanishes past the support."""
+        """The integer form (0, R_0 .. R_{s-1} as ints, their one denominator) of R(a)
+        for the values a, s the support of a within the kernel's n terms: with b the
+        m reverse running sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer
+        product per entry and no gcd.  R vanishes past the support, so the form ends there."""
         b, db = common_denominator(reversed(a[:support_of(a)]))
         for _ in range(self.p.m):
             b = accumulate(b)
         u = list(map(mul, list(b)[::-1], self.tinv))
-        return ([r * sum(map(mul, u[k:], self.c)) for k, r in enumerate(self.r[:len(u)])]
-                + [0] * (len(a) - len(u)), self.den * db)
+        return 0, [r * sum(map(mul, u[k:], self.c))
+                   for k, r in enumerate(self.r[:len(u)])], self.den * db
 
     def inverse_rows(self):
         """(the kernel's rows of T^{-1} as integer lists, their denominator):

@@ -117,10 +117,10 @@ class MatrixWindow:
     generates row n beyond it when the tail is structural; ``capacity`` is
     the exclusive bound on generatable indices (None = unlimited).
 
-    Row statistics read ``integer_rows``, each extended row as integers over
-    one denominator (None for a float row): ``_integers``, the exact forms of
-    the leading extended rows from a builder that has them (the inverse
-    kernel's), else each row brought over one denominator once.
+    Row statistics read ``integer_rows``, each extended row's support span
+    (start, ints, den): its entries from the first nonzero to the last as ints
+    over one den, None for a float row; ``_integers`` holds the forms of the
+    leading rows from a builder that has them (the inverse kernel's).
     """
 
     rows: tuple
@@ -128,7 +128,7 @@ class MatrixWindow:
     row_fn: Optional[Callable[[int], tuple]] = None
     capacity: Optional[int] = None
     _integers: Optional[tuple] = field(default=None, compare=False, repr=False)
-    # {id(trace): its trend ladder reading} for the traces the window holds
+    # {id(trace): its trend ladder reading and max} for the traces the window holds
     readings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -188,7 +188,7 @@ class MatrixWindow:
     def shifted_abs_sums(self):
         """sum_k |a_nk - alpha_k| over the extended rows, alpha the column limits,
         or None for unresolved alpha, computed once per window: alpha is brought
-        over one denominator once, and each row reads its integer form."""
+        to its span once, and each row's span merges with it."""
         from .limits import STATUS_INDET, integer_row, row_statistic
         alphas = self.columns.value
         if self.columns.status == STATUS_INDET or alphas is None:
@@ -197,11 +197,11 @@ class MatrixWindow:
         return tuple(map(stat, self.extended, self.integer_rows))
 
     def reading(self, trace):
-        """``limits.analyze_tail`` over ``trace`` on its row numbers: kept in ``readings``
-        for a trace the window holds, which lives as long as the window; afresh else."""
+        """(``limits.analyze_tail`` over ``trace`` on its row numbers, max(trace)): kept in
+        ``readings`` for a trace the window holds, which lives as long as it; afresh else."""
         if id(trace) not in self.readings:
             from .limits import analyze_tail
-            got = analyze_tail(tuple(range(len(trace))), trace)
+            got = (*analyze_tail(tuple(range(len(trace))), trace), max(trace))
             if not any(value is trace for value in vars(self).values()):
                 return got
             self.readings[id(trace)] = got

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from genmeans import (
     CONDITION_IDS,
@@ -45,7 +46,7 @@ from genmeans import compactness, conditions, limits, operators
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
 
-from conftest import counted_ladder, parameter_triples, zero_tail_windows
+from conftest import counted_ladder, nonzero_fractions, parameter_triples, zero_tail_windows
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -209,8 +210,10 @@ def test_kernel_windows_sum_rows_with_no_rescaling(monkeypatch, composite):
     assert est.trace == tuple(
         limits.total(abs(limits.column_value(row, k) - limits.column_value(alphas, k))
                      for k in range(max(len(row), len(alphas)))) for row in rows)
-    # the kernel's integers serve every row; only the column limits are scaled
-    assert scaled == [list(alphas)]
+    # the kernel's integers serve every row; only the column limits are scaled,
+    # from their first nonzero to their last
+    support = [k for k, v in enumerate(alphas) if v]
+    assert scaled == [list(alphas[support[0]:support[-1] + 1] if support else ())]
 
 
 def test_column_limits_are_computed_once_per_window(monkeypatch):
@@ -600,6 +603,74 @@ def test_associate_keeps_every_stored_row_past_the_twin_capacity():
     est = limits.sup_of_rows(assoc, assoc.row_abs_sums)
     assert est.status == "indeterminate" and est.value == assoc.row_abs_sums[7] > 0
     assert est.note == "structural tail not extendable past the stored rows"
+
+
+def dense_column_limits(window):
+    """(values, status, trend) of the column limits read entry by entry: each
+    column's trace through ``column_value`` over every extended row."""
+    rows = window.extended
+    ns = tuple(range(len(rows)))
+    readings = [limits.analyze_tail(ns, tuple(limits.column_value(row, k) for row in rows))
+                for k in range(window.width)]
+    statuses, trends, values = zip(*readings)
+    status = "indeterminate" if "indeterminate" in statuses else "trend-converged"
+    return values, status, trends[0] if len(set(trends)) == 1 else "oscillating"
+
+
+@given(st.data())
+def test_column_limits_scatter_the_row_spans(data):
+    # columns that stay zero, settle, decay, start late (as the identity's do)
+    # or stop early, in rows as long as the stored width or longer, with int,
+    # Fraction or float zeros: the spans scattered into the column traces give
+    # the limits the traces read entry by entry give
+    width = data.draw(st.integers(min_value=1, max_value=5))
+    kinds = data.draw(st.lists(st.sampled_from(("zero", "constant", "geometric", "late",
+                                                "early")), min_size=width, max_size=width))
+    zero = data.draw(st.sampled_from((0, F(0), 0.0)))
+    convert = float if isinstance(zero, float) else F
+    c = [data.draw(nonzero_fractions) for _ in kinds]
+    q = data.draw(st.sampled_from((F(1, 2), F(-1, 3), F(3, 2))))
+
+    def entry(n, k):
+        nonzero = {"zero": False, "late": n >= k + 2, "early": n < k + 2}.get(kinds[k], True)
+        return convert(c[k] * q ** n if kinds[k] == "geometric" else c[k]) if nonzero else zero
+
+    def row_fn(n):
+        return tuple(entry(n, k) for k in range(min(width, n + 1)))
+
+    stored = data.draw(st.integers(min_value=3, max_value=6))
+    window = MatrixWindow(tuple(map(row_fn, range(stored))), "structural", row_fn)
+    est = window.columns
+    assert (est.value, est.status, est.trend) == dense_column_limits(window)
+
+
+def test_associate_forms_end_at_the_source_support():
+    # the kernel's form of R(a) starts at 0 and ends at the support of a; the
+    # associate rows keep the width of their source rows, and the zero tail
+    # extends the four stored rows by twelve empty ones
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 4, m=1)
+    A = MatrixWindow(((F(1), F(2), F(0), F(0)), (0, F(1, 3)), (), (F(0),) * 3), "zero")
+    assoc = transformed_rows(p, A)
+    assert [form[:1] + (len(form[1]),) for form in assoc.integer_rows] == (
+        [(0, 2), (0, 2)] + [(0, 0)] * 14)
+    for source, row, (start, ints, den) in zip(A.rows, assoc.rows, assoc.integer_rows):
+        assert row == tuple(F(v, den) for v in ints) + (0,) * (len(source) - len(ints))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="column limits cover only the stored width: a column past it is taken "
+           "as alpha_k = 0 in the shifted trace, so rows that reach past the "
+           "stored width read a limit 2^-15 that is really 0")
+def test_column_limits_past_the_stored_width():
+    # a_nk = 2^-k for k <= n: sum_{k>n} 2^-k = 2^-n -> 0, so 4.10 holds and the
+    # supplied associate is compact into c; a decisive status must say so
+    def row(n):
+        return tuple(F(1, 2 ** k) for k in range(n + 1))
+
+    W = MatrixWindow(tuple(map(row, range(16))), "structural", row)
+    assert condition_verdict("4.10", eval_condition("4.10", W)).status != "violated"
+    assert chi_norm(None, supplied_associate(W), "c").verdict().status != "violated"
 
 
 def test_structural_identity_violates_null_target():

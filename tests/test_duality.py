@@ -39,6 +39,7 @@ from genmeans.selfcheck import (
     mean_difference_inverse,
     tail_sum_closed,
 )
+from genmeans.triangle import support_of
 
 from conftest import (
     dyadic_floats,
@@ -267,9 +268,11 @@ def check_kernel_against_dense_inverse(q, a):
     rows, den = kernel.inverse_rows()
     assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
     assert len(a) == n
-    ints, den = kernel.associate(a)
-    assert [F(v, den) for v in ints] == [sum(a[j] * S.entry(j, k) for j in range(k, n))
-                                         for k in range(n)]
+    start, ints, den = kernel.associate(a)
+    # the form ends at the support of a, where R vanishes
+    assert start == 0 and len(ints) == support_of(a)
+    assert [F(v, den) for v in ints] + [0] * (n - len(ints)) == [
+        sum(a[j] * S.entry(j, k) for j in range(k, n)) for k in range(n)]
 
 
 PRESET_SPECS = (
@@ -303,9 +306,10 @@ def test_kernel_runs_f64_through_the_exact_twin(p, data):
     q = exact_twin(p)[0]
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
-    ints, den = _InverseKernel(q, len(a)).associate(tuple(map(F, a)))
+    _, ints, den = _InverseKernel(q, len(a)).associate(tuple(map(F, a)))
     # float rows hand out no integer form: their statistics add the floats
-    assert associate_rows(p, (a,)) == ((tuple(float(F(v, den)) for v in ints),), None)
+    values = tuple(float(F(v, den)) for v in ints) + (0.0,) * (len(a) - len(ints))
+    assert associate_rows(p, (a,)) == ((values,), None)
 
 
 def test_kernel_support_at_and_past_the_capacity():

@@ -14,10 +14,12 @@ from genmeans import (
     conditions,
     duality,
     eval_condition,
+    identity,
     identity_triple,
     limits,
     operators,
     transformed_rows,
+    triangle,
 )
 from genmeans.compactness import compactness_verdict, operator_norm, supplied_associate
 from genmeans.limits import (
@@ -113,20 +115,56 @@ def row_statistics(row, alphas):
     return window.row_sums[0], window.row_abs_sums[0], shifted
 
 
+def with_zero_runs(values, zeros):
+    """Rows of ``values`` after, between and before runs of ``zeros``: among
+    them all-zero rows and the empty row."""
+    runs = st.lists(zeros, max_size=4)
+    return st.builds(lambda lead, body, gap, tail: lead + body[:1] + gap + body[1:] + tail,
+                     runs, st.lists(values, max_size=6), runs, runs)
+
+
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 rationals = st.one_of(ints, st.fractions(max_denominator=10 ** 4))
-exact_rows = st.one_of(st.lists(ints, max_size=10), st.lists(rationals, max_size=10))
+exact_rows = st.one_of(st.lists(ints, max_size=10), st.lists(rationals, max_size=10),
+                       with_zero_runs(ints, st.just(0)),
+                       with_zero_runs(rationals, st.sampled_from((0, F(0)))))
 
 
 @given(exact_rows, exact_rows)
 @example([], [])
 @example([3, -4], [1])
 @example([F(1, 2), -2], [])
+@example([0, 0, 3, 0, -4, 0], [0, 1, 0])
+@example([0, 0, 0, 5], [7, 0])
+@example([7, 0], [0, 0, 0, 5])
+@example([F(0), F(0)], [0, 0])
+@example([0, F(1, 3), 0], [0, 0, 2, 0, 0, F(1, 2)])
 def test_exact_row_statistics_match_left_to_right_sums(row, alphas):
     # one common denominator must give the same value and the same type
     # (int for all-int input, 0 for the empty row, else Fraction)
     for got, want in zip(row_statistics(row, alphas), reference_row_statistics(row, alphas)):
         assert got == want and type(got) is type(want)
+
+
+@given(exact_rows)
+@example([F(0), 0, F(0)])
+def test_integer_form_is_the_support_span(row):
+    # (start, ints, den): the entries from the first nonzero to the last over
+    # one denominator, zeros outside it
+    start, ints, den = integer_row(row)
+    support = [k for k, v in enumerate(row) if v]
+    assert (start, len(ints)) == ((support[0], support[-1] + 1 - support[0]) if support
+                                  else (0, 0))
+    assert [F(v, den) for v in ints] == list(row[start:start + len(ints)])
+    assert integer_row([0.0] + list(row)) is None
+
+
+def test_identity_associate_forms_hold_one_integer_per_row():
+    # the 256 extended rows of the supplied identity: one nonzero each
+    A = supplied_associate(identity(64)).window
+    assert A.integer_rows == tuple((n, [1], 1) for n in range(256))
+    assert A.row_sums == A.row_abs_sums == A.shifted_abs_sums == (1,) * 256
+    assert A.columns.value == (0,) * 64
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -191,8 +229,32 @@ def test_f64_window_reads_the_estimates_of_a_fresh_ladder_run():
                 got, want = estimate(window, trace), estimate(window, afresh)
                 assert repr(got) == repr(want)
     assert set(window.readings) == set(map(id, own))
-    assert all(isinstance(value, float) for _, _, value in window.readings.values()
+    assert all(isinstance(value, float) for _, _, value, _ in window.readings.values()
                if value is not None)
+
+
+def test_sup_of_a_held_trace_reads_the_max_kept_with_its_reading(monkeypatch):
+    # the window takes the max of a trace it holds once, with its ladder
+    # reading; a trace a caller builds is read afresh on every call
+    maxima = []
+
+    def counting_max(*args, **kwargs):
+        maxima.extend(args[:len(args) == 1])
+        return max(*args, **kwargs)
+
+    for module in (limits, triangle):
+        monkeypatch.setattr(module, "max", counting_max, raising=False)
+
+    def row(n):
+        return (1 - F(9, 10) ** n,)
+
+    window = MatrixWindow(tuple(map(row, range(8))), "structural", row)
+    held, afresh = window.row_abs_sums, tuple(list(window.row_abs_sums))
+    for _ in range(3):
+        assert sup_of_rows(window, held) == sup_of_rows(window, afresh)
+    assert sum(trace is held for trace in maxima) == 1
+    assert sum(trace is afresh for trace in maxima) == 3
+    assert window.readings[id(held)][3] == max(held)
 
 
 def _same_sums(got, want):
