@@ -29,9 +29,11 @@ cycle every row but ``math.gcd``.
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   parameter checks     every check of a parameter set's conditions
 
-A name the checkout does not have prints as 0.  The last line counts the
+A name the checkout does not have prints as 0.  The next line counts the
 modules a fresh interpreter loads for ``import genmeans``: the share of
-start-up time that the package's imports decide.  The sources come from this
+start-up time that the package's imports decide.  The last two count the lines
+of ``src/genmeans``, in all and outside ``selfcheck.py``: the size of the
+production code.  The sources come from this
 checkout (``src/`` and ``perfbench/``), whatever ``PYTHONPATH`` says.
 """
 
@@ -124,6 +126,17 @@ def import_modules():
                               capture_output=True, text=True).stdout)
 
 
+def source_lines():
+    """{file name: line count} of the ``src/genmeans`` modules."""
+    package = os.path.join(ROOT, "src", "genmeans")
+    lines = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as source:
+                lines[name] = sum(1 for _ in source)
+    return lines
+
+
 def main(argv):
     seed = int(argv[0]) if argv else 3
     for workload, counted in CYCLES:
@@ -132,6 +145,9 @@ def main(argv):
         for label, calls in found.items():
             print(f"{label:20} {calls:>8}")
     print(f"{'import genmeans':20} {import_modules():>8} modules")
+    lines = source_lines()
+    print(f"{'src/genmeans':20} {sum(lines.values()):>8} lines")
+    print(f"{'without selfcheck':20} {sum(lines.values()) - lines.get('selfcheck.py', 0):>8} lines")
     return 0
 
 

@@ -10,8 +10,9 @@ so every classification and gauge of one operator reads one associate; 4.24
 is the sup of the associate's held |row total| trace; the rest are per-row on the
 tail-sum triangles, certified by the finite support of every source row and
 the row-tail declaration, with no triangle built.  How a tail declaration
-reads a trace, and whether a limit is zero (``limits.vanishes``), is decided
-in ``limits`` alone; 4.7, 4.9 and 4.10 read the window's column limits,
+reads a trace (``limits._tail_rule``) and whether a limit is zero
+(``limits.vanishes``) are decided in ``limits`` alone, each in one function;
+4.7, 4.9 and 4.10 read the window's column limits,
 ``MatrixWindow.columns``.  Every id maps to exactly one evaluator and the
 table is exhaustive.  A verdict carries no evidence: its estimate is the one
 record of the number it was decided on.  The space parameters are valid by

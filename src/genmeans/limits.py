@@ -5,12 +5,15 @@ declared tail turns it into a finite computation (status "exact").  A
 structural tail lets us extend the window by the generating formula and
 classify the observed trace (status "trend-converged" when the trace
 resolves, "indeterminate" otherwise).  Unknown tails never produce a
-decisive status.  The row estimators take a window and one scalar trace over
+decisive status.  That rule is written once, in ``_tail_rule``, which every
+estimator (sup, lim, limsup, column limits) asks, adding only its own part.
+The row estimators take a window and one scalar trace over
 its extension, ``MatrixWindow.extended``; trace indices are its row numbers.
 The window supplies the tail declaration, the trace the values: one the window
 holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
 ``shifted_abs_sums``), computed once per window with its ladder reading
-(``MatrixWindow.reading``), so each estimate and gauge shares both; or a trace
+(``MatrixWindow.reading``) and, once a sup asks, its max
+(``MatrixWindow.maximum``), so each estimate and gauge shares them; or a trace
 a caller builds, read afresh.
 
 Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
@@ -92,8 +95,9 @@ def vanishes(value, status):
     return abs(float(value)) <= TOLERANCE
 
 
-def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW):
-    """Classify the tail of a finite trace.
+def analyze_tail(values):
+    """Classify the tail of a finite trace, read on its row numbers 0, 1, ...
+    over the last ``DEFAULT_TREND_WINDOW`` terms.
 
     Returns (status, trend, value).  The ladder: settled window -> converged;
     stable second-difference acceleration over contracting differences ->
@@ -109,8 +113,7 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW):
     except OverflowError:
         # past the double range no rung of the ladder can read the trace
         return STATUS_INDET, TREND_DIVERGING, None
-    w = min(max(trend_window, 3), len(values))
-    floats = full[-w:]
+    floats = full[-DEFAULT_TREND_WINDOW:]
     if max(floats) - min(floats) <= TOLERANCE:
         return STATUS_TREND, TREND_CONVERGED, values[-1]
 
@@ -135,7 +138,7 @@ def analyze_tail(indices, values, trend_window=DEFAULT_TREND_WINDOW):
     if nonincreasing and full[-1] >= 0 and all(v > 0 for v in full):
         # power-law decay check on the trailing half of the trace
         half = len(full) // 2
-        xs = [math.log(indices[i] + 1) for i in range(half, len(full))]
+        xs = [math.log(i + 1) for i in range(half, len(full))]
         ys = [math.log(full[i]) for i in range(half, len(full))]
         if len(xs) >= 4 and max(xs) > min(xs):
             xbar = total(xs) / len(xs)
@@ -204,110 +207,85 @@ def column_value(row, k):
     return row[k] if k < len(row) else 0
 
 
+def _tail_rule(window, trace, undeclared, read=None):
+    """The one rule by which a window's declared tail reads ``trace``, a statistic
+    over ``window.extended``: (status, trend, value, note).  A zero tail reads an
+    exact 0; a structural tail whose trace reaches past the stored rows, the trend
+    ladder's reading (``read``, else ``MatrixWindow.reading``); any other window
+    nothing, noting why it was not extended: a generator stopping at the stored
+    rows, none, or an undeclared tail (``undeclared``: what its window still says)."""
+    if window.row_tail == ZERO_TAIL:
+        return STATUS_EXACT, TREND_EXACT, 0, ""
+    if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
+        return (*(read or window.reading)(trace)[:3], "")
+    if window.row_tail != STRUCTURAL_TAIL:
+        note = f"tail undeclared; {undeclared}"
+    elif window.row_fn is None:
+        note = "structural tail has no generator available; stored window only"
+    else:
+        note = "structural tail not extendable past the stored rows"
+    return STATUS_INDET, TREND_SHORT, None, note
+
+
 def sup_of_rows(window, trace):
     """sup_n of ``trace``, a row statistic over ``window.extended``, over the
-    infinite row index.  Past a zero tail every row statistic is 0."""
-    ns = tuple(range(len(trace)))
-    if not trace:
-        if window.row_tail == ZERO_TAIL:
-            return LimitEstimate("sup", 0, STATUS_EXACT)
+    infinite row index: the max of the observed values and the limit the tail
+    reads.  Past a zero tail every row statistic is 0."""
+    if not trace and window.row_tail != ZERO_TAIL:
         return LimitEstimate("sup", None, STATUS_INDET, TREND_SHORT, note="no rows")
-    if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, limit, observed = window.reading(trace)
-        if trend == TREND_CONVERGED:
-            # a trace rising to its limit never attains it: the sup is the limit
-            return LimitEstimate("sup", max(observed, limit), STATUS_TREND, trend, ns, trace)
-        if status != STATUS_INDET or trend == TREND_DRIFTING:
-            # decaying or drifting down: the observed max dominates
-            return LimitEstimate("sup", observed, STATUS_TREND, trend, ns, trace)
-        return LimitEstimate("sup", observed, STATUS_INDET, trend, ns, trace,
-                             note="tail trace unresolved; observed max is a lower bound")
-    observed = max(trace)
-    if window.row_tail == ZERO_TAIL:
-        return LimitEstimate("sup", max(observed, 0), STATUS_EXACT, TREND_EXACT, ns, trace)
-    return LimitEstimate("sup", observed, STATUS_INDET, TREND_SHORT, ns, trace,
-                         note=_no_extension_note(window, "observed max is a lower bound"))
+    status, trend, limit, note = _tail_rule(window, trace, "observed max is a lower bound")
+    value = window.maximum(trace) if trace else 0
+    if limit is not None:
+        # a trace rising to its limit never attains it: then the sup is the limit
+        value = max(value, limit)
+    elif trend == TREND_DRIFTING:
+        status = STATUS_TREND    # drifting down: the observed max dominates
+    elif not note:
+        note = "tail trace unresolved; observed max is a lower bound"
+    return LimitEstimate("sup", value, status, trend, tuple(range(len(trace))), trace, note)
 
 
 def limit_of_rows(window, trace, kind="lim"):
     """lim_n of ``trace``, a row statistic over ``window.extended``; exactly 0
     past a zero tail."""
-    ns = tuple(range(len(trace)))
-    if window.row_tail == ZERO_TAIL:
-        return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, ns, trace)
-    if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value, _ = window.reading(trace)
-        return LimitEstimate(kind, value, status, trend, ns, trace)
-    return LimitEstimate(kind, None, STATUS_INDET, TREND_SHORT, ns, trace,
-                         note=_no_extension_note(window, "limit not computable from the window"))
+    status, trend, value, note = _tail_rule(window, trace, "limit not computable from the window")
+    return LimitEstimate(kind, value, status, trend, tuple(range(len(trace))), trace, note)
 
 
 def limsup_of_rows(window, trace):
-    """limsup_n of ``trace``, a row statistic over ``window.extended``: exact 0
-    past a zero tail, the ladder's limit when the extended trace resolves (a
-    convergent trace's limsup is its limit), else the windowed maximum at
-    indeterminate status."""
-    ns = tuple(range(len(trace)))
-    if window.row_tail == ZERO_TAIL:
-        return LimitEstimate("limsup", 0, STATUS_EXACT, TREND_EXACT, ns, trace)
-    if not trace:
+    """limsup_n of ``trace``, a row statistic over ``window.extended``: the limit
+    the tail reads (a convergent trace's limsup is its limit), else the windowed
+    maximum at indeterminate status."""
+    if not trace and window.row_tail != ZERO_TAIL:
         return LimitEstimate("limsup", None, STATUS_INDET, TREND_SHORT, note="no rows")
-    w = min(DEFAULT_TREND_WINDOW, len(trace))
-    if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
-        status, trend, value, _ = window.reading(trace)
-        if status == STATUS_TREND:
-            return LimitEstimate("limsup", value, STATUS_TREND, trend, ns, trace)
-        return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, trend, ns, trace,
-                             note="tail trace unresolved; windowed max reported")
-    return LimitEstimate("limsup", max(trace[-w:]), STATUS_INDET, TREND_SHORT, ns, trace,
-                         note=_no_extension_note(window))
-
-
-def _no_extension_note(window, undeclared="stored window only bounds the quantity"):
-    """Why a window was not extended: a structural tail whose generator stops
-    at the stored rows or that has none, or an undeclared tail (with what the
-    stored window still says)."""
-    if window.row_tail == STRUCTURAL_TAIL and window.row_fn is not None:
-        return "structural tail not extendable past the stored rows"
-    if window.row_tail == STRUCTURAL_TAIL:
-        return "structural tail has no generator available; stored window only"
-    return f"tail undeclared; {undeclared}"
+    status, trend, value, note = _tail_rule(window, trace, "stored window only bounds the quantity")
+    if status == STATUS_INDET:
+        value = max(trace[-DEFAULT_TREND_WINDOW:])
+        note = note or "tail trace unresolved; windowed max reported"
+    return LimitEstimate("limsup", value, status, trend, tuple(range(len(trace))), trace, note)
 
 
 def column_limits(window):
     """Per-column limits lim_n a_nk, aggregated over k < width; read through
     ``MatrixWindow.columns``, computed once per window."""
-    rows = window.extended
     width = window.width
-    ns = tuple(range(len(rows)))
-    if window.row_tail == ZERO_TAIL:
-        values = tuple(0 for _ in range(width))
-        return LimitEstimate("lim", values, STATUS_EXACT, TREND_EXACT, ns)
-    if window.row_tail == STRUCTURAL_TAIL and len(rows) > len(window.rows):
+
+    def read(rows):
         # each row's span scattered into the column traces, 0 past it; a float row whole
         traces = [[0] * len(rows) for _ in range(width)]
         for n, row, form in zip(count(), rows, window.integer_rows):
             start, span, _ = form or (0, row, None)
             for k in range(start, min(start + len(span), width)):
                 traces[k][n] = row[k]
-        values = []
-        worst = STATUS_EXACT
-        trends = []
-        for trace in traces:
-            status, trend, value = analyze_tail(ns, trace)
-            values.append(value)
-            trends.append(trend)
-            worst = _worse_status(worst, status)
-        overall = STATUS_TREND if worst == STATUS_EXACT else worst
-        return LimitEstimate("lim", tuple(values), overall,
-                             trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, ns)
-    return LimitEstimate("lim", None, STATUS_INDET, TREND_SHORT, ns,
-                         note=_no_extension_note(window, "column limits not computable"))
+        statuses, trends, values = zip(*map(analyze_tail, traces)) if traces else ((),) * 3
+        return (STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND,
+                trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, values)
 
-
-def _worse_status(a, b):
-    rank = {STATUS_EXACT: 0, STATUS_TREND: 1, STATUS_INDET: 2}
-    return a if rank[a] >= rank[b] else b
+    rows = window.extended
+    status, trend, value, note = _tail_rule(window, rows, "column limits not computable", read)
+    if status == STATUS_EXACT:
+        value = (0,) * width
+    return LimitEstimate("lim", value, status, trend, tuple(range(len(rows))), note=note)
 
 
 def subset_column_sup(window):

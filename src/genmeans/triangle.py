@@ -128,7 +128,7 @@ class MatrixWindow:
     row_fn: Optional[Callable[[int], tuple]] = None
     capacity: Optional[int] = None
     _integers: Optional[tuple] = field(default=None, compare=False, repr=False)
-    # {id(trace): its trend ladder reading and max} for the traces the window holds
+    # {id(trace): its trend ladder reading and max slot} for the traces the window holds
     readings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -197,15 +197,22 @@ class MatrixWindow:
         return tuple(map(stat, self.extended, self.integer_rows))
 
     def reading(self, trace):
-        """(``limits.analyze_tail`` over ``trace`` on its row numbers, max(trace)): kept in
-        ``readings`` for a trace the window holds, which lives as long as it; afresh else."""
+        """[*``limits.analyze_tail(trace)``, max slot]: kept in ``readings`` for a
+        trace the window holds, which lives as long as it; afresh else."""
         if id(trace) not in self.readings:
             from .limits import analyze_tail
-            got = (*analyze_tail(tuple(range(len(trace))), trace), max(trace))
+            got = [*analyze_tail(trace), None]
             if not any(value is trace for value in vars(self).values()):
                 return got
             self.readings[id(trace)] = got
         return self.readings[id(trace)]
+
+    def maximum(self, trace):
+        """max(trace): kept in the max slot of a kept reading once a sup asks; afresh else."""
+        kept = self.readings.get(id(trace), [None] * 4)
+        if kept[3] is None:
+            kept[3] = max(trace)
+        return kept[3]
 
     def entry(self, n, k):
         row = self.rows[n]

@@ -90,9 +90,9 @@ def counted_ladder(monkeypatch):
     traces = []
     analyze_tail = limits.analyze_tail
 
-    def counting_analyze_tail(indices, values, *rest):
+    def counting_analyze_tail(values):
         traces.append(values)
-        return analyze_tail(indices, values, *rest)
+        return analyze_tail(values)
 
     monkeypatch.setattr(limits, "analyze_tail", counting_analyze_tail)
     return traces

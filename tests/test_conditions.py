@@ -609,8 +609,7 @@ def dense_column_limits(window):
     """(values, status, trend) of the column limits read entry by entry: each
     column's trace through ``column_value`` over every extended row."""
     rows = window.extended
-    ns = tuple(range(len(rows)))
-    readings = [limits.analyze_tail(ns, tuple(limits.column_value(row, k) for row in rows))
+    readings = [limits.analyze_tail(tuple(limits.column_value(row, k) for row in rows))
                 for k in range(window.width)]
     statuses, trends, values = zip(*readings)
     status = "indeterminate" if "indeterminate" in statuses else "trend-converged"
