@@ -15,9 +15,12 @@ cycle every row but ``math.gcd``.
   Fraction.__new__     every rational built
   common_denominator   every lcm taken over a list of values
   math.gcd             every gcd taken, by ``Fraction`` or by a kernel
-  integer_row          every row brought over one denominator for its statistics
+  integer_row          every row a caller supplied, and every column-limit
+                       vector, brought to its integer form
   form entries         the integers the windows' integer forms hold (each
                        window's ``MatrixWindow.integer_rows``, made once)
+  Fraction rows made   every row made as values from its integer form
+                       (``triangle.form_values``), for a reader of them
   analyze_tail         every run of the trend ladder over a trace
   estimates            every sup_of_rows, limit_of_rows and limsup_of_rows call:
                        with analyze_tail, how often an estimate reads a
@@ -28,6 +31,10 @@ cycle every row but ``math.gcd``.
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   parameter checks     every check of a parameter set's conditions
+  kernel den bits      the widest denominator of an inverse kernel
+                       (``operators._InverseKernel.den``), in bits
+  assoc entry bits     the widest numerator or denominator of a reduced
+                       associate entry the kernels made, in bits
 
 A name the checkout does not have prints as 0.  The next line counts the
 modules a fresh interpreter loads for ``import genmeans``: the share of
@@ -39,6 +46,7 @@ checkout (``src/`` and ``perfbench/``), whatever ``PYTHONPATH`` says.
 
 import cProfile
 import contextlib
+import math
 import os
 import pstats
 import subprocess
@@ -49,6 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's modules import each other by bare name)
+from genmeans.operators import _InverseKernel  # noqa: E402
 from genmeans.triangle import MatrixWindow  # noqa: E402
 
 # (label, source file suffix, function name) as pstats keys them
@@ -59,6 +68,7 @@ ANALYSIS = (
     COMMON,
     ("integer_row", "limits.py", "integer_row"),
     ("form entries", None, None),     # counted by ``held_forms``, not by cProfile
+    ("Fraction rows made", "triangle.py", "form_values"),
     ("analyze_tail", "limits.py", "analyze_tail"),
     # one row summing three estimators
     ("estimates", "limits.py", "sup_of_rows"),
@@ -70,6 +80,8 @@ ANALYSIS = (
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("parameter checks", "operators.py", "_violations"),
+    ("kernel den bits", None, None),  # measured by ``kernel_widths``
+    ("assoc entry bits", None, None),
 )
 ROUNDTRIP = (FRACTION, COMMON, ("math.gcd", "~", "<built-in method math.gcd>"))
 CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-cold", ROUNDTRIP))
@@ -79,7 +91,7 @@ CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-col
 def held_forms(found):
     """Add to ``found["form entries"]``, when it is counted, the integers of
     every integer form ``MatrixWindow.integer_rows`` makes: ints of (ints, den)
-    or (start, ints, den), None (a float row) holding none."""
+    or (start, ints, den[, fraction]), None (a float row) holding none."""
     prop = vars(MatrixWindow).get("integer_rows")
     if prop is None or "form entries" not in found:
         yield
@@ -88,7 +100,8 @@ def held_forms(found):
 
     def counting(window):
         forms = make(window)
-        found["form entries"] += sum(len(form[-2]) for form in forms if form is not None)
+        found["form entries"] += sum(len(form[0] if isinstance(form[0], list) else form[1])
+                                     for form in forms if form is not None)
         return forms
 
     prop.func = counting
@@ -98,13 +111,38 @@ def held_forms(found):
         prop.func = make
 
 
+@contextlib.contextmanager
+def kernel_widths(found):
+    """Keep in ``found`` the bit widths of every kernel denominator and every
+    reduced associate entry ``_InverseKernel.associate`` makes, when counted."""
+    make = _InverseKernel.associate
+    if "kernel den bits" not in found:
+        yield
+        return
+
+    def measuring(kernel, *args):
+        form = make(kernel, *args)
+        den = form[2]    # each entry reduced by one gcd, no Fraction made
+        found["kernel den bits"] = max(found["kernel den bits"], kernel.den.bit_length())
+        found["assoc entry bits"] = max([found["assoc entry bits"]] + [
+            max((abs(v) // g).bit_length(), (den // g).bit_length())
+            for v in form[1] for g in (math.gcd(v, den),)])
+        return form
+
+    _InverseKernel.associate = measuring
+    try:
+        yield
+    finally:
+        _InverseKernel.associate = make
+
+
 def counts(workload, seed, counted):
     """(jobs, {label: calls}) over one cycle of the named workload and seed."""
     found = dict.fromkeys((label for label, _, _ in counted), 0)
     with tempfile.TemporaryDirectory() as tmp:
         jobs = workloads.WORKLOADS[workload](seed, "full", tmp).cycle()
         profile = cProfile.Profile()
-        with held_forms(found):
+        with held_forms(found), kernel_widths(found):
             profile.enable()
             for job in jobs:
                 job.run()

@@ -5,15 +5,15 @@ on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
 transported through the mean-difference coordinate change.  Most are their
 raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``), which
-``transformed_rows`` builds once per triple and keeps on the source window,
-so every classification and gauge of one operator reads one associate; 4.24
-is the sup of the associate's held |row total| trace; the rest are per-row on the
-tail-sum triangles, certified by the finite support of every source row and
-the row-tail declaration, with no triangle built.  How a tail declaration
-reads a trace (``limits._tail_rule``) and whether a limit is zero
-(``limits.vanishes``) are decided in ``limits`` alone, each in one function;
-4.7, 4.9 and 4.10 read the window's column limits,
-``MatrixWindow.columns``.  Every id maps to exactly one evaluator and the
+``transformed_rows`` maps once per triple from the source rows' integer forms
+to theirs and keeps on the source window, so every classification and gauge
+of one operator reads one associate; 4.24 is the sup of the associate's held
+|row total| trace; the rest are per-row on the tail-sum triangles, certified
+by the finite support of every source row and the row-tail declaration, with
+no triangle built.  How a tail declaration reads a trace
+(``limits._tail_rule``) and whether a limit is zero (``limits.vanishes``) are
+decided in ``limits`` alone, each in one function; 4.7, 4.9 and 4.10 read the
+window's column limits, ``MatrixWindow.columns``.  Every id maps to exactly one evaluator and the
 table is exhaustive.  A verdict carries no evidence: its estimate is the one
 record of the number it was decided on.  The space parameters are valid by
 construction, so no evaluator checks them.
@@ -127,16 +127,15 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     held, assoc = vars(matrix).get("_associate", (None, None))
     if held is p:
         return assoc
-    if matrix.row_tail != STRUCTURAL_TAIL or matrix.row_fn is None:
-        rows, forms = associate_rows(p, matrix.rows)
-        assoc = MatrixWindow(rows, matrix.row_tail, None, matrix.capacity, _integers=forms)
-    else:
-        stored = len(matrix.rows)
+    structural = matrix.row_tail == STRUCTURAL_TAIL and matrix.row_fn is not None
+    stop, capacity = matrix.stored, matrix.capacity
+    if structural:
         capacity = min(c for c in (matrix.capacity, exact_twin(p)[0].capacity) if c is not None)
-        rows, forms = associate_rows(p, matrix.rows + matrix.extended[stored:capacity])
-        assoc = MatrixWindow(rows[:stored], STRUCTURAL_TAIL, rows.__getitem__, len(rows),
-                             _integers=forms)
-    object.__setattr__(matrix, "_associate", (p, assoc))
+        stop = capacity = max(stop, min(capacity, len(matrix.integer_rows)))
+    rows, make_window = associate_rows(p, matrix, stop)
+    assoc = make_window(rows[:matrix.stored], matrix.row_tail,
+                        rows.__getitem__ if structural else None, capacity)
+    matrix._associate = p, assoc
     return assoc
 
 
@@ -161,7 +160,7 @@ def _per_row_tail_condition(window, cond):
                                   "row's triangle)")
     # past the support the tail sums vanish columnwise, in absolute row sums
     # and in total, so 4.16/4.19/4.21/4.22 hold with exact limit 0
-    n = len(window.rows)
+    n = window.stored
     return LimitEstimate(kind, 0, STATUS_EXACT, TREND_EXACT, tuple(range(n)), (0,) * n,
                          note="per-row quantities are finite computations on zero-tail rows")
 

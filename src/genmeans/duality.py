@@ -6,11 +6,13 @@ the extra vector indexed -1 (for the convergent-sequence space) is its row
 sums.  The dual machinery revolves around the associate row R_k(a): the
 source row re-expressed against the inverse columns, one integer product
 with c = 1/s per row.  Every object reads all rows of a call off one sized
-kernel (``operators._InverseKernel``) on the parameters' exact twin, with
-the values read exactly by ``common_denominator``: the tail-sum and
-alpha/gamma dual triangles are running sums of its rows a_j T^{-1}_j.  Every dual/associate input must declare a zero tail so
-each series collapses to a finite sum; anything else is rejected, not
-extrapolated.  ``dual_membership`` reads no kernel: a finitely supported
+kernel (``operators._InverseKernel``) on the parameters' exact twin: a
+window's rows as their integer forms, other values read exactly by
+``common_denominator``.  The tail-sum and alpha/gamma dual triangles are
+running sums of its rows a_j T^{-1}_j.  On the exact backend every window
+made here holds integer forms; values are made only on f64 and for a
+sequence.  Every dual/associate input must declare a zero tail so each series
+collapses to a finite sum; anything else is rejected, not extrapolated.  ``dual_membership`` reads no kernel: a finitely supported
 sequence lies in every dual, so its zero tail is the certificate.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import add
 
@@ -27,10 +30,13 @@ from .scalars import common_denominator
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
+    MatrixWindow,
     SequenceWindow,
     TriangleMatrix,
     ones_sequence,
+    form_values,
     seq_sub,
+    span_form,
     support_of,
     unit_sequence,
 )
@@ -91,28 +97,38 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
                           lower(ell) if space == "c" else None, space == "c")
 
 
-def _kernel(p, rows):
-    """(one kernel sized to the longest support of the value rows, out): every
-    object here reads its rows off this."""
+def _kernel(p, forms):
+    """(one kernel sized to the longest support of the rows of integer forms
+    ``forms``, out): every object here reads its rows off this."""
     q, out = exact_twin(p)
-    return _InverseKernel(q, max(map(support_of, rows), default=0)), out
+    return _InverseKernel(q, max((start + len(ints) for start, ints, *_ in forms), default=0)), out
+
+
+def _form(values):
+    """The integer form (0, ints, den) of a value row up to its support, a float
+    read exactly: what the kernel takes."""
+    return (0, *common_denominator(values[:support_of(values)]))
+
+
+def _span(ints, den):
+    """The integer form of a row ints / den whose zeros are int 0: it holds a
+    Fraction where it holds a nonzero."""
+    return span_form(ints, den, any(ints))
 
 
 def _values(forms, out, widths):
-    """The rows of integer forms (start, ints, den) through ``out``, each as wide
-    as its entry of ``widths``: int 0 or 0.0 for zeros, outside the span too."""
-    zero = 0 if out is Fraction else 0.0
-    return tuple((zero,) * start + tuple(out(v, den) if v else zero for v in ints)
-                 + (zero,) * (width - start - len(ints))
-                 for (start, ints, den), width in zip(forms, widths))
+    """The rows of integer forms through ``out``, each as wide as its entry of
+    ``widths``: int 0 or 0.0 for zeros."""
+    return tuple(map(partial(form_values, zero=0 if out is Fraction else 0.0, out=out),
+                     forms, widths))
 
 
-def _dual_rows(p, a, dual):
+def _dual_triangle(p, a, dual, tail):
     """The alpha, gamma or beta triangle of the values a, off one kernel's
     ``inverse_rows()`` on integers over one denominator: the rows a_j T^{-1}_j,
     their prefix sums (gamma) or suffix sums cut after entry p in row p (beta,
-    the tail sums)."""
-    kernel, out = _kernel(p, (a,))
+    the tail sums); built from the rows' integer forms on the exact backend."""
+    kernel, out = _kernel(p, (_form(a),))
     (rows, den), (nums, da) = kernel.inverse_rows(), common_denominator(a)
     rows = ([[x * v for v in row] for x, row in zip(nums, rows)]
             + [[0] * (j + 1) for j in range(len(rows), len(a))])
@@ -120,17 +136,27 @@ def _dual_rows(p, a, dual):
         rows = list(accumulate(rows, _add_rows))
     elif dual == "beta":
         rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    return _values([(0, row, den * da) for row in rows], out, map(len, rows))
+    forms = [_span(row, den * da) for row in rows]
+    if out is Fraction:
+        return TriangleMatrix._of_forms(forms, tail)
+    return TriangleMatrix(len(rows), _values(forms, out, map(len, rows)), tail)
 
 
-def associate_rows(p, rows) -> tuple:
-    """(R(a) for the values a of each zero-tail row, their integer forms or None
-    for f64): one exact twin and one kernel, sized to the longest support,
-    serve every row (``conditions.transformed_rows``).
+def associate_rows(p, window, stop):
+    """(R(a) for the first ``stop`` extended rows a of ``window``, the window
+    constructor that holds them): one exact twin and one kernel, sized to the
+    longest support, serve every row (``conditions.transformed_rows``).  On the
+    exact backend the rows are integer forms, each ending at the support of a,
+    read off the forms of a, and the constructor ``MatrixWindow._of_forms`` views
+    them as wide as a; on f64 they are float rows as wide as a.
     A support past the parameter capacity raises ``DimensionError``."""
-    kernel, out = _kernel(p, rows)
-    forms = tuple(map(kernel.associate, rows))
-    return _values(forms, out, map(len, rows)), forms if out is Fraction else None
+    forms = [form or _form(window.extended[n]) for n, form in enumerate(window.integer_rows[:stop])]
+    kernel, out = _kernel(p, forms)
+    rows = tuple(_span(*kernel.associate(form)[1:]) for form in forms)
+    widths = tuple(map(window.row_width, range(stop)))
+    if out is Fraction:
+        return rows, partial(MatrixWindow._of_forms, width=widths.__getitem__)
+    return _values(rows, out, widths), MatrixWindow
 
 
 def associate_row(p, a) -> SequenceWindow:
@@ -143,7 +169,9 @@ def associate_row(p, a) -> SequenceWindow:
     for this route in the tests and in ``selfcheck``.
     """
     a.require_zero_tail("dual/associate input")
-    return SequenceWindow(associate_rows(p, (a.values,))[0][0], ZERO_TAIL)
+    form = _form(a.values)
+    kernel, out = _kernel(p, (form,))
+    return SequenceWindow(_values((kernel.associate(form),), out, (len(a),))[0], ZERO_TAIL)
 
 
 def tail_sum_matrix(p, a) -> TriangleMatrix:
@@ -153,7 +181,7 @@ def tail_sum_matrix(p, a) -> TriangleMatrix:
     a zero tail.  ``selfcheck`` holds the closed-form oracle.
     """
     a.require_zero_tail("dual/associate input")
-    return TriangleMatrix(len(a), _dual_rows(p, a.values, "beta"), ZERO_TAIL)
+    return _dual_triangle(p, a.values, "beta", ZERO_TAIL)
 
 
 def alpha_dual_matrix(p, a) -> TriangleMatrix:
@@ -163,7 +191,7 @@ def alpha_dual_matrix(p, a) -> TriangleMatrix:
     if len(a) != p.order:
         raise DimensionError(f"sequence length {len(a)} does not match order {p.order}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(p.order, _dual_rows(p, a.values, "alpha"), tail)
+    return _dual_triangle(p, a.values, "alpha", tail)
 
 
 def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
@@ -179,7 +207,7 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL
-    return TriangleMatrix(L, _dual_rows(p, a.values[:L], "gamma"), tail)
+    return _dual_triangle(p, a.values[:L], "gamma", tail)
 
 
 def dual_membership(p, a, dual, space="c0") -> Verdict:

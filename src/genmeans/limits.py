@@ -16,14 +16,16 @@ holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
 (``MatrixWindow.maximum``), so each estimate and gauge shares them; or a trace
 a caller builds, read afresh.
 
-Row statistics read each row's integer form (``MatrixWindow.integer_rows``,
-the inverse kernel's own for associate rows), its support span: integer adds
-over the span, one Fraction, no gcd per term, the shifted trace merging it with
-the span of the column limits, scaled once per window.  A row or limit vector
-holding a float adds left to right through ``total``.  The column limits
-(``MatrixWindow.columns``, once per window) scatter each row's span into their
-traces, and whether an estimate's value is zero is decided by ``vanishes``
-alone, the one reader of ``TOLERANCE`` besides the ladder.
+Row statistics read each row's integer form (``MatrixWindow.integer_rows``:
+the producer's own for a window the program builds, ``integer_row`` of a row a
+caller passes), its support span and whether the row holds a Fraction: integer
+adds over the span, one Fraction, no gcd per term and no scan of entry types,
+the shifted trace merging it with the span of the column limits, scaled once
+per window.  A row or limit vector holding a float adds left to right through
+``total``.  The column limits (``MatrixWindow.columns``, once per window)
+scatter each row's span from its form into their traces, and whether an
+estimate's value is zero is decided by ``vanishes`` alone, the one reader of
+``TOLERANCE`` besides the ladder, which reads a trace's last window first.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, count, zip_longest
+from itertools import chain, zip_longest
 
 from .scalars import TOLERANCE, common_denominator, zero_like
-from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, support_of
+from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, span_of
 
 STATUS_EXACT = "exact"
 STATUS_TREND = "trend-converged"
@@ -109,11 +111,11 @@ def analyze_tail(values):
     if len(values) < 3:
         return STATUS_INDET, TREND_SHORT, None
     try:
-        full = [float(v) for v in values]
+        # the last window first; the rest of the trace only when a rung needs it
+        floats = [float(v) for v in values[-DEFAULT_TREND_WINDOW:]]
     except OverflowError:
         # past the double range no rung of the ladder can read the trace
         return STATUS_INDET, TREND_DIVERGING, None
-    floats = full[-DEFAULT_TREND_WINDOW:]
     if max(floats) - min(floats) <= TOLERANCE:
         return STATUS_TREND, TREND_CONVERGED, values[-1]
 
@@ -132,6 +134,10 @@ def analyze_tail(values):
         if abs(accelerated[-1] - accelerated[-2]) <= max(TOLERANCE, 1e-9 * scale):
             return STATUS_TREND, TREND_CONVERGED, accelerated[-1]
 
+    try:
+        full = [float(v) for v in values[:-DEFAULT_TREND_WINDOW]] + floats
+    except OverflowError:
+        return STATUS_INDET, TREND_DIVERGING, None
     nonincreasing = all(full[i + 1] <= full[i] for i in range(len(full) - 1))
     nondecreasing = all(full[i + 1] >= full[i] for i in range(len(full) - 1))
 
@@ -165,42 +171,43 @@ def total(values):
 
 
 def integer_row(row):
-    """The integer form (start, ints, den) of a row of int and Fraction entries,
-    its support span: the entries from the first nonzero to the last as ints over
-    den, the lcm of their denominators; None when an entry is a float."""
-    if not set(map(type, row)) <= {int, Fraction}:
+    """The integer form (start, ints, den, fraction) of a row of int and Fraction
+    entries: its support span, the entries from the first nonzero to the last as
+    ints over den, the lcm of their denominators, and whether the row holds a
+    Fraction; None when an entry is a float."""
+    types = set(map(type, row))
+    if not types <= {int, Fraction}:
         return None
     if row and row[0] and row[-1]:
-        return (0, *common_denominator(row))
-    stop = support_of(row)
-    start = next(compress(count(), row), stop)
-    return (start, *common_denominator(row[start:stop]))
+        return (0, *common_denominator(row), Fraction in types)
+    start, stop = span_of(row)
+    return (start, *common_denominator(row[start:stop]), Fraction in types)
 
 
 def row_statistic(row, form, absolute=False, alphas=None, shift=None):
     """sum_k row_k, sum_k |row_k| (``absolute``) or, with ``absolute``,
     sum_k |row_k - alpha_k| (``shift`` the integer form of ``alphas``; both
     padded with zeros) of a row with integer form ``form``, on integers and typed
-    as ``total`` types it; left to right through ``total`` when a form is missing.
-    A float sum of finite entries past the double range raises ``OverflowError``."""
+    as ``total`` types it, an int when neither form records a Fraction; left to
+    right through ``total`` over the values ``row`` when a form is missing.  A
+    float sum of finite entries past the double range raises ``OverflowError``."""
     if form is None or (alphas is not None and shift is None):
         terms = row if alphas is None else [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
         value = total(map(abs, terms)) if absolute else total(terms)
         if math.isinf(value) and all(map(math.isfinite, chain(row, alphas or ()))):
             raise OverflowError("row statistic beyond the double range")
         return value
-    start, ints, den = form
+    start, ints, den, fraction = form
     if shift is not None:
-        at, alpha_ints, alpha_den = shift
+        at, alpha_ints, alpha_den, shifted = shift
+        fraction = fraction or shifted
         if alpha_ints:    # the two spans aligned from the first start on
             lo = min(start, at)
             ints = [v * alpha_den - x * den for v, x in zip_longest(
                 [0] * (start - lo) + ints, [0] * (at - lo) + alpha_ints, fillvalue=0)]
         den *= alpha_den
-    value = Fraction(sum(map(abs, ints)) if absolute else sum(ints), den)
-    if value.denominator == 1 and Fraction not in map(type, chain(row, alphas or ())):
-        return int(value)
-    return value
+    value = sum(map(abs, ints)) if absolute else sum(ints)
+    return Fraction(value, den) if fraction or value % den else value // den
 
 
 def column_value(row, k):
@@ -216,7 +223,7 @@ def _tail_rule(window, trace, undeclared, read=None):
     rows, none, or an undeclared tail (``undeclared``: what its window still says)."""
     if window.row_tail == ZERO_TAIL:
         return STATUS_EXACT, TREND_EXACT, 0, ""
-    if window.row_tail == STRUCTURAL_TAIL and len(trace) > len(window.rows):
+    if window.row_tail == STRUCTURAL_TAIL and len(trace) > window.stored:
         return (*(read or window.reading)(trace)[:3], "")
     if window.row_tail != STRUCTURAL_TAIL:
         note = f"tail undeclared; {undeclared}"
@@ -267,25 +274,28 @@ def limsup_of_rows(window, trace):
 
 def column_limits(window):
     """Per-column limits lim_n a_nk, aggregated over k < width; read through
-    ``MatrixWindow.columns``, computed once per window."""
+    ``MatrixWindow.columns``, computed once per window.  A window whose rows are
+    read past a stored width of 0 reads no column, so it decides nothing."""
     width = window.width
 
-    def read(rows):
-        # each row's span scattered into the column traces, 0 past it; a float row whole
-        traces = [[0] * len(rows) for _ in range(width)]
-        for n, row, form in zip(count(), rows, window.integer_rows):
-            start, span, _ = form or (0, row, None)
-            for k in range(start, min(start + len(span), width)):
-                traces[k][n] = row[k]
+    def read(forms):
+        # each row's span scattered into the column traces, 0 past it
+        traces = [[0] * len(forms) for _ in range(width)]
+        for n, (start, span) in enumerate(window.spans()):
+            for k, value in zip(range(start, width), span):
+                traces[k][n] = value
         statuses, trends, values = zip(*map(analyze_tail, traces)) if traces else ((),) * 3
         return (STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND,
                 trends[0] if len(set(trends)) == 1 else TREND_OSCILLATING, values)
 
-    rows = window.extended
-    status, trend, value, note = _tail_rule(window, rows, "column limits not computable", read)
+    forms = window.integer_rows
+    status, trend, value, note = _tail_rule(window, forms, "column limits not computable", read)
     if status == STATUS_EXACT:
         value = (0,) * width
-    return LimitEstimate("lim", value, status, trend, tuple(range(len(rows))), note=note)
+    elif not (width or note):
+        status, trend, value = STATUS_INDET, TREND_SHORT, None
+        note = "no stored columns: the column limits past the stored width are not read"
+    return LimitEstimate("lim", value, status, trend, tuple(range(len(forms))), note=note)
 
 
 def subset_column_sup(window):

@@ -9,8 +9,10 @@ on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
 sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 compute on integers over one common denominator (fraction-free, as in
 Bareiss elimination), so an inner product costs no gcd, and hand each other
-that integer form; each result value is made once from its integer pair,
-and the inverse kernel's integers go to the row statistics as they are.
+that integer form; each result value is made once from its integer pair.
+W and T hold the integer form of each row, made with one gcd per row, and
+the inverse kernel maps a source row's form to its associate's form, which
+the associate window keeps: the row statistics read them as they are.
 The float backend has one boundary: ``exact_twin`` lifts the parameters and
 makes result values, and ``scalars.common_denominator`` reads input values
 exactly; a triple keeps only its exact twin and its kernels' integer forms.
@@ -35,7 +37,7 @@ from typing import Optional
 from .errors import DimensionError, ParameterError
 from .scalars import (
     FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator, common_quotients)
-from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix, support_of
+from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix, span_form
 
 PRESET_NAMES = ("uv", "euler", "aydin", "lambda", "identity")
 
@@ -138,21 +140,32 @@ def _lifted(p, order):
     return p, order
 
 
-def _structural(order, row, capacity=None):
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)),
-                          STRUCTURAL_TAIL, row_fn=row, capacity=capacity)
+def _structural(order, form, capacity):
+    """The triangle whose row n has integer form ``form(n)``; structural tail."""
+    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
+                                    capacity, zero=Fraction(0))
+
+
+def _row_form(ints, den):
+    """The integer form of the Fraction row ints / den, den > 0, over the lcm of
+    its entries' denominators, which one gcd of the row makes."""
+    g = math.gcd(*ints, den)
+    return span_form([v // g for v in ints], den // g, True)
 
 
 def _mean_row(p):
-    """Row n of W on the exact twin p: entries s_{n-k} t_k / r_n for k <= n."""
+    """Row n of W on the exact twin p, entries s_{n-k} t_k / r_n for k <= n, as
+    integers over the lcm of the entries' denominators: no gcd per entry."""
+
+    (sn, sd), (tn, td) = (zip(*(v.as_integer_ratio() for v in w)) for w in (p.s, p.t))
 
     def row(n):
-        # one Fraction per entry from numerators and denominators: one gcd,
-        # not the four of a Fraction multiply and divide
-        rd, rn = p.r[n].denominator, p.r[n].numerator
-        return tuple(Fraction(p.s[n - k].numerator * p.t[k].numerator * rd,
-                              p.s[n - k].denominator * p.t[k].denominator * rn)
-                     for k in range(n + 1))
+        rn, rd = p.r[n].as_integer_ratio()
+        rd = rd if rn > 0 else -rd
+        nums = [a * b * rd for a, b in zip(sn[n::-1], tn)]
+        dens = list(map(mul, sd[n::-1], td))
+        den = math.lcm(*dens)
+        return [v * (den // d) for v, d in zip(nums, dens)], den * abs(rn)
 
     return row
 
@@ -160,7 +173,8 @@ def _mean_row(p):
 def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
     """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
     p, order = _lifted(p, order)
-    return _structural(order, _mean_row(p), p.capacity)
+    mean_row = _mean_row(p)
+    return _structural(order, lambda n: _row_form(*mean_row(n)), p.capacity)
 
 
 def mean_difference_matrix(p, order=None) -> TriangleMatrix:
@@ -172,11 +186,12 @@ def mean_difference_matrix(p, order=None) -> TriangleMatrix:
     p, order = _lifted(p, order)
     mean_row = _mean_row(p)
 
-    def row(n):
-        d, den = _differences(common_denominator(reversed(mean_row(n))), p.m)
-        return tuple(Fraction(v, den) for v in reversed(d))
+    def form(n):
+        ints, den = mean_row(n)
+        d, den = _differences((ints[::-1], den), p.m)
+        return _row_form(d[::-1], den)
 
-    return _structural(order, row, p.capacity)
+    return _structural(order, form, p.capacity)
 
 
 # Substitution kernels.  They take the exact twin and integer forms (ints, den),
@@ -262,12 +277,14 @@ class _InverseKernel:
         self.r, dr = common_denominator(p.r[:n])
         self.den = dr * dt * dc
 
-    def associate(self, a):
+    def associate(self, form):
         """The integer form (0, R_0 .. R_{s-1} as ints, their one denominator) of R(a)
-        for the values a, s the support of a within the kernel's n terms: with b the
-        m reverse running sums of a, R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer
-        product per entry and no gcd.  R vanishes past the support, so the form ends there."""
-        b, db = common_denominator(reversed(a[:support_of(a)]))
+        for the row a of integer form ``form`` (start, ints, den, ...), s the support
+        of a within the kernel's n terms: with b the m reverse running sums of a,
+        R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer product per entry and no
+        gcd.  R vanishes past the support, so the form ends there."""
+        start, ints, db = form[:3]
+        b = reversed([0] * start + ints)
         for _ in range(self.p.m):
             b = accumulate(b)
         u = list(map(mul, list(b)[::-1], self.tinv))

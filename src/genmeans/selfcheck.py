@@ -42,7 +42,6 @@ from .triangle import (
 from .operators import (
     ParameterTriple,
     _lifted,
-    _structural,
     inverse_transform,
     mean_difference_matrix,
     space_norm,
@@ -163,6 +162,11 @@ def toeplitz_inverse_coeffs(s, count):
             acc += vals[j] * c[n - j]
         c[n] = -acc / vals[0]
     return tuple(c[n] if n % 2 == 0 else -c[n] for n in range(count))
+
+
+def _structural(order, row, capacity=None):
+    """The triangle of the value rows ``row(n)``; structural tail."""
+    return TriangleMatrix(order, tuple(map(row, range(order))), STRUCTURAL_TAIL, row, capacity)
 
 
 def difference_matrix(m, order, backend=RATIONAL) -> TriangleMatrix:

@@ -12,19 +12,28 @@ n+1 entries), so it extends past its order as any window does, and one
 Toeplitz inverse coefficients) is not needed on any production route; it
 lives in ``selfcheck`` as oracles.
 
+On the exact backend a matrix window holds each row as its integer form, the
+row's support span as integers over one denominator: the program's producers
+(W, T, the identity, associates, dual triangles) build windows from forms, and
+their Fraction rows are a view made only when read; rows a caller passes are
+brought to forms once.
+
 Every value is immutable after construction; a window memoizes what it derives
-(extension, row statistics and the trend ladder's readings of them, column
-limits, its latest associate): a race computes one twice, never a wrong one.
+(extension, integer forms, row statistics and the trend ladder's readings of
+them, column limits, its latest associate): a race computes one twice, never a
+wrong one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Optional
+from itertools import compress, count, repeat
+from typing import Optional
 
 from .errors import DimensionError, TailError
-from .scalars import RATIONAL as _RATIONAL_BACKEND
+from .scalars import RATIONAL as _RATIONAL_BACKEND, RATIONAL_MODE
 
 ZERO_TAIL = "zero"
 STRUCTURAL_TAIL = "structural"
@@ -86,6 +95,27 @@ def support_of(values):
     return n
 
 
+def span_of(values):
+    """(start, stop): the index of the first nonzero entry and one past the last."""
+    stop = support_of(values)
+    return next(compress(count(), values), stop), stop
+
+
+def span_form(ints, den, fraction):
+    """The integer form (start, ints, den, fraction) of the row ints / den: its
+    support span, and whether the row holds a Fraction."""
+    start, stop = span_of(ints)
+    return start, ints[start:stop], den, fraction
+
+
+def form_values(form, width, zero=0, out=Fraction):
+    """The ``width`` values of a row of integer form ``form``: out(v, den) for an
+    entry v of its span, ``zero`` for a zero and past the span."""
+    start, ints, den = form[:3]
+    return ((zero,) * start + tuple(out(v, den) if v else zero for v in ints)
+            + (zero,) * (width - start - len(ints)))
+
+
 def unit_sequence(order, j, backend):
     """e_j as a zero-tail window."""
     if not 0 <= j < order:
@@ -107,71 +137,116 @@ def seq_sub(x, y):
     return SequenceWindow(tuple(a - b for a, b in zip(x, y)), tail)
 
 
-@dataclass(frozen=True)
 class MatrixWindow:
     """A general (not necessarily triangular) matrix truncation.
 
     Stored rows are complete supports: entries beyond a stored row are zero,
     so every row has a zero tail in the column direction.  ``row_tail``
-    declares the rows beyond the stored block.  ``row_fn`` optionally
+    declares the rows beyond the ``stored`` block.  ``row_fn`` optionally
     generates row n beyond it when the tail is structural; ``capacity`` is
     the exclusive bound on generatable indices (None = unlimited).
 
-    Row statistics read ``integer_rows``, each extended row's support span
-    (start, ints, den): its entries from the first nonzero to the last as ints
-    over one den, None for a float row; ``_integers`` holds the forms of the
-    leading rows from a builder that has them (the inverse kernel's).
+    Row statistics read ``integer_rows``, each extended row's integer form
+    (start, ints, den, fraction): its support span, the entries from the first
+    nonzero to the last as ints over one den > 0, and whether the row holds a
+    Fraction; None for a float row.  Rows a caller passes are kept and brought
+    to forms once (``limits.integer_row``); a window the program builds holds
+    forms (``_of_forms``), and its ``rows`` and ``extended`` are views.
     """
 
-    rows: tuple
-    row_tail: str = UNKNOWN_TAIL
-    row_fn: Optional[Callable[[int], tuple]] = None
-    capacity: Optional[int] = None
-    _integers: Optional[tuple] = field(default=None, compare=False, repr=False)
-    # {id(trace): its trend ladder reading and max slot} for the traces the window holds
-    readings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, rows, row_tail=UNKNOWN_TAIL, row_fn=None, capacity=None):
+        if row_tail not in MATRIX_TAILS:
+            raise ValueError(f"row tail must be one of {MATRIX_TAILS}, got {row_tail!r}")
+        self.rows, self.row_tail, self.row_fn = tuple(map(tuple, rows)), row_tail, row_fn
+        # readings: {id(trace): its trend ladder reading and max slot} for the traces held
+        self.capacity, self.stored, self._forms, self.readings = capacity, len(self.rows), None, {}
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if self.row_tail not in MATRIX_TAILS:
-            raise ValueError(f"row tail must be one of {MATRIX_TAILS}, got {self.row_tail!r}")
+    @classmethod
+    def _of_forms(cls, forms, row_tail, form_fn=None, capacity=None, zero=0, width=(1).__add__):
+        """The window of the stored rows' integer forms, ``form_fn(n)`` giving row
+        n's past them and ``width(n)`` its width (n + 1: a triangle); its views
+        write ``zero`` for a zero entry."""
+        window = cls.__new__(cls)
+        vars(window).update(row_tail=row_tail, capacity=capacity, stored=len(forms), readings={},
+                            row_fn=form_fn and partial(_generated_row, form_fn, width, zero),
+                            _forms=tuple(forms), _form_fn=form_fn, _width=width, _zero=zero)
+        return window
+
+    @cached_property
+    def rows(self):
+        """The stored rows: the view of their forms, made on first read."""
+        return tuple(form_values(f, self._width(n), self._zero) for n, f in enumerate(self._forms))
 
     @property
     def width(self):
-        return max((len(row) for row in self.rows), default=0)
+        return max(map(self.row_width, range(self.stored)), default=0)
+
+    def row_width(self, n):
+        """The width of extended row n."""
+        if self._forms is None:
+            return len(self.rows[n] if n < self.stored else self.extended[n])
+        return self._width(n) if n < self.stored or self.row_tail == STRUCTURAL_TAIL else 0
+
+    @cached_property
+    def _stop(self):
+        """How many rows the extension holds: zero rows extend freely and
+        structural rows come from the generator, up to EXTENSION_FACTOR times the
+        stored count (bounded by the capacity, stored rows kept); an unknown tail
+        or no generator adds none."""
+        if self.row_tail == UNKNOWN_TAIL or (self.row_tail == STRUCTURAL_TAIL
+                                             and self.row_fn is None):
+            return self.stored
+        stop = EXTENSION_FACTOR * max(self.stored, 1)
+        if self.row_tail == STRUCTURAL_TAIL and self.capacity is not None:
+            stop = max(min(stop, self.capacity), self.stored)
+        return stop
 
     @cached_property
     def extended(self):
-        """The stored rows plus whatever the tail declaration allows, computed
-        once per window: zero rows extend freely and structural rows come from
-        the generator, up to EXTENSION_FACTOR times the stored count (bounded by
-        the capacity, stored rows kept); an unknown tail or no generator adds none."""
-        if self.row_tail == UNKNOWN_TAIL or (self.row_tail == STRUCTURAL_TAIL
-                                             and self.row_fn is None):
-            return self.rows
-        stop = EXTENSION_FACTOR * max(len(self.rows), 1)
-        if self.row_tail == STRUCTURAL_TAIL and self.capacity is not None:
-            stop = max(min(stop, self.capacity), len(self.rows))
-        return tuple(self.row(n) for n in range(stop))
+        """The stored rows and the ``_stop`` past them, computed once per window."""
+        if self._forms is None:
+            return tuple(map(self.row, range(self._stop)))
+        return self.rows + tuple(form_values(self.integer_rows[n], self.row_width(n), self._zero)
+                                 for n in range(self.stored, self._stop))
 
     @cached_property
     def integer_rows(self):
         """The integer form of each extended row, computed once per window."""
-        from .limits import integer_row    # limits imports this module
-        given = self._integers or ()
-        return given[:len(self.extended)] + tuple(map(integer_row, self.extended[len(given):]))
+        past = range(self.stored, self._stop)
+        if self._forms is None:
+            from .limits import integer_row    # limits imports this module
+            forms = tuple(map(integer_row, self.rows))
+            more = map(integer_row, self.extended[self.stored:])
+        else:
+            forms, more = self._forms, map(self._form_fn, past)
+        if self.row_tail != STRUCTURAL_TAIL:    # zero rows past the stored ones, or none
+            more = ((0, [], 1, False) for _ in past)
+        return forms + tuple(more)
+
+    def spans(self):
+        """(start, entries) of each extended row's support span; a float row whole."""
+        if self._forms is not None:
+            return ((f[0], tuple(Fraction(v, f[2]) if v else self._zero for v in f[1]))
+                    for f in self.integer_rows)
+        return ((0, row) if f is None else (f[0], row[f[0]:f[0] + len(f[1])])
+                for f, row in zip(self.integer_rows, self.extended))
+
+    def _statistic(self, rows=None, **options):
+        """``limits.row_statistic`` of each extended row off its form: of its
+        values only where it has none, or where ``rows`` are given."""
+        from .limits import row_statistic
+        rows = rows or (self.extended if self._forms is None else repeat(None))
+        return tuple(map(partial(row_statistic, **options), rows, self.integer_rows))
 
     @cached_property
     def row_sums(self):
         """sum_k a_nk over the extended rows, computed once per window."""
-        from .limits import row_statistic
-        return tuple(map(row_statistic, self.extended, self.integer_rows))
+        return self._statistic()
 
     @cached_property
     def row_abs_sums(self):
         """sum_k |a_nk| over the extended rows, computed once per window."""
-        from .limits import row_statistic
-        return tuple(map(partial(row_statistic, absolute=True), self.extended, self.integer_rows))
+        return self._statistic(absolute=True)
 
     @cached_property
     def row_sum_magnitudes(self):
@@ -188,13 +263,15 @@ class MatrixWindow:
     def shifted_abs_sums(self):
         """sum_k |a_nk - alpha_k| over the extended rows, alpha the column limits,
         or None for unresolved alpha, computed once per window: alpha is brought
-        to its span once, and each row's span merges with it."""
-        from .limits import STATUS_INDET, integer_row, row_statistic
+        to its span once, and each row's span merges with it; a float alpha is
+        subtracted from the rows' values."""
+        from .limits import STATUS_INDET, integer_row
         alphas = self.columns.value
         if self.columns.status == STATUS_INDET or alphas is None:
             return None
-        stat = partial(row_statistic, absolute=True, alphas=alphas, shift=integer_row(alphas))
-        return tuple(map(stat, self.extended, self.integer_rows))
+        shift = integer_row(alphas)
+        return self._statistic(None if shift else self.extended, absolute=True,
+                               alphas=alphas, shift=shift)
 
     def reading(self, trace):
         """[*``limits.analyze_tail(trace)``, max slot]: kept in ``readings`` for a
@@ -220,7 +297,7 @@ class MatrixWindow:
 
     def row(self, n):
         """Row n, or None when the tail declaration cannot produce it."""
-        if n < len(self.rows):
+        if n < self.stored:
             return self.rows[n]
         if self.row_tail == ZERO_TAIL:
             return ()
@@ -228,6 +305,10 @@ class MatrixWindow:
             if self.capacity is None or n < self.capacity:
                 return tuple(self.row_fn(n))
         return None
+
+
+def _generated_row(form_fn, width, zero, n):
+    return form_values(form_fn(n), width(n), zero)
 
 
 class TriangleMatrix(MatrixWindow):
@@ -246,7 +327,7 @@ class TriangleMatrix(MatrixWindow):
 
     @property
     def order(self):
-        return len(self.rows)
+        return self.stored
 
     @property
     def tail(self):
@@ -254,14 +335,20 @@ class TriangleMatrix(MatrixWindow):
 
 
 def identity(order, backend=None):
-    """The identity triangle; its structural tail extends to every index."""
+    """The identity triangle; its structural tail extends to every index.  On the
+    exact backend row n is the integer form (n, [1], 1, True)."""
     backend = backend or _RATIONAL_BACKEND
-    one, zero = backend.one, backend.zero
+    if backend.mode == RATIONAL_MODE:
+        def form(n):
+            return n, [1], 1, True
+
+        return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
+                                        zero=Fraction(0))
 
     def row(n):
-        return tuple(zero for _ in range(n)) + (one,)
+        return (backend.zero,) * n + (backend.one,)
 
-    return TriangleMatrix(order, tuple(row(n) for n in range(order)), STRUCTURAL_TAIL, row_fn=row)
+    return TriangleMatrix(order, tuple(map(row, range(order))), STRUCTURAL_TAIL, row_fn=row)
 
 
 def apply(matrix, x):

@@ -273,12 +273,13 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
             shifted.append(row)
         return row_statistic(row, form, absolute, alphas, shift)
 
-    # the window brings each extended row over one denominator through
-    # limits.integer_row, and every row statistic, the column-shifted trace
-    # included, reads that form through limits.row_statistic
+    # a window of caller rows brings each extended row over one denominator
+    # through limits.integer_row, and every row statistic, the column-shifted
+    # trace included, reads that form through limits.row_statistic
     monkeypatch.setattr(limits, "integer_row", counting_integer_row)
     monkeypatch.setattr(limits, "row_statistic", counting_row_statistic)
-    A = supplied_associate(identity(8))
+    eye = identity(8)
+    A = supplied_associate(MatrixWindow(eye.rows, "structural", eye.row_fn))
     p = euler_triple(4)
     operator_norm(p, A)
     chi_norm(p, A, "c0")
@@ -295,6 +296,13 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     # same associate scales no row and sums no row again
     assert chi_norm(preset(PresetSpec("aydin", alpha=F(1, 3)), 6, m=2), A, "c") == chi
     assert len(shifted) == 32 and len(scaled) == 33
+    # the program's identity holds its forms: it scales only its column limits,
+    # reads no row's values and makes no Fraction row
+    program = supplied_associate(identity(8))
+    shifted.clear()
+    assert chi_norm(p, program, "c") == chi and operator_norm(p, program) == operator_norm(p, A)
+    assert len(scaled) == 34 and shifted == [None] * 32
+    assert "rows" not in vars(program.window) and "extended" not in vars(program.window)
 
 
 def test_gauges_on_one_associate_run_the_ladder_once_per_trace(monkeypatch):

@@ -42,7 +42,7 @@ from genmeans import (
     unit_sequence,
     weighted_mean_matrix,
 )
-from genmeans import compactness, conditions, limits, operators
+from genmeans import compactness, conditions, limits, operators, triangle
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
 
@@ -644,16 +644,19 @@ def test_column_limits_scatter_the_row_spans(data):
 
 
 def test_associate_forms_end_at_the_source_support():
-    # the kernel's form of R(a) starts at 0 and ends at the support of a; the
-    # associate rows keep the width of their source rows, and the zero tail
-    # extends the four stored rows by twelve empty ones
+    # the associate's form of R(a) is its support span, which ends at the
+    # support of a; the associate rows keep the width of their source rows,
+    # their zeros are int 0, and the zero tail extends the four stored rows by
+    # twelve empty ones
     p = preset(PresetSpec("euler", alpha=F(1, 2)), 4, m=1)
     A = MatrixWindow(((F(1), F(2), F(0), F(0)), (0, F(1, 3)), (), (F(0),) * 3), "zero")
     assoc = transformed_rows(p, A)
-    assert [form[:1] + (len(form[1]),) for form in assoc.integer_rows] == (
-        [(0, 2), (0, 2)] + [(0, 0)] * 14)
-    for source, row, (start, ints, den) in zip(A.rows, assoc.rows, assoc.integer_rows):
-        assert row == tuple(F(v, den) for v in ints) + (0,) * (len(source) - len(ints))
+    assert [form[:1] + (len(form[1]), form[3]) for form in assoc.integer_rows] == (
+        [(0, 2, True), (1, 1, True)] + [(0, 0, False)] * 14)
+    for source, row, (start, ints, den, _) in zip(A.rows, assoc.rows, assoc.integer_rows):
+        assert row == (0,) * start + tuple(F(v, den) for v in ints) + (0,) * (
+            len(source) - start - len(ints))
+        assert [type(v) for v in row] == [F if v else int for v in row]
 
 
 @pytest.mark.xfail(
@@ -670,6 +673,47 @@ def test_column_limits_past_the_stored_width():
     W = MatrixWindow(tuple(map(row, range(16))), "structural", row)
     assert condition_verdict("4.10", eval_condition("4.10", W)).status != "violated"
     assert chi_norm(None, supplied_associate(W), "c").verdict().status != "violated"
+
+
+def test_columns_past_no_stored_row_decide_nothing():
+    # with no stored rows the stored width is 0: column 1 tends to -1, so 4.7
+    # does not hold, and the window reads no column limit at all
+    def row(n):
+        return (F(1, 2) if n == 0 else 0, -1)
+
+    W = MatrixWindow((), "structural", row)
+    for cond in ("4.7", "4.9", "4.10"):
+        est = eval_condition(cond, W)
+        assert (est.status, est.value) == ("indeterminate", None)
+        assert condition_verdict(cond, est).status == "indeterminate"
+    assert W.columns.note.startswith("no stored columns")
+    assert chi_norm(None, supplied_associate(W), "c").verdict().status == "indeterminate"
+
+
+def test_classifying_generated_triangles_makes_no_fraction_row(monkeypatch):
+    # W and T hold their rows' integer forms: the nine classifications of each
+    # read the forms and map them to the associate's, making no row's values;
+    # they report as windows of the same Fraction rows do
+    made = []
+    form_values = triangle.form_values
+
+    def counting_form_values(*args, **kwargs):
+        made.append(args)
+        return form_values(*args, **kwargs)
+
+    monkeypatch.setattr(triangle, "form_values", counting_form_values)
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1)
+    for matrix in (weighted_mean_matrix(p), mean_difference_matrix(p)):
+        reports = [classify_map(p, matrix, source, target)
+                   for source, target in sorted(REQUIRED_CONDITIONS)]
+        assoc = transformed_rows(p, matrix)
+        assert made == []
+        for window in (matrix, assoc):
+            assert not {"rows", "extended"} & set(vars(window))
+        given = MatrixWindow(matrix.rows, "structural", matrix.row_fn, matrix.capacity)
+        assert reports == [classify_map(p, given, source, target)
+                           for source, target in sorted(REQUIRED_CONDITIONS)]
+        made.clear()
 
 
 def test_structural_identity_violates_null_target():

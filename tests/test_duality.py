@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from genmeans import (
     DimensionError,
     FLOAT64,
+    MatrixWindow,
     PresetSpec,
     RATIONAL,
     SequenceWindow,
@@ -30,6 +31,7 @@ from genmeans import (
 )
 from genmeans import operators
 from genmeans.duality import associate_rows
+from genmeans.limits import integer_row
 from genmeans.operators import _InverseKernel, exact_twin
 from genmeans.selfcheck import (
     associate_row_closed,
@@ -268,7 +270,7 @@ def check_kernel_against_dense_inverse(q, a):
     rows, den = kernel.inverse_rows()
     assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
     assert len(a) == n
-    start, ints, den = kernel.associate(a)
+    start, ints, den = kernel.associate(integer_row(a))
     # the form ends at the support of a, where R vanishes
     assert start == 0 and len(ints) == support_of(a)
     assert [F(v, den) for v in ints] + [0] * (n - len(ints)) == [
@@ -306,10 +308,10 @@ def test_kernel_runs_f64_through_the_exact_twin(p, data):
     q = exact_twin(p)[0]
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
-    _, ints, den = _InverseKernel(q, len(a)).associate(tuple(map(F, a)))
+    _, ints, den = _InverseKernel(q, len(a)).associate(integer_row(tuple(map(F, a))))
     # float rows hand out no integer form: their statistics add the floats
     values = tuple(float(F(v, den)) for v in ints) + (0.0,) * (len(a) - len(ints))
-    assert associate_rows(p, (a,)) == ((values,), None)
+    assert associate_rows(p, MatrixWindow((a,)), 1) == ((values,), MatrixWindow)
 
 
 def test_kernel_support_at_and_past_the_capacity():
@@ -328,7 +330,7 @@ def test_kernel_support_at_and_past_the_capacity():
         with pytest.raises(DimensionError):
             fn(p, past)
     with pytest.raises(DimensionError):
-        associate_rows(p, (past.values,))
+        associate_rows(p, MatrixWindow((past.values,)), 1)
     with pytest.raises(DimensionError):
         _InverseKernel(p, n + 1)
 

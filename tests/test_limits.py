@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given
@@ -115,6 +116,15 @@ def test_trace_beyond_the_double_range_is_indeterminate():
         assert est.value == 2 ** (40 * 31)    # the observed max, a lower bound
 
 
+def test_ladder_reads_the_last_window_before_the_rest():
+    # a term past the double range before a settled window does not stop the
+    # settled rung; the rungs that read the whole trace still cannot read it
+    assert analyze_tail([2 ** 2000] + [F(1, 3)] * 8) == (STATUS_TREND, "converged", F(1, 3))
+    assert analyze_tail([2 ** 2000] + [F(1, n + 1) for n in range(1, 40)]) == (
+        STATUS_INDET, "diverging", None)
+    assert analyze_tail([F(1, 3)] * 8 + [2 ** 2000]) == (STATUS_INDET, "diverging", None)
+
+
 def test_float_row_sums_add_left_to_right():
     # compensated summation (sum() since Python 3.12) would give 1.0
     assert MatrixWindow(((1e16, 1.0, -1e16),)).row_sums == (0.0,)
@@ -169,9 +179,10 @@ def test_exact_row_statistics_match_left_to_right_sums(row, alphas):
 @given(exact_rows)
 @example([F(0), 0, F(0)])
 def test_integer_form_is_the_support_span(row):
-    # (start, ints, den): the entries from the first nonzero to the last over
-    # one denominator, zeros outside it
-    start, ints, den = integer_row(row)
+    # (start, ints, den, fraction): the entries from the first nonzero to the
+    # last over one denominator, zeros outside it, and whether a Fraction is there
+    start, ints, den, fraction = integer_row(row)
+    assert fraction == any(type(v) is F for v in row)
     support = [k for k, v in enumerate(row) if v]
     assert (start, len(ints)) == ((support[0], support[-1] + 1 - support[0]) if support
                                   else (0, 0))
@@ -182,9 +193,74 @@ def test_integer_form_is_the_support_span(row):
 def test_identity_associate_forms_hold_one_integer_per_row():
     # the 256 extended rows of the supplied identity: one nonzero each
     A = supplied_associate(identity(64)).window
-    assert A.integer_rows == tuple((n, [1], 1) for n in range(256))
+    assert A.integer_rows == tuple((n, [1], 1, True) for n in range(256))
     assert A.row_sums == A.row_abs_sums == A.shifted_abs_sums == (1,) * 256
     assert A.columns.value == (0,) * 64
+
+
+def form_and_row_window(row, stored, tail, generate, capacity, zero):
+    """(the window built from the integer forms of rows ``row(n)``, the window
+    built from those rows); its Fraction views write ``zero``."""
+    def form(n):
+        return integer_row(row(n))
+
+    built = MatrixWindow._of_forms([form(n) for n in range(stored)], tail,
+                                   form if generate else None, capacity, zero,
+                                   lambda n: len(row(n)))
+    given = MatrixWindow(tuple(map(row, range(stored))), tail, row if generate else None, capacity)
+    return built, given
+
+
+@st.composite
+def form_and_row_windows(draw):
+    """``form_and_row_window`` on row n = a_k + b_k q^n, for drawn int and
+    Fraction a, b, widths varying with n, the views' zero 0 or Fraction(0), and a
+    tail: zero, unknown, or structural with or without a generator and a capacity."""
+    zero = draw(st.sampled_from((0, F(0))))
+    a, b = draw(exact_rows), draw(exact_rows)
+    q = draw(st.sampled_from((F(1), F(1, 2), F(-1, 3), F(2))))
+    tail = draw(st.sampled_from(("zero", "structural", "unknown")))
+
+    def row(n):
+        values = [x + y * q ** n for x, y in zip_longest(a, b, fillvalue=0)]
+        return tuple(F(v) if v else zero for v in values[:max(0, len(values) - n % 3)])
+
+    return form_and_row_window(row, draw(st.integers(min_value=0, max_value=6)), tail,
+                               tail == "structural" and draw(st.booleans()),
+                               draw(st.one_of(st.none(), st.integers(min_value=0, max_value=30))),
+                               zero)
+
+
+def check_form_and_row_windows(built, given):
+    # the same rows, forms, typed row statistics, column limits, shifted trace
+    # and estimates, whether the window holds forms or the rows a caller passed
+    held = ("row_sums", "row_abs_sums", "row_sum_magnitudes", "shifted_abs_sums")
+    got, want = ([repr(getattr(w, name)) for name in held + ("columns",)] for w in (built, given))
+    assert got == want
+    assert repr((built.rows, built.extended)) == repr((given.rows, given.extended))
+    assert built.integer_rows == given.integer_rows and built.width == given.width
+    for name in held:
+        if getattr(given, name) is not None:
+            for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
+                assert repr(estimate(built, getattr(built, name))) == repr(
+                    estimate(given, getattr(given, name)))
+
+
+@given(form_and_row_windows())
+def test_windows_built_from_forms_read_as_windows_of_their_rows(windows):
+    check_form_and_row_windows(*windows)
+
+
+def test_window_built_from_forms_subtracts_a_float_column_limit_from_its_rows():
+    # 1 + 2^-n and 3 - 2^-n do not settle in 16 rows: the ladder reads their
+    # column limits 1 and 3 as accelerated floats, which the shifted trace
+    # subtracts from the rows' values
+    def row(n):
+        return (1 + F(1, 2 ** n), F(0), 3 - F(1, 2 ** n))
+
+    built, given = form_and_row_window(row, 4, "structural", True, None, F(0))
+    assert [type(v) for v in built.columns.value] == [float, F, float]
+    check_form_and_row_windows(built, given)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -236,6 +312,7 @@ def test_structural_tail_without_generator_is_named_by_every_estimator():
 CAPPED = "structural tail not extendable past the stored rows"
 NO_GENERATOR = "structural tail has no generator available; stored window only"
 UNDECLARED = "tail undeclared; "
+NO_COLUMNS = "no stored columns: the column limits past the stored width are not read"
 EXACT = (STATUS_EXACT, "exact")
 SHORT = (STATUS_INDET, "short")
 NOT_EXTENDED = (*SHORT, None)
@@ -273,7 +350,7 @@ TAIL_RULE_TABLE = {
                       (STATUS_INDET, "oscillating", None, ""),
                       (STATUS_INDET, "drifting", F(3, 2),
                        "tail trace unresolved; windowed max reported"),
-                      (STATUS_TREND, "oscillating", (), "")),
+                      (*SHORT, None, NO_COLUMNS)),
     (0, "capped"): ((*NOT_EXTENDED, "no rows"), (*NOT_EXTENDED, CAPPED),
                     (*NOT_EXTENDED, CAPPED), (*NOT_EXTENDED, "no rows"),
                     (*NOT_EXTENDED, CAPPED)),

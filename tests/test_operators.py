@@ -34,6 +34,7 @@ from genmeans.operators import (
     _running_sums,
     exact_twin,
 )
+from genmeans.limits import integer_row
 from genmeans.scalars import common_denominator
 from genmeans.selfcheck import (
     compose,
@@ -537,7 +538,7 @@ def test_integer_kernels_match_dense_triangles(m, q, data):
     # the associate product: a against the columns of the dense T^{-1}
     a = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
     S = mean_difference_inverse(q, q.capacity)
-    start, ints, den = _InverseKernel(q, len(a)).associate(a)
+    start, ints, den = _InverseKernel(q, len(a)).associate(integer_row(a))
     assert start == 0 and [F(v, den) for v in ints] + [0] * (len(a) - len(ints)) == [
         sum(a[j] * S.entry(j, k) for j in range(k, len(a))) for k in range(len(a))]
 
