@@ -224,6 +224,8 @@ def _generated_rows_match_direct_kernel(p):
     for n in range(p.order, p.capacity):
         assert T.row(n) == tuple(composite_entry(p, n, j) for j in range(n + 1))
     assert T.row(p.capacity) is None
+    # each row is built as its integer form: the one integer_row makes of its values
+    assert T.integer_rows == tuple(map(integer_row, T.extended))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
