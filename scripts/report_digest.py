@@ -43,13 +43,6 @@ SCRIPTS = (("compactness_survey.py", "12"), ("transform_demo.py", "8"))
 EXPECTED = os.path.join(ROOT, "scripts", "report_digests.txt")
 
 
-def _run(job, caches):
-    if job.fresh:
-        for fn in caches:
-            fn.cache_clear()
-    return job.run()
-
-
 def digest(texts):
     h = hashlib.sha256()
     for text in texts:
@@ -59,24 +52,23 @@ def digest(texts):
 
 
 def digest_lines():
-    caches = workloads.program_caches()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             load = workloads.Analysis(seed, "full", os.path.join(tmp, f"a{seed}"))
-            texts = [json.dumps(_plain(_run(job, caches)), sort_keys=True)
+            texts = [json.dumps(_plain(job.run()), sort_keys=True)
                      for job in load.cycle()]
             yield f"analysis seed {seed}: {len(texts)} jobs {digest(texts)}"
         for seed in SEEDS:
             load = workloads.Cli(seed, "full", os.path.join(tmp, f"c{seed}"))
             texts = []
             for spec in load.specs:
-                code, out, _err = _run(in_process(load._job(*spec)), caches)
+                code, out, _err = in_process(load._job(*spec)).run()
                 texts.append(f"{code}\n{out}")
             load.close()
             yield f"cli seed {seed}: {len(texts)} jobs {digest(texts)}"
         for name in ("roundtrip-cold", "roundtrip-warm"):
             load = workloads.WORKLOADS[name](SEEDS[0], "full", os.path.join(tmp, name))
-            texts = [repr(_run(job, caches)) for job in load.cycle()]
+            texts = [repr(job.run()) for job in load.cycle()]
             yield f"{name} seed {SEEDS[0]}: {len(texts)} jobs {digest(texts)}"
     path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
     for script, arg in SCRIPTS:

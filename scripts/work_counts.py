@@ -15,11 +15,14 @@ cycle every row but ``math.gcd``.
   Fraction.__new__     every rational built
   common_denominator   every lcm taken over a list of values
   math.gcd             every gcd taken, by ``Fraction`` or by a kernel
-  integer_row          every row a caller supplied, and every column-limit
-                       vector, brought to its integer form
-  form entries         the integers the windows' integer forms hold (each
-                       window's ``MatrixWindow.integer_rows``, made once)
-  Fraction rows made   every row made as values from its integer form
+  integer_row          every column-limit vector and every row a caller's
+                       generator makes, brought to its form; a caller's stored
+                       rows are brought to forms as its window is built, which
+                       the analysis workload does in set-up
+  form entries         the integers the windows' exact forms hold (each
+                       window's ``MatrixWindow.integer_rows``, made once); a
+                       float row's form, its own values, holds none
+  Fraction rows made   every row made as values from its form
                        (``triangle.form_values``), for a reader of them
   analyze_tail         every run of the trend ladder over a trace
   estimates            every sup_of_rows, limit_of_rows and limsup_of_rows call:
@@ -90,8 +93,9 @@ CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-col
 @contextlib.contextmanager
 def held_forms(found):
     """Add to ``found["form entries"]``, when it is counted, the integers of
-    every integer form ``MatrixWindow.integer_rows`` makes: ints of (ints, den)
-    or (start, ints, den[, fraction]), None (a float row) holding none."""
+    every exact form ``MatrixWindow.integer_rows`` makes: ints of (ints, den)
+    or (start, ints, den[, fraction]); a float row's form, None or
+    (0, values, None, False), holds none."""
     prop = vars(MatrixWindow).get("integer_rows")
     if prop is None or "form entries" not in found:
         yield
@@ -101,7 +105,8 @@ def held_forms(found):
     def counting(window):
         forms = make(window)
         found["form entries"] += sum(len(form[0] if isinstance(form[0], list) else form[1])
-                                     for form in forms if form is not None)
+                                     for form in forms
+                                     if form is not None and None not in form[2:3])
         return forms
 
     prop.func = counting

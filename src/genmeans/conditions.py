@@ -5,8 +5,8 @@ on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
 transported through the mean-difference coordinate change.  Most are their
 raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``), which
-``transformed_rows`` maps once per triple from the source rows' integer forms
-to theirs and keeps on the source window, so every classification and gauge
+``transformed_rows`` maps once per triple from the source rows' forms to
+theirs and keeps on the source window, so every classification and gauge
 of one operator reads one associate; 4.24 is the sup of the associate's held
 |row total| trace; the rest are per-row on the tail-sum triangles, certified
 by the finite support of every source row and the row-tail declaration, with
@@ -132,9 +132,10 @@ def transformed_rows(p, matrix) -> MatrixWindow:
     if structural:
         capacity = min(c for c in (matrix.capacity, exact_twin(p)[0].capacity) if c is not None)
         stop = capacity = max(stop, min(capacity, len(matrix.integer_rows)))
-    rows, make_window = associate_rows(p, matrix, stop)
-    assoc = make_window(rows[:matrix.stored], matrix.row_tail,
-                        rows.__getitem__ if structural else None, capacity)
+    forms, widths = associate_rows(p, matrix, stop), tuple(map(matrix.row_width, range(stop)))
+    assoc = MatrixWindow._of_forms(forms[:matrix.stored], matrix.row_tail,
+                                   forms.__getitem__ if structural else None, capacity,
+                                   width=widths.__getitem__)
     matrix._associate = p, assoc
     return assoc
 

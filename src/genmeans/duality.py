@@ -7,11 +7,12 @@ sums.  The dual machinery revolves around the associate row R_k(a): the
 source row re-expressed against the inverse columns, one integer product
 with c = 1/s per row.  Every object reads all rows of a call off one sized
 kernel (``operators._InverseKernel``) on the parameters' exact twin: a
-window's rows as their integer forms, other values read exactly by
+window's rows as their forms, a float row and other values read exactly by
 ``common_denominator``.  The tail-sum and alpha/gamma dual triangles are
-running sums of its rows a_j T^{-1}_j.  On the exact backend every window
-made here holds integer forms; values are made only on f64 and for a
-sequence.  Every dual/associate input must declare a zero tail so each series
+running sums of its rows a_j T^{-1}_j.  Every window made here is built from
+its rows' forms by one constructor on either backend, each row lowered past
+the float boundary once (``_lower``); values are made only for a sequence.
+Every dual/associate input must declare a zero tail so each series
 collapses to a finite sum; anything else is rejected, not extrapolated.  ``dual_membership`` reads no kernel: a finitely supported
 sequence lies in every dual, so its zero tail is the certificate.
 """
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 
 from .errors import DimensionError
@@ -30,7 +30,6 @@ from .scalars import common_denominator
 from .triangle import (
     UNKNOWN_TAIL,
     ZERO_TAIL,
-    MatrixWindow,
     SequenceWindow,
     TriangleMatrix,
     ones_sequence,
@@ -110,24 +109,20 @@ def _form(values):
     return (0, *common_denominator(values[:support_of(values)]))
 
 
-def _span(ints, den):
-    """The integer form of a row ints / den whose zeros are int 0: it holds a
-    Fraction where it holds a nonzero."""
-    return span_form(ints, den, any(ints))
-
-
-def _values(forms, out, widths):
-    """The rows of integer forms through ``out``, each as wide as its entry of
-    ``widths``: int 0 or 0.0 for zeros."""
-    return tuple(map(partial(form_values, zero=0 if out is Fraction else 0.0, out=out),
-                     forms, widths))
+def _lower(out, width, ints, den):
+    """The form of the row ints / den past the float boundary ``out``: its support
+    span on the exact backend, a Fraction row where it holds a nonzero; on f64 its
+    floats, padded with 0.0 to ``width``."""
+    if out is Fraction:
+        return span_form(ints, den, any(ints))
+    return 0, tuple(map(out, ints, repeat(den))) + (0.0,) * (width - len(ints)), None, False
 
 
 def _dual_triangle(p, a, dual, tail):
     """The alpha, gamma or beta triangle of the values a, off one kernel's
     ``inverse_rows()`` on integers over one denominator: the rows a_j T^{-1}_j,
     their prefix sums (gamma) or suffix sums cut after entry p in row p (beta,
-    the tail sums); built from the rows' integer forms on the exact backend."""
+    the tail sums); built from the rows' forms (``_lower``)."""
     kernel, out = _kernel(p, (_form(a),))
     (rows, den), (nums, da) = kernel.inverse_rows(), common_denominator(a)
     rows = ([[x * v for v in row] for x, row in zip(nums, rows)]
@@ -136,27 +131,19 @@ def _dual_triangle(p, a, dual, tail):
         rows = list(accumulate(rows, _add_rows))
     elif dual == "beta":
         rows = list(accumulate(reversed(rows), lambda w, row: list(map(add, w, row))))[::-1]
-    forms = [_span(row, den * da) for row in rows]
-    if out is Fraction:
-        return TriangleMatrix._of_forms(forms, tail)
-    return TriangleMatrix(len(rows), _values(forms, out, map(len, rows)), tail)
+    return TriangleMatrix._of_forms([_lower(out, len(row), row, den * da) for row in rows], tail)
 
 
 def associate_rows(p, window, stop):
-    """(R(a) for the first ``stop`` extended rows a of ``window``, the window
-    constructor that holds them): one exact twin and one kernel, sized to the
-    longest support, serve every row (``conditions.transformed_rows``).  On the
-    exact backend the rows are integer forms, each ending at the support of a,
-    read off the forms of a, and the constructor ``MatrixWindow._of_forms`` views
-    them as wide as a; on f64 they are float rows as wide as a.
-    A support past the parameter capacity raises ``DimensionError``."""
-    forms = [form or _form(window.extended[n]) for n, form in enumerate(window.integer_rows[:stop])]
+    """The forms of R(a) for the first ``stop`` extended rows a of ``window``, each
+    as wide as a (``_lower``): one exact twin and one kernel, sized to the longest
+    support, serve every row (``conditions.transformed_rows``), each read off the
+    form of a, a float row read exactly.  A support past the parameter capacity
+    raises ``DimensionError``."""
+    forms = [form if form[2] else _form(form[1]) for form in window.integer_rows[:stop]]
     kernel, out = _kernel(p, forms)
-    rows = tuple(_span(*kernel.associate(form)[1:]) for form in forms)
-    widths = tuple(map(window.row_width, range(stop)))
-    if out is Fraction:
-        return rows, partial(MatrixWindow._of_forms, width=widths.__getitem__)
-    return _values(rows, out, widths), MatrixWindow
+    return tuple(_lower(out, window.row_width(n), *kernel.associate(form)[1:])
+                 for n, form in enumerate(forms))
 
 
 def associate_row(p, a) -> SequenceWindow:
@@ -171,7 +158,8 @@ def associate_row(p, a) -> SequenceWindow:
     a.require_zero_tail("dual/associate input")
     form = _form(a.values)
     kernel, out = _kernel(p, (form,))
-    return SequenceWindow(_values((kernel.associate(form),), out, (len(a),))[0], ZERO_TAIL)
+    row = _lower(out, len(a), *kernel.associate(form)[1:])
+    return SequenceWindow(form_values(row, len(a)), ZERO_TAIL)
 
 
 def tail_sum_matrix(p, a) -> TriangleMatrix:

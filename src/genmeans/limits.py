@@ -16,16 +16,16 @@ holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
 (``MatrixWindow.maximum``), so each estimate and gauge shares them; or a trace
 a caller builds, read afresh.
 
-Row statistics read each row's integer form (``MatrixWindow.integer_rows``:
-the producer's own for a window the program builds, ``integer_row`` of a row a
-caller passes), its support span and whether the row holds a Fraction: integer
-adds over the span, one Fraction, no gcd per term and no scan of entry types,
-the shifted trace merging it with the span of the column limits, scaled once
-per window.  A row or limit vector holding a float adds left to right through
-``total``.  The column limits (``MatrixWindow.columns``, once per window)
-scatter each row's span from its form into their traces, and whether an
-estimate's value is zero is decided by ``vanishes`` alone, the one reader of
-``TOLERANCE`` besides the ladder, which reads a trace's last window first.
+Row statistics read each row's form alone (``MatrixWindow.integer_rows``, all
+a window holds), an exact row's support span and whether it holds a Fraction:
+integer adds over the span, one Fraction, no gcd per term and no scan of entry
+types, the shifted trace merging it with the span of the column limits, scaled
+once per window.  A float row's form is its values, which, like a limit vector
+holding a float, add left to right through ``total``.  The column limits
+(``MatrixWindow.columns``, once per window) scatter each row's span from its
+form into their traces, and whether an estimate's value is zero is decided
+by ``vanishes`` alone, the one reader of ``TOLERANCE`` besides the ladder,
+which reads a trace's last window first.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import chain, zip_longest
 
 from .scalars import TOLERANCE, common_denominator, zero_like
-from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, span_of
+from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, form_values, span_form
 
 STATUS_EXACT = "exact"
 STATUS_TREND = "trend-converged"
@@ -171,33 +171,32 @@ def total(values):
 
 
 def integer_row(row):
-    """The integer form (start, ints, den, fraction) of a row of int and Fraction
-    entries: its support span, the entries from the first nonzero to the last as
-    ints over den, the lcm of their denominators, and whether the row holds a
-    Fraction; None when an entry is a float."""
+    """The form (start, ints, den, fraction) of a row of int and Fraction entries:
+    its support span, the entries from the first nonzero to the last as ints over
+    den, the lcm of their denominators, and whether the row holds a Fraction; a
+    row holding a float is its own values, (0, row, None, False)."""
     types = set(map(type, row))
     if not types <= {int, Fraction}:
-        return None
-    if row and row[0] and row[-1]:
-        return (0, *common_denominator(row), Fraction in types)
-    start, stop = span_of(row)
-    return (start, *common_denominator(row[start:stop]), Fraction in types)
+        return 0, row, None, False
+    start, span = span_form(row)
+    return (start, *common_denominator(span), Fraction in types)
 
 
-def row_statistic(row, form, absolute=False, alphas=None, shift=None):
-    """sum_k row_k, sum_k |row_k| (``absolute``) or, with ``absolute``,
-    sum_k |row_k - alpha_k| (``shift`` the integer form of ``alphas``; both
-    padded with zeros) of a row with integer form ``form``, on integers and typed
-    as ``total`` types it, an int when neither form records a Fraction; left to
-    right through ``total`` over the values ``row`` when a form is missing.  A
-    float sum of finite entries past the double range raises ``OverflowError``."""
-    if form is None or (alphas is not None and shift is None):
-        terms = row if alphas is None else [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
+def row_statistic(form, absolute=False, shift=None):
+    """sum_k a_k, sum_k |a_k| (``absolute``) or, with ``absolute``, sum_k |a_k -
+    alpha_k| (``shift`` the form of the column limits alpha; both padded with
+    zeros) of the row a of form ``form``: on integers and typed as ``total`` types
+    it, an int when neither form records a Fraction; left to right through
+    ``total`` over the values when either form is a float row's.  A float sum of
+    finite entries past the double range raises ``OverflowError``."""
+    start, ints, den, fraction = form
+    if den is None or (shift is not None and shift[2] is None):
+        row, alphas = form_values(form, 0), shift and form_values(shift, 0)
+        terms = row if shift is None else [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
         value = total(map(abs, terms)) if absolute else total(terms)
         if math.isinf(value) and all(map(math.isfinite, chain(row, alphas or ()))):
             raise OverflowError("row statistic beyond the double range")
         return value
-    start, ints, den, fraction = form
     if shift is not None:
         at, alpha_ints, alpha_den, shifted = shift
         fraction = fraction or shifted

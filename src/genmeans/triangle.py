@@ -12,11 +12,12 @@ n+1 entries), so it extends past its order as any window does, and one
 Toeplitz inverse coefficients) is not needed on any production route; it
 lives in ``selfcheck`` as oracles.
 
-On the exact backend a matrix window holds each row as its integer form, the
-row's support span as integers over one denominator: the program's producers
-(W, T, the identity, associates, dual triangles) build windows from forms, and
-their Fraction rows are a view made only when read; rows a caller passes are
-brought to forms once.
+A matrix window holds each row as its form, on either backend and whoever
+built it: an exact row as its support span, integers over one denominator; a
+row holding a float as its own values.  The program's producers (W, T, the
+identity, associates, dual triangles) build windows from forms; rows a caller
+passes are brought to forms once, in the constructor, and stay the ``rows``
+view.  Every other view is made from the forms, only when read.
 
 Every value is immutable after construction; a window memoizes what it derives
 (extension, integer forms, row statistics and the trend ladder's readings of
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import compress, count, repeat
+from functools import cache, cached_property, partial
+from itertools import compress, count
 from typing import Optional
 
 from .errors import DimensionError, TailError
@@ -95,25 +96,30 @@ def support_of(values):
     return n
 
 
-def span_of(values):
-    """(start, stop): the index of the first nonzero entry and one past the last."""
+def span_form(values, *rest):
+    """(start, the values from index start, the first nonzero, to the last, *rest):
+    with ``rest`` (den, fraction), the form of the row ints / den, its support
+    span and whether the row holds a Fraction."""
     stop = support_of(values)
-    return next(compress(count(), values), stop), stop
+    start = next(compress(count(), values), stop)
+    return (start, values[start:stop], *rest)
 
 
-def span_form(ints, den, fraction):
-    """The integer form (start, ints, den, fraction) of the row ints / den: its
-    support span, and whether the row holds a Fraction."""
-    start, stop = span_of(ints)
-    return start, ints[start:stop], den, fraction
+def span_values(form, zero=0):
+    """The entries of the support span of a row of form ``form``: Fraction(v, den)
+    in a row holding a Fraction, ``zero`` for its zeros; the ints of an int row
+    (den 1); a float row's own values."""
+    ints, den, fraction = form[1:]
+    return tuple(Fraction(v, den) if v else zero for v in ints) if fraction else tuple(ints)
 
 
-def form_values(form, width, zero=0, out=Fraction):
-    """The ``width`` values of a row of integer form ``form``: out(v, den) for an
-    entry v of its span, ``zero`` for a zero and past the span."""
-    start, ints, den = form[:3]
-    return ((zero,) * start + tuple(out(v, den) if v else zero for v in ints)
-            + (zero,) * (width - start - len(ints)))
+def form_values(form, width, zero=0):
+    """The ``width`` values of a row of form ``form``: its span's entries
+    (``span_values``) between zeros, ``zero`` in a row holding a Fraction, int 0
+    in any other."""
+    start, span = form[0], span_values(form, zero)
+    pad = zero if form[3] else 0
+    return (pad,) * start + span + (pad,) * (width - start - len(span))
 
 
 def unit_sequence(order, j, backend):
@@ -146,30 +152,42 @@ class MatrixWindow:
     generates row n beyond it when the tail is structural; ``capacity`` is
     the exclusive bound on generatable indices (None = unlimited).
 
-    Row statistics read ``integer_rows``, each extended row's integer form
-    (start, ints, den, fraction): its support span, the entries from the first
-    nonzero to the last as ints over one den > 0, and whether the row holds a
-    Fraction; None for a float row.  Rows a caller passes are kept and brought
-    to forms once (``limits.integer_row``); a window the program builds holds
-    forms (``_of_forms``), and its ``rows`` and ``extended`` are views.
+    A window holds each row as its form (start, ints, den, fraction), read by
+    the row statistics (``integer_rows``): the support span, entries from the
+    first nonzero to the last as ints over one den > 0, and whether the row
+    holds a Fraction; a float row is its values, (0, values, None, False).  A
+    caller's rows become forms here (``limits.integer_row``), a generated row
+    once, and the tuple passed stays the ``rows`` view; the program builds from
+    forms (``_of_forms``).  Other views are made from the forms when read.
     """
 
     def __init__(self, rows, row_tail=UNKNOWN_TAIL, row_fn=None, capacity=None):
-        if row_tail not in MATRIX_TAILS:
-            raise ValueError(f"row tail must be one of {MATRIX_TAILS}, got {row_tail!r}")
-        self.rows, self.row_tail, self.row_fn = tuple(map(tuple, rows)), row_tail, row_fn
-        # readings: {id(trace): its trend ladder reading and max slot} for the traces held
-        self.capacity, self.stored, self._forms, self.readings = capacity, len(self.rows), None, {}
+        from .limits import integer_row    # limits imports this module
+        rows = tuple(map(tuple, rows))
+        made = row_fn and cache(lambda n: tuple(row_fn(n)))    # each generated row once
+
+        def form(n):
+            return integer_row(made(n))
+
+        def width(n):
+            return len(rows[n] if n < len(rows) else made(n))
+
+        # the window of the rows' forms, the tuple passed its ``rows`` view
+        window = self._of_forms(map(integer_row, rows), row_tail, made and form, capacity,
+                                Fraction(0), width)
+        vars(self).update(vars(window), rows=rows)
 
     @classmethod
     def _of_forms(cls, forms, row_tail, form_fn=None, capacity=None, zero=0, width=(1).__add__):
-        """The window of the stored rows' integer forms, ``form_fn(n)`` giving row
-        n's past them and ``width(n)`` its width (n + 1: a triangle); its views
-        write ``zero`` for a zero entry."""
-        window = cls.__new__(cls)
+        """The window of the stored rows' forms, ``form_fn(n)`` giving row n's past
+        them and ``width(n)`` its width (n + 1: a triangle); its views write
+        ``zero`` for a zero of a Fraction row."""
+        if row_tail not in MATRIX_TAILS:
+            raise ValueError(f"row tail must be one of {MATRIX_TAILS}, got {row_tail!r}")
+        window, forms = cls.__new__(cls), tuple(forms)
+        # readings: {id(trace): its trend ladder reading and max slot} for the traces held
         vars(window).update(row_tail=row_tail, capacity=capacity, stored=len(forms), readings={},
-                            row_fn=form_fn and partial(_generated_row, form_fn, width, zero),
-                            _forms=tuple(forms), _form_fn=form_fn, _width=width, _zero=zero)
+                            _forms=forms, _form_fn=form_fn, _zero=zero, _width=width)
         return window
 
     @cached_property
@@ -183,8 +201,6 @@ class MatrixWindow:
 
     def row_width(self, n):
         """The width of extended row n."""
-        if self._forms is None:
-            return len(self.rows[n] if n < self.stored else self.extended[n])
         return self._width(n) if n < self.stored or self.row_tail == STRUCTURAL_TAIL else 0
 
     @cached_property
@@ -194,7 +210,7 @@ class MatrixWindow:
         stored count (bounded by the capacity, stored rows kept); an unknown tail
         or no generator adds none."""
         if self.row_tail == UNKNOWN_TAIL or (self.row_tail == STRUCTURAL_TAIL
-                                             and self.row_fn is None):
+                                             and self._form_fn is None):
             return self.stored
         stop = EXTENSION_FACTOR * max(self.stored, 1)
         if self.row_tail == STRUCTURAL_TAIL and self.capacity is not None:
@@ -204,39 +220,25 @@ class MatrixWindow:
     @cached_property
     def extended(self):
         """The stored rows and the ``_stop`` past them, computed once per window."""
-        if self._forms is None:
-            return tuple(map(self.row, range(self._stop)))
-        return self.rows + tuple(form_values(self.integer_rows[n], self.row_width(n), self._zero)
-                                 for n in range(self.stored, self._stop))
+        return self.rows + tuple(form_values(f, self.row_width(n), self._zero)
+                                 for n, f in enumerate(self.integer_rows[self.stored:], self.stored))
 
     @cached_property
     def integer_rows(self):
-        """The integer form of each extended row, computed once per window."""
+        """The form of each extended row, computed once per window."""
         past = range(self.stored, self._stop)
-        if self._forms is None:
-            from .limits import integer_row    # limits imports this module
-            forms = tuple(map(integer_row, self.rows))
-            more = map(integer_row, self.extended[self.stored:])
-        else:
-            forms, more = self._forms, map(self._form_fn, past)
         if self.row_tail != STRUCTURAL_TAIL:    # zero rows past the stored ones, or none
-            more = ((0, [], 1, False) for _ in past)
-        return forms + tuple(more)
+            return self._forms + tuple((0, [], 1, False) for _ in past)
+        return self._forms + tuple(map(self._form_fn, past))
 
     def spans(self):
-        """(start, entries) of each extended row's support span; a float row whole."""
-        if self._forms is not None:
-            return ((f[0], tuple(Fraction(v, f[2]) if v else self._zero for v in f[1]))
-                    for f in self.integer_rows)
-        return ((0, row) if f is None else (f[0], row[f[0]:f[0] + len(f[1])])
-                for f, row in zip(self.integer_rows, self.extended))
+        """(start, entries) of each extended row's support span (``span_values``)."""
+        return ((f[0], span_values(f, self._zero)) for f in self.integer_rows)
 
-    def _statistic(self, rows=None, **options):
-        """``limits.row_statistic`` of each extended row off its form: of its
-        values only where it has none, or where ``rows`` are given."""
+    def _statistic(self, **options):
+        """``limits.row_statistic`` of each extended row's form."""
         from .limits import row_statistic
-        rows = rows or (self.extended if self._forms is None else repeat(None))
-        return tuple(map(partial(row_statistic, **options), rows, self.integer_rows))
+        return tuple(map(partial(row_statistic, **options), self.integer_rows))
 
     @cached_property
     def row_sums(self):
@@ -263,15 +265,13 @@ class MatrixWindow:
     def shifted_abs_sums(self):
         """sum_k |a_nk - alpha_k| over the extended rows, alpha the column limits,
         or None for unresolved alpha, computed once per window: alpha is brought
-        to its span once, and each row's span merges with it; a float alpha is
+        to its form once, and each row's span merges with it; a float alpha is
         subtracted from the rows' values."""
         from .limits import STATUS_INDET, integer_row
         alphas = self.columns.value
         if self.columns.status == STATUS_INDET or alphas is None:
             return None
-        shift = integer_row(alphas)
-        return self._statistic(None if shift else self.extended, absolute=True,
-                               alphas=alphas, shift=shift)
+        return self._statistic(absolute=True, shift=integer_row(alphas))
 
     def reading(self, trace):
         """[*``limits.analyze_tail(trace)``, max slot]: kept in ``readings`` for a
@@ -295,20 +295,21 @@ class MatrixWindow:
         row = self.rows[n]
         return row[k] if k < len(row) else 0
 
+    @property
+    def row_fn(self):
+        """The generator of rows past the stored ones, as values (``row``), or None."""
+        return self._form_fn and self.row
+
     def row(self, n):
         """Row n, or None when the tail declaration cannot produce it."""
         if n < self.stored:
             return self.rows[n]
         if self.row_tail == ZERO_TAIL:
             return ()
-        if self.row_tail == STRUCTURAL_TAIL and self.row_fn is not None:
+        if self.row_tail == STRUCTURAL_TAIL and self._form_fn is not None:
             if self.capacity is None or n < self.capacity:
-                return tuple(self.row_fn(n))
+                return form_values(self._form_fn(n), self._width(n), self._zero)
         return None
-
-
-def _generated_row(form_fn, width, zero, n):
-    return form_values(form_fn(n), width(n), zero)
 
 
 class TriangleMatrix(MatrixWindow):
@@ -335,20 +336,17 @@ class TriangleMatrix(MatrixWindow):
 
 
 def identity(order, backend=None):
-    """The identity triangle; its structural tail extends to every index.  On the
-    exact backend row n is the integer form (n, [1], 1, True)."""
+    """The identity triangle; its structural tail extends to every index.  Row n
+    is the form (n, [1], 1, True) on the exact backend, e_n's floats on f64."""
     backend = backend or _RATIONAL_BACKEND
-    if backend.mode == RATIONAL_MODE:
-        def form(n):
+
+    def form(n):
+        if backend.mode == RATIONAL_MODE:
             return n, [1], 1, True
+        return 0, (0.0,) * n + (1.0,), None, False
 
-        return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
-                                        zero=Fraction(0))
-
-    def row(n):
-        return (backend.zero,) * n + (backend.one,)
-
-    return TriangleMatrix(order, tuple(map(row, range(order))), STRUCTURAL_TAIL, row_fn=row)
+    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
+                                    zero=backend.zero)
 
 
 def apply(matrix, x):

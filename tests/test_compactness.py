@@ -268,14 +268,15 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
         scaled.append(row)
         return integer_row(row)
 
-    def counting_row_statistic(row, form, absolute=False, alphas=None, shift=None):
-        if alphas is not None:
-            shifted.append(row)
-        return row_statistic(row, form, absolute, alphas, shift)
+    def counting_row_statistic(form, absolute=False, shift=None):
+        if shift is not None:
+            shifted.append(form)
+        return row_statistic(form, absolute, shift)
 
     # a window of caller rows brings each extended row over one denominator
-    # through limits.integer_row, and every row statistic, the column-shifted
-    # trace included, reads that form through limits.row_statistic
+    # through limits.integer_row, the stored ones as it is built, and every row
+    # statistic, the column-shifted trace included, reads that form alone
+    # through limits.row_statistic
     monkeypatch.setattr(limits, "integer_row", counting_integer_row)
     monkeypatch.setattr(limits, "row_statistic", counting_row_statistic)
     eye = identity(8)
@@ -289,7 +290,7 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     verdict = compactness_verdict(p, A, "c")
     # the column limits are scaled once per window; no row is scaled again
     assert scaled == list(A.window.extended) + [chi.alpha_tilde]
-    assert shifted == list(A.window.extended) and len(shifted) == 32
+    assert shifted == list(A.window.integer_rows) and len(shifted) == 32
     assert chi.status == "trend-converged"
     assert verdict.detail == f"not compact ({chi.status}): limit {chi.upper} is nonzero"
     # the shifted trace belongs to the window: another parameter set on the
@@ -297,11 +298,11 @@ def test_gauges_on_one_associate_sum_each_row_once(monkeypatch):
     assert chi_norm(preset(PresetSpec("aydin", alpha=F(1, 3)), 6, m=2), A, "c") == chi
     assert len(shifted) == 32 and len(scaled) == 33
     # the program's identity holds its forms: it scales only its column limits,
-    # reads no row's values and makes no Fraction row
+    # reads the forms it holds and makes no Fraction row
     program = supplied_associate(identity(8))
     shifted.clear()
     assert chi_norm(p, program, "c") == chi and operator_norm(p, program) == operator_norm(p, A)
-    assert len(scaled) == 34 and shifted == [None] * 32
+    assert len(scaled) == 34 and shifted == list(program.window.integer_rows)
     assert "rows" not in vars(program.window) and "extended" not in vars(program.window)
 
 

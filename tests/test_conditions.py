@@ -28,6 +28,7 @@ from genmeans import (
     dual_membership,
     eval_condition,
     gamma_dual_matrix,
+    identity,
     identity_triple,
     inverse_transform,
     mean_difference_matrix,
@@ -571,6 +572,44 @@ def test_readings_die_with_their_window():
     del T, assoc, p
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def _analysed_windows(backend):
+    """The windows one analysis on ``backend`` builds: W and T, classified and
+    gauged, with their associates; a caller's zero-tail window and its
+    associate; a supplied structural associate with a generator, gauged; the
+    identity; the alpha, gamma and tail-sum triangles."""
+    p = preset(PresetSpec("euler", alpha=F(1, 2)), 6, m=1, backend=backend)
+    one = backend.one
+
+    def row(n):
+        return (one / 2 ** n, one - one / 2 ** n)
+
+    a = SequenceWindow((one, -one / 3, one / 4) + (0 * one,) * 3, "zero")
+    sources = [weighted_mean_matrix(p), mean_difference_matrix(p),
+               MatrixWindow(((one, 0 * one, -one / 2), (), (one / 4,)), "zero")]
+    for source in sources:
+        _analysis(p, source)
+    supplied = supplied_associate(MatrixWindow(tuple(map(row, range(4))), "structural", row))
+    for target in SPACES:
+        chi_norm(p, supplied, target), compactness_verdict(p, supplied, target)
+    operator_norm(p, supplied)
+    return (sources + [transformed_rows(p, source) for source in sources]
+            + [supplied.window, identity(6, backend), alpha_dual_matrix(p, a),
+               gamma_dual_matrix(p, a), tail_sum_matrix(p, a)])
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT64], ids=["rational", "f64"])
+def test_windows_are_freed_without_the_garbage_collector(backend):
+    # no window, nor a view or generator it holds, refers back to a window that
+    # holds it: reference counts alone free every one
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(window) for window in _analysed_windows(backend)]
+        assert len(refs) == 11 and [ref() for ref in refs] == [None] * 11
+    finally:
+        gc.enable()
 
 
 def test_f64_triple_extends_a_rational_source_only_as_far_as_its_twin():

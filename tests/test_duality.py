@@ -30,6 +30,7 @@ from genmeans import (
     unit_sequence,
 )
 from genmeans import operators
+from genmeans.conditions import transformed_rows
 from genmeans.duality import associate_rows
 from genmeans.limits import integer_row
 from genmeans.operators import _InverseKernel, exact_twin
@@ -309,9 +310,11 @@ def test_kernel_runs_f64_through_the_exact_twin(p, data):
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
     _, ints, den = _InverseKernel(q, len(a)).associate(integer_row(tuple(map(F, a))))
-    # float rows hand out no integer form: their statistics add the floats
+    # an f64 associate row is its floats, padded with 0.0 to the source width:
+    # its statistics add the floats
     values = tuple(float(F(v, den)) for v in ints) + (0.0,) * (len(a) - len(ints))
-    assert associate_rows(p, MatrixWindow((a,)), 1) == ((values,), MatrixWindow)
+    rows = transformed_rows(p, MatrixWindow((a,))).rows
+    assert rows == (values,) and all(type(v) is float for v in rows[0])
 
 
 def test_kernel_support_at_and_past_the_capacity():
@@ -513,6 +516,7 @@ def test_float_results_are_the_exact_twin_rounded_once(p, data):
              (tail_sum_matrix, (a,), _rows),
              (alpha_dual_matrix, (a,), _rows),
              (gamma_dual_matrix, (a,), _rows)]
+    calls += [(transformed_rows, (MatrixWindow((a.values,), "zero"),), _rows)]
     calls += [(basis_vector, (j,), lambda b: b.values) for j in range(-1, n)]
     calls += [(reconstruct, (x, order, space), _reconstruction)
               for order in range(n) for space in ("c0", "c")]
@@ -520,6 +524,8 @@ def test_float_results_are_the_exact_twin_rounded_once(p, data):
     def lift(arg):
         if isinstance(arg, SequenceWindow):
             return SequenceWindow(tuple(F(v) for v in arg.values), arg.tail)
+        if isinstance(arg, MatrixWindow):
+            return MatrixWindow([tuple(map(F, row)) for row in arg.rows], arg.row_tail)
         return arg
 
     q = exact_twin(p)[0]

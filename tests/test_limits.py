@@ -141,7 +141,7 @@ def row_statistics(row, alphas):
     """The three statistics as a window takes them: its row sums, and the
     shifted trace's ``row_statistic`` on the integer forms of row and alphas."""
     window = MatrixWindow((row,))
-    shifted = row_statistic(row, window.integer_rows[0], True, alphas, integer_row(alphas))
+    shifted = row_statistic(window.integer_rows[0], True, integer_row(alphas))
     return window.row_sums[0], window.row_abs_sums[0], shifted
 
 
@@ -187,7 +187,9 @@ def test_integer_form_is_the_support_span(row):
     assert (start, len(ints)) == ((support[0], support[-1] + 1 - support[0]) if support
                                   else (0, 0))
     assert [F(v, den) for v in ints] == list(row[start:start + len(ints)])
-    assert integer_row([0.0] + list(row)) is None
+    # a row holding a float is its own values
+    floats = [0.0] + list(row)
+    assert integer_row(floats) == (0, floats, None, False)
 
 
 def test_identity_associate_forms_hold_one_integer_per_row():
@@ -198,47 +200,62 @@ def test_identity_associate_forms_hold_one_integer_per_row():
     assert A.columns.value == (0,) * 64
 
 
-def form_and_row_window(row, stored, tail, generate, capacity, zero):
-    """(the window built from the integer forms of rows ``row(n)``, the window
-    built from those rows); its Fraction views write ``zero``."""
+def form_and_row_window(row, stored, tail, generate, capacity):
+    """(the window built from the forms of rows ``row(n)`` as the constructor
+    builds a caller's window, the caller's window of those rows)."""
     def form(n):
         return integer_row(row(n))
 
     built = MatrixWindow._of_forms([form(n) for n in range(stored)], tail,
-                                   form if generate else None, capacity, zero,
+                                   form if generate else None, capacity, F(0),
                                    lambda n: len(row(n)))
     given = MatrixWindow(tuple(map(row, range(stored))), tail, row if generate else None, capacity)
     return built, given
 
 
+small_floats = st.floats(min_value=-10 ** 6, max_value=10 ** 6, allow_nan=False)
+
+
 @st.composite
 def form_and_row_windows(draw):
-    """``form_and_row_window`` on row n = a_k + b_k q^n, for drawn int and
-    Fraction a, b, widths varying with n, the views' zero 0 or Fraction(0), and a
-    tail: zero, unknown, or structural with or without a generator and a capacity."""
+    """``form_and_row_window`` on row n = a_k + b_k q^n, for drawn int, Fraction,
+    float and mixed a, b, widths varying with n, exact zeros 0 or Fraction(0),
+    and a tail: zero, unknown, or structural with or without a generator and a
+    capacity."""
     zero = draw(st.sampled_from((0, F(0))))
-    a, b = draw(exact_rows), draw(exact_rows)
+    rows = st.one_of(exact_rows, st.lists(small_floats, max_size=10),
+                     st.lists(st.one_of(rationals, small_floats), max_size=10))
+    a, b = draw(rows), draw(rows)
     q = draw(st.sampled_from((F(1), F(1, 2), F(-1, 3), F(2))))
     tail = draw(st.sampled_from(("zero", "structural", "unknown")))
 
     def row(n):
         values = [x + y * q ** n for x, y in zip_longest(a, b, fillvalue=0)]
-        return tuple(F(v) if v else zero for v in values[:max(0, len(values) - n % 3)])
+        return tuple(v if isinstance(v, float) else F(v) if v else zero
+                     for v in values[:max(0, len(values) - n % 3)])
 
     return form_and_row_window(row, draw(st.integers(min_value=0, max_value=6)), tail,
                                tail == "structural" and draw(st.booleans()),
-                               draw(st.one_of(st.none(), st.integers(min_value=0, max_value=30))),
-                               zero)
+                               draw(st.one_of(st.none(), st.integers(min_value=0, max_value=30))))
 
 
 def check_form_and_row_windows(built, given):
-    # the same rows, forms, typed row statistics, column limits, shifted trace
-    # and estimates, whether the window holds forms or the rows a caller passed
+    # a caller's window is the window of its rows' forms: the same forms, typed
+    # row statistics, column limits, shifted trace and estimates; its stored
+    # rows are the tuple passed, equal to their view
     held = ("row_sums", "row_abs_sums", "row_sum_magnitudes", "shifted_abs_sums")
     got, want = ([repr(getattr(w, name)) for name in held + ("columns",)] for w in (built, given))
     assert got == want
-    assert repr((built.rows, built.extended)) == repr((given.rows, given.extended))
+    assert built.rows == given.rows
+    assert repr(built.extended[built.stored:]) == repr(given.extended[given.stored:])
     assert built.integer_rows == given.integer_rows and built.width == given.width
+    # each statistic is the left-to-right sum over its row's values
+    alphas = given.columns.value if given.shifted_abs_sums is not None else ()
+    for n, row in enumerate(given.extended):
+        want = reference_row_statistics(row, alphas)
+        assert repr((given.row_sums[n], given.row_abs_sums[n])) == repr(want[:2])
+        if given.shifted_abs_sums is not None:
+            assert repr(given.shifted_abs_sums[n]) == repr(want[2])
     for name in held:
         if getattr(given, name) is not None:
             for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
@@ -258,7 +275,7 @@ def test_window_built_from_forms_subtracts_a_float_column_limit_from_its_rows():
     def row(n):
         return (1 + F(1, 2 ** n), F(0), 3 - F(1, 2 ** n))
 
-    built, given = form_and_row_window(row, 4, "structural", True, None, F(0))
+    built, given = form_and_row_window(row, 4, "structural", True, None)
     assert [type(v) for v in built.columns.value] == [float, F, float]
     check_form_and_row_windows(built, given)
 
@@ -276,8 +293,7 @@ def test_rows_with_floats_keep_left_to_right_sums(row, alphas):
     # finite entries past the double range raises instead of reading inf
     window = MatrixWindow((row,))
     statistics = (lambda: window.row_sums[0], lambda: window.row_abs_sums[0],
-                  lambda: row_statistic(row, window.integer_rows[0], True, alphas,
-                                        integer_row(alphas)))
+                  lambda: row_statistic(window.integer_rows[0], True, integer_row(alphas)))
     for statistic, want in zip(statistics, reference_row_statistics(row, alphas)):
         if isinstance(want, float) and math.isinf(want):
             with pytest.raises(OverflowError):
