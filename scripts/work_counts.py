@@ -30,7 +30,7 @@ cycle every row but ``math.gcd``.
                        reading its window already holds
   column_limits        every column-limit pass over a window's extended rows
   transformed_rows     every request for an associate window
-  associates built     every associate built (``duality.associate_rows``)
+  associates built     every associate window built (``duality.associate_window``)
   kernels built        every ``operators._InverseKernel`` constructed
   _toeplitz_solve      every reciprocal-series (or W^{-1}) solve
   parameter checks     every check of a parameter set's conditions
@@ -79,7 +79,7 @@ ANALYSIS = (
     ("estimates", "limits.py", "limsup_of_rows"),
     ("column_limits", "limits.py", "column_limits"),
     ("transformed_rows", "conditions.py", "transformed_rows"),
-    ("associates built", "duality.py", "associate_rows"),
+    ("associates built", "duality.py", "associate_window"),
     ("kernels built", "operators.py", "__init__"),  # the module's one __init__: _InverseKernel
     ("_toeplitz_solve", "operators.py", "_toeplitz_solve"),
     ("parameter checks", "operators.py", "_violations"),
@@ -126,13 +126,12 @@ def kernel_widths(found):
         return
 
     def measuring(kernel, *args):
-        form = make(kernel, *args)
-        den = form[2]    # each entry reduced by one gcd, no Fraction made
+        ints, den = pair = make(kernel, *args)    # each entry reduced by one gcd below
         found["kernel den bits"] = max(found["kernel den bits"], kernel.den.bit_length())
         found["assoc entry bits"] = max([found["assoc entry bits"]] + [
             max((abs(v) // g).bit_length(), (den // g).bit_length())
-            for v in form[1] for g in (math.gcd(v, den),)])
-        return form
+            for v in ints for g in (math.gcd(v, den),)])
+        return pair
 
     _InverseKernel.associate = measuring
     try:

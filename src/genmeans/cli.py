@@ -66,6 +66,8 @@ def _load_json(path, what):
     except json.JSONDecodeError as exc:
         raise SchemaError(what, f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
                                 f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:    # not UTF-8, an int too long, nested too deep
+        raise SchemaError(what, f"unreadable JSON: {exc}") from None
 
 
 def _resolve_params(args, backend):

@@ -5,9 +5,9 @@ on a raw infinite matrix that characterize maps between the bounded,
 convergent and null sequence spaces.  Ids 4.13-4.25 are the same conditions
 transported through the mean-difference coordinate change.  Most are their
 raw twin run on the associate rows R_k(A_n) (``ON_ASSOCIATE``), which
-``transformed_rows`` maps once per triple from the source rows' forms to
-theirs and keeps on the source window, so every classification and gauge
-of one operator reads one associate; 4.24 is the sup of the associate's held
+``duality.associate_window`` builds and ``transformed_rows`` keeps on the
+source window, one per triple, so every classification and gauge of one
+operator reads one associate; 4.24 is the sup of the associate's held
 |row total| trace; the rest are per-row on the tail-sum triangles, certified
 by the finite support of every source row and the row-tail declaration, with
 no triangle built.  How a tail declaration reads a trace
@@ -36,13 +36,8 @@ from .limits import (
     sup_of_rows,
     vanishes,
 )
-from .triangle import (
-    STRUCTURAL_TAIL,
-    UNKNOWN_TAIL,
-    MatrixWindow,
-)
-from .duality import associate_rows
-from .operators import exact_twin
+from .triangle import UNKNOWN_TAIL, MatrixWindow
+from .duality import associate_window
 
 SPACES = ("c0", "c", "l_inf")
 
@@ -115,28 +110,14 @@ SHIFTED_MEMBERSHIP_NOTE = (
 
 
 def transformed_rows(p, matrix) -> MatrixWindow:
-    """The matrix with rows R(A_n): each source row re-expressed against the
-    inverse columns.  Requires complete (zero-tail) rows; the row tail in the n
-    direction propagates.  A structural source with a generator has its cached
-    extension, up to the capacity of the exact twin the kernel runs on, mapped
-    with all its stored rows in one pass through one kernel, and the window
-    generates from that tuple alone, its capacity; a generated row with support
-    past the twin's capacity raises ``DimensionError`` here.  Like the extension,
-    the associate is derived once per source window: the window holds the latest
-    triple and its associate, so a later call with that triple returns the same window."""
+    """The matrix with rows R(A_n), ``duality.associate_window`` of the source
+    window, derived once per source window like its extension: the window holds
+    the latest triple and its associate, so a later call with that triple
+    returns the same window."""
     held, assoc = vars(matrix).get("_associate", (None, None))
-    if held is p:
-        return assoc
-    structural = matrix.row_tail == STRUCTURAL_TAIL and matrix.row_fn is not None
-    stop, capacity = matrix.stored, matrix.capacity
-    if structural:
-        capacity = min(c for c in (matrix.capacity, exact_twin(p)[0].capacity) if c is not None)
-        stop = capacity = max(stop, min(capacity, len(matrix.integer_rows)))
-    forms, widths = associate_rows(p, matrix, stop), tuple(map(matrix.row_width, range(stop)))
-    assoc = MatrixWindow._of_forms(forms[:matrix.stored], matrix.row_tail,
-                                   forms.__getitem__ if structural else None, capacity,
-                                   width=widths.__getitem__)
-    matrix._associate = p, assoc
+    if held is not p:
+        assoc = associate_window(p, matrix)
+        matrix._associate = p, assoc
     return assoc
 
 

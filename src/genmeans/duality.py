@@ -3,18 +3,18 @@
 The coordinate basis of the transformed space pulls back through the inverse
 of the composite operator: basis vector j is column j of that inverse, and
 the extra vector indexed -1 (for the convergent-sequence space) is its row
-sums.  The dual machinery revolves around the associate row R_k(a): the
-source row re-expressed against the inverse columns, one integer product
-with c = 1/s per row.  Every object reads all rows of a call off one sized
-kernel (``operators._InverseKernel``) on the parameters' exact twin: a
-window's rows as their forms, a float row and other values read exactly by
-``common_denominator``.  The tail-sum and alpha/gamma dual triangles are
-running sums of its rows a_j T^{-1}_j.  Every window made here is built from
-its rows' forms by one constructor on either backend, each row lowered past
-the float boundary once (``_lower``); values are made only for a sequence.
-Every dual/associate input must declare a zero tail so each series
-collapses to a finite sum; anything else is rejected, not extrapolated.  ``dual_membership`` reads no kernel: a finitely supported
-sequence lies in every dual, so its zero tail is the certificate.
+sums.  The dual machinery revolves around the associate row R_k(a), the
+source row against the inverse columns, one integer product with c = 1/s
+per row, built only by ``associate_window``: a window's associate, and
+``associate_row`` as row 0 of a one-row window's.  Every object reads all
+rows of a call off one sized kernel (``operators._InverseKernel``) on the
+exact twin, a float row read exactly by ``common_denominator``; the
+tail-sum and alpha/gamma dual triangles are running sums of its rows
+a_j T^{-1}_j.  Every window here is built from its rows' forms, each row
+lowered past the float boundary once (``_lower``).  Every dual/associate
+input must declare a zero tail so each series is a finite sum; anything
+else is rejected, not extrapolated.  ``dual_membership`` reads no kernel: a
+finitely supported sequence lies in every dual, its zero tail the certificate.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from .errors import DimensionError
 from .limits import Verdict
 from .scalars import common_denominator
 from .triangle import (
+    STRUCTURAL_TAIL,
     UNKNOWN_TAIL,
     ZERO_TAIL,
+    MatrixWindow,
     SequenceWindow,
     TriangleMatrix,
     ones_sequence,
-    form_values,
     seq_sub,
     span_form,
     support_of,
@@ -134,32 +135,41 @@ def _dual_triangle(p, a, dual, tail):
     return TriangleMatrix._of_forms([_lower(out, len(row), row, den * da) for row in rows], tail)
 
 
-def associate_rows(p, window, stop):
-    """The forms of R(a) for the first ``stop`` extended rows a of ``window``, each
-    as wide as a (``_lower``): one exact twin and one kernel, sized to the longest
-    support, serve every row (``conditions.transformed_rows``), each read off the
-    form of a, a float row read exactly.  A support past the parameter capacity
-    raises ``DimensionError``."""
+def associate_window(p, window) -> MatrixWindow:
+    """The window of rows R(A_n) for the rows A_n of ``window``, the one builder of
+    an associate: its stored rows, and a structural source with a generator also
+    its extension up to the capacity of the exact twin, all mapped off one kernel
+    sized to the longest support, each row read off its form (a float row read
+    exactly) and lowered as wide as its source row (``_lower``).  The row tail
+    propagates; a generated associate row is read off that tuple alone, up to its
+    capacity, so the associate holds no reference to its source.  A support past
+    the twin's capacity raises ``DimensionError``."""
+    generated = window.row_tail == STRUCTURAL_TAIL and window.row_fn is not None
+    stop = window.stored
+    if generated:
+        stop = max(stop, min(exact_twin(p)[0].capacity, len(window.integer_rows)))
     forms = [form if form[2] else _form(form[1]) for form in window.integer_rows[:stop]]
     kernel, out = _kernel(p, forms)
-    return tuple(_lower(out, window.row_width(n), *kernel.associate(form)[1:])
-                 for n, form in enumerate(forms))
+    widths = tuple(map(window.row_width, range(stop)))
+    assoc = tuple(_lower(out, w, *kernel.associate(form)) for w, form in zip(widths, forms))
+    return MatrixWindow._of_forms(assoc[:window.stored], window.row_tail,
+                                  assoc.__getitem__ if generated else None,
+                                  stop if generated else window.capacity, width=widths.__getitem__)
 
 
 def associate_row(p, a) -> SequenceWindow:
     """R_k(a) = sum_{j>=k} a_j s_{jk}, the source row against the inverse
     columns: with b the m reverse running sums of a, R_k = r_k sum_{j>=k}
     b_j c_{j-k} / t_j for the reciprocal series c = 1/s, one integer product
-    per entry.  R vanishes past the support of a, so it has a zero tail.
+    per entry.  R vanishes past the support of a, so it has a zero tail: it is
+    row 0 of the associate of the one-row zero-tail window of a.
 
     The defining sum over the dense inverse and the closed form are oracles
     for this route in the tests and in ``selfcheck``.
     """
     a.require_zero_tail("dual/associate input")
-    form = _form(a.values)
-    kernel, out = _kernel(p, (form,))
-    row = _lower(out, len(a), *kernel.associate(form)[1:])
-    return SequenceWindow(form_values(row, len(a)), ZERO_TAIL)
+    return SequenceWindow(associate_window(p, MatrixWindow((a.values,), ZERO_TAIL)).rows[0],
+                          ZERO_TAIL)
 
 
 def tail_sum_matrix(p, a) -> TriangleMatrix:

@@ -10,9 +10,9 @@ sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 compute on integers over one common denominator (fraction-free, as in
 Bareiss elimination), so an inner product costs no gcd, and hand each other
 that integer form; each result value is made once from its integer pair.
-W and T hold the integer form of each row, made with one gcd per row, and
-the inverse kernel maps a source row's form to its associate's form, which
-the associate window keeps: the row statistics read them as they are.
+W and T hold the integer form of each row, made with one gcd per row; the
+inverse kernel maps a source row's form to the integers of its associate's
+form (``duality.associate_window``), which the row statistics read as is.
 The float backend has one boundary: ``exact_twin`` lifts the parameters and
 makes result values, and ``scalars.common_denominator`` reads input values
 exactly; a triple keeps only its exact twin and its kernels' integer forms.
@@ -278,18 +278,18 @@ class _InverseKernel:
         self.den = dr * dt * dc
 
     def associate(self, form):
-        """The integer form (0, R_0 .. R_{s-1} as ints, their one denominator) of R(a)
-        for the row a of integer form ``form`` (start, ints, den, ...), s the support
-        of a within the kernel's n terms: with b the m reverse running sums of a,
+        """(R_0 .. R_{s-1} as ints, their one denominator) of R(a) for the row a of
+        integer form ``form`` (start, ints, den, ...), s the support of a within the
+        kernel's n terms: with b the m reverse running sums of a,
         R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer product per entry and no
-        gcd.  R vanishes past the support, so the form ends there."""
+        gcd.  R vanishes past the support, so the ints end there."""
         start, ints, db = form[:3]
         b = reversed([0] * start + ints)
         for _ in range(self.p.m):
             b = accumulate(b)
         u = list(map(mul, list(b)[::-1], self.tinv))
-        return 0, [r * sum(map(mul, u[k:], self.c))
-                   for k, r in enumerate(self.r[:len(u)])], self.den * db
+        return [r * sum(map(mul, u[k:], self.c))
+                for k, r in enumerate(self.r[:len(u)])], self.den * db
 
     def inverse_rows(self):
         """(the kernel's rows of T^{-1} as integer lists, their denominator):

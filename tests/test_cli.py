@@ -387,6 +387,28 @@ def test_malformed_sequence_flag_file_exit_code(tmp_path, capsys, ones_file):
     assert "Traceback" not in err
 
 
+# documents json.load cannot read: bytes that are not UTF-8, an int literal past
+# CPython's 4,300-digit limit, and nesting past the recursion limit
+UNREADABLE_JSON = {"not-utf8": b"\xff\xfe[1]", "long-int": b"1" * 5000,
+                   "too-deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("flag", ["--input", "--matrix", "--params", "--u"])
+@pytest.mark.parametrize("doc", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exits_2_through_every_flag(tmp_path, capsys, ones_file, doc, flag):
+    path = tmp_path / "doc.json"
+    path.write_bytes(UNREADABLE_JSON[doc])
+    argv = {"--input": ["norm", "--n", "1", "--input", str(path)],
+            "--matrix": ["matclass", "--n", "1", "--matrix", str(path),
+                         "--source", "c0", "--target", "c0"],
+            "--params": ["norm", "--params", str(path), "--input", ones_file],
+            "--u": ["norm", "--preset", "uv", "--u", f"@{path}", "--v", "ones",
+                    "--n", "1", "--input", ones_file]}[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--matrix", "A.json", "--atilde", "B.json"], []])
 def test_chi_needs_exactly_one_matrix_flag(capsys, flags):
     with pytest.raises(SystemExit) as exc:

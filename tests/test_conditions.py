@@ -19,7 +19,6 @@ from genmeans import (
     SequenceWindow,
     TriangleMatrix,
     alpha_dual_matrix,
-    associate_row,
     basis_vector,
     chi_norm,
     classify_map,
@@ -46,6 +45,7 @@ from genmeans import (
 from genmeans import compactness, conditions, limits, operators, triangle
 from genmeans.conditions import REQUIRED_CONDITIONS
 from genmeans.limits import LimitEstimate
+from genmeans.selfcheck import associate_row_closed
 
 from conftest import counted_ladder, nonzero_fractions, parameter_triples, zero_tail_windows
 
@@ -137,8 +137,8 @@ def test_transformed_rows_match_associate_rows(p):
     A = mean_difference_matrix(p)
     B = transformed_rows(p, A)
     for n in range(6):
-        expected = associate_row(p, SequenceWindow(A.rows[n], "zero")).values
-        assert B.rows[n] == expected
+        row = A.rows[n]
+        assert B.rows[n] == tuple(associate_row_closed(p, SequenceWindow(row, "zero"), len(row)))
 
 
 def _widening_row(n):
@@ -153,7 +153,7 @@ def test_transformed_rows_extend_as_the_associates_of_the_source_extension(capac
     B = transformed_rows(p, A)
 
     def associate(row):
-        return associate_row(p, SequenceWindow(row, "zero")).values
+        return tuple(associate_row_closed(p, SequenceWindow(row, "zero"), len(row)))
 
     assert B.rows == tuple(map(associate, A.rows))
     # a capacity below the stored count stops the generator, never a stored row

@@ -31,7 +31,7 @@ from genmeans import (
 )
 from genmeans import operators
 from genmeans.conditions import transformed_rows
-from genmeans.duality import associate_rows
+from genmeans.duality import associate_window
 from genmeans.limits import integer_row
 from genmeans.operators import _InverseKernel, exact_twin
 from genmeans.selfcheck import (
@@ -271,9 +271,9 @@ def check_kernel_against_dense_inverse(q, a):
     rows, den = kernel.inverse_rows()
     assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
     assert len(a) == n
-    start, ints, den = kernel.associate(integer_row(a))
-    # the form ends at the support of a, where R vanishes
-    assert start == 0 and len(ints) == support_of(a)
+    ints, den = kernel.associate(integer_row(a))
+    # the ints end at the support of a, where R vanishes
+    assert len(ints) == support_of(a)
     assert [F(v, den) for v in ints] + [0] * (n - len(ints)) == [
         sum(a[j] * S.entry(j, k) for j in range(k, n)) for k in range(n)]
 
@@ -309,7 +309,7 @@ def test_kernel_runs_f64_through_the_exact_twin(p, data):
     q = exact_twin(p)[0]
     a = tuple(data.draw(dyadic_floats) for _ in range(q.capacity))
     check_kernel_against_dense_inverse(q, tuple(map(F, a)))
-    _, ints, den = _InverseKernel(q, len(a)).associate(integer_row(tuple(map(F, a))))
+    ints, den = _InverseKernel(q, len(a)).associate(integer_row(tuple(map(F, a))))
     # an f64 associate row is its floats, padded with 0.0 to the source width:
     # its statistics add the floats
     values = tuple(float(F(v, den)) for v in ints) + (0.0,) * (len(a) - len(ints))
@@ -333,7 +333,7 @@ def test_kernel_support_at_and_past_the_capacity():
         with pytest.raises(DimensionError):
             fn(p, past)
     with pytest.raises(DimensionError):
-        associate_rows(p, MatrixWindow((past.values,)), 1)
+        associate_window(p, MatrixWindow((past.values,)))
     with pytest.raises(DimensionError):
         _InverseKernel(p, n + 1)
 
