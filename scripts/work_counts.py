@@ -93,9 +93,8 @@ CYCLES = (("analysis", ANALYSIS), ("roundtrip-warm", ROUNDTRIP), ("roundtrip-col
 @contextlib.contextmanager
 def held_forms(found):
     """Add to ``found["form entries"]``, when it is counted, the integers of
-    every exact form ``MatrixWindow.integer_rows`` makes: ints of (ints, den)
-    or (start, ints, den[, fraction]); a float row's form, None or
-    (0, values, None, False), holds none."""
+    every exact form (start, ints, den) ``MatrixWindow.integer_rows`` makes; a
+    float row's form, (0, values, None), holds none."""
     prop = vars(MatrixWindow).get("integer_rows")
     if prop is None or "form entries" not in found:
         yield
@@ -104,9 +103,7 @@ def held_forms(found):
 
     def counting(window):
         forms = make(window)
-        found["form entries"] += sum(len(form[0] if isinstance(form[0], list) else form[1])
-                                     for form in forms
-                                     if form is not None and None not in form[2:3])
+        found["form entries"] += sum(len(ints) for _, ints, den in forms if den is not None)
         return forms
 
     prop.func = counting

@@ -112,11 +112,10 @@ def _form(values):
 
 def _lower(out, width, ints, den):
     """The form of the row ints / den past the float boundary ``out``: its support
-    span on the exact backend, a Fraction row where it holds a nonzero; on f64 its
-    floats, padded with 0.0 to ``width``."""
+    span on the exact backend; on f64 its floats, padded with 0.0 to ``width``."""
     if out is Fraction:
-        return span_form(ints, den, any(ints))
-    return 0, tuple(map(out, ints, repeat(den))) + (0.0,) * (width - len(ints)), None, False
+        return span_form(ints, den)
+    return 0, tuple(map(out, ints, repeat(den))) + (0.0,) * (width - len(ints)), None
 
 
 def _dual_triangle(p, a, dual, tail):

@@ -17,11 +17,11 @@ holds (``row_sums``, ``row_abs_sums``, ``row_sum_magnitudes``,
 a caller builds, read afresh.
 
 Row statistics read each row's form alone (``MatrixWindow.integer_rows``, all
-a window holds), an exact row's support span and whether it holds a Fraction:
-integer adds over the span, one Fraction, no gcd per term and no scan of entry
-types, the shifted trace merging it with the span of the column limits, scaled
-once per window.  A float row's form is its values, which, like a limit vector
-holding a float, add left to right through ``total``.  The column limits
+a window holds), an exact row's support span (start, ints, den): integer adds
+over the span and one Fraction, no gcd per term, the shifted trace merging it
+with the span of the column limits, scaled once per window.  A float row's form
+is its values, (0, values, None), which, like a limit vector holding a float,
+add left to right through ``total``.  The column limits
 (``MatrixWindow.columns``, once per window) scatter each row's span from its
 form into their traces, and whether an estimate's value is zero is decided
 by ``vanishes`` alone, the one reader of ``TOLERANCE`` besides the ladder,
@@ -38,7 +38,7 @@ from functools import reduce
 from itertools import chain, zip_longest
 
 from .scalars import TOLERANCE, common_denominator, zero_like
-from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, form_values, span_form
+from .triangle import STRUCTURAL_TAIL, ZERO_TAIL, form_values, span_form, span_values
 
 STATUS_EXACT = "exact"
 STATUS_TREND = "trend-converged"
@@ -103,9 +103,10 @@ def analyze_tail(values):
 
     Returns (status, trend, value).  The ladder: settled window -> converged;
     stable second-difference acceleration over contracting differences ->
-    converged to the accelerated value; positive monotone decay with a
-    power-law log-log fit -> limit zero; otherwise drifting / diverging /
-    oscillating at indeterminate status.  A trace settles within ``TOLERANCE``.
+    converged to the accelerated value; positive monotone decay whose fit
+    a + b (n+1)^-p puts its limit a at 0 (``vanishes``) -> limit zero;
+    otherwise drifting / diverging / oscillating at indeterminate status.  A
+    trace settles within ``TOLERANCE``.
     """
     values = list(values)
     if len(values) < 3:
@@ -141,23 +142,16 @@ def analyze_tail(values):
     nonincreasing = all(full[i + 1] <= full[i] for i in range(len(full) - 1))
     nondecreasing = all(full[i + 1] >= full[i] for i in range(len(full) - 1))
 
-    if nonincreasing and full[-1] >= 0 and all(v > 0 for v in full):
-        # power-law decay check on the trailing half of the trace
-        half = len(full) // 2
-        xs = [math.log(i + 1) for i in range(half, len(full))]
-        ys = [math.log(full[i]) for i in range(half, len(full))]
-        if len(xs) >= 4 and max(xs) > min(xs):
-            xbar = total(xs) / len(xs)
-            ybar = total(ys) / len(ys)
-            sxx = total((x - xbar) ** 2 for x in xs)
-            slope = total((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
-            resid = [y - (ybar + slope * (x - xbar)) for x, y in zip(xs, ys)]
-            rms = math.sqrt(total(e * e for e in resid) / len(resid))
-            spread = max(ys) - min(ys)
-            if slope <= -0.25 and rms <= 0.05 * max(spread, 1e-9):
+    if nonincreasing and all(v > 0 for v in full):
+        # fit a + b (n+1)^-p through the terms y1, y2, y3 at n+1 = k, 2k, 4k (4k
+        # <= N), which are in ratio 2, so a is their Aitken value: the trace
+        # decays to zero only when that limit a vanishes
+        k = len(full) // 4
+        if k:
+            y1, y2, y3 = full[k - 1], full[2 * k - 1], full[4 * k - 1]
+            near, far = y1 - y2, y2 - y3
+            if far < near and vanishes(y3 - far * far / (near - far), STATUS_TREND):
                 return STATUS_TREND, TREND_DECAYING, zero_like(values[-1])
-        if full[0] > 0 and full[-1] <= 0.02 * full[0]:
-            return STATUS_TREND, TREND_DECAYING, zero_like(values[-1])
         return STATUS_INDET, TREND_DRIFTING, None
     if nondecreasing:
         return STATUS_INDET, TREND_DIVERGING, None
@@ -171,25 +165,23 @@ def total(values):
 
 
 def integer_row(row):
-    """The form (start, ints, den, fraction) of a row of int and Fraction entries:
-    its support span, the entries from the first nonzero to the last as ints over
-    den, the lcm of their denominators, and whether the row holds a Fraction; a
-    row holding a float is its own values, (0, row, None, False)."""
-    types = set(map(type, row))
-    if not types <= {int, Fraction}:
-        return 0, row, None, False
+    """The form (start, ints, den) of a row of int and Fraction entries: its
+    support span, the entries from the first nonzero to the last as ints over
+    den, the lcm of their denominators; a row holding a float is its own values,
+    (0, row, None)."""
+    if not set(map(type, row)) <= {int, Fraction}:
+        return 0, row, None
     start, span = span_form(row)
-    return (start, *common_denominator(span), Fraction in types)
+    return start, *common_denominator(span)
 
 
 def row_statistic(form, absolute=False, shift=None):
     """sum_k a_k, sum_k |a_k| (``absolute``) or, with ``absolute``, sum_k |a_k -
     alpha_k| (``shift`` the form of the column limits alpha; both padded with
-    zeros) of the row a of form ``form``: on integers and typed as ``total`` types
-    it, an int when neither form records a Fraction; left to right through
-    ``total`` over the values when either form is a float row's.  A float sum of
-    finite entries past the double range raises ``OverflowError``."""
-    start, ints, den, fraction = form
+    zeros) of the row a of form ``form``: a Fraction, summed on integers; left to
+    right through ``total`` over the values when either form is a float row's.  A
+    float sum of finite entries past the double range raises ``OverflowError``."""
+    start, ints, den = form
     if den is None or (shift is not None and shift[2] is None):
         row, alphas = form_values(form, 0), shift and form_values(shift, 0)
         terms = row if shift is None else [v - a for v, a in zip_longest(row, alphas, fillvalue=0)]
@@ -198,15 +190,14 @@ def row_statistic(form, absolute=False, shift=None):
             raise OverflowError("row statistic beyond the double range")
         return value
     if shift is not None:
-        at, alpha_ints, alpha_den, shifted = shift
-        fraction = fraction or shifted
+        at, alpha_ints, alpha_den = shift
         if alpha_ints:    # the two spans aligned from the first start on
             lo = min(start, at)
             ints = [v * alpha_den - x * den for v, x in zip_longest(
                 [0] * (start - lo) + ints, [0] * (at - lo) + alpha_ints, fillvalue=0)]
         den *= alpha_den
     value = sum(map(abs, ints)) if absolute else sum(ints)
-    return Fraction(value, den) if fraction or value % den else value // den
+    return Fraction(value, den)
 
 
 def column_value(row, k):
@@ -280,8 +271,8 @@ def column_limits(window):
     def read(forms):
         # each row's span scattered into the column traces, 0 past it
         traces = [[0] * len(forms) for _ in range(width)]
-        for n, (start, span) in enumerate(window.spans()):
-            for k, value in zip(range(start, width), span):
+        for n, form in enumerate(forms):
+            for k, value in zip(range(form[0], width), span_values(form)):
                 traces[k][n] = value
         statuses, trends, values = zip(*map(analyze_tail, traces)) if traces else ((),) * 3
         return (STATUS_INDET if STATUS_INDET in statuses else STATUS_TREND,

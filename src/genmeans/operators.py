@@ -142,15 +142,14 @@ def _lifted(p, order):
 
 def _structural(order, form, capacity):
     """The triangle whose row n has integer form ``form(n)``; structural tail."""
-    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
-                                    capacity, zero=Fraction(0))
+    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form, capacity)
 
 
 def _row_form(ints, den):
     """The integer form of the Fraction row ints / den, den > 0, over the lcm of
     its entries' denominators, which one gcd of the row makes."""
     g = math.gcd(*ints, den)
-    return span_form([v // g for v in ints], den // g, True)
+    return span_form([v // g for v in ints], den // g)
 
 
 def _mean_row(p):
@@ -279,11 +278,11 @@ class _InverseKernel:
 
     def associate(self, form):
         """(R_0 .. R_{s-1} as ints, their one denominator) of R(a) for the row a of
-        integer form ``form`` (start, ints, den, ...), s the support of a within the
+        integer form ``form`` (start, ints, den), s the support of a within the
         kernel's n terms: with b the m reverse running sums of a,
         R_k = r_k sum_{j>=k} b_j c_{j-k} / t_j, one integer product per entry and no
         gcd.  R vanishes past the support, so the ints end there."""
-        start, ints, db = form[:3]
+        start, ints, db = form
         b = reversed([0] * start + ints)
         for _ in range(self.p.m):
             b = accumulate(b)

@@ -13,11 +13,13 @@ Toeplitz inverse coefficients) is not needed on any production route; it
 lives in ``selfcheck`` as oracles.
 
 A matrix window holds each row as its form, on either backend and whoever
-built it: an exact row as its support span, integers over one denominator; a
-row holding a float as its own values.  The program's producers (W, T, the
-identity, associates, dual triangles) build windows from forms; rows a caller
-passes are brought to forms once, in the constructor, and stay the ``rows``
-view.  Every other view is made from the forms, only when read.
+built it: an exact row as its support span (start, ints, den), integers over
+one denominator; a row holding a float as its own values, (0, values, None).
+The program's producers (W, T, the identity, associates, dual triangles) build
+windows from forms; rows a caller passes are brought to forms once, in the
+constructor, and stay the ``rows`` view.  Every other view is made from the
+forms, only when read, and every exact entry and row statistic it hands out is
+a Fraction.
 
 Every value is immutable after construction; a window memoizes what it derives
 (extension, integer forms, row statistics and the trend ladder's readings of
@@ -98,28 +100,24 @@ def support_of(values):
 
 def span_form(values, *rest):
     """(start, the values from index start, the first nonzero, to the last, *rest):
-    with ``rest`` (den, fraction), the form of the row ints / den, its support
-    span and whether the row holds a Fraction."""
+    with ``rest`` a den, the form of the row ints / den, its support span."""
     stop = support_of(values)
     start = next(compress(count(), values), stop)
     return (start, values[start:stop], *rest)
 
 
-def span_values(form, zero=0):
+def span_values(form):
     """The entries of the support span of a row of form ``form``: Fraction(v, den)
-    in a row holding a Fraction, ``zero`` for its zeros; the ints of an int row
-    (den 1); a float row's own values."""
-    ints, den, fraction = form[1:]
-    return tuple(Fraction(v, den) if v else zero for v in ints) if fraction else tuple(ints)
+    for an exact row, a float row's own values."""
+    _, ints, den = form
+    return tuple(ints) if den is None else tuple(Fraction(v, den) for v in ints)
 
 
-def form_values(form, width, zero=0):
+def form_values(form, width):
     """The ``width`` values of a row of form ``form``: its span's entries
-    (``span_values``) between zeros, ``zero`` in a row holding a Fraction, int 0
-    in any other."""
-    start, span = form[0], span_values(form, zero)
-    pad = zero if form[3] else 0
-    return (pad,) * start + span + (pad,) * (width - start - len(span))
+    (``span_values``) between Fraction zeros; a float row's form spans its width."""
+    start, span = form[0], span_values(form)
+    return (Fraction(0),) * start + span + (Fraction(0),) * (width - start - len(span))
 
 
 def unit_sequence(order, j, backend):
@@ -152,13 +150,14 @@ class MatrixWindow:
     generates row n beyond it when the tail is structural; ``capacity`` is
     the exclusive bound on generatable indices (None = unlimited).
 
-    A window holds each row as its form (start, ints, den, fraction), read by
-    the row statistics (``integer_rows``): the support span, entries from the
-    first nonzero to the last as ints over one den > 0, and whether the row
-    holds a Fraction; a float row is its values, (0, values, None, False).  A
-    caller's rows become forms here (``limits.integer_row``), a generated row
-    once, and the tuple passed stays the ``rows`` view; the program builds from
-    forms (``_of_forms``).  Other views are made from the forms when read.
+    A window holds each row as its form (start, ints, den), read by the row
+    statistics (``integer_rows``): the support span, entries from the first
+    nonzero to the last as ints over one den > 0; a float row is its values,
+    (0, values, None).  A caller's rows become forms here
+    (``limits.integer_row``), a generated row once, and the tuple passed stays
+    the ``rows`` view; the program builds from forms (``_of_forms``).  Other
+    views are made from the forms when read: every exact entry a Fraction, a
+    float row its floats.
     """
 
     def __init__(self, rows, row_tail=UNKNOWN_TAIL, row_fn=None, capacity=None):
@@ -173,27 +172,25 @@ class MatrixWindow:
             return len(rows[n] if n < len(rows) else made(n))
 
         # the window of the rows' forms, the tuple passed its ``rows`` view
-        window = self._of_forms(map(integer_row, rows), row_tail, made and form, capacity,
-                                Fraction(0), width)
+        window = self._of_forms(map(integer_row, rows), row_tail, made and form, capacity, width)
         vars(self).update(vars(window), rows=rows)
 
     @classmethod
-    def _of_forms(cls, forms, row_tail, form_fn=None, capacity=None, zero=0, width=(1).__add__):
+    def _of_forms(cls, forms, row_tail, form_fn=None, capacity=None, width=(1).__add__):
         """The window of the stored rows' forms, ``form_fn(n)`` giving row n's past
-        them and ``width(n)`` its width (n + 1: a triangle); its views write
-        ``zero`` for a zero of a Fraction row."""
+        them and ``width(n)`` its width (n + 1: a triangle)."""
         if row_tail not in MATRIX_TAILS:
             raise ValueError(f"row tail must be one of {MATRIX_TAILS}, got {row_tail!r}")
         window, forms = cls.__new__(cls), tuple(forms)
         # readings: {id(trace): its trend ladder reading and max slot} for the traces held
         vars(window).update(row_tail=row_tail, capacity=capacity, stored=len(forms), readings={},
-                            _forms=forms, _form_fn=form_fn, _zero=zero, _width=width)
+                            _forms=forms, _form_fn=form_fn, _width=width)
         return window
 
     @cached_property
     def rows(self):
         """The stored rows: the view of their forms, made on first read."""
-        return tuple(form_values(f, self._width(n), self._zero) for n, f in enumerate(self._forms))
+        return tuple(form_values(f, self._width(n)) for n, f in enumerate(self._forms))
 
     @property
     def width(self):
@@ -220,7 +217,7 @@ class MatrixWindow:
     @cached_property
     def extended(self):
         """The stored rows and the ``_stop`` past them, computed once per window."""
-        return self.rows + tuple(form_values(f, self.row_width(n), self._zero)
+        return self.rows + tuple(form_values(f, self.row_width(n))
                                  for n, f in enumerate(self.integer_rows[self.stored:], self.stored))
 
     @cached_property
@@ -228,12 +225,8 @@ class MatrixWindow:
         """The form of each extended row, computed once per window."""
         past = range(self.stored, self._stop)
         if self.row_tail != STRUCTURAL_TAIL:    # zero rows past the stored ones, or none
-            return self._forms + tuple((0, [], 1, False) for _ in past)
+            return self._forms + tuple((0, [], 1) for _ in past)
         return self._forms + tuple(map(self._form_fn, past))
-
-    def spans(self):
-        """(start, entries) of each extended row's support span (``span_values``)."""
-        return ((f[0], span_values(f, self._zero)) for f in self.integer_rows)
 
     def _statistic(self, **options):
         """``limits.row_statistic`` of each extended row's form."""
@@ -308,7 +301,7 @@ class MatrixWindow:
             return ()
         if self.row_tail == STRUCTURAL_TAIL and self._form_fn is not None:
             if self.capacity is None or n < self.capacity:
-                return form_values(self._form_fn(n), self._width(n), self._zero)
+                return form_values(self._form_fn(n), self._width(n))
         return None
 
 
@@ -337,16 +330,15 @@ class TriangleMatrix(MatrixWindow):
 
 def identity(order, backend=None):
     """The identity triangle; its structural tail extends to every index.  Row n
-    is the form (n, [1], 1, True) on the exact backend, e_n's floats on f64."""
+    is the form (n, [1], 1) on the exact backend, e_n's floats on f64."""
     backend = backend or _RATIONAL_BACKEND
 
     def form(n):
         if backend.mode == RATIONAL_MODE:
-            return n, [1], 1, True
-        return 0, (0.0,) * n + (1.0,), None, False
+            return n, [1], 1
+        return 0, (0.0,) * n + (1.0,), None
 
-    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form,
-                                    zero=backend.zero)
+    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form)
 
 
 def apply(matrix, x):

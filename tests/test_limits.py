@@ -9,6 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genmeans import (
+    FLOAT64,
+    RATIONAL,
     Backend,
     MatrixWindow,
     compactness,
@@ -58,8 +60,6 @@ def test_decisive_status_on_geometric_traces_matches_the_truth(q, start, length)
     assert abs(float(value) - limit) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="the decaying rung calls the limit of a positive "
-                   "decreasing trace 0 without testing that it is 0 (ROADMAP item 1)")
 def test_decaying_rung_never_calls_a_nonzero_limit_zero():
     # 1/100 + 1/(n+1) and 1/2 + 50/(n+1) fall to 1/100 and 1/2: a decisive
     # status must carry that limit, from the ladder and through the public API
@@ -137,6 +137,14 @@ def reference_row_statistics(row, alphas):
     return total(row), total(abs(v) for v in row), total(shifted)
 
 
+def same_statistic(got, want):
+    """A row statistic is its reference sum: a float one bit for bit, an exact
+    one equal and a Fraction."""
+    if isinstance(want, float):
+        return repr(got) == repr(want)
+    return got == want and type(got) is F
+
+
 def row_statistics(row, alphas):
     """The three statistics as a window takes them: its row sums, and the
     shifted trace's ``row_statistic`` on the integer forms of row and alphas."""
@@ -170,34 +178,80 @@ exact_rows = st.one_of(st.lists(ints, max_size=10), st.lists(rationals, max_size
 @example([F(0), F(0)], [0, 0])
 @example([0, F(1, 3), 0], [0, 0, 2, 0, 0, F(1, 2)])
 def test_exact_row_statistics_match_left_to_right_sums(row, alphas):
-    # one common denominator must give the same value and the same type
-    # (int for all-int input, 0 for the empty row, else Fraction)
+    # one common denominator must give the same value, as a Fraction (the
+    # empty row and an all-int row included)
     for got, want in zip(row_statistics(row, alphas), reference_row_statistics(row, alphas)):
-        assert got == want and type(got) is type(want)
+        assert same_statistic(got, want)
 
 
 @given(exact_rows)
 @example([F(0), 0, F(0)])
 def test_integer_form_is_the_support_span(row):
-    # (start, ints, den, fraction): the entries from the first nonzero to the
-    # last over one denominator, zeros outside it, and whether a Fraction is there
-    start, ints, den, fraction = integer_row(row)
-    assert fraction == any(type(v) is F for v in row)
+    # (start, ints, den): the entries from the first nonzero to the last over
+    # one denominator den > 0, zeros outside it
+    start, ints, den = integer_row(row)
+    assert den > 0
     support = [k for k, v in enumerate(row) if v]
     assert (start, len(ints)) == ((support[0], support[-1] + 1 - support[0]) if support
                                   else (0, 0))
     assert [F(v, den) for v in ints] == list(row[start:start + len(ints)])
     # a row holding a float is its own values
     floats = [0.0] + list(row)
-    assert integer_row(floats) == (0, floats, None, False)
+    assert integer_row(floats) == (0, floats, None)
 
 
 def test_identity_associate_forms_hold_one_integer_per_row():
     # the 256 extended rows of the supplied identity: one nonzero each
     A = supplied_associate(identity(64)).window
-    assert A.integer_rows == tuple((n, [1], 1, True) for n in range(256))
+    assert A.integer_rows == tuple((n, [1], 1) for n in range(256))
     assert A.row_sums == A.row_abs_sums == A.shifted_abs_sums == (1,) * 256
     assert A.columns.value == (0,) * 64
+
+
+CALLER_ROWS = ((1, 0, 2), (0, 3))
+
+
+def invariant_window(name, backend):
+    """The window ``name`` on ``backend``: W, T, the identity, the associate of
+    the caller's window, a dual triangle, or the caller's window: rows of ints
+    (floats on f64) and a generator of them."""
+    one = backend.one
+    p = operators.preset(operators.PresetSpec("euler", alpha=F(1, 2)), 4, m=2, backend=backend)
+    a = triangle.SequenceWindow((one, one / 2, 0 * one, one / 3), "zero")
+    kind = int if backend is RATIONAL else float
+    caller = MatrixWindow(tuple(tuple(map(kind, row)) for row in CALLER_ROWS), "structural",
+                          lambda n: (kind(n), kind(0), kind(1)))
+    return {"W": operators.weighted_mean_matrix(p), "T": operators.mean_difference_matrix(p),
+            "identity": identity(4, backend), "associate": transformed_rows(p, caller),
+            "alpha": duality.alpha_dual_matrix(p, a), "gamma": duality.gamma_dual_matrix(p, a),
+            "beta": duality.tail_sum_matrix(p, a), "caller": caller}[name]
+
+
+@pytest.mark.parametrize("backend", (RATIONAL, FLOAT64), ids=("rational", "f64"))
+@pytest.mark.parametrize("name", ("W", "T", "identity", "associate", "alpha", "gamma", "beta",
+                                  "caller"))
+def test_every_exact_entry_and_row_statistic_is_a_fraction(name, backend):
+    # one row form, (start, ints, den) with den > 0, or a float row's (0, values,
+    # None): every exact entry and row statistic a window hands out is a
+    # Fraction and an f64 row's entries are floats; a caller's rows stay the
+    # tuple passed.  W and T are built on the exact twin on either backend
+    window = invariant_window(name, backend)
+    exact = backend is RATIONAL or name in ("W", "T")
+    for start, ints, den in window.integer_rows:
+        assert den is None and not exact or type(den) is int and den > 0
+    passed = window.stored if name == "caller" else 0
+    if passed:
+        assert window.rows == tuple(map(tuple, CALLER_ROWS))
+    rows = [*window.rows[passed:], *window.extended[passed:],
+            *map(window.row, range(passed, len(window.extended)))]
+    assert rows and all(type(v) is (F if exact else float) for row in rows for v in row)
+    held = [window.row_sums, window.row_abs_sums, window.row_sum_magnitudes]
+    if window.shifted_abs_sums is not None and not any(
+            isinstance(v, float) for v in window.columns.value):    # exact column limits
+        held.append(window.shifted_abs_sums)
+    for trace in held:
+        assert [type(v) for v in trace] == [
+            float if den is None else F for _, _, den in window.integer_rows]
 
 
 def form_and_row_window(row, stored, tail, generate, capacity):
@@ -207,8 +261,7 @@ def form_and_row_window(row, stored, tail, generate, capacity):
         return integer_row(row(n))
 
     built = MatrixWindow._of_forms([form(n) for n in range(stored)], tail,
-                                   form if generate else None, capacity, F(0),
-                                   lambda n: len(row(n)))
+                                   form if generate else None, capacity, lambda n: len(row(n)))
     given = MatrixWindow(tuple(map(row, range(stored))), tail, row if generate else None, capacity)
     return built, given
 
@@ -253,9 +306,10 @@ def check_form_and_row_windows(built, given):
     alphas = given.columns.value if given.shifted_abs_sums is not None else ()
     for n, row in enumerate(given.extended):
         want = reference_row_statistics(row, alphas)
-        assert repr((given.row_sums[n], given.row_abs_sums[n])) == repr(want[:2])
+        assert same_statistic(given.row_sums[n], want[0])
+        assert same_statistic(given.row_abs_sums[n], want[1])
         if given.shifted_abs_sums is not None:
-            assert repr(given.shifted_abs_sums[n]) == repr(want[2])
+            assert same_statistic(given.shifted_abs_sums[n], want[2])
     for name in held:
         if getattr(given, name) is not None:
             for estimate in (sup_of_rows, limit_of_rows, limsup_of_rows):
@@ -299,8 +353,7 @@ def test_rows_with_floats_keep_left_to_right_sums(row, alphas):
             with pytest.raises(OverflowError):
                 statistic()
             continue
-        got = statistic()
-        assert repr(got) == repr(want) and type(got) is type(want)
+        assert same_statistic(statistic(), want)
 
 
 def test_structural_tail_without_generator_is_named_by_every_estimator():
@@ -358,9 +411,11 @@ TAIL_RULE_ESTIMATORS = {
 
 # (stored rows, tail) -> (status, trend, value, note) of sup, lim, exists,
 # limsup and column limits.  With no stored rows a zero tail extends by four
-# empty rows and a generator by four of its rows, as the window's ``extended``
+# empty rows and a generator by four of its rows, as the window's ``extended``;
+# a row statistic is a Fraction, so the sup of the empty rows' sums is F(0),
+# and a column trace holds its rows' span entries, 0 past them
 TAIL_RULE_TABLE = {
-    (0, "zero"): ((*EXACT, 0, ""),) * 4 + ((*EXACT, (), ""),),
+    (0, "zero"): ((*EXACT, F(0), ""),) + ((*EXACT, 0, ""),) * 3 + ((*EXACT, (), ""),),
     (0, "extended"): ((STATUS_TREND, "drifting", F(3, 2), ""),
                       (STATUS_INDET, "oscillating", None, ""),
                       (STATUS_INDET, "oscillating", None, ""),
@@ -381,10 +436,10 @@ TAIL_RULE_TABLE = {
     (4, "zero"): ((*EXACT, F(3, 2), ""), (*EXACT, 0, ""), (*EXACT, 0, ""), (*EXACT, 0, ""),
                   (*EXACT, (0, 0), "")),
     (4, "extended"): ((STATUS_TREND, "converged", F(3, 2), ""),
-                      (STATUS_TREND, "converged", -1, ""),
-                      (STATUS_TREND, "converged", -1, ""),
-                      (STATUS_TREND, "converged", 1, ""),
-                      (STATUS_TREND, "converged", (0, -1), "")),
+                      (STATUS_TREND, "converged", F(-1), ""),
+                      (STATUS_TREND, "converged", F(-1), ""),
+                      (STATUS_TREND, "converged", F(1), ""),
+                      (STATUS_TREND, "converged", (0, F(-1)), "")),
     (4, "capped"): ((*SHORT, F(3, 2), CAPPED), (*NOT_EXTENDED, CAPPED), (*NOT_EXTENDED, CAPPED),
                     (*SHORT, F(3, 2), CAPPED), (*NOT_EXTENDED, CAPPED)),
     (4, "no generator"): ((*SHORT, F(3, 2), NO_GENERATOR), (*NOT_EXTENDED, NO_GENERATOR),
@@ -465,12 +520,9 @@ def test_sup_of_a_held_trace_reads_the_max_kept_with_its_reading(monkeypatch):
 
 
 def _same_sums(got, want):
-    """Equal values of the same types, and the same repr wherever a float is
-    involved."""
-    assert got == want and tuple(map(type, got)) == tuple(map(type, want))
-    for g, w in zip(got, want):
-        if isinstance(g, float) or isinstance(w, float):
-            assert repr(g) == repr(w)
+    """Each statistic its reference sum (``same_statistic``): a float one bit for
+    bit, an exact one, an empty row's on f64 included, equal and a Fraction."""
+    assert len(got) == len(want) and all(map(same_statistic, got, want))
 
 
 @no_shrink
