@@ -76,8 +76,8 @@ def reconstruct(p, x, partial_order, space="c0") -> Reconstruction:
     transformed coordinates, which a finite window cannot observe; the last
     coordinate stands in for it and the result is flagged accordingly.
     """
-    if partial_order >= p.order:
-        raise DimensionError(f"partial-sum order {partial_order} must be below {p.order}")
+    if not 0 <= partial_order < p.order:
+        raise DimensionError(f"partial-sum order {partial_order} must lie in 0..{p.order - 1}")
     if space not in ("c0", "c"):
         raise DimensionError(f"reconstruction space must be c0 or c, got {space!r}")
     q, out = exact_twin(p)
@@ -199,8 +199,8 @@ def gamma_dual_matrix(p, a, partial_order=None) -> TriangleMatrix:
     bracketed closed form is an oracle in ``selfcheck``.
     """
     L = p.order if partial_order is None else partial_order
-    if L > p.order:
-        raise DimensionError(f"partial-sum order {L} exceeds truncation order {p.order}")
+    if not 0 <= L <= p.order:
+        raise DimensionError(f"partial-sum order {L} must lie in 0..{p.order}")
     if len(a) < L:
         raise DimensionError(f"sequence length {len(a)} shorter than partial-sum order {L}")
     tail = ZERO_TAIL if a.tail == ZERO_TAIL else UNKNOWN_TAIL

@@ -10,9 +10,11 @@ sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 compute on integers over one common denominator (fraction-free, as in
 Bareiss elimination), so an inner product costs no gcd, and hand each other
 that integer form; each result value is made once from its integer pair.
-W and T hold the integer form of each row, made with one gcd per row; the
-inverse kernel maps a source row's form to the integers of its associate's
-form (``duality.associate_window``), which the row statistics read as is.
+W and T come from one builder, W being T at m = 0, at the triple's own order
+(another order is ``dataclasses.replace(p, order=n)``); it holds each row's
+integer form, made with one gcd per row.  The inverse kernel maps a source
+row's form to the integers of its associate's form
+(``duality.associate_window``), which the row statistics read as is.
 The float backend has one boundary: ``exact_twin`` lifts the parameters and
 makes result values, and ``scalars.common_denominator`` reads input values
 exactly; a triple keeps only its exact twin and its kernels' integer forms.
@@ -130,67 +132,41 @@ def exact_twin(p):
     return p._twin, truediv
 
 
-def _lifted(p, order):
-    """The exact twin of p and the requested order; p is valid as built, so the
-    one check left is the order against the twin's capacity."""
+def _mean_difference(p, m):
+    """W Delta^m on the exact twin of p, at its order, extending to the twin's
+    capacity; structural tail.  W is the case m = 0.
+
+    Row n of W, entries s_{n-k} t_k / r_n for k <= n, is made as integers over
+    the lcm of its entries' denominators (the numerators and denominators of s
+    and t read once per matrix), so no gcd per entry; row n of W Delta^m is m
+    reverse differences w_k - w_{k+1} (with w_{n+1} = 0) of it, O(mn) per row,
+    never a matrix product.  One gcd of the row reduces it to its integer form.
+    """
     p = exact_twin(p)[0]
-    order = p.order if order is None else order
-    if order > p.capacity:
-        raise DimensionError(f"order {order} exceeds parameter capacity {p.capacity}")
-    return p, order
-
-
-def _structural(order, form, capacity):
-    """The triangle whose row n has integer form ``form(n)``; structural tail."""
-    return TriangleMatrix._of_forms(tuple(map(form, range(order))), STRUCTURAL_TAIL, form, capacity)
-
-
-def _row_form(ints, den):
-    """The integer form of the Fraction row ints / den, den > 0, over the lcm of
-    its entries' denominators, which one gcd of the row makes."""
-    g = math.gcd(*ints, den)
-    return span_form([v // g for v in ints], den // g)
-
-
-def _mean_row(p):
-    """Row n of W on the exact twin p, entries s_{n-k} t_k / r_n for k <= n, as
-    integers over the lcm of the entries' denominators: no gcd per entry."""
-
     (sn, sd), (tn, td) = (zip(*(v.as_integer_ratio() for v in w)) for w in (p.s, p.t))
 
-    def row(n):
+    def form(n):
         rn, rd = p.r[n].as_integer_ratio()
         rd = rd if rn > 0 else -rd
-        nums = [a * b * rd for a, b in zip(sn[n::-1], tn)]
         dens = list(map(mul, sd[n::-1], td))
         den = math.lcm(*dens)
-        return [v * (den // d) for v, d in zip(nums, dens)], den * abs(rn)
+        ints = [a * b * rd * (den // d) for a, b, d in zip(sn[n::-1], tn, dens)]
+        d, den = _differences((ints[::-1], den * abs(rn)), m)
+        g = math.gcd(*d, den)
+        return span_form([v // g for v in reversed(d)], den // g)
 
-    return row
-
-
-def weighted_mean_matrix(p, order=None) -> TriangleMatrix:
-    """Entries s_{n-k} t_k / r_n for k <= n; structural tail."""
-    p, order = _lifted(p, order)
-    mean_row = _mean_row(p)
-    return _structural(order, lambda n: _row_form(*mean_row(n)), p.capacity)
+    return TriangleMatrix._of_forms(tuple(map(form, range(p.order))), STRUCTURAL_TAIL, form,
+                                    p.capacity)
 
 
-def mean_difference_matrix(p, order=None) -> TriangleMatrix:
-    """The composite operator T = W Delta^m; structural tail.
+def weighted_mean_matrix(p) -> TriangleMatrix:
+    """The weighted mean W: entries s_{n-k} t_k / r_n for k <= n; structural tail."""
+    return _mean_difference(p, 0)
 
-    Row n of T is row n of W times Delta^m, that is m reverse differences
-    w_k - w_{k+1} (with w_{n+1} = 0) of the weighted-mean row: O(mn) per row.
-    """
-    p, order = _lifted(p, order)
-    mean_row = _mean_row(p)
 
-    def form(n):
-        ints, den = mean_row(n)
-        d, den = _differences((ints[::-1], den), p.m)
-        return _row_form(d[::-1], den)
-
-    return _structural(order, form, p.capacity)
+def mean_difference_matrix(p) -> TriangleMatrix:
+    """The composite operator T = W Delta^m; structural tail."""
+    return _mean_difference(p, p.m)
 
 
 # Substitution kernels.  They take the exact twin and integer forms (ints, den),

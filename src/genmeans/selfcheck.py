@@ -41,7 +41,7 @@ from .triangle import (
 )
 from .operators import (
     ParameterTriple,
-    _lifted,
+    exact_twin,
     inverse_transform,
     mean_difference_matrix,
     space_norm,
@@ -193,25 +193,25 @@ def difference_inverse(m, order, backend=RATIONAL) -> TriangleMatrix:
     return _structural(order, row)
 
 
-def weighted_mean_inverse(p, order=None) -> TriangleMatrix:
+def weighted_mean_inverse(p) -> TriangleMatrix:
     """Closed-form inverse of the weighted-mean triangle.
 
     Entry (n, k) is (-1)^{n-k} D_{n-k} r_k / t_n with D the Toeplitz inverse
     coefficients of s.
     """
-    p, order = _lifted(p, order)
+    p = exact_twin(p)[0]
     D = toeplitz_inverse_coeffs(p.s, p.capacity)
 
     def row(n):
         return tuple((-1) ** ((n - k) % 2) * D[n - k] * p.r[k] / p.t[n] for k in range(n + 1))
 
-    return _structural(order, row, p.capacity)
+    return _structural(p.order, row, p.capacity)
 
 
-def mean_difference_inverse(p, order=None) -> TriangleMatrix:
+def mean_difference_inverse(p) -> TriangleMatrix:
     """Inverse of the composite operator: the difference inverse times the weighted-mean inverse."""
-    p, order = _lifted(p, order)
-    return compose(difference_inverse(p.m, order, p.backend), weighted_mean_inverse(p, order))
+    p = exact_twin(p)[0]
+    return compose(difference_inverse(p.m, p.order, p.backend), weighted_mean_inverse(p))
 
 
 def nonzero_fraction(rng, span=3, den=3):

@@ -143,6 +143,17 @@ def test_reconstruct_rejects_full_order():
         reconstruct(p, SequenceWindow((F(1),) * 4), 4, "c0")
 
 
+@pytest.mark.parametrize("partial_order", [-1, -2])
+@pytest.mark.parametrize("build", [
+    lambda p, x, n: reconstruct(p, x, n, "c0"),
+    lambda p, x, n: gamma_dual_matrix(p, SequenceWindow(x.values, "zero"), n),
+], ids=["reconstruct", "gamma_dual_matrix"])
+def test_negative_partial_order_is_rejected(build, partial_order):
+    p = euler_triple(4)
+    with pytest.raises(DimensionError, match=f"partial-sum order {partial_order} "):
+        build(p, SequenceWindow((F(1),) * 4), partial_order)
+
+
 # --- associate rows and tail sums --------------------------------------------
 
 def test_associate_row_of_first_coordinate():
@@ -205,7 +216,7 @@ def test_substitution_kernels_match_dense_triangles(m, p, data):
     assert transform(p, x).values == apply(mean_difference_matrix(p), x).values
     assert inverse_transform(p, x).values == apply(mean_difference_inverse(p), x).values
     a = data.draw(zero_tail_windows(order=p.capacity))
-    S = mean_difference_inverse(p, p.capacity)
+    S = mean_difference_inverse(replace(p, order=p.capacity))
     assert associate_row(p, a).values == tuple(
         sum(a[j] * S.entry(j, k) for j in range(k, len(a))) for k in range(len(a)))
 
@@ -265,8 +276,9 @@ def check_kernel_against_dense_inverse(q, a):
     twin q up to its capacity, against the dense inverse and against the
     inverse of the dense composite (which does not use c = 1/s)."""
     n = q.capacity
-    S = mean_difference_inverse(q, n)
-    assert S.rows == invert_triangle(mean_difference_matrix(q, n)).rows
+    full = replace(q, order=n)
+    S = mean_difference_inverse(full)
+    assert S.rows == invert_triangle(mean_difference_matrix(full)).rows
     kernel = _InverseKernel(q, n)
     rows, den = kernel.inverse_rows()
     assert tuple(tuple(F(v, den) for v in row) for row in rows) == S.rows
@@ -321,7 +333,7 @@ def test_kernel_support_at_and_past_the_capacity():
     p = euler_triple(3, m=2)
     n = p.capacity
     full = SequenceWindow((F(1),) * n, "zero")
-    S = mean_difference_inverse(p, n)
+    S = mean_difference_inverse(replace(p, order=n))
     assert associate_row(p, full).values == tuple(
         sum(S.entry(j, k) for j in range(k, n)) for k in range(n))
     assert tail_sum_matrix(p, full).order == n

@@ -459,9 +459,9 @@ def test_integer_forms_are_kept_with_the_triple(backend, monkeypatch):
     assert roundtrips == [inverse_transform(fresh, transform(fresh, x))] * 3
     short = SequenceWindow(tuple(F(1, i + 1) for i in range(4)))
     assert (kernel_values(_mean_apply(q, common_denominator(short)))
-            == list(apply(weighted_mean_matrix(q, 4), short)))
+            == list(apply(weighted_mean_matrix(dataclasses.replace(q, order=4)), short)))
     assert (kernel_values(_mean_solve(q, common_denominator(short)))
-            == list(apply(weighted_mean_inverse(q, 4), short)))
+            == list(apply(weighted_mean_inverse(dataclasses.replace(q, order=4)), short)))
     assert len(made) == 2 and made[0] is q and made[1] is exact_twin(fresh)[0]
 
 
@@ -539,7 +539,7 @@ def test_integer_kernels_match_dense_triangles(m, q, data):
         assert all(type(v) is F for v in got)
     # the associate product: a against the columns of the dense T^{-1}
     a = [data.draw(small_fractions) for _ in range(data.draw(st.integers(0, q.capacity)))]
-    S = mean_difference_inverse(q, q.capacity)
+    S = mean_difference_inverse(dataclasses.replace(q, order=q.capacity))
     ints, den = _InverseKernel(q, len(a)).associate(integer_row(a))
     assert [F(v, den) for v in ints] + [0] * (len(a) - len(ints)) == [
         sum(a[j] * S.entry(j, k) for j in range(k, len(a))) for k in range(len(a))]
