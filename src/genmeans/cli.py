@@ -16,16 +16,9 @@ import sys
 from .compactness import associate_matrix, chi_norm, operator_norm, supplied_associate
 from .conditions import CONDITION_SUMMARY, classify_map
 from .duality import associate_row, basis_vector, dual_membership
-from .errors import (
-    DimensionError,
-    GuardError,
-    InconsistencyError,
-    ParameterError,
-    SchemaError,
-    SingularTriangleError,
-    TailError,
-)
-from .operators import PresetSpec, preset, inverse_transform, space_norm, transform
+from .errors import DimensionError, GenmeansError, InconsistencyError, ParameterError, SchemaError
+from .operators import (
+    PRESET_ARGS, PRESET_NAMES, PresetSpec, inverse_transform, preset, space_norm, transform)
 from .scalars import FLOAT_MODE, backend_for
 from .serialize import (
     canonical_number,
@@ -79,33 +72,21 @@ def _resolve_params(args, backend):
             # the float boundary is the parameters': rational ones take rational inputs
             raise ParameterError(["params: rational parameters cannot take --scalar f64"])
         return p, {"params_file": args.params, "params": params_to_json(p)}
-    name = args.preset or "identity"
-    order = args.n
-    window = 4 * order
-    kwargs = {}
-    if name in ("euler", "aydin"):
-        if args.alpha is None:
-            raise ParameterError([f"preset {name!r} requires --alpha"])
-        kwargs["alpha"] = _parse_number(args.alpha, backend, "--alpha")
-    if name == "uv":
-        if args.u is None or args.v is None:
-            raise ParameterError(["preset 'uv' requires --u and --v"])
-        kwargs["u"] = _parse_sequence_arg(args.u, window, backend, "--u")
-        kwargs["v"] = _parse_sequence_arg(args.v, window, backend, "--v")
-    if name == "lambda":
-        if args.lam is None:
-            raise ParameterError(["preset 'lambda' requires --lam"])
-        kwargs["lam"] = _parse_sequence_arg(args.lam, window, backend, "--lam")
-    spec = PresetSpec(name, **kwargs)
-    p = preset(spec, order, m=args.m, backend=backend)
+    name, order = args.preset or "identity", args.n
+    # the family's flags that are given, each named as its argument
+    kwargs = {key: _parse_number(text, backend, f"--{key}") if key == "alpha"
+              else _parse_sequence_arg(text, 4 * order, backend, f"--{key}")
+              for key in PRESET_ARGS[name] if (text := getattr(args, key)) is not None}
+    p = preset(PresetSpec(name, **kwargs), order, m=args.m, backend=backend)
     job = {"preset": name, "n": order, "m": p.m, "scalar": backend.mode}
-    if "alpha" in kwargs:
+    for key, value in kwargs.items():
         # str() of each value, with integers of any size
-        job["alpha"] = canonical_number(kwargs["alpha"]).removesuffix("/1")
-    for key in ("u", "v", "lam"):
-        if key in kwargs:
-            job[key] = [canonical_number(v).removesuffix("/1") for v in kwargs[key]]
+        job[key] = _text(value) if key == "alpha" else list(map(_text, value))
     return p, job
+
+
+def _text(value):
+    return canonical_number(value).removesuffix("/1")
 
 
 def _load_sequence(path, backend, p):
@@ -121,44 +102,35 @@ def _load_matrix(path, backend):
     return matrix_from_json(doc, path="matrix", backend=backend), doc
 
 
-def _on_sequence(command, fn, key):
+def _on_sequence(fn, key):
     """The handler of a command that maps its one input sequence through ``fn``."""
-    def handler(args, backend):
-        p, job_params = _resolve_params(args, backend)
+    def handler(args, backend, p):
         x, raw = _load_sequence(args.input, backend, p)
         result = fn(p, x)
-        job = {"command": command, **job_params, "input": raw}
-        return job, {key: result}, result, False
+        return {"input": raw}, {key: result}, result, False
     return handler
 
 
-def _cmd_basis(args, backend):
-    p, job_params = _resolve_params(args, backend)
+def _cmd_basis(args, backend, p):
     b = basis_vector(p, args.j)
-    y = transform(p, b)
-    job = {"command": "basis", **job_params, "j": args.j}
-    result = {"index": args.j, "vector": b, "transformed": y}
-    return job, result, b, False
+    result = {"index": args.j, "vector": b, "transformed": transform(p, b)}
+    return {"j": args.j}, result, b, False
 
 
-def _cmd_dual(args, backend):
-    p, job_params = _resolve_params(args, backend)
+def _cmd_dual(args, backend, p):
     a, raw = _load_sequence(args.input, backend, p)
     verdict = dual_membership(p, a, args.dual, args.space)
     result = {"dual": args.dual, "space": args.space, "verdict": verdict}
     if a.tail == ZERO_TAIL:
         result["associate_row"] = list(associate_row(p, a))
-    job = {"command": "dual", **job_params, "dual": args.dual,
-           "space": args.space, "input": raw}
+    job = {"dual": args.dual, "space": args.space, "input": raw}
     return job, result, None, verdict.status == "indeterminate"
 
 
-def _cmd_matclass(args, backend):
-    p, job_params = _resolve_params(args, backend)
+def _cmd_matclass(args, backend, p):
     matrix, raw = _load_matrix(args.matrix, backend)
     report = classify_map(p, matrix, args.source, args.target)
-    job = {"command": "matclass", **job_params, "source": args.source,
-           "target": args.target, "matrix": raw}
+    job = {"source": args.source, "target": args.target, "matrix": raw}
     result = {
         "source": report.source,
         "target": report.target,
@@ -172,8 +144,7 @@ def _cmd_matclass(args, backend):
     return job, result, None, report.overall.status == "indeterminate"
 
 
-def _cmd_chi(args, backend):
-    p, job_params = _resolve_params(args, backend)
+def _cmd_chi(args, backend, p):
     if args.atilde:
         matrix, raw = _load_matrix(args.atilde, backend)
         operand = supplied_associate(matrix)
@@ -185,13 +156,13 @@ def _cmd_chi(args, backend):
     estimate = chi_norm(p, operand, args.target)
     verdict = estimate.verdict()
     norm = operator_norm(p, operand)
-    job = {"command": "chi", **job_params, "target": args.target, **source_doc}
+    job = {"target": args.target, **source_doc}
     result = {"chi": estimate, "compactness": verdict, "operator_norm": norm}
     # an indeterminate chi makes the verdict read off it indeterminate too
     return job, result, None, verdict.status == "indeterminate"
 
 
-def _cmd_selftest(args, backend):
+def _cmd_selftest(args, backend, p):
     from .selfcheck import run_selftest    # the oracles load only for selftest
 
     lines = []
@@ -200,14 +171,15 @@ def _cmd_selftest(args, backend):
         print(line, file=sys.stderr)
     if not ok:
         raise InconsistencyError("selftest failed; see report lines")
-    job = {"command": "selftest", "seed": args.seed}
-    return job, {"passed": ok, "lines": lines}, None, False
+    return {"seed": args.seed}, {"passed": ok, "lines": lines}, None, False
 
 
+# each handler takes (args, backend, the resolved parameters; None for selftest) and
+# returns (its own job keys, result, the CSV sequence or None, indeterminate)
 COMMANDS = {
-    "transform": _on_sequence("transform", transform, "sequence"),
-    "inverse-transform": _on_sequence("inverse-transform", inverse_transform, "sequence"),
-    "norm": _on_sequence("norm", space_norm, "norm"),
+    "transform": _on_sequence(transform, "sequence"),
+    "inverse-transform": _on_sequence(inverse_transform, "sequence"),
+    "norm": _on_sequence(space_norm, "norm"),
     "basis": _cmd_basis,
     "dual": _cmd_dual,
     "matclass": _cmd_matclass,
@@ -226,7 +198,7 @@ def build_parser():
 
     def add_common(sp, with_params=True):
         if with_params:
-            sp.add_argument("--preset", choices=("uv", "euler", "aydin", "lambda", "identity"),
+            sp.add_argument("--preset", choices=PRESET_NAMES,
                             help="named parameter family (default: identity)")
             sp.add_argument("--params", help="JSON file with explicit r/s/t windows")
             sp.add_argument("--alpha", help="euler/aydin parameter in (0, 1)")
@@ -301,19 +273,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     backend = backend_for(args.scalar)
     try:
-        job, result, payload_seq, indeterminate = COMMANDS[args.command](args, backend)
-        report = make_report(job, backend, result)
+        p, job = (None, {}) if args.command == "selftest" else _resolve_params(args, backend)
+        extra, result, payload_seq, indeterminate = COMMANDS[args.command](args, backend, p)
+        # float parameters run on their exact twin and round on f64 whatever
+        # --scalar says, so the report names the parameters' backend
+        report = make_report({"command": args.command, **job, **extra},
+                             backend if p is None else p.backend, result)
         _emit(report, payload_seq, args)
-    except (ParameterError, SchemaError, DimensionError, TailError, GuardError,
-            SingularTriangleError) as exc:
+    except InconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 4
+    except GenmeansError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:
         print("error: a result is beyond the f64 range (about 1.8e308)", file=sys.stderr)
         return 2
-    except InconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, starmap
-from operator import add, mul, truediv
+from operator import add, gt, lt, mul, truediv
 from typing import Optional
 
 from .errors import DimensionError, ParameterError
@@ -41,7 +41,11 @@ from .scalars import (
     FLOAT_MODE, RATIONAL, RATIONAL_MODE, Backend, common_denominator, common_quotients)
 from .triangle import STRUCTURAL_TAIL, SequenceWindow, TriangleMatrix, span_form
 
-PRESET_NAMES = ("uv", "euler", "aydin", "lambda", "identity")
+# the arguments each named family takes (``PresetSpec`` fields): alpha a number,
+# every other a window
+PRESET_ARGS = {"uv": ("u", "v"), "euler": ("alpha",), "aydin": ("alpha",), "lambda": ("lam",),
+               "identity": ()}
+PRESET_NAMES = tuple(PRESET_ARGS)
 
 
 @dataclass(frozen=True)
@@ -332,90 +336,86 @@ class PresetSpec:
                 object.__setattr__(self, field, tuple(value))
 
 
+def _euler(n, a):
+    f = math.factorial(n)
+    return Fraction(1, f), (1 - a) ** n / f, a ** n / f
+
+
+# name: (the difference order it forces, or None; its (r_n, s_n, t_n) from n
+# and its arguments in PRESET_ARGS order, read exactly)
+_PRESETS = {
+    "uv": (None, lambda n, u, v: (1 / u[n], 1, v[n])),
+    "euler": (None, _euler),
+    "aydin": (None, lambda n, a: (n + 1, 1, 1 + a ** n)),
+    "lambda": (1, lambda n, lam: (lam[n], 1, lam[n] - lam[n - 1] if n else lam[0])),
+    "identity": (None, lambda n: (1, int(n == 0), 1)),
+}
+
+
+def _rounded(backend, value):
+    """``value`` in ``backend``; past the double range, inf, which the f64 cut reads."""
+    try:
+        return backend.convert(value)
+    except OverflowError:
+        return math.inf
+
+
 def preset(spec, order, m=1, backend=RATIONAL) -> ParameterTriple:
     """Instantiate a named parameter family at the given truncation order.
 
-    Windows are 4x the order long so structural tails can be extended for
-    trend diagnostics.  The "lambda" family forces m = 1.
+    Windows are 4x the order long (at most the argument windows' length) so
+    structural tails can be extended for trend diagnostics.  Every term is
+    computed exactly and converted to the backend once; an f64 triple keeps
+    the prefix before the first term that underflows to 0 (r or t) or leaves
+    the double range.  The "lambda" family forces m = 1.
 
-    Families:
+    Families (arguments in ``PRESET_ARGS``):
       uv       r_n = 1/u_n, t_n = v_n, s = ones
       euler    r_n = 1/n!, t_n = a^n/n!, s_n = (1-a)^n/n!, 0 < a < 1
       aydin    r_n = n+1, t_n = 1 + a^n, s = ones, 0 < a < 1
       lambda   r_n = L_n, t_n = L_n - L_{n-1} (L_{-1} = 0), s = ones, m = 1
       identity s = (1, 0, 0, ...), r = t = ones
     """
-    if order < 1:
+    if order < 1:       # the empty construction has no windows to cut
         raise ParameterError([f"truncation order must be positive, got {order}"])
-    length = 4 * order
-    one, zero = backend.one, backend.zero
-    name = spec.name
+    name, keys = spec.name, PRESET_ARGS[spec.name]
+    missing = [key for key in keys if getattr(spec, key) is None]
+    if missing:
+        raise ParameterError([f"preset {name!r} requires {' and '.join(missing)}"])
+    given = {key: getattr(spec, key) for key in keys}
+    windows = [key for key in keys if key != "alpha"]
+    length = min([4 * order, *(len(given[key]) for key in windows)])
+    problems = [f"{key} window covers {len(given[key])} terms, need at least {order}"
+                for key in windows if len(given[key]) < order]
+    if problems:
+        raise ParameterError(problems)
+    try:
+        args = {key: Fraction(value) if key == "alpha" else tuple(map(Fraction, value[:length]))
+                for key, value in given.items()}
+    except (ValueError, OverflowError):     # nan or inf has no exact value
+        raise ParameterError([f"preset {name!r} arguments must be finite numbers"]) from None
+    if "alpha" in args and not 0 < args["alpha"] < 1:
+        problems.append(f"alpha must lie strictly between 0 and 1, got {spec.alpha}")
+    problems += [f"{key}[{i}] = 0 (must be zero-free)"
+                 for key in windows for i, value in enumerate(args[key]) if value == 0]
+    lam = args.get("lam", ())
+    # strictly monotone and zero-free: every step t_n is nonzero
+    if not (all(map(lt, lam, lam[1:])) or all(map(gt, lam, lam[1:]))):
+        problems.append("lam must be strictly monotone")
+    if problems:
+        raise ParameterError(problems)
 
-    if name in ("euler", "aydin"):
-        if spec.alpha is None:
-            raise ParameterError([f"preset {name!r} requires alpha"])
-        alpha = Fraction(spec.alpha) if backend.mode == "rational" else float(spec.alpha)
-        if not 0 < alpha < 1:
-            raise ParameterError([f"alpha must lie strictly between 0 and 1, got {spec.alpha}"])
-
-    if name == "identity":
-        r = t = (one,) * length
-        s = (one,) + (zero,) * (length - 1)
-    elif name == "uv":
-        if spec.u is None or spec.v is None:
-            raise ParameterError(["preset 'uv' requires both u and v windows"])
-        length = min(length, len(spec.u), len(spec.v))
-        if length < order:
-            raise ParameterError([f"u/v windows cover {length} terms, need at least {order}"])
-        problems = [f"u[{i}] = 0 (must be zero-free)" for i in range(length) if spec.u[i] == 0]
-        problems += [f"v[{i}] = 0 (must be zero-free)" for i in range(length) if spec.v[i] == 0]
-        if problems:
-            raise ParameterError(problems)
-        r = tuple(1 / backend.convert(spec.u[i]) for i in range(length))
-        t = tuple(backend.convert(spec.v[i]) for i in range(length))
-        s = (one,) * length
-    elif name == "euler":
-        # factorials exact first, converted at the end; never a floating factorial
-        af = Fraction(spec.alpha)
-        fact = [Fraction(math.factorial(i)) for i in range(length)]
-        r = tuple(backend.convert(1 / fact[i]) for i in range(length))
-        t = tuple(backend.convert(af ** i / fact[i]) for i in range(length))
-        s = tuple(backend.convert((1 - af) ** i / fact[i]) for i in range(length))
-    elif name == "aydin":
-        r = tuple(backend.convert(i + 1) for i in range(length))
-        t = tuple(one + alpha ** i for i in range(length))
-        s = (one,) * length
-    else:  # lambda
-        if spec.lam is None:
-            raise ParameterError(["preset 'lambda' requires the lam window"])
-        length = min(length, len(spec.lam))
-        if length < order:
-            raise ParameterError([f"lam window covers {length} terms, need at least {order}"])
-        lam = [backend.convert(v) for v in spec.lam[:length]]
-        problems = [f"lam[{i}] = 0 (must be zero-free)" for i in range(length) if lam[i] == 0]
-        increasing = all(lam[i] < lam[i + 1] for i in range(length - 1))
-        decreasing = all(lam[i] > lam[i + 1] for i in range(length - 1))
-        if not (increasing or decreasing):
-            problems.append("lam must be strictly monotone")
-        if problems:
-            raise ParameterError(problems)
-        r = tuple(lam)
-        # strictly monotone and zero-free: every step t_n is nonzero
-        t = tuple(lam[i] - (lam[i - 1] if i else zero) for i in range(length))
-        s = (one,) * length
-        m = 1
-
-    if backend.mode == "float":
-        # float windows may underflow to zero or overflow; keep the clean prefix
-        usable = next((i for i in range(length) if r[i] == 0 or t[i] == 0
-                       or not all(map(math.isfinite, (r[i], s[i], t[i])))), length)
-        if usable < order:
-            raise ParameterError([
-                f"float backend cannot represent the {name!r} windows past index "
-                f"{usable}; truncation order {order} needs more"])
-        r, s, t = r[:usable], s[:usable], t[:usable]
-
-    return ParameterTriple(r, s, t, m, order, backend)
+    forced, term = _PRESETS[name]
+    terms = [[_rounded(backend, v) for v in term(n, *args.values())] for n in range(length)]
+    # a rational term is never 0 nor inf here, so only an f64 window is cut
+    usable = next((n for n, (r, s, t) in enumerate(terms)
+                   if r == 0 or t == 0 or math.inf in (r, s, t)), length)
+    if usable < order:
+        raise ParameterError([
+            f"float backend cannot represent the {name!r} windows past index "
+            f"{usable}; truncation order {order} needs more"])
+    r, s, t = zip(*terms[:usable])
+    return ParameterTriple(r, s, t, m if forced is None else forced, order, backend)
 
 
 def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
@@ -423,7 +423,7 @@ def identity_triple(order, m=1, backend=RATIONAL) -> ParameterTriple:
 
 
 __all__ = [
-    "ParameterTriple", "PresetSpec", "NormResult", "PRESET_NAMES",
+    "ParameterTriple", "PresetSpec", "NormResult", "PRESET_ARGS", "PRESET_NAMES",
     "weighted_mean_matrix", "mean_difference_matrix",
     "transform", "inverse_transform", "space_norm",
     "preset", "identity_triple",

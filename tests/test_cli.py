@@ -315,6 +315,45 @@ def test_rational_params_file_rejects_f64_inputs(tmp_path, capsys, ones_file, co
         "error: params: rational parameters cannot take --scalar f64\n")
 
 
+def test_float_params_file_names_its_backend_in_the_report(tmp_path, capsys):
+    # float parameters round every result on f64 whatever --scalar says, so a
+    # report names their backend, in the CSV header as in JSON
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params_to_json(identity_triple(4, backend=FLOAT64))))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(sequence_to_json(SequenceWindow((F(1), F(1, 3), F(0), F(0)), "zero"))))
+    matrix = tmp_path / "A.json"
+    matrix.write_text(json.dumps(matrix_to_json(MatrixWindow(((F(1),), (F(1, 2),)), "zero"))))
+    params = ["--params", str(params_path)]
+    code, out = run(capsys, "transform", "--input", str(x), *params)
+    report = json.loads(out)
+    assert (code, report["backend"]) == (0, "float")
+    assert report["result"]["sequence"]["values"][:2] == ["1.0", "-0.6666666666666666"]
+    code, out = run(capsys, "transform", "--input", str(x), "--format", "csv", *params)
+    assert (code, out.splitlines()[1]) == (0, "# backend=float")
+    code, out = run(capsys, "chi", "--matrix", str(matrix), "--target", "c0", *params)
+    assert (code, json.loads(out)["backend"]) == (0, "float")
+
+
+@pytest.mark.parametrize("argv", [["selftest"], ["basis", "--j", "0", "--n", "2"]])
+def test_every_package_error_exits_through_one_boundary(monkeypatch, capsys, argv):
+    # the base class is caught, so an error class added later exits 2 too
+    def fail(error):
+        def handler(*args):
+            raise error
+        return handler
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], fail(genmeans.GenmeansError("boom")))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    monkeypatch.setitem(cli.COMMANDS, argv[0], fail(genmeans.InconsistencyError("off")))
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal inconsistency: off\n"
+
+
 def test_params_file_tolerance_accepts_its_bounds(tmp_path, capsys, ones_file):
     # a params file written before the tolerance became a constant still runs,
     # and its leftover "tolerance" key, whatever its value, changes no byte

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import random
 from fractions import Fraction as F
 from itertools import zip_longest
 
@@ -36,10 +37,12 @@ from genmeans.limits import (
     limit_of_rows,
     limsup_of_rows,
     row_statistic,
+    subset_column_sup,
     sup_of_rows,
     total,
     vanishes,
 )
+from genmeans.scalars import common_denominator
 
 from conftest import f64_triples, no_shrink, parameter_triples, small_fractions
 
@@ -555,6 +558,29 @@ def test_window_statistics_are_left_to_right_sums(p, data):
             _same_sums(est.trace, tuple(
                 total(abs(column_value(row, k) - column_value(alphas, k))
                       for k in range(max(len(row), len(alphas)))) for row in rows))
+
+
+def test_subset_sup_past_the_exhaustive_width_reads_a_bound_pair():
+    # 13 nonzero columns, one past EXACT_SUBSET_COLUMNS: greedy lower, absolute-total upper
+    note = "bound pair; exhaustive search skipped beyond 2^12 subsets"
+    assert limits.EXACT_SUBSET_COLUMNS == 12
+    unit = tuple(tuple(F(int(k == n)) for k in range(13)) for n in range(13))
+    est = subset_column_sup(MatrixWindow(unit, "zero"))
+    assert (est.value, est.status, est.note) == ((13, 13), STATUS_EXACT, note)
+    rng = random.Random(13)
+    rows = tuple(tuple(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                       for _ in range(13)) for _ in range(3))
+    ints, den = common_denominator([v for row in rows for v in row])
+    cols = [ints[13 * n:13 * n + 13] for n in range(3)]
+    best = F(max(sum(abs(sum(c[k] for k in range(13) if mask >> k & 1)) for c in cols)
+                 for mask in range(1, 1 << 13)), den)
+    est = subset_column_sup(MatrixWindow(rows, "zero"))
+    lower, upper = est.value
+    assert (est.status, est.note) == (STATUS_EXACT, note)
+    assert lower <= best <= upper
+    # a structural tail certifies no series over the rows
+    est = subset_column_sup(MatrixWindow(rows, "structural"))
+    assert (est.value, est.status, est.note) == ((lower, upper), STATUS_INDET, note)
 
 
 def test_no_function_takes_a_tolerance():

@@ -395,6 +395,62 @@ def test_aydin_windows():
     assert p.t[:3] == (F(2), F(3, 2), F(5, 4))
 
 
+PRESET_CASES = {
+    "uv": dict(u=tuple(F((-1) ** k * (k + 3), k + 1) for k in range(160)),
+               v=tuple(F(k + 2, 3) for k in range(160))),
+    "euler": dict(alpha=F(2, 5)),
+    "aydin": dict(alpha=F(2, 5)),
+    "aydin-15/16": dict(alpha=F(15, 16)),
+    "lambda": dict(lam=tuple(F(k + 1, 3) for k in range(160))),
+    "identity": dict(),
+}
+
+
+@pytest.mark.parametrize("inputs", ["fraction", "float"])
+@pytest.mark.parametrize("case", sorted(PRESET_CASES))
+def test_f64_preset_is_the_rational_preset_rounded_once(case, inputs):
+    # aydin 2/5 rounded twice gave t_2 = 1.1600000000000001, lambda (k+1)/3 t_2 = 0.33333333333333337
+    args = PRESET_CASES[case]
+    if inputs == "float":
+        args = {k: float(v) if k == "alpha" else tuple(map(float, v)) for k, v in args.items()}
+    spec = PresetSpec(case.split("-")[0], **args)
+    exact, p = (preset(spec, 40, m=2, backend=b) for b in (RATIONAL, FLOAT64))
+    assert p.capacity >= 40 and p.m == exact.m
+    for got, want in ((p.r, exact.r), (p.s, exact.s), (p.t, exact.t)):
+        assert all(type(v) is float for v in got)
+        assert got == tuple(map(float, want[:len(got)]))
+
+
+def test_preset_arguments_are_checked_once_over_the_table():
+    from genmeans.operators import PRESET_ARGS, PRESET_NAMES
+
+    assert PRESET_NAMES == tuple(PRESET_ARGS)
+    with pytest.raises(ParameterError, match=r"^preset 'uv' requires v$"):
+        preset(PresetSpec("uv", u=(F(1),) * 16), 4)
+    with pytest.raises(ParameterError, match=r"^preset 'euler' requires alpha$"):
+        preset(PresetSpec("euler"), 4)
+    for spec in (PresetSpec("aydin", alpha=float("nan")),
+                 PresetSpec("uv", u=(float("inf"),) * 16, v=(1.0,) * 16)):
+        with pytest.raises(ParameterError, match="arguments must be finite numbers"):
+            preset(spec, 4, backend=FLOAT64)
+    with pytest.raises(ParameterError, match=r"^u window covers 3 terms, need at least 4$"):
+        preset(PresetSpec("uv", u=(F(1),) * 3, v=(F(1),) * 16), 4)
+    with pytest.raises(ParameterError) as exc:
+        preset(PresetSpec("lambda", lam=(F(1), F(0), F(2), F(4))), 4)
+    assert exc.value.violations == ("lam[1] = 0 (must be zero-free)", "lam must be strictly monotone")
+    with pytest.raises(ParameterError, match="truncation order must be positive, got 0"):
+        preset(PresetSpec("identity"), 0)
+
+
+def test_f64_preset_cuts_where_a_term_leaves_the_double_range():
+    # t_n = 2^-n/n! underflows to 0 at n = 157; u_n = 2^-1100 makes 1/u_n overflow at n = 5
+    assert preset(PresetSpec("euler", alpha=0.5), 40, backend=FLOAT64).capacity == 157
+    with pytest.raises(ParameterError, match="past index 157; truncation order 158 needs more"):
+        preset(PresetSpec("euler", alpha=0.5), 158, backend=FLOAT64)
+    u = (F(1),) * 5 + (F(1, 2 ** 1100),) * 11
+    assert preset(PresetSpec("uv", u=u, v=(F(1),) * 16), 4, backend=FLOAT64).capacity == 5
+
+
 def test_preset_windows_cover_four_times_order():
     p = preset(PresetSpec("euler", alpha=F(1, 2)), 8)
     assert p.capacity >= 32
