@@ -11,6 +11,9 @@ line per group:
   cli seed S          stdout and exit code of each cli spec, run in process
   roundtrip-cold      ``repr`` of every job result of one cycle
   roundtrip-warm      the same for the warm workload
+  norm                ``repr`` of ``space_norm`` (or of the error it raises) on one
+                      seeded sequence for each preset, backend, m in 0..2 and
+                      order 8 or 32
   SCRIPT ARG          sha256 of the stdout of ``scripts/compactness_survey.py 12``
                       and of ``scripts/transform_demo.py 8``
 
@@ -27,14 +30,18 @@ The sources come from this checkout (``src/`` and ``perfbench/``), whatever
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's modules import each other by bare name)
+from genmeans import FLOAT64, RATIONAL, GenmeansError, PresetSpec, SequenceWindow  # noqa: E402
+from genmeans import preset, space_norm  # noqa: E402
 from genmeans.serialize import _plain  # noqa: E402
 from worker import in_process  # noqa: E402
 
@@ -49,6 +56,36 @@ def digest(texts):
         h.update(text.encode("utf-8"))
         h.update(b"\0")
     return h.hexdigest()
+
+
+def norm_texts():
+    rng = random.Random(SEEDS[0])
+
+    def window(length):
+        return tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                     for _ in range(length))
+
+    for order in (8, 32):
+        lam = tuple(Fraction(k * k, 3) for k in range(1, 4 * order + 1))
+        specs = (PresetSpec("uv", u=window(4 * order), v=window(4 * order)),
+                 PresetSpec("euler", alpha=Fraction(1, 3)),
+                 PresetSpec("aydin", alpha=Fraction(1, 2)),
+                 PresetSpec("lambda", lam=lam),
+                 PresetSpec("identity"))
+        for spec in specs:
+            for backend in (RATIONAL, FLOAT64):
+                for m in (0, 1, 2):
+                    if backend is RATIONAL:
+                        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(order)]
+                    else:
+                        x = [rng.randint(-4096, 4096) / 1024 for _ in range(order)]
+                    try:
+                        p = preset(spec, order, m=m, backend=backend)
+                        text = repr(space_norm(p, SequenceWindow(x)))
+                    except (GenmeansError, OverflowError) as exc:
+                        text = f"{type(exc).__name__}: {exc}"
+                    yield f"{spec.name} {backend.mode} m={m} n={order}: {text}"
 
 
 def digest_lines():
@@ -70,6 +107,8 @@ def digest_lines():
             load = workloads.WORKLOADS[name](SEEDS[0], "full", os.path.join(tmp, name))
             texts = [repr(job.run()) for job in load.cycle()]
             yield f"{name} seed {SEEDS[0]}: {len(texts)} jobs {digest(texts)}"
+    texts = list(norm_texts())
+    yield f"norm: {len(texts)} norms {digest(texts)}"
     path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
     for script, arg in SCRIPTS:
         out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), arg],

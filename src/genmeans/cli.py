@@ -65,18 +65,24 @@ def _load_json(path, what):
 
 def _resolve_params(args, backend):
     """Build the parameter set from --params or a preset, recording how."""
-    if getattr(args, "params", None):
+    name, order = args.preset or "identity", args.n
+    given = {key: text for keys in PRESET_ARGS.values() for key in keys
+             if (text := getattr(args, key)) is not None}
+    where, takes = ("--params", ()) if args.params else (f"preset {name!r}", PRESET_ARGS[name])
+    stray = [f"--{key} does not apply to {where}" for key in given if key not in takes]
+    if stray:
+        raise ParameterError(stray)
+    if args.params:
         doc = _load_json(args.params, "params")
         p = params_from_json(doc)
         if backend.mode == FLOAT_MODE and p.backend.mode != FLOAT_MODE:
             # the float boundary is the parameters': rational ones take rational inputs
             raise ParameterError(["params: rational parameters cannot take --scalar f64"])
         return p, {"params_file": args.params, "params": params_to_json(p)}
-    name, order = args.preset or "identity", args.n
-    # the family's flags that are given, each named as its argument
+    # each given flag, one the family takes, read as its argument
     kwargs = {key: _parse_number(text, backend, f"--{key}") if key == "alpha"
               else _parse_sequence_arg(text, 4 * order, backend, f"--{key}")
-              for key in PRESET_ARGS[name] if (text := getattr(args, key)) is not None}
+              for key, text in given.items()}
     p = preset(PresetSpec(name, **kwargs), order, m=args.m, backend=backend)
     job = {"preset": name, "n": order, "m": p.m, "scalar": backend.mode}
     for key, value in kwargs.items():
@@ -145,18 +151,13 @@ def _cmd_matclass(args, backend, p):
 
 
 def _cmd_chi(args, backend, p):
-    if args.atilde:
-        matrix, raw = _load_matrix(args.atilde, backend)
-        operand = supplied_associate(matrix)
-        source_doc = {"atilde": raw}
-    else:
-        matrix, raw = _load_matrix(args.matrix, backend)
-        operand = associate_matrix(p, matrix)
-        source_doc = {"matrix": raw}
+    source = "matrix" if args.atilde is None else "atilde"      # an empty path is a path
+    matrix, raw = _load_matrix(getattr(args, source), backend)
+    operand = associate_matrix(p, matrix) if args.atilde is None else supplied_associate(matrix)
     estimate = chi_norm(p, operand, args.target)
     verdict = estimate.verdict()
     norm = operator_norm(p, operand)
-    job = {"target": args.target, **source_doc}
+    job = {"target": args.target, source: raw}
     result = {"chi": estimate, "compactness": verdict, "operator_norm": norm}
     # an indeterminate chi makes the verdict read off it indeterminate too
     return job, result, None, verdict.status == "indeterminate"

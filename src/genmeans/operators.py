@@ -9,12 +9,13 @@ on W.  Associate rows and rows of T^{-1} come from ``_InverseKernel``,
 sized once by its caller, on the reciprocal series c = 1/s.  The kernels
 compute on integers over one common denominator (fraction-free, as in
 Bareiss elimination), so an inner product costs no gcd, and hand each other
-that integer form; each result value is made once from its integer pair.
+that integer form; each result value is made once from its integer pair, and
+the norm compares the transform's pairs by cross-multiplication and makes one.
 W and T come from one builder, W being T at m = 0, at the triple's own order
 (another order is ``dataclasses.replace(p, order=n)``); it holds each row's
-integer form, made with one gcd per row.  The inverse kernel maps a source
-row's form to the integers of its associate's form
-(``duality.associate_window``), which the row statistics read as is.
+integer form, made with one gcd per row.  The inverse kernel maps a source row's
+form to the integers of its associate's form (``duality.associate_window``),
+which the row statistics read as is.
 The float backend has one boundary: ``exact_twin`` lifts the parameters and
 makes result values, and ``scalars.common_denominator`` reads input values
 exactly; a triple keeps only its exact twin and its kernels' integer forms.
@@ -92,10 +93,11 @@ class ParameterTriple:
 
     @cached_property
     def _forms(self):
-        """(s, t, 1/r) at the order: s, t over one denominator, 1/r_k as (num, den > 0)."""
+        """(s, t, r, 1/r) at the order: s, t over one denominator, r and 1/r as pairs."""
         n = self.order
-        return (common_denominator(self.s[:n]), common_denominator(self.t[:n]),
-                [(r.denominator if r > 0 else -r.denominator, abs(r.numerator)) for r in self.r[:n]])
+        r = [v.as_integer_ratio() for v in self.r[:n]]
+        return (common_denominator(self.s[:n]), common_denominator(self.t[:n]), r,
+                [(d if v > 0 else -d, abs(v)) for v, d in r])
 
 
 def _violations(p) -> list:
@@ -197,7 +199,7 @@ def _mean_apply(p, d):
     """W d, the convolution y_n = sum_{k<=n} s_{n-k} t_k d_k / r_n, as one pair
     (num, den > 0) per entry: the lcm of r's numerators can be very long."""
     d, dd = d
-    (s, ds), (t, dt), rinv = p._forms
+    (s, ds), (t, dt), _, rinv = p._forms
     td, den = list(map(mul, t, d)), ds * dt * dd
     return [(sum(map(mul, s[n::-1], td)) * a, den * b) for n, (a, b) in enumerate(rinv[:len(d)])]
 
@@ -225,8 +227,7 @@ def _toeplitz_solve(s, c):
 def _mean_solve(p, y):
     """W^{-1} y by forward substitution: s_0 t_n z_n = r_n y_n - sum_{k<n} s_{n-k} t_k z_k."""
     y, dy = y
-    tz, q = _toeplitz_solve(p._forms[0], [(r.numerator * v, r.denominator * dy)
-                                          for r, v in zip(p.r, y)])
+    tz, q = _toeplitz_solve(p._forms[0], [(a * v, b * dy) for (a, b), v in zip(p._forms[2], y)])
     z, dz = common_quotients(tz, p.t)      # t_n's numerator cancelled where tz_n allows
     return z, q * dz
 
@@ -280,12 +281,17 @@ class _InverseKernel:
         return rows, self.den
 
 
-def transform(p, x) -> SequenceWindow:
-    """Image of a window under the composite operator: W applied to Delta^m x."""
+def _image(p, x):
+    """(out, T x as one pair (num, den > 0) per entry) on the exact twin of p."""
     if len(x) != p.order:
         raise DimensionError(f"sequence length {len(x)} does not match order {p.order}")
     q, out = exact_twin(p)
-    return SequenceWindow(starmap(out, _mean_apply(q, _differences(common_denominator(x), q.m))))
+    return out, _mean_apply(q, _differences(common_denominator(x), q.m))
+
+
+def transform(p, x) -> SequenceWindow:
+    """Image of a window under the composite operator: W applied to Delta^m x."""
+    return SequenceWindow(starmap(*_image(p, x)))
 
 
 def inverse_transform(p, y) -> SequenceWindow:
@@ -299,11 +305,8 @@ def inverse_transform(p, y) -> SequenceWindow:
 
 @dataclass(frozen=True)
 class NormResult:
-    """Sup of |transform| over the window, with the attaining index.
-
-    ``exact`` is False whenever the window only bounds the true supremum from
-    below (the usual case: the transform tail is undeclared).
-    """
+    """Sup of |transform| over the window and the first index attaining it; ``exact``
+    is always False, as the window only bounds the true supremum from below."""
 
     value: object
     arg_index: int
@@ -311,10 +314,16 @@ class NormResult:
 
 
 def space_norm(p, x) -> NormResult:
-    y = transform(p, x)
-    sizes = [abs(v) for v in y]
-    best = max(sizes)
-    return NormResult(best, sizes.index(best), exact=(y.tail == "zero"))
+    """sup_n |(T x)_n| over the window, one value made from the first largest |num| / den
+    of the kernel's pairs by cross-multiplication (on f64: the printed doubles, over 1)."""
+    out, y = _image(p, x)
+    if out is not Fraction:
+        y = [(out(v, d), 1) for v, d in y]
+    i, num, den = 0, 0, 1
+    for k, (v, d) in enumerate(y):
+        if abs(v) * den > num * d:
+            i, num, den = k, abs(v), d
+    return NormResult(out(num, den), i, False)
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,13 @@ def test_chi_needs_exactly_one_matrix_flag(capsys, flags):
     assert err.startswith("usage: ") and "--atilde" in err
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--atilde"])
+def test_chi_empty_matrix_path_exit_code(capsys, flag):
+    # an empty path names no file; it is not the other flag's absence
+    assert main(["chi", "--n", "4", "--target", "c0", flag, ""]) == 2
+    assert capsys.readouterr().err == "error: matrix: file not found: \n"
+
+
 def test_strict_indeterminate_exit_code(tmp_path):
     a_path = tmp_path / "a.json"
     a_path.write_text(json.dumps(
@@ -650,6 +657,30 @@ def test_scalar_flags_read_long_and_rational_text_on_both_backends(capsys):
     code, out = run(capsys, "basis", "--preset", "uv", "--u", "1/2,1,1,1,1,1,1,1",
                     "--v", "ones", "--scalar", "f64", "--n", "2", "--j", "0")
     assert code == 0 and json.loads(out)["job"]["u"] == ["0.5"] + ["1.0"] * 7
+
+
+@pytest.mark.parametrize("source, flags, where", [
+    (["--preset", "uv", "--u", "ones", "--v", "ones"], ["--alpha", "--lam"], "preset 'uv'"),
+    (["--preset", "euler", "--alpha", "1/2"], ["--u"], "preset 'euler'"),
+    ([], ["--alpha"], "preset 'identity'"),
+    (["--params", "params.json"], ["--v", "--alpha"], "--params"),
+])
+def test_family_flag_the_family_does_not_take_exit_code(tmp_path, capsys, ones_file,
+                                                         monkeypatch, source, flags, where):
+    # a flag of another family is never dropped in silence: the job would not be the one asked
+    from genmeans import identity_triple
+    from genmeans.serialize import params_to_json
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps(params_to_json(identity_triple(16))))
+    values = {"--alpha": "1/2", "--lam": "1,2", "--u": "ones", "--v": "ones"}
+    argv = ["norm", *source, "--n", "16", "--input", ones_file]
+    for flag in flags:
+        argv += [flag, values[flag]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {'; '.join(f'{flag} does not apply to {where}' for flag in flags)}\n"
 
 
 # --- oracles stay out of the production modules ---------------------------------

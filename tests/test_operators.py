@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from genmeans import (
     FLOAT64,
+    NormResult,
     ParameterError,
     ParameterTriple,
     PresetSpec,
@@ -48,6 +49,7 @@ from genmeans.selfcheck import (
 from genmeans.triangle import apply
 
 from conftest import (
+    dyadic_floats,
     f64_triples,
     no_shrink,
     parameter_triples,
@@ -349,11 +351,25 @@ def test_norm_ties_report_smallest_index():
     assert result.value == F(2) and result.arg_index == 0
 
 
-@given(parameter_triples(order=8), st.data())
+@given(st.one_of(parameter_triples(order=8), f64_triples()), st.data())
 def test_norm_equals_transform_sup(p, data):
-    x = SequenceWindow(tuple(data.draw(small_fractions) for _ in range(8)))
-    y = transform(p, x)
-    assert space_norm(p, x).value == max(abs(v) for v in y.values)
+    # the largest |entry| of the transform as returned, at its first index, on both backends
+    values = small_fractions if p.backend is RATIONAL else dyadic_floats | st.just(0.0)
+    x = SequenceWindow(tuple(data.draw(values) for _ in range(p.order)))
+    sizes = [abs(v) for v in transform(p, x).values]
+    result = space_norm(p, x)
+    assert result == NormResult(max(sizes), sizes.index(max(sizes)), False)
+    assert type(result.value) is type(sizes[0])
+
+
+def test_f64_norm_index_is_the_first_max_of_the_printed_values():
+    # exactly y_1 = 1 + 2^-60 > y_0 = 1, but both print as 1.0: the index stays 0
+    p = preset(PresetSpec("uv", u=(1.0,) * 8, v=(1.0,) * 8), 2, m=0, backend=FLOAT64)
+    x = SequenceWindow((1.0, 2.0 ** -60))
+    assert transform(p, x).values == (1.0, 1.0)
+    q, _ = exact_twin(p)
+    assert transform(q, SequenceWindow(map(F, x))).values == (1, 1 + F(1, 2 ** 60))
+    assert space_norm(p, x) == NormResult(1.0, 0, False)
 
 
 # --- presets --------------------------------------------------------------------
